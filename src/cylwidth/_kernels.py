@@ -1,40 +1,24 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy implementations.
+"""The three hot loops of the width engine, one implementation each.
 
-The alternating ascent used by the width estimator and the greedy sphere
-packing used by net construction dominate runtime.  Both exist in two
-functionally identical versions: explicit-loop kernels compiled with
-``numba.njit`` and vectorized numpy fallbacks.  Set the environment variable
-``CYLWIDTH_DISABLE_NUMBA=1`` before import to force the numpy path (the flag
-is also honoured automatically when numba is not installed).
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+* ``altmax_best``: the alternating ascent, vectorized with numpy; at large
+  d each iteration is dominated by the two projections.
+* ``anneal_best``: the annealed witness search.  Each move touches one or
+  two rows of a k-column matrix, so the loop runs over plain Python floats
+  or complexes, where per-element numpy indexing would dominate.
+* ``greedy_pack``: greedy sphere packing, one vectorized distance check per
+  candidate against the points kept so far.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-_DISABLE = os.environ.get("CYLWIDTH_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
-USING_NUMBA = HAS_NUMBA and not _DISABLE
 
 
 # ---------------------------------------------------------------------------
 # alternating ascent
 #
-# Contract shared by all implementations:
 #   cols    (d, k) orthonormal columns, float64 or complex128
 #   v_desc  (d,) float64, decreasing moduli of the target vector
 #   starts  (R, d) unit vectors inside span(cols), dtype matching cols
@@ -44,7 +28,8 @@ USING_NUMBA = HAS_NUMBA and not _DISABLE
 # ---------------------------------------------------------------------------
 
 
-def _numpy_altmax_best(cols, v_desc, starts, max_iter, tol):
+def altmax_best(cols, v_desc, starts, max_iter, tol):
+    """Run the alternating ascent from every start, return the best endpoint."""
     best_obj = -1.0
     best_w = starts[0]
     total = 0
@@ -82,115 +67,6 @@ def _numpy_altmax_best(cols, v_desc, starts, max_iter, tol):
     return best_w, best_obj, total, status
 
 
-def _make_ascend_real():
-    def kernel(cols, v_desc, starts, max_iter, tol):
-        d, k = cols.shape
-        best_obj = -1.0
-        best_w = starts[0].copy()
-        total = 0
-        for r in range(starts.shape[0]):
-            w = starts[r].copy()
-            obj_prev = -1.0
-            for _ in range(max_iter):
-                total += 1
-                m = np.abs(w)
-                order = np.argsort(-m)
-                obj = 0.0
-                for i in range(d):
-                    obj += v_desc[i] * m[order[i]]
-                if obj < obj_prev - 1e-12:
-                    return best_w, best_obj, total, 1
-                gain = obj - obj_prev
-                obj_prev = obj
-                u = np.zeros(d)
-                for i in range(d):
-                    j = order[i]
-                    if w[j] < 0.0:
-                        u[j] = -v_desc[i]
-                    else:
-                        u[j] = v_desc[i]
-                c = np.zeros(k)
-                for l in range(k):
-                    acc = 0.0
-                    for i in range(d):
-                        acc += cols[i, l] * u[i]
-                    c[l] = acc
-                pn = 0.0
-                for l in range(k):
-                    pn += c[l] * c[l]
-                pn = np.sqrt(pn)
-                if pn < 1e-15:
-                    break
-                for i in range(d):
-                    acc = 0.0
-                    for l in range(k):
-                        acc += cols[i, l] * c[l]
-                    w[i] = acc / pn
-                if gain < tol:
-                    break
-            if obj_prev > best_obj:
-                best_obj = obj_prev
-                best_w = w.copy()
-        return best_w, best_obj, total, 0
-
-    return kernel
-
-
-def _make_ascend_cplx():
-    def kernel(cols, v_desc, starts, max_iter, tol):
-        d, k = cols.shape
-        best_obj = -1.0
-        best_w = starts[0].copy()
-        total = 0
-        for r in range(starts.shape[0]):
-            w = starts[r].copy()
-            obj_prev = -1.0
-            for _ in range(max_iter):
-                total += 1
-                m = np.abs(w)
-                order = np.argsort(-m)
-                obj = 0.0
-                for i in range(d):
-                    obj += v_desc[i] * m[order[i]]
-                if obj < obj_prev - 1e-12:
-                    return best_w, best_obj, total, 1
-                gain = obj - obj_prev
-                obj_prev = obj
-                u = np.zeros(d, dtype=np.complex128)
-                for i in range(d):
-                    j = order[i]
-                    a = m[j]
-                    if a > 0.0:
-                        u[j] = (w[j] / a) * v_desc[i]
-                    else:
-                        u[j] = v_desc[i]
-                c = np.zeros(k, dtype=np.complex128)
-                for l in range(k):
-                    acc = 0.0 + 0.0j
-                    for i in range(d):
-                        acc += cols[i, l].conjugate() * u[i]
-                    c[l] = acc
-                pn = 0.0
-                for l in range(k):
-                    pn += c[l].real * c[l].real + c[l].imag * c[l].imag
-                pn = np.sqrt(pn)
-                if pn < 1e-15:
-                    break
-                for i in range(d):
-                    acc = 0.0 + 0.0j
-                    for l in range(k):
-                        acc += cols[i, l] * c[l]
-                    w[i] = acc / pn
-                if gain < tol:
-                    break
-            if obj_prev > best_obj:
-                best_obj = obj_prev
-                best_w = w.copy()
-        return best_w, best_obj, total, 0
-
-    return kernel
-
-
 # ---------------------------------------------------------------------------
 # annealed search over signed-permutation witnesses
 #
@@ -201,196 +77,102 @@ def _make_ascend_cplx():
 # optima.  Swaps that lower the value are accepted with the Metropolis
 # probability under a geometric temperature schedule from t0 down to t1.
 # The random choices (touched positions, acceptance draws) are supplied by
-# the caller so both implementations consume identical streams.
+# the caller.
 #
 #   rows    (d, k) float64 or complex128
 #   vvals   (d,) matching field
-#   p0      (d,) int64 initial assignment
+#   p0      (d,) int initial assignment
 #   s0      (d,) initial unit scalars, matching field
-#   pairs   (M, 2) int64, pairs[m] = (i, j); i == j requests a scalar move
+#   pairs   (M, 2) int, pairs[m] = (i, j); i == j requests a scalar move
 #   acc_u   (M,) float64 uniforms for the Metropolis draws
 # Returns (best_p, best_s, best_val).
 # ---------------------------------------------------------------------------
 
 
-def _make_anneal_real():
-    def kernel(rows, vvals, p0, s0, t0, t1, pairs, acc_u):
-        d, k = rows.shape
-        n_moves = pairs.shape[0]
-        p = p0.copy()
-        s = s0.copy()
-        y = np.zeros(k)
-        for i in range(d):
-            a = s[i] * vvals[p[i]]
-            for l in range(k):
-                y[l] += a * rows[i, l]
-        val = 0.0
+def _sign(z, tie):
+    # z / |z| is exactly +-1.0
+    return z / abs(z) if z else tie
+
+
+def _phase(z, tie):
+    # np.abs and the reciprocal multiply reproduce numpy's complex128
+    # arithmetic bit for bit; Python's abs(complex) can differ in the last bit
+    mag = float(np.abs(z))
+    return z.conjugate() * (1.0 / mag) if mag else tie
+
+
+def _norm(y):
+    # a float's imag is 0.0, so real vectors sum the same squares
+    acc = 0.0
+    for t in y:
+        acc += t.real * t.real + t.imag * t.imag
+    return math.sqrt(acc)
+
+
+def anneal_best(rows, vvals, p0, s0, t0, t1, pairs, acc_u):
+    """Run the annealed witness search, return the best visited state."""
+    cplx = np.iscomplexobj(rows) or np.iscomplexobj(vvals)
+    field = np.complex128 if cplx else np.float64
+    unit = _phase if cplx else _sign
+    rows = np.asarray(rows, dtype=field).tolist()
+    vvals = np.asarray(vvals, dtype=field).tolist()
+    p = np.asarray(p0, dtype=np.int64).tolist()
+    s = np.asarray(s0, dtype=field).tolist()
+    pairs = np.asarray(pairs).tolist()
+    acc_u = np.asarray(acc_u, dtype=np.float64).tolist()
+    k = len(rows[0])
+    y = [0.0] * k
+    for i, r in enumerate(rows):
+        a = s[i] * vvals[p[i]]
         for l in range(k):
-            val += y[l] * y[l]
-        val = np.sqrt(val)
-        best_p = p.copy()
-        best_s = s.copy()
-        best_val = val
-        ratio = t1 / t0
-        denom = max(n_moves - 1, 1)
-        for m in range(n_moves):
-            temp = t0 * ratio ** (m / denom)
-            i = pairs[m, 0]
-            j = pairs[m, 1]
-            if i == j:
-                a = s[i] * vvals[p[i]]
-                inner = 0.0
-                z2 = 0.0
-                for l in range(k):
-                    z = vvals[p[i]] * rows[i, l]
-                    inner += (y[l] - a * rows[i, l]) * z
-                    z2 += z * z
-                s_new = s[i]
-                if inner > 0.0:
-                    s_new = 1.0
-                elif inner < 0.0:
-                    s_new = -1.0
-                if s_new != s[i]:
-                    delta = (s_new - s[i]) * vvals[p[i]]
-                    val = 0.0
-                    for l in range(k):
-                        y[l] += delta * rows[i, l]
-                        val += y[l] * y[l]
-                    val = np.sqrt(val)
-                    s[i] = s_new
-            else:
-                ai = s[i] * vvals[p[i]]
-                aj = s[j] * vvals[p[j]]
-                inner_i = 0.0
-                for l in range(k):
-                    rest = y[l] - ai * rows[i, l] - aj * rows[j, l]
-                    inner_i += rest * (vvals[p[j]] * rows[i, l])
-                si2 = 1.0 if inner_i >= 0.0 else -1.0
-                bi = si2 * vvals[p[j]]
-                inner_j = 0.0
-                for l in range(k):
-                    rest = y[l] - ai * rows[i, l] - aj * rows[j, l]
-                    inner_j += (rest + bi * rows[i, l]) * (vvals[p[i]] * rows[j, l])
-                sj2 = 1.0 if inner_j >= 0.0 else -1.0
-                bj = sj2 * vvals[p[i]]
-                val2 = 0.0
-                for l in range(k):
-                    y2 = y[l] - ai * rows[i, l] - aj * rows[j, l] \
-                        + bi * rows[i, l] + bj * rows[j, l]
-                    val2 += y2 * y2
-                val2 = np.sqrt(val2)
-                accept = val2 > val
-                if not accept:
-                    accept = acc_u[m] < np.exp((val2 - val) / temp)
-                if accept:
-                    for l in range(k):
-                        y[l] = y[l] - ai * rows[i, l] - aj * rows[j, l] \
-                            + bi * rows[i, l] + bj * rows[j, l]
-                    t = p[i]
-                    p[i] = p[j]
-                    p[j] = t
-                    s[i] = si2
-                    s[j] = sj2
-                    val = val2
-            if val > best_val:
-                best_val = val
-                for l in range(d):
-                    best_p[l] = p[l]
-                    best_s[l] = s[l]
-        return best_p, best_s, best_val
-
-    return kernel
-
-
-def _make_anneal_cplx():
-    def kernel(rows, vvals, p0, s0, t0, t1, pairs, acc_u):
-        d, k = rows.shape
-        n_moves = pairs.shape[0]
-        p = p0.copy()
-        s = s0.copy()
-        y = np.zeros(k, dtype=np.complex128)
-        for i in range(d):
-            a = s[i] * vvals[p[i]]
+            y[l] += a * r[l]
+    val = _norm(y)
+    best_p, best_s, best_val = p[:], s[:], val
+    t0, t1 = float(t0), float(t1)
+    ratio = t1 / t0
+    denom = max(len(pairs) - 1, 1)
+    for m, (i, j) in enumerate(pairs):
+        if i == j:
+            vi, ri = vvals[p[i]], rows[i]
+            a = s[i] * vi
+            inner = 0.0
             for l in range(k):
-                y[l] += a * rows[i, l]
-        val = 0.0
-        for l in range(k):
-            val += y[l].real * y[l].real + y[l].imag * y[l].imag
-        val = np.sqrt(val)
-        best_p = p.copy()
-        best_s = s.copy()
-        best_val = val
-        ratio = t1 / t0
-        denom = max(n_moves - 1, 1)
-        for m in range(n_moves):
+                inner += (y[l] - a * ri[l]).conjugate() * (vi * ri[l])
+            s_new = unit(inner, s[i])
+            if s_new != s[i]:
+                delta = (s_new - s[i]) * vi
+                for l in range(k):
+                    y[l] += delta * ri[l]
+                val = _norm(y)
+                s[i] = s_new
+        else:
+            vi, vj, ri, rj = vvals[p[i]], vvals[p[j]], rows[i], rows[j]
+            ai, aj = s[i] * vi, s[j] * vj
+            rest = [y[l] - ai * ri[l] - aj * rj[l] for l in range(k)]
+            # a real swap breaks a tie towards +1, a complex one keeps the
+            # old phase
+            inner = 0.0
+            for l in range(k):
+                inner += rest[l].conjugate() * (vj * ri[l])
+            si2 = unit(inner, s[i] if cplx else 1.0)
+            bi = si2 * vj
+            inner = 0.0
+            for l in range(k):
+                inner += (rest[l] + bi * ri[l]).conjugate() * (vi * rj[l])
+            sj2 = unit(inner, s[j] if cplx else 1.0)
+            bj = sj2 * vi
+            y2 = [rest[l] + bi * ri[l] + bj * rj[l] for l in range(k)]
+            val2 = _norm(y2)
             temp = t0 * ratio ** (m / denom)
-            i = pairs[m, 0]
-            j = pairs[m, 1]
-            if i == j:
-                a = s[i] * vvals[p[i]]
-                inner = 0.0 + 0.0j
-                for l in range(k):
-                    z = vvals[p[i]] * rows[i, l]
-                    inner += (y[l] - a * rows[i, l]).conjugate() * z
-                mag = np.abs(inner)
-                if mag > 0.0:
-                    s_new = inner.conjugate() / mag
-                    delta = (s_new - s[i]) * vvals[p[i]]
-                    val = 0.0
-                    for l in range(k):
-                        y[l] += delta * rows[i, l]
-                        val += y[l].real * y[l].real + y[l].imag * y[l].imag
-                    val = np.sqrt(val)
-                    s[i] = s_new
-            else:
-                ai = s[i] * vvals[p[i]]
-                aj = s[j] * vvals[p[j]]
-                inner_i = 0.0 + 0.0j
-                for l in range(k):
-                    rest = y[l] - ai * rows[i, l] - aj * rows[j, l]
-                    inner_i += rest.conjugate() * (vvals[p[j]] * rows[i, l])
-                mag_i = np.abs(inner_i)
-                si2 = s[i] if mag_i == 0.0 else inner_i.conjugate() / mag_i
-                bi = si2 * vvals[p[j]]
-                inner_j = 0.0 + 0.0j
-                for l in range(k):
-                    rest = y[l] - ai * rows[i, l] - aj * rows[j, l]
-                    inner_j += (rest + bi * rows[i, l]).conjugate() \
-                        * (vvals[p[i]] * rows[j, l])
-                mag_j = np.abs(inner_j)
-                sj2 = s[j] if mag_j == 0.0 else inner_j.conjugate() / mag_j
-                bj = sj2 * vvals[p[i]]
-                val2 = 0.0
-                for l in range(k):
-                    y2 = y[l] - ai * rows[i, l] - aj * rows[j, l] \
-                        + bi * rows[i, l] + bj * rows[j, l]
-                    val2 += y2.real * y2.real + y2.imag * y2.imag
-                val2 = np.sqrt(val2)
-                accept = val2 > val
-                if not accept:
-                    accept = acc_u[m] < np.exp((val2 - val) / temp)
-                if accept:
-                    for l in range(k):
-                        y[l] = y[l] - ai * rows[i, l] - aj * rows[j, l] \
-                            + bi * rows[i, l] + bj * rows[j, l]
-                    t = p[i]
-                    p[i] = p[j]
-                    p[j] = t
-                    s[i] = si2
-                    s[j] = sj2
-                    val = val2
-            if val > best_val:
-                best_val = val
-                for l in range(d):
-                    best_p[l] = p[l]
-                    best_s[l] = s[l]
-        return best_p, best_s, best_val
-
-    return kernel
-
-
-_numpy_anneal_real = _make_anneal_real()
-_numpy_anneal_cplx = _make_anneal_cplx()
+            if val2 > val or acc_u[m] < math.exp((val2 - val) / temp):
+                y = y2
+                p[i], p[j] = p[j], p[i]
+                s[i], s[j] = si2, sj2
+                val = val2
+        if val > best_val:
+            best_p, best_s, best_val = p[:], s[:], val
+    return (np.array(best_p, dtype=np.int64), np.array(best_s, dtype=field),
+            best_val)
 
 
 # ---------------------------------------------------------------------------
@@ -398,121 +180,17 @@ _numpy_anneal_cplx = _make_anneal_cplx()
 # ---------------------------------------------------------------------------
 
 
-def _numpy_greedy_pack(points, min_dist):
-    n = points.shape[0]
-    keep = np.zeros(n, dtype=np.bool_)
-    kept = np.empty((0, points.shape[1]))
-    md2 = float(min_dist) ** 2
-    for i in range(n):
-        p = points[i]
-        if kept.shape[0]:
-            d2 = np.sum((kept - p) ** 2, axis=1)
-            if float(d2.min()) < md2:
-                continue
-        keep[i] = True
-        kept = np.vstack((kept, p[None, :]))
-    return keep
-
-
-def _make_greedy_pack():
-    def kernel(points, min_dist):
-        n, k = points.shape
-        keep = np.zeros(n, dtype=np.bool_)
-        kept = np.empty((n, k))
-        m = 0
-        md2 = min_dist * min_dist
-        for i in range(n):
-            ok = True
-            for j in range(m):
-                d2 = 0.0
-                for l in range(k):
-                    t = points[i, l] - kept[j, l]
-                    d2 += t * t
-                if d2 < md2:
-                    ok = False
-                    break
-            if ok:
-                keep[i] = True
-                for l in range(k):
-                    kept[m, l] = points[i, l]
-                m += 1
-        return keep
-
-    return kernel
-
-
-if HAS_NUMBA:
-    _numba_ascend_real = njit(cache=True)(_make_ascend_real())
-    _numba_ascend_cplx = njit(cache=True)(_make_ascend_cplx())
-    _numba_anneal_real = njit(cache=True)(_make_anneal_real())
-    _numba_anneal_cplx = njit(cache=True)(_make_anneal_cplx())
-    _numba_greedy_pack = njit(cache=True)(_make_greedy_pack())
-else:  # pragma: no cover
-    _numba_ascend_real = None
-    _numba_ascend_cplx = None
-    _numba_anneal_real = None
-    _numba_anneal_cplx = None
-    _numba_greedy_pack = None
-
-
-def altmax_best(cols, v_desc, starts, max_iter, tol):
-    """Run the alternating ascent from every start, return the best endpoint."""
-    if USING_NUMBA:
-        if np.iscomplexobj(cols):
-            return _numba_ascend_cplx(
-                np.ascontiguousarray(cols, dtype=np.complex128),
-                np.ascontiguousarray(v_desc, dtype=np.float64),
-                np.ascontiguousarray(starts, dtype=np.complex128),
-                max_iter,
-                tol,
-            )
-        return _numba_ascend_real(
-            np.ascontiguousarray(cols, dtype=np.float64),
-            np.ascontiguousarray(v_desc, dtype=np.float64),
-            np.ascontiguousarray(starts, dtype=np.float64),
-            max_iter,
-            tol,
-        )
-    return _numpy_altmax_best(cols, v_desc, starts, max_iter, tol)
-
-
-def anneal_best(rows, vvals, p0, s0, t0, t1, pairs, acc_u):
-    """Run the annealed witness search, return the best visited state."""
-    p0 = np.ascontiguousarray(p0, dtype=np.int64)
-    pairs = np.ascontiguousarray(pairs, dtype=np.int64)
-    acc_u = np.ascontiguousarray(acc_u, dtype=np.float64)
-    if np.iscomplexobj(rows) or np.iscomplexobj(vvals):
-        args = (
-            np.ascontiguousarray(rows, dtype=np.complex128),
-            np.ascontiguousarray(vvals, dtype=np.complex128),
-            p0,
-            np.ascontiguousarray(s0, dtype=np.complex128),
-            float(t0),
-            float(t1),
-            pairs,
-            acc_u,
-        )
-        if USING_NUMBA:
-            return _numba_anneal_cplx(*args)
-        return _numpy_anneal_cplx(*args)
-    args = (
-        np.ascontiguousarray(rows, dtype=np.float64),
-        np.ascontiguousarray(vvals, dtype=np.float64),
-        p0,
-        np.ascontiguousarray(s0, dtype=np.float64),
-        float(t0),
-        float(t1),
-        pairs,
-        acc_u,
-    )
-    if USING_NUMBA:
-        return _numba_anneal_real(*args)
-    return _numpy_anneal_real(*args)
-
-
 def greedy_pack(points, min_dist):
     """Boolean mask of a greedy maximal min_dist-separated subsequence."""
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    if USING_NUMBA:
-        return _numba_greedy_pack(pts, float(min_dist))
-    return _numpy_greedy_pack(pts, float(min_dist))
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    keep = np.zeros(points.shape[0], dtype=np.bool_)
+    kept = np.empty_like(points)
+    m = 0
+    md2 = float(min_dist) ** 2
+    for i, p in enumerate(points):
+        if m and float(np.sum((kept[:m] - p) ** 2, axis=1).min()) < md2:
+            continue
+        keep[i] = True
+        kept[m] = p
+        m += 1
+    return keep

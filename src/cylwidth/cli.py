@@ -126,6 +126,19 @@ COLUMNS = {
 }
 
 
+def _count(text: str) -> int:
+    """argparse type for counts; argparse names the flag in the error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _epilog(command: str) -> str:
     return "CSV column order: " + ", ".join(COLUMNS[command])
 
@@ -163,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--d", action="append", type=int, required=True, help="dimension (repeatable)"
     )
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_count, default=200)
 
     p = sub.add_parser(
         "scaling",
@@ -174,14 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--d", action="append", type=int, required=True)
     p.add_argument("--k", action="append", type=int, default=None)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_count, default=200)
     p.add_argument(
         "--delta",
         type=int,
         default=1,
         help="scale-window offset: j_min = ceil(log2(2k)) + delta",
     )
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=_count, default=20)
 
     p = sub.add_parser(
         "lowerbound",
@@ -192,9 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--d", action="append", type=int, default=None)
     p.add_argument("--k", action="append", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--restarts", type=_count, default=10)
     p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--inner-restarts", type=int, default=6)
+    p.add_argument("--inner-restarts", type=_count, default=6)
 
     p = sub.add_parser(
         "realize",
@@ -210,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated real coordinates of the orbit base point",
     )
     p.add_argument("--k", type=int, default=1, help="real target dimension")
-    p.add_argument("--draws", type=int, default=32)
+    p.add_argument("--draws", type=_count, default=32)
     p.add_argument("--delta", type=int, default=1)
     p.add_argument("--max-orbit", type=int, default=5000)
 
@@ -221,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="randomized Gram row-sum checks",
         epilog=_epilog("selberg-fuzz"),
     )
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_count, default=1000)
 
     p = sub.add_parser(
         "rip-fuzz",
@@ -231,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_epilog("rip-fuzz"),
     )
     p.add_argument("--k", action="append", type=int, default=None)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count, default=100)
 
     return parser
 
@@ -357,6 +370,8 @@ def _cmd_realize(args):
         base = np.array([float(t) for t in args.base_point.split(",")])
     except ValueError as exc:
         raise ValueError(f"cannot parse base point: {exc}") from exc
+    if not np.isfinite(base).all():
+        raise ValueError("base point coordinates must be finite")
     if base.shape[0] != group.d:
         raise ValueError(
             f"base point has {base.shape[0]} coordinates, group acts on "

@@ -174,6 +174,8 @@ def adversarial_min_width(
     """
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
+    if restarts < 1:
+        raise ValueError("need at least one restart")
     if isinstance(target, Orbit):
         evaluator = orbit_evaluator(target)
     else:

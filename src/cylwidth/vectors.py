@@ -47,11 +47,11 @@ def _as_matrix(columns) -> np.ndarray:
 class SubspaceBasis:
     """Orthonormal basis of a k-dimensional subspace, stored column-wise.
 
-    Orthonormality is validated on construction (max deviation of the Gram
-    matrix from the identity at most 1e-9).  When ``sum_zero`` is set the
-    columns must additionally have coordinate sums at most 1e-9 in modulus,
-    i.e. the subspace sits inside the hyperplane orthogonal to the all-ones
-    vector.  The stored array is made read-only.
+    Entries must be finite, and orthonormality is validated on construction
+    (max deviation of the Gram matrix from the identity at most 1e-9).  When
+    ``sum_zero`` is set the columns must additionally have coordinate sums at
+    most 1e-9 in modulus, i.e. the subspace sits inside the hyperplane
+    orthogonal to the all-ones vector.  The stored array is made read-only.
     """
 
     columns: np.ndarray
@@ -62,6 +62,8 @@ class SubspaceBasis:
         d, k = cols.shape
         if k > d:
             raise ValueError(f"basis has {k} columns in dimension {d}")
+        if not np.isfinite(cols).all():
+            raise ValueError("basis columns must be finite")
         gram = cols.conj().T @ cols
         err = float(np.max(np.abs(gram - np.eye(k))))
         if err > ORTHO_TOL:

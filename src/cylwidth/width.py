@@ -36,11 +36,9 @@ __all__ = [
     "width_brute_signed_perm",
     "width_altmax",
     "width_orbit",
-    "dom_sup",
     "estimate_f_integral",
     "altmax_evaluator",
     "orbit_evaluator",
-    "dom_evaluator",
 ]
 
 BRUTE_MAX_D = 8
@@ -85,6 +83,8 @@ def _conform(basis: SubspaceBasis, v) -> np.ndarray:
     v = np.asarray(v)
     if v.shape != (basis.d,):
         raise ValueError(f"vector must have shape ({basis.d},)")
+    if not np.isfinite(v).all():
+        raise ValueError("vector entries must be finite")
     if basis.field == "complex" or np.iscomplexobj(v):
         return v.astype(np.complex128)
     return v.astype(np.float64)
@@ -311,32 +311,6 @@ def width_orbit(basis: SubspaceBasis, orbit: Orbit) -> WidthReport:
     )
 
 
-def dom_sup(
-    basis: SubspaceBasis,
-    v,
-    restarts: int = 20,
-    max_iter: int = 500,
-    tol: float = 1e-10,
-    seed=None,
-    refine: str = "auto",
-) -> WidthReport:
-    """Supremum of projection norms over the dominance cone of ``v``.
-
-    The cone is the convex hull of the signed-permutation orbit and the
-    projection norm is convex, so the supremum is attained at an orbit
-    point and the ascent applies unchanged.
-    """
-    return width_altmax(
-        basis,
-        v,
-        restarts=restarts,
-        max_iter=max_iter,
-        tol=tol,
-        seed=seed,
-        refine=refine,
-    )
-
-
 def altmax_evaluator(
     v,
     restarts: int = 20,
@@ -365,29 +339,6 @@ def orbit_evaluator(orbit: Orbit):
 
     def evaluate(basis: SubspaceBasis, rng) -> float:
         return width_orbit(basis, orbit).value
-
-    return evaluate
-
-
-def dom_evaluator(
-    v,
-    restarts: int = 20,
-    max_iter: int = 500,
-    tol: float = 1e-10,
-    refine: str = "auto",
-):
-    """Evaluator computing the dominance-cone supremum against ``v``."""
-
-    def evaluate(basis: SubspaceBasis, rng) -> float:
-        return dom_sup(
-            basis,
-            v,
-            restarts=restarts,
-            max_iter=max_iter,
-            tol=tol,
-            seed=rng,
-            refine=refine,
-        ).value
 
     return evaluate
 

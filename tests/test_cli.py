@@ -86,6 +86,18 @@ def test_validation_exit_codes(capsys):
     )
     assert code == 2
 
+    # a count below one would run nothing and report a vacuous pass
+    for argv, flag in (
+        (["lowerbound", "--restarts", "0"], "--restarts"),
+        (["selberg-fuzz", "--trials", "0"], "--trials"),
+        (["rip-fuzz", "--trials", "-5"], "--trials"),
+        (["realize", "--group", "g.json", "--base-point", "1", "--draws", "0"], "--draws"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 def test_missing_required_seed_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -149,7 +161,7 @@ def test_realize_round_trip(tmp_path, capsys):
 def test_realize_rejects_bad_base_point(tmp_path, capsys):
     gfile = tmp_path / "group.json"
     gfile.write_text(json.dumps({"d": 3, "kind": "signed_permutations"}))
-    for bad in ("1,0", "0,0,0", "a,b,c"):
+    for bad in ("1,0", "0,0,0", "a,b,c", "nan,0.5,0.1", "inf,0.5,0.1"):
         code, _, err = run(
             ["realize", "--group", str(gfile), "--base-point", bad, "--seed", "1"],
             capsys,

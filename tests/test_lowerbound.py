@@ -108,6 +108,9 @@ def test_adversarial_search_basics():
         adversarial_min_width(4, 5, witness_vector(4, 1).unit)
     with pytest.raises(ValueError):
         adversarial_min_width(8, 1, np.ones(5))
+    # zero restarts would report an infinite minimum with no frame
+    with pytest.raises(ValueError):
+        adversarial_min_width(8, 1, wit.unit, restarts=0)
 
 
 def test_adversarial_search_accepts_orbit_targets():

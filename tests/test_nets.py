@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import cylwidth._kernels as kernels
+from cylwidth._kernels import greedy_pack
 from cylwidth.nets import sphere_net
 
 
@@ -51,17 +51,18 @@ def test_rejects_bad_arguments():
         sphere_net(2, 0.0)
 
 
-def test_greedy_pack_paths_agree(monkeypatch):
+def test_greedy_pack_is_greedy_and_maximal():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((500, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    fast = kernels.greedy_pack(pts, 0.2)
-    monkeypatch.setattr(kernels, "USING_NUMBA", False)
-    slow = kernels.greedy_pack(pts, 0.2)
-    assert np.array_equal(fast, slow)
-    # kept points are pairwise separated and the mask keeps the first point
-    kept = pts[slow]
+    keep = greedy_pack(pts, 0.2)
+    assert keep.dtype == np.bool_ and keep[0]
+    # kept points are pairwise separated
+    kept = pts[keep]
     gram = kept @ kept.T
     np.fill_diagonal(gram, -1.0)
     assert float(np.sqrt(max(2.0 - 2.0 * gram.max(), 0.0))) >= 0.2 - 1e-12
-    assert slow[0]
+    # every dropped point is within min_dist of a point kept before it
+    for i in np.flatnonzero(~keep):
+        earlier = pts[:i][keep[:i]]
+        assert float(np.linalg.norm(earlier - pts[i], axis=1).min()) < 0.2

@@ -72,6 +72,12 @@ def test_basis_validation():
         SubspaceBasis(np.eye(4)[:, :2], sum_zero=True)
     with pytest.raises(ValueError):
         SubspaceBasis(np.ones((2, 3)))
+    # NaN slips past a plain `deviation > tol` check
+    for bad in (np.nan, np.inf):
+        cols = np.eye(3)[:, :2].copy()
+        cols[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SubspaceBasis(cols)
 
 
 def test_basis_is_read_only():

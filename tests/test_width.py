@@ -10,7 +10,6 @@ from cylwidth.groups import GroupPresentation, enumerate_orbit
 from cylwidth.measures import UniformMeasure, sample_uniform
 from cylwidth.vectors import SubspaceBasis, decreasing_rearrangement, projection_norm
 from cylwidth.width import (
-    dom_sup,
     estimate_f_integral,
     orbit_evaluator,
     width_altmax,
@@ -96,65 +95,68 @@ def test_ascent_deterministic():
         width_altmax(basis, v, restarts=0)
 
 
-def test_kernel_paths_agree(monkeypatch):
-    cases = []
+def test_ascent_rejects_non_finite_vectors():
+    basis = sample_uniform(2, 4, "real", seed=0)
+    for bad in (np.nan, np.inf):
+        v = np.array([0.5, bad, -0.2, 0.1])
+        with pytest.raises(ValueError, match="finite"):
+            width_altmax(basis, v)
+        with pytest.raises(ValueError, match="finite"):
+            width_brute_signed_perm(basis, v)
+
+
+def test_altmax_kernel_contract():
+    # the endpoint is a unit vector of the subspace that scores at least the
+    # reported objective, and no start scores above that objective
     rng = np.random.default_rng(3)
     for field in ("real", "complex"):
         basis = sample_uniform(3, 20, field, seed=2)
+        cols = basis.columns
         v = rng.standard_normal(20)
         if field == "complex":
             v = v + 1j * rng.standard_normal(20)
-        fast = width_altmax(basis, v, restarts=10, seed=1, refine="none").value
-        cases.append((basis, v, fast))
-    monkeypatch.setattr(kernels, "USING_NUMBA", False)
-    for basis, v, fast in cases:
-        slow = width_altmax(basis, v, restarts=10, seed=1, refine="none").value
-        assert abs(fast - slow) < 1e-12
+        v_desc = decreasing_rearrangement(v)
+        g = rng.standard_normal((10, 3))
+        if field == "complex":
+            g = g + 1j * rng.standard_normal((10, 3))
+        starts = g @ cols.T
+        starts /= np.linalg.norm(starts, axis=1)[:, None]
+        w, obj, iters, status = kernels.altmax_best(cols, v_desc, starts, 500, 1e-10)
+        assert status == 0
+        assert 10 <= iters <= 10 * 500
+        assert abs(float(np.linalg.norm(w)) - 1.0) < 1e-12
+        assert np.allclose(cols @ (cols.conj().T @ w), w, atol=1e-12)
+        assert float(v_desc @ decreasing_rearrangement(w)) >= obj - 1e-12
+        for x in starts:
+            assert float(v_desc @ decreasing_rearrangement(x)) <= obj + 1e-12
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="needs both kernel paths")
-def test_anneal_kernel_paths_agree_bitwise():
-    # identical inputs must drive both implementations through the same
-    # accept/reject sequence, so the endpoints agree exactly
+def test_anneal_kernel_returns_a_valid_witness():
+    # the endpoint is a signed permutation whose value is the reported one
     rng = np.random.default_rng(8)
     for field in ("real", "complex"):
         basis = sample_uniform(3, 7, field, seed=4)
         d = basis.d
         v = rng.standard_normal(d)
-        s0 = np.ones(d)
+        v[2] = 0.0
+        s0 = rng.choice(np.array([-1.0, 1.0]), size=d)
         if field == "complex":
             v = v + 1j * rng.standard_normal(d)
-            s0 = s0.astype(np.complex128)
+            s0 = np.exp(2j * np.pi * rng.random(d))
         rows = basis.columns.conj()
         p0 = rng.permutation(d)
         pairs = rng.integers(0, d, size=(400, 2))
+        pairs[::3, 1] = pairs[::3, 0]
         acc = rng.random(400)
-        slow = kernels._numpy_anneal_cplx if field == "complex" else (
-            kernels._numpy_anneal_real
-        )
-        fast = kernels._numba_anneal_cplx if field == "complex" else (
-            kernels._numba_anneal_real
-        )
-        args = lambda: (
-            np.ascontiguousarray(rows),
-            np.ascontiguousarray(v),
-            p0.astype(np.int64),
-            s0.copy(),
-            0.3,
-            1e-5,
-            pairs.astype(np.int64),
-            acc,
-        )
-        p_a, s_a, val_a = slow(*args())
-        p_b, s_b, val_b = fast(*args())
-        assert np.array_equal(p_a, p_b)
+        start = float(np.linalg.norm(rows.T @ (s0 * v[p0])))
+        p, s, val = kernels.anneal_best(rows, v, p0, s0, 0.3, 1e-5, pairs, acc)
+        assert p.dtype == np.int64
+        assert sorted(p.tolist()) == list(range(d))
+        assert np.allclose(np.abs(s), 1.0, atol=1e-12)
         if field == "real":
-            assert np.array_equal(s_a, s_b)
-            assert val_a == val_b
-        else:
-            # compiled complex division differs from numpy by ulps
-            assert np.abs(s_a - s_b).max() < 1e-10
-            assert abs(val_a - val_b) < 1e-10
+            assert set(s.tolist()) <= {-1.0, 1.0}
+        assert abs(val - float(np.linalg.norm(rows.T @ (s * v[p])))) < 1e-12
+        assert val >= start - 1e-12
 
 
 def test_width_orbit_matches_manual_maximum():
@@ -185,7 +187,7 @@ def test_dominance_cone_supremum_sits_on_the_orbit():
     # supremum over the generating orbit
     basis = sample_uniform(2, 5, "real", seed=17)
     v = np.random.default_rng(21).standard_normal(5)
-    cone = dom_sup(basis, v, restarts=16, seed=2).value
+    cone = width_altmax(basis, v, restarts=16, seed=2).value
     brute = width_brute_signed_perm(basis, v).value
     assert cone <= brute + 1e-9
     assert cone >= brute - 1e-8
