@@ -94,6 +94,8 @@ class GroupPresentation:
                 raise ValueError(
                     f"generator shape {a.shape} does not match d={self.d}"
                 )
+            if not np.isfinite(a).all():
+                raise ValueError("generator entries must be finite")
             err = float(np.max(np.abs(a @ a.conj().T - np.eye(self.d))))
             if err > UNITARY_TOL:
                 raise ValueError(f"generator is not unitary (deviation {err:.3e})")
@@ -130,6 +132,8 @@ class Orbit:
             pts = np.ascontiguousarray(pts, dtype=np.complex128)
         else:
             pts = np.ascontiguousarray(pts, dtype=np.float64)
+        if not np.isfinite(pts).all():
+            raise ValueError("orbit points must be finite")
         norms = np.linalg.norm(pts, axis=1)
         if float(np.max(np.abs(norms - norms[0]))) > 1e-9:
             raise ValueError("orbit points must share a common norm")

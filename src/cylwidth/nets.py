@@ -8,6 +8,15 @@ with a greedy maximal ``delta/2``-separated subsequence; a maximal packing
 of a ``delta/2``-cover is a ``delta``-cover.  Larger dimensions are
 rejected, as is any request whose candidate grid would be unreasonably
 large.
+
+The grid is generated one slab of fixed first coordinate at a time, in the
+C order of the full grid.  The packer (``_kernels.greedy_pack``) takes the
+candidates in blocks of 64 and first drops, in one broadcast, those covered
+by a kept point inside the block's bounding box padded by the packing
+distance; no point outside that box can cover them, and the broadcast
+rounds each squared distance as the one-by-one check does, so the net is
+bit for bit the plain greedy one.  In grid order few kept points lie near
+a block, so the broadcast is small.
 """
 
 from __future__ import annotations
@@ -38,13 +47,18 @@ def _shell_grid_net(k: int, delta: float) -> np.ndarray:
             f"{MAX_GRID_CANDIDATES} grid candidates"
         )
     axis = h * np.arange(-m, m + 1)
-    grids = np.meshgrid(*([axis] * k), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    norms = np.linalg.norm(pts, axis=1)
-    shell = np.abs(norms - 1.0) <= half_diag
-    pts = pts[shell]
-    norms = norms[shell]
-    pts = pts / norms[:, None]
+    # the grid in C order, one slab of fixed first coordinate at a time
+    slab = np.empty(((2 * m + 1) ** (k - 1), k))
+    grids = np.meshgrid(*([axis] * (k - 1)), indexing="ij")
+    for j, g in enumerate(grids, start=1):
+        slab[:, j] = g.ravel()
+    shells = []
+    for x0 in axis:
+        slab[:, 0] = x0
+        norms = np.linalg.norm(slab, axis=1)
+        shell = np.abs(norms - 1.0) <= half_diag
+        shells.append(slab[shell] / norms[shell][:, None])
+    pts = np.concatenate(shells)
     keep = greedy_pack(pts, delta / 2.0)
     return np.ascontiguousarray(pts[keep])
 

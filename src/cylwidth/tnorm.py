@@ -36,7 +36,8 @@ __all__ = [
     "gaussian_tnorm_statistics",
 ]
 
-_BATCH_ELEMENTS = 1 << 24
+# elements per working block of t_norm_batch and t_norm_subspace_bound
+_BATCH_ELEMENTS = 1 << 18
 
 
 class TNormValue(NamedTuple):
@@ -72,7 +73,7 @@ def t_norm_batch(vectors) -> np.ndarray:
     step = max(1, _BATCH_ELEMENTS // max(d, 1))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        m2 = np.abs(vs[lo:hi]).astype(np.float64) ** 2
+        m2 = np.abs(vs[lo:hi]).astype(np.float64, copy=False) ** 2
         m2.sort(axis=1)
         scores = np.cumsum(m2[:, ::-1], axis=1) * w[None, :]
         out[lo:hi] = np.sqrt(scores.max(axis=1))
@@ -111,8 +112,15 @@ def t_norm_subspace_bound(basis: SubspaceBasis, net_step: float = 0.25) -> float
             f"net certification supports k <= 4, got k={basis.k}"
         )
     net = sphere_net(basis.k, net_step)
-    vals = t_norm_batch(net @ basis.columns.T)
-    return float(vals.max() / (1.0 - net_step))
+    cols_t = basis.columns.T
+    # row chunks that are a multiple of 64 rows long reproduce the rows of
+    # the full product net @ cols_t bit for bit; 1-row chunks would not
+    rows = 64 * max(1, _BATCH_ELEMENTS // (64 * basis.d))
+    best = max(
+        float(t_norm_batch(net[lo:lo + rows] @ cols_t).max())
+        for lo in range(0, net.shape[0], rows)
+    )
+    return best / (1.0 - net_step)
 
 
 def sample_gaussian(d: int, sum_zero: bool = False, seed=None) -> np.ndarray:

@@ -64,7 +64,7 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert path.read_text() == out
 
 
-def test_validation_exit_codes(capsys):
+def test_validation_exit_codes(tmp_path, capsys):
     code, _, err = run(
         ["scaling", "--d", "16", "--k", "8", "--trials", "2", "--seed", "1"], capsys
     )
@@ -76,6 +76,17 @@ def test_validation_exit_codes(capsys):
         capsys,
     )
     assert code == 2
+
+    # json reads the NaN token as a float; the generator must be rejected
+    gfile = tmp_path / "nan.json"
+    gfile.write_text('{"d": 2, "kind": "explicit", "generators": '
+                     '[[[[NaN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}')
+    code, _, err = run(
+        ["realize", "--group", str(gfile), "--base-point", "1,0", "--seed", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert "finite" in err
 
     code, _, err = run(["tnorm", "--d", "1", "--trials", "2", "--seed", "1"], capsys)
     assert code == 2

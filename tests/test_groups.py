@@ -8,6 +8,7 @@ import pytest
 from cylwidth.errors import GroupTooLargeError, OrbitTooLargeError
 from cylwidth.groups import (
     GroupPresentation,
+    Orbit,
     enumerate_group_elements,
     enumerate_orbit,
     group_from_dict,
@@ -77,6 +78,21 @@ def test_rejects_non_unitary_generator():
     shear = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         GroupPresentation(d=2, generators=(shear,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_generators_and_orbits(bad):
+    # comparisons with NaN are False, so a tolerance check alone lets it in
+    for g in (np.full((2, 2), bad), np.array([[bad, 0.0], [0.0, 1.0]])):
+        with pytest.raises(ValueError, match="finite"):
+            GroupPresentation(d=2, generators=(g,))
+        with pytest.raises(ValueError, match="finite"):
+            GroupPresentation(d=2, generators=(g.astype(np.complex128),))
+    for pts in (np.full((3, 2), bad), np.array([[1.0, 0.0], [0.0, bad]])):
+        with pytest.raises(ValueError, match="finite"):
+            Orbit(pts)
+        with pytest.raises(ValueError, match="finite"):
+            Orbit(pts.astype(np.complex128))
 
 
 def test_explicit_dict_real_rotation():

@@ -1,7 +1,12 @@
 """Sphere nets: unit norms, covering radius, packing separation."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cylwidth._kernels import greedy_pack
 from cylwidth.nets import sphere_net
@@ -66,3 +71,95 @@ def test_greedy_pack_is_greedy_and_maximal():
     for i in np.flatnonzero(~keep):
         earlier = pts[:i][keep[:i]]
         assert float(np.linalg.norm(earlier - pts[i], axis=1).min()) < 0.2
+
+
+# sha256 of the net's bytes; the certificates of every k >= 3 block rest on them
+NET_DIGESTS = {
+    (3, 0.25): ((542, 3), "605fb56d3a49b552f0482a5c44cbe0a707d5e80b1cfef01546596e8c5f6d2aa3"),
+    (3, 0.4): ((215, 3), "3bdc231e66c12a3a5e7914da6f2ceead7149ebd4b4bb028443ea5005bdecde6b"),
+    (4, 0.4): ((1830, 4), "d606b80fd6b410244853c5ee5dff628fac66a31290d05f52fc71b5a2940f96ed"),
+    (4, 0.25): ((7463, 4), "10fd405f72a558d8c17f34a6f2b325e74170e7234aa74b554e06087438f6a22c"),
+}
+
+
+@pytest.mark.parametrize("k, delta", sorted(NET_DIGESTS))
+def test_shell_nets_are_pinned(k, delta):
+    shape, digest = NET_DIGESTS[(k, delta)]
+    net = sphere_net(k, delta)
+    assert net.shape == shape
+    assert hashlib.sha256(net.tobytes()).hexdigest() == digest
+
+
+def greedy_pack_reference(points, min_dist):
+    """The plain greedy loop: each candidate against every point kept so far."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    keep = np.zeros(points.shape[0], dtype=np.bool_)
+    kept = np.empty_like(points)
+    m = 0
+    md2 = float(min_dist) ** 2
+    for i, p in enumerate(points):
+        if m and float(np.sum((kept[:m] - p) ** 2, axis=1).min()) < md2:
+            continue
+        keep[i] = True
+        kept[m] = p
+        m += 1
+    return keep
+
+
+def _pack_cases():
+    rng = np.random.default_rng(11)
+    sphere = rng.standard_normal((700, 3))
+    sphere /= np.linalg.norm(sphere, axis=1)[:, None]
+    yield "unordered sphere", sphere, 0.2
+    yield "unordered wide", rng.standard_normal((400, 4)) * 10.0, 3.0
+    yield "unordered k=9", rng.standard_normal((300, 9)), 2.5
+    dup = np.repeat(rng.integers(-2, 3, (90, 2)).astype(np.float64), 3, axis=0)
+    yield "duplicates", dup[rng.permutation(dup.shape[0])], 1.0
+    yield "duplicates, zero distance", dup, 0.0
+    # neighbours exactly min_dist apart are not within it
+    g = np.stack(np.meshgrid(*[np.arange(9) * 0.5] * 2, indexing="ij"), -1)
+    yield "grid tie", g.reshape(-1, 2), 0.5
+    h = 0.1
+    g = np.stack(np.meshgrid(*[np.arange(-5, 6) * h] * 3, indexing="ij"), -1)
+    yield "inexact grid", g.reshape(-1, 3), h
+    for n in (0, 1, 10, 63, 64, 65, 200):
+        yield f"n={n}", sphere[:n], 0.3
+
+
+@pytest.mark.parametrize("name, points, min_dist", list(_pack_cases()))
+def test_greedy_pack_matches_the_plain_loop(name, points, min_dist):
+    keep = greedy_pack(points, min_dist)
+    assert keep.shape == (points.shape[0],)
+    assert np.array_equal(keep, greedy_pack_reference(points, min_dist))
+
+
+_coord = st.one_of(
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+    st.integers(-16, 16).map(lambda i: i / 8.0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    points=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(0, 150), st.integers(1, 4)),
+        elements=_coord,
+    ),
+    min_dist=st.one_of(
+        st.floats(0.0, 4.0, allow_nan=False),
+        st.integers(0, 16).map(lambda i: i / 8.0),
+    ),
+)
+def test_greedy_pack_property_matches_the_plain_loop(points, min_dist):
+    assert np.array_equal(
+        greedy_pack(points, min_dist), greedy_pack_reference(points, min_dist)
+    )
+
+
+def test_greedy_pack_rejects_non_finite_points():
+    for bad in (np.nan, np.inf):
+        pts = np.zeros((70, 2))
+        pts[66, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            greedy_pack(pts, 0.1)

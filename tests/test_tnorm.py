@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cylwidth.nets import sphere_net
 from cylwidth.tnorm import (
     gaussian_tnorm_statistics,
     lipschitz_bound,
@@ -113,6 +114,16 @@ def test_subspace_bound_certifies_sampled_unit_vectors():
         ccoef /= np.linalg.norm(ccoef, axis=1)[:, None]
         cvals = t_norm_batch(ccoef @ basis.columns.T.astype(np.complex128))
         assert float(cvals.max()) <= bound + 1e-9
+
+
+# on these bases, evaluating the net one row at a time moves the maximum
+@pytest.mark.parametrize("k, step, d, seed", [(2, 0.25, 16, 18), (3, 0.25, 2048, 2051),
+                                               (4, 0.4, 2048, 2452)])
+def test_subspace_bound_equals_the_whole_net_evaluation(k, step, d, seed):
+    # the bound walks the net in row chunks; it must equal the one-shot value
+    basis = orthonormalize(np.random.default_rng(seed).standard_normal((d, k)))
+    whole = t_norm_batch(sphere_net(k, step) @ basis.columns.T).max()
+    assert t_norm_subspace_bound(basis, step) == float(whole / (1.0 - step))
 
 
 def test_subspace_bound_rejects_unsupported_inputs():
