@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", action="append", type=int, default=None)
     p.add_argument("--k", action="append", type=int, default=None)
     p.add_argument("--restarts", type=_count, default=10)
-    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--steps", type=_count, default=2000)
     p.add_argument("--inner-restarts", type=_count, default=6)
 
     p = sub.add_parser(
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, help="real target dimension")
     p.add_argument("--draws", type=_count, default=32)
     p.add_argument("--delta", type=int, default=1)
-    p.add_argument("--max-orbit", type=int, default=5000)
+    p.add_argument("--max-orbit", type=_count, default=5000)
 
     p = sub.add_parser(
         "selberg-fuzz",
@@ -381,11 +381,11 @@ def _cmd_realize(args):
     if norm == 0.0:
         raise ValueError("base point must be nonzero")
     base = base / norm
-    orbit = enumerate_orbit(group, base, max_size=args.max_orbit)
     d = group.d
     k = args.k
     if k < 1 or 2 * k > d:
         raise ValueError(f"need 1 <= k <= d/2 for the reduction, got k={k}, d={d}")
+    orbit = enumerate_orbit(group, base, max_size=args.max_orbit)
 
     candidates = [
         sample_uniform(2 * k, d, "complex", [args.seed, 41, i])

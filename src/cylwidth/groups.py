@@ -3,9 +3,17 @@
 A group is given by explicit unitary generator matrices (or symbolically as
 the full signed permutation group of the coordinate axes, which expands to
 three standard generators).  Orbits and element closures are computed by
-breadth-first search; points are deduplicated by rounding coordinates to
-1e-8 and hashing, so generators whose orbits contain pairs closer than
-that resolution are outside the supported domain.
+breadth-first search, one level at a time: every (item, generator) product
+of a level comes from one stacked ``np.matmul``, with vectors as (d, 1)
+items and group elements as (d, d) items.  A stacked matmul runs the same
+per-item BLAS kernel (matrix-vector for vectors) as a lone ``g @ x``, so
+every product has the bits the per-point search gave; one matrix-matrix
+product ``frontier @ g.T`` would block and reorder the sums and change last
+bits.  Products are deduplicated by rounding coordinates to 1e-8 and hashing
+the bytes, checked in the per-point order (item by item, generator by
+generator), so the points, their order and the first-seen representative of
+each are those of the per-point search.  Generators whose orbits contain
+pairs closer than that resolution are outside the supported domain.
 
 JSON wire format, loadable by :func:`load_group_json`::
 
@@ -43,12 +51,44 @@ UNITARY_TOL = 1e-9
 DEDUP_DECIMALS = 8
 
 
-def _round_key(a: np.ndarray) -> bytes:
-    r = np.round(a, DEDUP_DECIMALS)
+def _round_keys(items: np.ndarray) -> list[bytes]:
+    """One dedup key per item of an (n, ...) stack: its coordinates rounded
+    to ``DEDUP_DECIMALS``, with -0.0 made +0.0, as raw bytes."""
+    r = np.round(items.reshape(items.shape[0], -1), DEDUP_DECIMALS)
     if np.iscomplexobj(r):
-        r = np.ascontiguousarray(r).view(np.float64)
+        r = r.view(np.float64)
     r = r + 0.0  # normalize -0.0
-    return r.tobytes()
+    return r.view(np.dtype((np.void, r.shape[1] * r.itemsize))).ravel().tolist()
+
+
+def _closure(generators, start: np.ndarray, max_size: int, error: Exception):
+    """Breadth-first closure of ``start`` under ``generators``, level by level.
+
+    ``start`` is one (d, m) item; the result stacks the distinct items in
+    discovery order, shape (n, d, m).  Raises ``error`` as soon as more than
+    ``max_size`` items are found.
+    """
+    gens = np.stack(generators)
+    frontier = start[None]
+    levels = [frontier]
+    seen = set(_round_keys(frontier))
+    while frontier.shape[0]:
+        # one matrix-vector (or matrix-matrix) product per (item, generator)
+        # pair, in the order (item 0, g 0), (item 0, g 1), ...
+        products = np.matmul(gens[None], frontier[:, None]).reshape(
+            -1, *start.shape
+        )
+        fresh = []
+        for i, key in enumerate(_round_keys(products)):
+            if key in seen:
+                continue
+            seen.add(key)
+            fresh.append(i)
+            if len(seen) > max_size:
+                raise error
+        frontier = products[fresh]
+        levels.append(frontier)
+    return np.concatenate(levels)
 
 
 def signed_permutation_generators(d: int) -> list[np.ndarray]:
@@ -167,26 +207,13 @@ def enumerate_orbit(group: GroupPresentation, v, max_size: int = 10_000) -> Orbi
         v = v.astype(np.complex128)
     else:
         v = v.astype(np.float64)
-    points = [v]
-    seen = {_round_key(v)}
-    frontier = [v]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in group.generators:
-                y = g @ x
-                key = _round_key(y)
-                if key in seen:
-                    continue
-                seen.add(key)
-                points.append(y)
-                new.append(y)
-                if len(points) > max_size:
-                    raise OrbitTooLargeError(
-                        f"orbit exceeded cap of {max_size} points"
-                    )
-        frontier = new
-    return Orbit(np.array(points))
+    points = _closure(
+        group.generators,
+        v[:, None],
+        max_size,
+        OrbitTooLargeError(f"orbit exceeded cap of {max_size} points"),
+    )
+    return Orbit(points[:, :, 0])
 
 
 def enumerate_group_elements(
@@ -199,26 +226,13 @@ def enumerate_group_elements(
     eye = np.eye(group.d)
     if group.field == "complex":
         eye = eye.astype(np.complex128)
-    elements = [eye]
-    seen = {_round_key(eye)}
-    frontier = [eye]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in group.generators:
-                y = g @ x
-                key = _round_key(y)
-                if key in seen:
-                    continue
-                seen.add(key)
-                elements.append(y)
-                new.append(y)
-                if len(elements) > max_size:
-                    raise GroupTooLargeError(
-                        f"group exceeded cap of {max_size} elements"
-                    )
-        frontier = new
-    return elements
+    elements = _closure(
+        group.generators,
+        eye,
+        max_size,
+        GroupTooLargeError(f"group exceeded cap of {max_size} elements"),
+    )
+    return list(elements)
 
 
 def signed_permutation_apply(perm, signs, v) -> np.ndarray:

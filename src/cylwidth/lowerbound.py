@@ -176,6 +176,8 @@ def adversarial_min_width(
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if steps < 0:
+        raise ValueError(f"need steps >= 0, got {steps}")
     if isinstance(target, Orbit):
         evaluator = orbit_evaluator(target)
     else:

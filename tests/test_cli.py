@@ -103,11 +103,26 @@ def test_validation_exit_codes(tmp_path, capsys):
         (["selberg-fuzz", "--trials", "0"], "--trials"),
         (["rip-fuzz", "--trials", "-5"], "--trials"),
         (["realize", "--group", "g.json", "--base-point", "1", "--draws", "0"], "--draws"),
+        (["lowerbound", "--steps", "0"], "--steps"),
+        (["lowerbound", "--steps", "-5"], "--steps"),
+        (["realize", "--group", "g.json", "--base-point", "1", "--max-orbit", "0"],
+         "--max-orbit"),
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--seed", "1"])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    # k is checked before the orbit is enumerated, so the cap is never reached
+    gfile = tmp_path / "sp6.json"
+    gfile.write_text('{"d": 6, "kind": "SIGNED_PERMUTATIONS"}')
+    code, _, err = run(
+        ["realize", "--group", str(gfile), "--base-point", "6,5,4,3,2,1",
+         "--k", "0", "--max-orbit", "1", "--seed", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert "1 <= k <= d/2" in err
 
 
 def test_missing_required_seed_is_a_usage_error(capsys):

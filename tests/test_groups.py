@@ -1,5 +1,6 @@
 """Group presentations, closures, orbits, and the JSON wire format."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -72,6 +73,111 @@ def test_orbit_and_group_caps():
         enumerate_orbit(group, np.array([0.8, 0.5, 0.3, 0.1]), max_size=100)
     with pytest.raises(GroupTooLargeError):
         enumerate_group_elements(group, max_size=50)
+
+
+def _oracle_key(a):
+    r = np.round(a, 8)
+    if np.iscomplexobj(r):
+        r = np.ascontiguousarray(r).view(np.float64)
+    return (r + 0.0).tobytes()
+
+
+def _oracle_closure(generators, start, max_size):
+    """The per-point breadth-first closure: one ``g @ x`` and one key each."""
+    items = [start]
+    seen = {_oracle_key(start)}
+    frontier = [start]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in generators:
+                y = g @ x
+                key = _oracle_key(y)
+                if key in seen:
+                    continue
+                seen.add(key)
+                items.append(y)
+                new.append(y)
+                if len(items) > max_size:
+                    return None
+        frontier = new
+    return np.array(items)
+
+
+def _rotated_signed_permutations(d, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    gens = [q @ g @ q.T for g in signed_permutation_generators(d)]
+    return GroupPresentation(d=d, generators=tuple(gens))
+
+
+def _phase_group(d):
+    # monomial matrices with 10th-root-of-unity entries: 10^d * d! elements
+    phase = np.eye(d, dtype=np.complex128)
+    phase[0, 0] = np.exp(2j * np.pi / 5)
+    return GroupPresentation(
+        d=d, generators=tuple(signed_permutation_generators(d)) + (phase,)
+    )
+
+
+_SP = GroupPresentation.signed_permutations
+ORBIT_CASES = {
+    "signed-d3": (lambda: _SP(3), [0.9, 0.4, 0.1]),
+    "signed-d4": (lambda: _SP(4), [0.8, 0.5, 0.3, 0.1]),
+    "signed-d5": (lambda: _SP(5), [0.7, 0.5, 0.4, 0.3, 0.1]),
+    "rotated-d4": (lambda: _rotated_signed_permutations(4, 3), [0.8, 0.5, 0.3, 0.1]),
+    "phase-d3": (lambda: _phase_group(3), [0.8, 0.5, 0.3]),
+    "zeros-axis": (lambda: _SP(3), [1.0, 0.0, 0.0]),
+    "zeros-mixed": (lambda: _SP(4), [0.6, 0.0, -0.8, 0.0]),
+    "zeros-rotated": (lambda: _rotated_signed_permutations(3, 5), [0.0, 0.0, 1.0]),
+    "complex-base": (lambda: _SP(3), [0.6 + 0.2j, -0.5j, 0.3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_is_byte_identical_to_the_per_point_closure(case):
+    make, base = ORBIT_CASES[case]
+    group = make()
+    base = np.asarray(base)
+    cplx = group.field == "complex" or np.iscomplexobj(base)
+    want = _oracle_closure(
+        group.generators, base.astype(np.complex128 if cplx else np.float64), 10_000
+    )
+    orbit = enumerate_orbit(group, base)
+    assert orbit.points.dtype == want.dtype
+    assert orbit.points.shape == want.shape
+    assert orbit.points.tobytes() == want.tobytes()
+    n = orbit.n
+    with pytest.raises(OrbitTooLargeError, match=f"cap of {n - 1} "):
+        enumerate_orbit(group, base, max_size=n - 1)
+    assert enumerate_orbit(group, base, max_size=n).points.tobytes() == want.tobytes()
+
+
+def test_d6_signed_permutation_orbit_is_pinned():
+    base = np.array([0.9, 0.7, 0.5, 0.3, 0.2, 0.1])
+    orbit = enumerate_orbit(_SP(6), base / np.linalg.norm(base), max_size=46_080)
+    assert orbit.n == 46_080
+    assert hashlib.sha256(orbit.points.tobytes()).hexdigest() == (
+        "1b950d4a61359e504ebbda5d9cb2734f8f100a68c549cee2fc664939057aaaf4"
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _SP(2), lambda: _SP(3), lambda: _SP(4),
+     lambda: _rotated_signed_permutations(3, 7), lambda: _phase_group(2)],
+    ids=["signed-d2", "signed-d3", "signed-d4", "rotated-d3", "phase-d2"],
+)
+def test_group_elements_are_byte_identical_to_the_per_point_closure(make):
+    group = make()
+    cplx = group.field == "complex"
+    eye = np.eye(group.d, dtype=np.complex128 if cplx else np.float64)
+    want = _oracle_closure(group.generators, eye, 10_000)
+    elements = enumerate_group_elements(group)
+    assert np.array(elements).tobytes() == want.tobytes()
+    n = len(elements)
+    with pytest.raises(GroupTooLargeError, match=f"cap of {n - 1} "):
+        enumerate_group_elements(group, max_size=n - 1)
+    assert len(enumerate_group_elements(group, max_size=n)) == n
 
 
 def test_rejects_non_unitary_generator():

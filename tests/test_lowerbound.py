@@ -111,6 +111,8 @@ def test_adversarial_search_basics():
     # zero restarts would report an infinite minimum with no frame
     with pytest.raises(ValueError):
         adversarial_min_width(8, 1, wit.unit, restarts=0)
+    with pytest.raises(ValueError, match="steps"):
+        adversarial_min_width(8, 1, wit.unit, steps=-1)
 
 
 def test_adversarial_search_accepts_orbit_targets():

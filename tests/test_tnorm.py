@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cylwidth.nets import sphere_net
 from cylwidth.tnorm import (
@@ -160,3 +163,21 @@ def test_statistics_seed_list_prefix_matches_int_seed():
     a = gaussian_tnorm_statistics(16, 10, seed=7)
     b = gaussian_tnorm_statistics(16, 10, seed=[7])
     assert a == b
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    v=hnp.arrays(
+        np.float64,
+        st.integers(1, 5),
+        elements=st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+    ),
+    data=st.data(),
+)
+def test_property_t_norm_is_monotone_under_dominance(v, data):
+    # u is dominated by v after decreasing rearrangement of the moduli
+    d = v.shape[0]
+    shrink = data.draw(hnp.arrays(np.float64, d, elements=st.floats(0.0, 1.0)))
+    perm = data.draw(st.permutations(range(d)))
+    u = (-v * shrink)[list(perm)]
+    assert t_norm(u).value <= t_norm(v).value

@@ -4,9 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cylwidth._kernels as kernels
-from cylwidth.groups import GroupPresentation, enumerate_orbit
+from cylwidth.groups import GroupPresentation, enumerate_orbit, signed_permutation_apply
 from cylwidth.measures import UniformMeasure, sample_uniform
 from cylwidth.vectors import SubspaceBasis, decreasing_rearrangement, projection_norm
 from cylwidth.width import (
@@ -212,3 +215,38 @@ def test_estimate_f_integral_deterministic_and_prefix_stable():
     assert single.values[0] == est1.values[0]
     with pytest.raises(ValueError):
         estimate_f_integral(mu, evaluator, 0, seed=5)
+
+
+_d_and_k = st.integers(2, 5).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(1, d - 1))
+)
+_entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _instances(draw):
+    d, k = draw(_d_and_k)
+    basis = sample_uniform(k, d, "real", draw(st.integers(0, 2**32 - 1)))
+    v = draw(hnp.arrays(np.float64, d, elements=_entries))
+    return basis, v
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=_instances(), seed=st.integers(0, 2**32 - 1))
+def test_property_ascent_stays_below_brute_and_its_witness_reproduces_it(inst, seed):
+    basis, v = inst
+    rep = width_altmax(basis, v, restarts=4, seed=seed)
+    assert rep.value == projection_norm(basis, rep.witness.apply(v))
+    assert rep.value <= width_brute_signed_perm(basis, v).value + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=_instances(), data=st.data())
+def test_property_brute_width_is_signed_permutation_invariant(inst, data):
+    basis, v = inst
+    d = v.shape[0]
+    perm = data.draw(st.permutations(range(d)))
+    signs = data.draw(hnp.arrays(np.float64, d, elements=st.sampled_from([-1.0, 1.0])))
+    moved = signed_permutation_apply(perm, signs, v)
+    want = width_brute_signed_perm(basis, v).value
+    assert abs(width_brute_signed_perm(basis, moved).value - want) <= 1e-12
