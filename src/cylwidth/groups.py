@@ -30,6 +30,7 @@ real arrays.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,10 +258,13 @@ def signed_permutation_apply(perm, signs, v) -> np.ndarray:
 def group_from_dict(obj: dict) -> GroupPresentation:
     """Build a presentation from the JSON wire format."""
     try:
-        d = int(obj["d"])
+        d = obj["d"]
         kind = str(obj["kind"]).lower()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed group object: {exc}") from exc
+    # bool is an int subclass; a float d would be truncated or overflow
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+        raise ValueError(f"group d must be an integer, got {d!r}")
     if kind == "signed_permutations":
         return GroupPresentation.signed_permutations(d)
     if kind != "explicit":

@@ -13,12 +13,13 @@ sums to one in squares and obeys ``sigma_i <= min(1/sqrt(k), 1/sqrt(i))``.
 
 The adversarial minimizer is a derivative-free random search over frames:
 Gaussian perturbations of the basis columns are re-orthonormalized, moves
-are accepted when the width drops, and the step size halves after 20
-consecutive rejections.
+are accepted when the width drops, and the step size halves after
+``SEARCH_REJECTION_LIMIT`` consecutive rejections.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,9 @@ __all__ = [
     "mean_abs_coordinates",
     "adversarial_min_width",
 ]
+
+SEARCH_INITIAL_STEP = 0.5
+SEARCH_REJECTION_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,11 @@ def selberg_check(points, tol: float = 1e-9) -> SelbergReport:
 
     For any finite family ``x_1..x_m`` the supremum over unit ``w`` of
     ``sum_i |<w, x_i>|^2`` is the top eigenvalue of the Gram matrix, and it
-    never exceeds ``max_i sum_j |<x_i, x_j>|``.
+    never exceeds ``max_i sum_j |<x_i, x_j>|``.  ``tol`` must be finite and
+    nonnegative, so the check cannot hold vacuously.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     x = np.asarray(points)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("need a nonempty (m, d) array of row vectors")
@@ -158,7 +165,6 @@ def adversarial_min_width(
     steps: int = 2000,
     seed: int = 0,
     inner_restarts: int = 6,
-    initial_step: float = 0.5,
 ) -> AdversarialResult:
     """Projected random search for a real frame of minimal width.
 
@@ -166,11 +172,11 @@ def adversarial_min_width(
     exactly) or a vector (evaluated by the alternating ascent over signed
     permutations with ``inner_restarts`` starts).  Restart ``r`` runs on the
     derived stream ``(seed, r)``: a uniform random frame is perturbed by
-    Gaussian noise of scale ``initial_step`` and re-orthonormalized; strict
-    improvements are accepted and the scale halves after 20 consecutive
-    rejections.  Underestimation by the inner ascent can only lower the
-    reported minimum, so the result is a one-sided probe of the true
-    minimal width.
+    Gaussian noise of scale ``SEARCH_INITIAL_STEP`` and re-orthonormalized;
+    strict improvements are accepted and the scale halves after
+    ``SEARCH_REJECTION_LIMIT`` consecutive rejections.  Underestimation by
+    the inner ascent can only lower the reported minimum, so the result is
+    a one-sided probe of the true minimal width.
     """
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
@@ -197,7 +203,7 @@ def adversarial_min_width(
         basis = sample_uniform(k, d, "real", rng)
         current = evaluator(basis, rng)
         evals += 1
-        eta = initial_step
+        eta = SEARCH_INITIAL_STEP
         rejected = 0
         for _ in range(steps):
             noise = rng.standard_normal((d, k))
@@ -205,7 +211,7 @@ def adversarial_min_width(
                 cand = orthonormalize(basis.columns + eta * noise)
             except RankDeficientError:  # pragma: no cover - tiny probability
                 rejected += 1
-                if rejected >= 20:
+                if rejected >= SEARCH_REJECTION_LIMIT:
                     eta /= 2.0
                     rejected = 0
                 continue
@@ -217,7 +223,7 @@ def adversarial_min_width(
                 rejected = 0
             else:
                 rejected += 1
-                if rejected >= 20:
+                if rejected >= SEARCH_REJECTION_LIMIT:
                     eta /= 2.0
                     rejected = 0
         if current < best_val:

@@ -59,7 +59,14 @@ __all__ = [
 ]
 
 DELOC_THRESHOLD = 40.0
+DELOC_ATTEMPTS = 8
+DELOC_NET_STEP = 0.25
+DELOC_MC_SAMPLES = 10_000
 CROSS_BLOCK_TOL = 1e-8
+DECOMPOSITION_MAX_GROUP = 10_000
+DECOMPOSITION_GAP_TOL = 1e-6
+DECOMPOSITION_INVARIANCE_TOL = 1e-6
+DECOMPOSITION_MAX_ROUNDS = 10
 
 
 def _rng(seed) -> np.random.Generator:
@@ -119,27 +126,19 @@ class AtomMeasure:
         return self.basis
 
 
-def build_delocalized_subspace(
-    k: int,
-    d: int,
-    attempts: int = 8,
-    seed=None,
-    threshold: float = DELOC_THRESHOLD,
-    net_step: float = 0.25,
-    mc_samples: int = 10_000,
-):
+def build_delocalized_subspace(k: int, d: int, seed=None):
     """Random sum-free subspace whose unit vectors have certified small norm.
 
     Draws a Gaussian ``d x k`` matrix, subtracts column means (placing the
     span inside the hyperplane orthogonal to the all-ones vector) and
     orthonormalizes.  The supremum of the tail-weighted norm over unit
     vectors of the span is then bounded: for ``k <= 4`` by an exact
-    deterministic net certificate, otherwise by twice the maximum over
-    ``mc_samples`` random unit vectors.  Draws are retried until the bound
-    is at most ``threshold``.
+    deterministic ``DELOC_NET_STEP``-net certificate, otherwise by twice the
+    maximum over ``DELOC_MC_SAMPLES`` random unit vectors.  Draws are
+    retried until the bound is at most ``DELOC_THRESHOLD``.
 
     Returns ``(basis, certificate)``.  Raises
-    :class:`CertificationFailedError` after ``attempts`` failures.  The
+    :class:`CertificationFailedError` after ``DELOC_ATTEMPTS`` failures.  The
     advertised constant-certificate regime is ``k <= d/4``; the function
     itself only requires ``k <= d - 1`` so that small dyadic blocks remain
     feasible.
@@ -148,7 +147,7 @@ def build_delocalized_subspace(
         raise ValueError(f"need 1 <= k <= d-1 for sum-free spans, got k={k}, d={d}")
     rng = _rng(seed)
     last = None
-    for _ in range(attempts):
+    for _ in range(DELOC_ATTEMPTS):
         g = rng.standard_normal((d, k))
         g = g - g.mean(axis=0, keepdims=True)
         try:
@@ -156,17 +155,17 @@ def build_delocalized_subspace(
         except RankDeficientError:  # pragma: no cover - measure-zero event
             continue
         if k <= 4:
-            cert = t_norm_subspace_bound(basis, net_step)
+            cert = t_norm_subspace_bound(basis, DELOC_NET_STEP)
         else:
-            coef = rng.standard_normal((mc_samples, k))
+            coef = rng.standard_normal((DELOC_MC_SAMPLES, k))
             coef /= np.linalg.norm(coef, axis=1)[:, None]
             cert = 2.0 * float(t_norm_batch(coef @ basis.columns.T).max())
         last = cert
-        if cert <= threshold:
+        if cert <= DELOC_THRESHOLD:
             return basis, float(cert)
     raise CertificationFailedError(
-        f"no draw certified below {threshold} in {attempts} attempts "
-        f"(last certificate {last})"
+        f"no draw certified below {DELOC_THRESHOLD} in {DELOC_ATTEMPTS} "
+        f"attempts (last certificate {last})"
     )
 
 
@@ -226,21 +225,16 @@ class DyadicAltMeasure:
         return self.block_bases[self.j_values.index(j)]
 
 
-def dyadic_alt_measure(
-    k: int,
-    d: int,
-    j_min_override=None,
-    seed=0,
-    threshold: float = DELOC_THRESHOLD,
-    attempts: int = 8,
-) -> DyadicAltMeasure:
+def dyadic_alt_measure(k: int, d: int, j_min_override=None, seed=0) -> DyadicAltMeasure:
     """Build the dyadic alternative measure on complexified subspaces.
 
     For every scale ``j`` in the window a sum-free delocalized subspace is
     built on the first ``2^j`` coordinates with the derived stream
     ``(seed, j)``, zero-padded to dimension ``d`` and complexified.  The
     tail-weighted norm in the certificate refers to the block dimension
-    ``2^j``.
+    ``2^j``.  Each block is certified by :func:`build_delocalized_subspace`
+    (at most ``DELOC_THRESHOLD`` within ``DELOC_ATTEMPTS`` draws), which
+    raises :class:`CertificationFailedError` otherwise.
     """
     j_values = dyadic_index_set(k, d, j_min_override)
     if 2 ** j_values[0] - 1 < k:
@@ -254,9 +248,7 @@ def dyadic_alt_measure(
     ambients = []
     for j in j_values:
         m = 2**j
-        basis, cert = build_delocalized_subspace(
-            k, m, attempts=attempts, seed=[*base, j], threshold=threshold
-        )
+        basis, cert = build_delocalized_subspace(k, m, seed=[*base, j])
         blocks.append(basis)
         certs.append(cert)
         cols = np.zeros((d, k), dtype=np.complex128)
@@ -460,24 +452,19 @@ def tensor_product_measure(mu1, mu2, gammas, v1_basis) -> TensorProductMeasure:
     )
 
 
-def invariant_decomposition(
-    group: GroupPresentation,
-    max_group_size: int = 10_000,
-    seed: int = 0,
-    gap_tol: float = 1e-6,
-    invariance_tol: float = 1e-6,
-    max_rounds: int = 10,
-) -> list:
+def invariant_decomposition(group: GroupPresentation, seed: int = 0) -> list:
     """Split the representation into invariant blocks by averaging.
 
     Conjugates of a random Hermitian matrix are averaged over the whole
     group, which yields an operator commuting with every element; clustered
-    eigenspaces (gap above ``gap_tol``) of that operator are invariant
-    subspaces.  Each block is re-split with a fresh Hermitian draw until no
-    block splits further or ``max_rounds`` is reached, and invariance of
-    every block under every generator is verified to ``invariance_tol``.
+    eigenspaces (gap above ``DECOMPOSITION_GAP_TOL``) of that operator are
+    invariant subspaces.  Each block is re-split with a fresh Hermitian draw
+    until no block splits further or ``DECOMPOSITION_MAX_ROUNDS`` is
+    reached, and invariance of every block under every generator is
+    verified to ``DECOMPOSITION_INVARIANCE_TOL``.  The group may have at
+    most ``DECOMPOSITION_MAX_GROUP`` elements.
     """
-    elements = enumerate_group_elements(group, max_group_size)
+    elements = enumerate_group_elements(group, DECOMPOSITION_MAX_GROUP)
     d = group.d
     complex_field = group.field == "complex"
     rng = _rng(seed)
@@ -501,13 +488,13 @@ def invariant_decomposition(
         pieces = []
         start = 0
         for i in range(1, m + 1):
-            if i == m or vals[i] - vals[i - 1] > gap_tol:
+            if i == m or vals[i] - vals[i - 1] > DECOMPOSITION_GAP_TOL:
                 pieces.append(basis_cols @ vecs[:, start:i])
                 start = i
         return pieces
 
     blocks = [eye]
-    for _ in range(max_rounds):
+    for _ in range(DECOMPOSITION_MAX_ROUNDS):
         new_blocks = []
         changed = False
         for b in blocks:
@@ -525,7 +512,7 @@ def invariant_decomposition(
         proj = basis.projector()
         for g in group.generators:
             leak = float(np.linalg.norm((g @ proj) - proj @ (g @ proj), ord=2))
-            if leak > invariance_tol:
+            if leak > DECOMPOSITION_INVARIANCE_TOL:
                 raise RuntimeError(
                     f"block of dimension {basis.k} failed invariance "
                     f"check (leak {leak:.3e})"

@@ -90,8 +90,10 @@ def select_columns(m, k: int, c_rip: float = C_RIP) -> ColumnSelection:
     scored and the better selection is returned.  Ties in the greedy
     argmax resolve to the lowest column index.  Raises
     :class:`GuaranteeMissedError` when the best smallest singular value is
-    below ``c_rip * target``.
+    below ``c_rip * target``; ``c_rip`` must be finite and nonnegative.
     """
+    if not (math.isfinite(c_rip) and c_rip >= 0.0):
+        raise ValueError(f"c_rip must be finite and nonnegative, got {c_rip}")
     m = np.asarray(m)
     if np.iscomplexobj(m):
         raise ValueError("column selection operates on real matrices")
@@ -166,15 +168,16 @@ class RealizationReport:
     selected_smin: float
 
 
-def realize_real_subspace(basis: SubspaceBasis, c_rip: float = C_RIP) -> RealizationReport:
+def realize_real_subspace(basis: SubspaceBasis) -> RealizationReport:
     """Reduce a complex ``2k``-dimensional subspace to a real ``k``-dim one.
 
     Builds ``M = [Re B | Im B]``, verifies ``s_{2k}(M) >= 1/sqrt(2)`` up to
-    1e-9, row-compresses to the ``2k x 4k`` shape, selects ``k`` columns,
-    and returns the orthonormalized span of those columns of ``M`` itself.
-    ``selected_smin`` is the smallest singular value of the selected
-    ambient columns; projections onto the real subspace are bounded by
-    ``1/selected_smin`` times projections onto the complex one.
+    1e-9, row-compresses to the ``2k x 4k`` shape, selects ``k`` columns
+    held to ``C_RIP``, and returns the orthonormalized span of those
+    columns of ``M`` itself.  ``selected_smin`` is the smallest singular
+    value of the selected ambient columns; projections onto the real
+    subspace are bounded by ``1/selected_smin`` times projections onto the
+    complex one.
     """
     if basis.field != "complex":
         raise ValueError("realization starts from a complex basis")
@@ -190,7 +193,7 @@ def realize_real_subspace(basis: SubspaceBasis, c_rip: float = C_RIP) -> Realiza
             f"s_2k of [Re B | Im B] is {s_2k:.6f}, below 1/sqrt(2)"
         )
     compressed = u[:, : 2 * k].T @ m_full
-    selection = select_columns(compressed, k, c_rip=c_rip)
+    selection = select_columns(compressed, k)
     picked = m_full[:, list(selection.indices)]
     real_basis = orthonormalize(picked)
     smin = float(np.linalg.svd(picked, compute_uv=False)[-1])

@@ -146,26 +146,30 @@ def _witness_from(w: np.ndarray, v: np.ndarray) -> GammaWitness:
 
 ANNEAL_CHAINS = 6
 ANNEAL_MOVES = 2500
+ASCENT_MAX_ITER = 500
+ASCENT_TOL = 1e-10
 
 
 def _value_of(cols: np.ndarray, image: np.ndarray) -> float:
     return float(np.linalg.norm(cols.conj().T @ image))
 
 
-def _snap(cols, v_desc, v, image, max_iter, tol):
+def _snap(cols, v_desc, v, image):
     """Ascend once from the projection direction of ``image``."""
     w = cols @ (cols.conj().T @ image)
     n = float(np.linalg.norm(w))
     if n <= 1e-14:
         return None
     start = (w / n)[None, :].astype(cols.dtype)
-    w_new, _, _, status = _kernels.altmax_best(cols, v_desc, start, max_iter, tol)
+    w_new, _, _, status = _kernels.altmax_best(
+        cols, v_desc, start, ASCENT_MAX_ITER, ASCENT_TOL
+    )
     if status == 1:
         return None
     return _witness_from(np.asarray(w_new), v)
 
 
-def _anneal_refine(cols, v, v_desc, witness, value, rng, max_iter, tol):
+def _anneal_refine(cols, v, v_desc, witness, value, rng):
     """Annealed witness search seeded from the ascent result.
 
     The ascent's fixed points proliferate when the subspace dimension is
@@ -211,7 +215,7 @@ def _anneal_refine(cols, v, v_desc, witness, value, rng, max_iter, tol):
         cand_val = _value_of(cols, cand.apply(v))
         if cand_val > best_val:
             best_wit, best_val = cand, cand_val
-        snapped = _snap(cols, v_desc, v, cand.apply(v), max_iter, tol)
+        snapped = _snap(cols, v_desc, v, cand.apply(v))
         if snapped is not None:
             snap_val = _value_of(cols, snapped.apply(v))
             if snap_val > best_val:
@@ -223,8 +227,6 @@ def width_altmax(
     basis: SubspaceBasis,
     v,
     restarts: int = 20,
-    max_iter: int = 500,
-    tol: float = 1e-10,
     seed=None,
     refine: str = "auto",
 ) -> WidthReport:
@@ -234,20 +236,20 @@ def width_altmax(
     which guarantees the result is at least ``||proj_W v||``); the remaining
     ``restarts - 1`` starts are random unit vectors of the subspace drawn
     from ``seed``.  Each ascent stops when the objective gains less than
-    ``tol`` or after ``max_iter`` iterations.  The reported value is the
-    projection norm of the witness image, so the witness reproduces it
-    exactly.
+    ``ASCENT_TOL`` or after ``ASCENT_MAX_ITER`` iterations.  The reported
+    value is the projection norm of the witness image, so the witness
+    reproduces it exactly.
 
     ``refine`` controls the annealed witness search that follows the
-    ascent: ``"anneal"`` always runs it, ``"none"`` never does, and the
-    default ``"auto"`` runs it for k >= 2, where ascent basins fragment.
-    For k = 1 the ascent converges to the optimum from any start with
-    positive projection, so refinement adds nothing there.
+    ascent: the default ``"auto"`` runs it for k >= 2, where ascent basins
+    fragment, and ``"none"`` never does.  For k = 1 the ascent converges to
+    the optimum from any start with positive projection, so refinement
+    adds nothing there.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    if refine not in ("auto", "anneal", "none"):
-        raise ValueError("refine must be 'auto', 'anneal' or 'none'")
+    if refine not in ("auto", "none"):
+        raise ValueError("refine must be 'auto' or 'none'")
     v = _conform(basis, v)
     cols = basis.columns
     d, k = basis.d, basis.k
@@ -276,16 +278,14 @@ def width_altmax(
         starts[(1 if have_det else 0) + r] = w / wn
 
     w_best, _, iters, status = _kernels.altmax_best(
-        cols, v_desc, starts, max_iter, tol
+        cols, v_desc, starts, ASCENT_MAX_ITER, ASCENT_TOL
     )
     if status == 1:
         raise RuntimeError("alternating ascent objective decreased")
     witness = _witness_from(np.asarray(w_best), v)
     value = _value_of(cols, witness.apply(v))
-    if refine == "anneal" or (refine == "auto" and k >= 2):
-        witness, value = _anneal_refine(
-            cols, v, v_desc, witness, value, rng, max_iter, tol
-        )
+    if refine == "auto" and k >= 2:
+        witness, value = _anneal_refine(cols, v, v_desc, witness, value, rng)
     return WidthReport(
         value=value,
         method="altmax",
@@ -311,24 +311,12 @@ def width_orbit(basis: SubspaceBasis, orbit: Orbit) -> WidthReport:
     )
 
 
-def altmax_evaluator(
-    v,
-    restarts: int = 20,
-    max_iter: int = 500,
-    tol: float = 1e-10,
-    refine: str = "auto",
-):
+def altmax_evaluator(v, restarts: int = 20, refine: str = "auto"):
     """Evaluator computing the ascent width against a fixed vector."""
 
     def evaluate(basis: SubspaceBasis, rng) -> float:
         return width_altmax(
-            basis,
-            v,
-            restarts=restarts,
-            max_iter=max_iter,
-            tol=tol,
-            seed=rng,
-            refine=refine,
+            basis, v, restarts=restarts, seed=rng, refine=refine
         ).value
 
     return evaluate

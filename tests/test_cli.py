@@ -124,6 +124,27 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert code == 2
     assert "1 <= k <= d/2" in err
 
+    # a d that is not an integer: int() would overflow on 1e400 and truncate 3.7
+    for text in ("1e400", "3.7"):
+        gfile = tmp_path / "d.json"
+        gfile.write_text('{"d": %s, "kind": "signed_permutations"}' % text)
+        code, _, err = run(
+            ["realize", "--group", str(gfile), "--base-point", "3,2,1", "--seed", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert "group d" in err
+
+    # an unwritable --out is reported like any other bad input
+    code, out, err = run(
+        ["tnorm", "--d", "4", "--trials", "2", "--seed", "1",
+         "--out", str(tmp_path / "no" / "such" / "x.json")],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
 
 def test_missing_required_seed_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -246,3 +246,7 @@ def test_wire_format_errors(tmp_path):
         )
     with pytest.raises(ValueError):
         group_from_dict({"kind": "explicit"})
+    # json reads 1e400 as inf, which int() cannot convert; int() truncates 3.7
+    for bad in (3.7, float("inf"), float("nan"), "3", True):
+        with pytest.raises(ValueError, match="group d"):
+            group_from_dict({"d": bad, "kind": "signed_permutations"})

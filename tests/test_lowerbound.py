@@ -85,6 +85,9 @@ def test_selberg_random_complex_families_hold():
 def test_selberg_input_validation():
     with pytest.raises(ValueError):
         selberg_check(np.ones(3))
+    for bad in (np.nan, np.inf, -1e-9):
+        with pytest.raises(ValueError, match="tol"):
+            selberg_check(np.eye(3), tol=bad)
 
 
 def test_mean_abs_coordinates_supported_on_the_subspace():

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cylwidth import measures
 from cylwidth.errors import (
     CertificationFailedError,
     EmptyDyadicIndexError,
@@ -71,9 +72,11 @@ def test_delocalized_subspace_monte_carlo_path():
     assert cert <= 40.0
 
 
-def test_delocalized_threshold_failure():
-    with pytest.raises(CertificationFailedError):
-        build_delocalized_subspace(2, 32, attempts=2, seed=6, threshold=0.1)
+def test_delocalized_threshold_failure(monkeypatch):
+    monkeypatch.setattr(measures, "DELOC_ATTEMPTS", 2)
+    monkeypatch.setattr(measures, "DELOC_THRESHOLD", 0.1)
+    with pytest.raises(CertificationFailedError, match="below 0.1 in 2 attempts"):
+        build_delocalized_subspace(2, 32, seed=6)
     with pytest.raises(ValueError):
         build_delocalized_subspace(4, 4, seed=0)
 

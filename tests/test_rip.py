@@ -59,6 +59,10 @@ def test_select_columns_validation():
         select_columns(np.hstack([np.eye(2), np.eye(2)]).astype(np.complex128), 1)
     with pytest.raises(ValueError):
         select_columns(np.hstack([np.eye(2), np.eye(2)]), 0)
+    # the matrix misses c_rip=0.9, so a NaN or inf constant would pass vacuously
+    for bad in (np.nan, np.inf, -0.1):
+        with pytest.raises(ValueError, match="c_rip"):
+            select_columns(np.hstack([np.eye(2), np.eye(2)]), 1, c_rip=bad)
     degenerate = np.zeros((2, 4))
     degenerate[0, 0] = 1.0
     with pytest.raises(RankDeficientError):

@@ -96,6 +96,8 @@ def test_ascent_deterministic():
     assert np.array_equal(r1.witness.signs, r2.witness.signs)
     with pytest.raises(ValueError):
         width_altmax(basis, v, restarts=0)
+    with pytest.raises(ValueError, match="refine"):
+        width_altmax(basis, v, refine="anneal")
 
 
 def test_ascent_rejects_non_finite_vectors():
