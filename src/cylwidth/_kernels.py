@@ -1,7 +1,8 @@
 """The three hot loops of the width engine, one implementation each.
 
 * ``altmax_best``: the alternating ascent, vectorized with numpy; at large
-  d each iteration is dominated by the two projections.
+  d each iteration is dominated by the two projections.  An optional
+  ceiling ends it early once an objective proves the width exceeds it.
 * ``anneal_best``: the annealed witness search.  Each move touches one or
   two rows of a k-column matrix, so the loop runs over plain Python floats
   or complexes, where per-element numpy indexing would dominate.
@@ -21,17 +22,37 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # alternating ascent
 #
-#   cols    (d, k) orthonormal columns, float64 or complex128
-#   v_desc  (d,) float64, decreasing moduli of the target vector
-#   starts  (R, d) unit vectors inside span(cols), dtype matching cols
+#   cols     (d, k) orthonormal columns, float64 or complex128
+#   v_desc   (d,) float64, decreasing moduli of the target vector
+#   starts   (R, d) unit vectors inside span(cols), dtype matching cols
+#   ceiling  float; once an iterate's objective exceeds
+#            ceiling * (1 + ALTMAX_CEILING_SLACK), the ascent stops and
+#            returns that iterate, its objective and the iterations so far
 # Returns (w_best, best_obj, total_iters, status) where status is
 #   0 normal, 1 monotonicity violation (never expected), and the objective is
 #   sum_r v_desc[r] * r-th largest modulus of w.
+#
+# The objective of an iterate w is <gv, w> for the image gv aligned with w,
+# so the witness norm ||proj gv|| is at least obj(w); the early return thus
+# certifies that the full ascent's width would exceed the ceiling as well.
+# In floats the two differ by rounding of order 1e-15 relative, and an
+# objective may dip by rounding within a start; the relative slack dominates
+# both by orders of magnitude, so a width reported below the ceiling by the
+# full ascent never triggers the early return.
+#
+# Real iterations build the aligned image with np.where on the signs of w
+# and take the norm as sqrt(c @ c), the same floats as the generic phase
+# arithmetic and np.linalg.norm give for real arrays.
 # ---------------------------------------------------------------------------
 
+ALTMAX_CEILING_SLACK = 1e-9
 
-def altmax_best(cols, v_desc, starts, max_iter, tol):
+
+def altmax_best(cols, v_desc, starts, max_iter, tol, ceiling=math.inf):
     """Run the alternating ascent from every start, return the best endpoint."""
+    real = not (np.iscomplexobj(cols) or np.iscomplexobj(starts))
+    cols_h = cols.conj().T
+    bound = ceiling * (1.0 + ALTMAX_CEILING_SLACK)
     best_obj = -1.0
     best_w = starts[0]
     total = 0
@@ -47,15 +68,24 @@ def altmax_best(cols, v_desc, starts, max_iter, tol):
             if obj < obj_prev - 1e-12:
                 status = 1
                 break
+            if obj > bound:
+                return w, obj, total, 0
             gain = obj - obj_prev
             obj_prev = obj
-            u = np.zeros_like(w)
-            ph = np.ones_like(w)
-            nz = m > 0.0
-            ph[nz] = w[nz] / m[nz]
-            u[order] = ph[order] * v_desc
-            c = cols.conj().T @ u
-            pn = float(np.linalg.norm(c))
+            if real:
+                u = np.empty_like(w)
+                u[order] = v_desc
+                u = np.where(w < 0.0, -u, u)
+                c = cols_h @ u
+                pn = math.sqrt(float(c @ c))
+            else:
+                u = np.zeros_like(w)
+                ph = np.ones_like(w)
+                nz = m > 0.0
+                ph[nz] = w[nz] / m[nz]
+                u[order] = ph[order] * v_desc
+                c = cols_h @ u
+                pn = float(np.linalg.norm(c))
             if pn < 1e-15:
                 break
             w = (cols @ c) / pn

@@ -28,7 +28,7 @@ from .errors import RankDeficientError
 from .groups import Orbit
 from .measures import sample_uniform
 from .vectors import SubspaceBasis, orthonormalize
-from .width import altmax_evaluator, orbit_evaluator
+from .width import width_altmax, width_orbit
 
 __all__ = [
     "WitnessVector",
@@ -177,6 +177,13 @@ def adversarial_min_width(
     ``SEARCH_REJECTION_LIMIT`` consecutive rejections.  Underestimation by
     the inner ascent can only lower the reported minimum, so the result is
     a one-sided probe of the true minimal width.
+
+    For vector targets a candidate's ascent runs with the current width as
+    its ceiling and stops as soon as an iterate's objective exceeds it.
+    Every objective is a lower bound on the width the full ascent would
+    report, so such a candidate is rejected either way; its random starts
+    are drawn before the ascent, so the stream, and with it the result, is
+    the same bit for bit as with full evaluations.
     """
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
@@ -185,14 +192,22 @@ def adversarial_min_width(
     if steps < 0:
         raise ValueError(f"need steps >= 0, got {steps}")
     if isinstance(target, Orbit):
-        evaluator = orbit_evaluator(target)
+
+        def evaluate(basis, rng, ceiling):
+            return width_orbit(basis, target).value
+
     else:
         v = np.asarray(target)
         if v.shape != (d,):
             raise ValueError(f"witness vector must have shape ({d},)")
+
         # the search re-evaluates thousands of candidates, so it runs the
         # plain ascent; underestimates only lower the one-sided probe
-        evaluator = altmax_evaluator(v, restarts=inner_restarts, refine="none")
+        def evaluate(basis, rng, ceiling):
+            return width_altmax(
+                basis, v, restarts=inner_restarts, seed=rng, refine="none",
+                ceiling=ceiling,
+            ).value
 
     best_val = np.inf
     best_basis = None
@@ -201,7 +216,7 @@ def adversarial_min_width(
     for r in range(restarts):
         rng = np.random.default_rng([*seed_base, r])
         basis = sample_uniform(k, d, "real", rng)
-        current = evaluator(basis, rng)
+        current = evaluate(basis, rng, math.inf)
         evals += 1
         eta = SEARCH_INITIAL_STEP
         rejected = 0
@@ -215,7 +230,7 @@ def adversarial_min_width(
                     eta /= 2.0
                     rejected = 0
                 continue
-            val = evaluator(cand, rng)
+            val = evaluate(cand, rng, current)
             evals += 1
             if val < current:
                 basis = cand

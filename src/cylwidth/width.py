@@ -21,6 +21,7 @@ orbit, and a convex function attains its supremum at an extreme point.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,6 @@ __all__ = [
     "width_orbit",
     "estimate_f_integral",
     "altmax_evaluator",
-    "orbit_evaluator",
 ]
 
 BRUTE_MAX_D = 8
@@ -229,6 +229,7 @@ def width_altmax(
     restarts: int = 20,
     seed=None,
     refine: str = "auto",
+    ceiling: float = math.inf,
 ) -> WidthReport:
     """Alternating ascent estimate of the signed-permutation supremum.
 
@@ -245,9 +246,18 @@ def width_altmax(
     fragment, and ``"none"`` never does.  For k = 1 the ascent converges to
     the optimum from any start with positive projection, so refinement
     adds nothing there.
+
+    A finite ``ceiling`` stops the ascent at the first iterate whose
+    objective exceeds ``ceiling`` by the kernel's relative slack; the report
+    then carries that iterate's witness, so ``value >= ceiling`` and the
+    witness still reproduces ``value``.  The random starts are drawn before
+    the ascent runs, so ``seed`` is consumed the same either way.  A ceiling
+    at or above the width changes nothing.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if math.isnan(ceiling):
+        raise ValueError("ceiling must not be NaN")
     if refine not in ("auto", "none"):
         raise ValueError("refine must be 'auto' or 'none'")
     v = _conform(basis, v)
@@ -278,7 +288,7 @@ def width_altmax(
         starts[(1 if have_det else 0) + r] = w / wn
 
     w_best, _, iters, status = _kernels.altmax_best(
-        cols, v_desc, starts, ASCENT_MAX_ITER, ASCENT_TOL
+        cols, v_desc, starts, ASCENT_MAX_ITER, ASCENT_TOL, ceiling
     )
     if status == 1:
         raise RuntimeError("alternating ascent objective decreased")
@@ -311,22 +321,11 @@ def width_orbit(basis: SubspaceBasis, orbit: Orbit) -> WidthReport:
     )
 
 
-def altmax_evaluator(v, restarts: int = 20, refine: str = "auto"):
+def altmax_evaluator(v, restarts: int = 20):
     """Evaluator computing the ascent width against a fixed vector."""
 
     def evaluate(basis: SubspaceBasis, rng) -> float:
-        return width_altmax(
-            basis, v, restarts=restarts, seed=rng, refine=refine
-        ).value
-
-    return evaluate
-
-
-def orbit_evaluator(orbit: Orbit):
-    """Evaluator computing the exact width over an enumerated orbit."""
-
-    def evaluate(basis: SubspaceBasis, rng) -> float:
-        return width_orbit(basis, orbit).value
+        return width_altmax(basis, v, restarts=restarts, seed=rng).value
 
     return evaluate
 

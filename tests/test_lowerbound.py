@@ -5,8 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cylwidth.groups import GroupPresentation, enumerate_orbit
+from cylwidth.errors import RankDeficientError
+from cylwidth.groups import GroupPresentation, Orbit, enumerate_orbit
 from cylwidth.lowerbound import (
+    SEARCH_INITIAL_STEP,
+    SEARCH_REJECTION_LIMIT,
     SigmaProfile,
     adversarial_min_width,
     mean_abs_coordinates,
@@ -15,7 +18,8 @@ from cylwidth.lowerbound import (
     witness_vector,
 )
 from cylwidth.measures import sample_uniform
-from cylwidth.vectors import SubspaceBasis
+from cylwidth.vectors import SubspaceBasis, orthonormalize
+from cylwidth.width import width_altmax, width_orbit
 
 
 def test_witness_harmonic_tail_norm():
@@ -123,3 +127,69 @@ def test_adversarial_search_accepts_orbit_targets():
     orbit = enumerate_orbit(group, witness_vector(4, 1).unit)
     res = adversarial_min_width(4, 1, orbit, restarts=2, steps=100, seed=1)
     assert 0.0 < res.min_value <= 1.0 + 1e-12
+
+
+def _search_with_full_evaluations(d, k, target, restarts, steps, seed, inner_restarts=6):
+    # the search as it was before candidates were cut off at the current
+    # width: every candidate gets a complete evaluation
+    if isinstance(target, Orbit):
+        def evaluate(basis, rng):
+            return width_orbit(basis, target).value
+    else:
+        def evaluate(basis, rng):
+            return width_altmax(basis, target, restarts=inner_restarts, seed=rng,
+                                refine="none").value
+    best_val, best_basis, evals = np.inf, None, 0
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        basis = sample_uniform(k, d, "real", rng)
+        current = evaluate(basis, rng)
+        evals += 1
+        eta, rejected = SEARCH_INITIAL_STEP, 0
+        for _ in range(steps):
+            noise = rng.standard_normal((d, k))
+            try:
+                cand = orthonormalize(basis.columns + eta * noise)
+            except RankDeficientError:
+                rejected += 1
+                if rejected >= SEARCH_REJECTION_LIMIT:
+                    eta /= 2.0
+                    rejected = 0
+                continue
+            val = evaluate(cand, rng)
+            evals += 1
+            if val < current:
+                basis, current, rejected = cand, val, 0
+            else:
+                rejected += 1
+                if rejected >= SEARCH_REJECTION_LIMIT:
+                    eta /= 2.0
+                    rejected = 0
+        if current < best_val:
+            best_val, best_basis = current, basis
+    return best_val, best_basis, evals
+
+
+def _search_cases():
+    for d, k, seed in ((8, 1, 1), (12, 2, 2), (16, 4, 3), (20, 3, 4)):
+        yield d, k, witness_vector(d, k).unit, 2, 120, seed  # zero tail if k >= 2
+    for d, k, seed in ((10, 2, 5), (16, 1, 6)):
+        yield d, k, np.random.default_rng(seed).standard_normal(d), 2, 120, seed
+    # long enough for the step to collapse: candidates then sit within
+    # rounding of the current width, and some are accepted for a gain of
+    # one ulp
+    yield 4, 1, np.random.default_rng(2).standard_normal(4), 1, 2500, 2
+    orbit = enumerate_orbit(GroupPresentation.signed_permutations(4),
+                            witness_vector(4, 2).unit)
+    yield 4, 2, orbit, 2, 100, 8
+
+
+def test_adversarial_search_matches_full_evaluations():
+    for d, k, target, restarts, steps, seed in _search_cases():
+        res = adversarial_min_width(d, k, target, restarts=restarts, steps=steps,
+                                    seed=seed)
+        want_val, want_basis, want_evals = _search_with_full_evaluations(
+            d, k, target, restarts, steps, seed)
+        assert np.float64(res.min_value).tobytes() == np.float64(want_val).tobytes()
+        assert res.evaluations == want_evals
+        assert res.basis.columns.tobytes() == want_basis.columns.tobytes()

@@ -1,6 +1,7 @@
 """Width estimation: brute oracle, alternating ascent, orbit evaluation."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from hypothesis.extra import numpy as hnp
 
 import cylwidth._kernels as kernels
 from cylwidth.groups import GroupPresentation, enumerate_orbit, signed_permutation_apply
+from cylwidth.lowerbound import witness_vector
 from cylwidth.measures import UniformMeasure, sample_uniform
 from cylwidth.vectors import SubspaceBasis, decreasing_rearrangement, projection_norm
 from cylwidth.width import (
     estimate_f_integral,
-    orbit_evaluator,
     width_altmax,
     width_brute_signed_perm,
     width_orbit,
@@ -136,6 +137,142 @@ def test_altmax_kernel_contract():
             assert float(v_desc @ decreasing_rearrangement(x)) <= obj + 1e-12
 
 
+def _altmax_loop(cols, v_desc, starts, max_iter, tol):
+    # the ascent as it was before its real iterations were trimmed: one
+    # generic phase computation for both fields and np.linalg.norm
+    best_obj = -1.0
+    best_w = starts[0]
+    total = 0
+    status = 0
+    for r in range(starts.shape[0]):
+        w = starts[r]
+        obj_prev = -1.0
+        for _ in range(max_iter):
+            total += 1
+            m = np.abs(w)
+            order = np.argsort(-m, kind="stable")
+            obj = float(v_desc @ m[order])
+            if obj < obj_prev - 1e-12:
+                status = 1
+                break
+            gain = obj - obj_prev
+            obj_prev = obj
+            u = np.zeros_like(w)
+            ph = np.ones_like(w)
+            nz = m > 0.0
+            ph[nz] = w[nz] / m[nz]
+            u[order] = ph[order] * v_desc
+            c = cols.conj().T @ u
+            pn = float(np.linalg.norm(c))
+            if pn < 1e-15:
+                break
+            w = (cols @ c) / pn
+            if gain < tol:
+                break
+        if status:
+            break
+        if obj_prev > best_obj:
+            best_obj = obj_prev
+            best_w = w
+    return best_w, best_obj, total, status
+
+
+def _altmax_cases():
+    rng = np.random.default_rng(11)
+    for i in range(60):
+        d = int(rng.integers(2, 33))
+        k = int(rng.integers(1, min(d, 6) + 1))
+        field = "complex" if i % 4 == 3 else "real"
+        cols = sample_uniform(k, d, field, seed=[12, i]).columns
+        if i % 3 == 0:
+            v = witness_vector(d, max(k, 2)).unit  # zero tail
+        else:
+            v = rng.standard_normal(d)
+            v[rng.random(d) < 0.2] = 0.0
+        g = rng.standard_normal((6, k))
+        if field == "complex":
+            g = g + 1j * rng.standard_normal((6, k))
+        starts = g @ cols.T
+        starts /= np.linalg.norm(starts, axis=1)[:, None]
+        yield cols, decreasing_rearrangement(v), starts
+    # zero and -0.0 coordinates on rows outside their kernel: the image's
+    # sign there moves the projection
+    h = np.sqrt(0.5)
+    cols = np.array([[h, h], [h, -h], [0.0, 0.0], [0.0, 0.0]])
+    starts = np.array([[1.0, -0.0, 0.0, -0.0], [1.0, 0.0, -0.0, 0.0],
+                       [-0.0, -1.0, 0.0, 0.0], [h, h, 0.0, 0.0]])
+    for v in ([0.9, 0.5, 0.3, 0.1], witness_vector(4, 2).unit, np.zeros(4)):
+        yield cols, decreasing_rearrangement(np.asarray(v)), starts
+
+
+def test_altmax_kernel_matches_the_generic_loop():
+    n = 0
+    for cols, v_desc, starts in _altmax_cases():
+        for max_iter, tol in ((500, 1e-10), (3, 1e-10), (500, 1.0)):
+            got = kernels.altmax_best(cols, v_desc, starts, max_iter, tol)
+            want = _altmax_loop(cols, v_desc, starts, max_iter, tol)
+            assert got[0].dtype == want[0].dtype
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+            assert got[2:] == want[2:]
+            n += 1
+    assert n == 63 * 3
+
+
+def test_altmax_kernel_returns_the_first_iterate_above_the_ceiling():
+    cols = sample_uniform(2, 12, "real", seed=4).columns
+    v_desc = decreasing_rearrangement(witness_vector(12, 2).unit)
+    g = np.random.default_rng(5).standard_normal((4, 2))
+    starts = g @ cols.T
+    starts /= np.linalg.norm(starts, axis=1)[:, None]
+    first = float(v_desc @ decreasing_rearrangement(np.abs(starts[0])))
+    w, obj, iters, status = kernels.altmax_best(
+        cols, v_desc, starts, 500, 1e-10, ceiling=0.999 * first
+    )
+    assert (iters, status) == (1, 0)
+    assert w.tobytes() == starts[0].tobytes()
+    assert obj == first
+    # the default ceiling is never reached
+    assert kernels.altmax_best(cols, v_desc, starts, 500, 1e-10)[2] > 4
+
+
+def _report_bytes(rep):
+    return (np.float64(rep.value).tobytes(), rep.iterations,
+            rep.witness.perm.tobytes(), rep.witness.signs.tobytes())
+
+
+def test_width_altmax_ceiling_contract():
+    rng = np.random.default_rng(21)
+    for i in range(24):
+        d = int(rng.integers(4, 25))
+        k = int(rng.integers(1, min(d - 1, 5) + 1))
+        basis = sample_uniform(k, d, "real", seed=[22, i])
+        v = witness_vector(d, k).unit if i % 2 else rng.standard_normal(d)
+        refine = "auto" if i % 3 == 0 else "none"
+        full = width_altmax(basis, v, restarts=6, seed=[23, i], refine=refine)
+        # a ceiling at or above the width changes nothing
+        for ceiling in (full.value, 1.5 * full.value, math.inf):
+            rep = width_altmax(basis, v, restarts=6, seed=[23, i], refine=refine,
+                               ceiling=ceiling)
+            assert _report_bytes(rep) == _report_bytes(full)
+        # below it the ascent may stop early, but the report still bounds
+        # the ceiling and its witness reproduces the value
+        for ceiling in (0.0, 0.5 * full.value, 0.999 * full.value):
+            rep = width_altmax(basis, v, restarts=6, seed=[23, i], refine=refine,
+                               ceiling=ceiling)
+            assert rep.value >= ceiling
+            assert rep.value == projection_norm(basis, rep.witness.apply(v))
+            assert rep.iterations <= full.iterations
+    # with v = 0 every objective is 0, which does not exceed a zero ceiling
+    basis = sample_uniform(2, 6, "real", seed=1)
+    full = width_altmax(basis, np.zeros(6), restarts=5, seed=2)
+    rep = width_altmax(basis, np.zeros(6), restarts=5, seed=2, ceiling=0.0)
+    assert _report_bytes(rep) == _report_bytes(full)
+    assert full.iterations == 5
+    with pytest.raises(ValueError, match="NaN"):
+        width_altmax(basis, np.ones(6), ceiling=math.nan)
+
+
 def test_anneal_kernel_returns_a_valid_witness():
     # the endpoint is a signed permutation whose value is the reported one
     rng = np.random.default_rng(8)
@@ -203,7 +340,10 @@ def test_estimate_f_integral_deterministic_and_prefix_stable():
     orbit = enumerate_orbit(
         GroupPresentation.signed_permutations(6), np.eye(6)[0]
     )
-    evaluator = orbit_evaluator(orbit)
+
+    def evaluator(basis, rng):
+        return width_orbit(basis, orbit).value
+
     est1 = estimate_f_integral(mu, evaluator, 40, seed=5)
     est2 = estimate_f_integral(mu, evaluator, 40, seed=5)
     assert est1.mean == est2.mean
