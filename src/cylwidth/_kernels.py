@@ -39,10 +39,6 @@ import numpy as np
 # objective may dip by rounding within a start; the relative slack dominates
 # both by orders of magnitude, so a width reported below the ceiling by the
 # full ascent never triggers the early return.
-#
-# Real iterations build the aligned image with np.where on the signs of w
-# and take the norm as sqrt(c @ c), the same floats as the generic phase
-# arithmetic and np.linalg.norm give for real arrays.
 # ---------------------------------------------------------------------------
 
 ALTMAX_CEILING_SLACK = 1e-9
@@ -50,7 +46,6 @@ ALTMAX_CEILING_SLACK = 1e-9
 
 def altmax_best(cols, v_desc, starts, max_iter, tol, ceiling=math.inf):
     """Run the alternating ascent from every start, return the best endpoint."""
-    real = not (np.iscomplexobj(cols) or np.iscomplexobj(starts))
     cols_h = cols.conj().T
     bound = ceiling * (1.0 + ALTMAX_CEILING_SLACK)
     best_obj = -1.0
@@ -72,20 +67,13 @@ def altmax_best(cols, v_desc, starts, max_iter, tol, ceiling=math.inf):
                 return w, obj, total, 0
             gain = obj - obj_prev
             obj_prev = obj
-            if real:
-                u = np.empty_like(w)
-                u[order] = v_desc
-                u = np.where(w < 0.0, -u, u)
-                c = cols_h @ u
-                pn = math.sqrt(float(c @ c))
-            else:
-                u = np.zeros_like(w)
-                ph = np.ones_like(w)
-                nz = m > 0.0
-                ph[nz] = w[nz] / m[nz]
-                u[order] = ph[order] * v_desc
-                c = cols_h @ u
-                pn = float(np.linalg.norm(c))
+            u = np.zeros_like(w)
+            ph = np.ones_like(w)
+            nz = m > 0.0
+            ph[nz] = w[nz] / m[nz]
+            u[order] = ph[order] * v_desc
+            c = cols_h @ u
+            pn = float(np.linalg.norm(c))
             if pn < 1e-15:
                 break
             w = (cols @ c) / pn

@@ -137,88 +137,6 @@ def test_altmax_kernel_contract():
             assert float(v_desc @ decreasing_rearrangement(x)) <= obj + 1e-12
 
 
-def _altmax_loop(cols, v_desc, starts, max_iter, tol):
-    # the ascent as it was before its real iterations were trimmed: one
-    # generic phase computation for both fields and np.linalg.norm
-    best_obj = -1.0
-    best_w = starts[0]
-    total = 0
-    status = 0
-    for r in range(starts.shape[0]):
-        w = starts[r]
-        obj_prev = -1.0
-        for _ in range(max_iter):
-            total += 1
-            m = np.abs(w)
-            order = np.argsort(-m, kind="stable")
-            obj = float(v_desc @ m[order])
-            if obj < obj_prev - 1e-12:
-                status = 1
-                break
-            gain = obj - obj_prev
-            obj_prev = obj
-            u = np.zeros_like(w)
-            ph = np.ones_like(w)
-            nz = m > 0.0
-            ph[nz] = w[nz] / m[nz]
-            u[order] = ph[order] * v_desc
-            c = cols.conj().T @ u
-            pn = float(np.linalg.norm(c))
-            if pn < 1e-15:
-                break
-            w = (cols @ c) / pn
-            if gain < tol:
-                break
-        if status:
-            break
-        if obj_prev > best_obj:
-            best_obj = obj_prev
-            best_w = w
-    return best_w, best_obj, total, status
-
-
-def _altmax_cases():
-    rng = np.random.default_rng(11)
-    for i in range(60):
-        d = int(rng.integers(2, 33))
-        k = int(rng.integers(1, min(d, 6) + 1))
-        field = "complex" if i % 4 == 3 else "real"
-        cols = sample_uniform(k, d, field, seed=[12, i]).columns
-        if i % 3 == 0:
-            v = witness_vector(d, max(k, 2)).unit  # zero tail
-        else:
-            v = rng.standard_normal(d)
-            v[rng.random(d) < 0.2] = 0.0
-        g = rng.standard_normal((6, k))
-        if field == "complex":
-            g = g + 1j * rng.standard_normal((6, k))
-        starts = g @ cols.T
-        starts /= np.linalg.norm(starts, axis=1)[:, None]
-        yield cols, decreasing_rearrangement(v), starts
-    # zero and -0.0 coordinates on rows outside their kernel: the image's
-    # sign there moves the projection
-    h = np.sqrt(0.5)
-    cols = np.array([[h, h], [h, -h], [0.0, 0.0], [0.0, 0.0]])
-    starts = np.array([[1.0, -0.0, 0.0, -0.0], [1.0, 0.0, -0.0, 0.0],
-                       [-0.0, -1.0, 0.0, 0.0], [h, h, 0.0, 0.0]])
-    for v in ([0.9, 0.5, 0.3, 0.1], witness_vector(4, 2).unit, np.zeros(4)):
-        yield cols, decreasing_rearrangement(np.asarray(v)), starts
-
-
-def test_altmax_kernel_matches_the_generic_loop():
-    n = 0
-    for cols, v_desc, starts in _altmax_cases():
-        for max_iter, tol in ((500, 1e-10), (3, 1e-10), (500, 1.0)):
-            got = kernels.altmax_best(cols, v_desc, starts, max_iter, tol)
-            want = _altmax_loop(cols, v_desc, starts, max_iter, tol)
-            assert got[0].dtype == want[0].dtype
-            assert got[0].tobytes() == want[0].tobytes()
-            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
-            assert got[2:] == want[2:]
-            n += 1
-    assert n == 63 * 3
-
-
 def test_altmax_kernel_returns_the_first_iterate_above_the_ceiling():
     cols = sample_uniform(2, 12, "real", seed=4).columns
     v_desc = decreasing_rearrangement(witness_vector(12, 2).unit)
