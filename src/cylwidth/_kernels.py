@@ -4,8 +4,10 @@
   d each iteration is dominated by the two projections.  An optional
   ceiling ends it early once an objective proves the width exceeds it.
 * ``anneal_best``: the annealed witness search.  Each move touches one or
-  two rows of a k-column matrix, so the loop runs over plain Python floats
-  or complexes, where per-element numpy indexing would dominate.
+  two rows of a k-column matrix and is scored from cached inner products
+  in a few scalar operations; only an accepted move updates the k-vector
+  image.  The loop runs over plain Python floats or complexes, where
+  per-element numpy indexing would dominate.
 * ``greedy_pack``: greedy sphere packing.  Candidates go in blocks of 64:
   one broadcast drops those already covered by a kept point near the block,
   and only the rest are checked one by one against the points kept within
@@ -15,6 +17,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -91,7 +94,7 @@ def altmax_best(cols, v_desc, starts, max_iter, tol, ceiling=math.inf):
 # annealed search over signed-permutation witnesses
 #
 # State: an assignment p of vector indices to positions and unit scalars s,
-# valued at || sum_i s[i] * vvals[p[i]] * rows[i] || where rows = conj(cols).
+# valued at ||y||, y = sum_i s[i] * vvals[p[i]] * rows[i], rows = conj(cols).
 # Moves either swap the assignments of two positions or re-optimize one
 # scalar; after a swap the two touched scalars are set to their closed-form
 # optima.  Swaps that lower the value are accepted with the Metropolis
@@ -99,96 +102,128 @@ def altmax_best(cols, v_desc, starts, max_iter, tol, ceiling=math.inf):
 # The random choices (touched positions, acceptance draws) are supplied by
 # the caller.
 #
+# A move changes y only along rows i and j, so it is scored in Gram form,
+# with <a, b> = sum conj(a) b: from z_i = <rows[i], y>, n_i = ||rows[i]||^2
+# and g = <rows[i], rows[j]>, the closed-form scalars and the change of
+# ||y||^2 take a few scalar operations instead of loops over the k entries
+# of y.  The n_i are computed up front, each g on the first swap of its
+# pair, and each z_i on first use in a state; a state change (an accepted
+# swap or a changed scalar) updates y, recomputes ||y|| from it and drops
+# the z_i.  A move that changes nothing costs O(1) once its z_i and g are
+# cached, and late in the schedule most moves change nothing.
+#
+# In exact arithmetic this is the chain that builds every candidate image
+# and takes its norm; in floats the scalars and the gain come from other
+# sums, so results agree with that chain only up to rounding.  A complex
+# scalar can differ in its last bits, and a real sign or a Metropolis
+# decision decided by rounding can go the other way: at k = d every state
+# has the same value, so there the whole chain is decided by rounding.  y is
+# updated by removing the old terms and adding the new ones, in the order a
+# direct evaluation of the candidate uses, so a real chain that makes the
+# same decisions carries the same bits as one that evaluates directly.
+#
 #   rows    (d, k) float64 or complex128
 #   vvals   (d,) matching field
 #   p0      (d,) int initial assignment
 #   s0      (d,) initial unit scalars, matching field
 #   pairs   (M, 2) int, pairs[m] = (i, j); i == j requests a scalar move
 #   acc_u   (M,) float64 uniforms for the Metropolis draws
-# Returns (best_p, best_s, best_val).
+# Returns (best_p, best_s, best_val), best_val = ||y|| of the best state.
 # ---------------------------------------------------------------------------
 
 
-def _sign(z, tie):
-    # z / |z| is exactly +-1.0
-    return z / abs(z) if z else tie
-
-
-def _phase(z, tie):
-    # np.abs and the reciprocal multiply reproduce numpy's complex128
-    # arithmetic bit for bit; Python's abs(complex) can differ in the last bit
-    mag = float(np.abs(z))
-    return z.conjugate() * (1.0 / mag) if mag else tie
-
-
-def _norm(y):
+def _sqnorm(y):
     # a float's imag is 0.0, so real vectors sum the same squares
     acc = 0.0
     for t in y:
         acc += t.real * t.real + t.imag * t.imag
-    return math.sqrt(acc)
+    return acc
 
 
 def anneal_best(rows, vvals, p0, s0, t0, t1, pairs, acc_u):
     """Run the annealed witness search, return the best visited state."""
     cplx = np.iscomplexobj(rows) or np.iscomplexobj(vvals)
     field = np.complex128 if cplx else np.float64
-    unit = _phase if cplx else _sign
-    rows = np.asarray(rows, dtype=field).tolist()
-    vvals = np.asarray(vvals, dtype=field).tolist()
+    rows = np.asarray(rows, dtype=field)
+    norms = (rows.real ** 2 + rows.imag ** 2).sum(axis=1).tolist()
+    crows = rows.conj().tolist()
+    rows = rows.tolist()
+    vvals = np.asarray(vvals, dtype=field)
+    cvals = vvals.conj().tolist()
+    vvals = vvals.tolist()
     p = np.asarray(p0, dtype=np.int64).tolist()
     s = np.asarray(s0, dtype=field).tolist()
     pairs = np.asarray(pairs).tolist()
     acc_u = np.asarray(acc_u, dtype=np.float64).tolist()
-    k = len(rows[0])
+    d, k = len(rows), len(rows[0])
     y = [0.0] * k
     for i, r in enumerate(rows):
         a = s[i] * vvals[p[i]]
         for l in range(k):
             y[l] += a * r[l]
-    val = _norm(y)
+    sq = _sqnorm(y)
+    val = math.sqrt(sq)
     best_p, best_s, best_val = p[:], s[:], val
     t0, t1 = float(t0), float(t1)
     ratio = t1 / t0
     denom = max(len(pairs) - 1, 1)
+    mul = operator.mul
+    z = {}
+    zget = z.get
+    gram = {}
+    # each new scalar is the unit s maximizing Re(conj(s) * w), that is
+    # w / |w|, exactly +-1.0 for a float
     for m, (i, j) in enumerate(pairs):
+        zi = zget(i)
+        if zi is None:
+            zi = z[i] = sum(map(mul, crows[i], y))
+        vi = vvals[p[i]]
         if i == j:
-            vi, ri = vvals[p[i]], rows[i]
-            a = s[i] * vi
-            inner = 0.0
+            w = cvals[p[i]] * (zi - s[i] * vi * norms[i])
+            s_new = w / abs(w) if w else s[i]
+            if s_new == s[i]:
+                continue
+            delta = (s_new - s[i]) * vi
+            ri = rows[i]
             for l in range(k):
-                inner += (y[l] - a * ri[l]).conjugate() * (vi * ri[l])
-            s_new = unit(inner, s[i])
-            if s_new != s[i]:
-                delta = (s_new - s[i]) * vi
-                for l in range(k):
-                    y[l] += delta * ri[l]
-                val = _norm(y)
-                s[i] = s_new
+                y[l] += delta * ri[l]
+            s[i] = s_new
         else:
-            vi, vj, ri, rj = vvals[p[i]], vvals[p[j]], rows[i], rows[j]
-            ai, aj = s[i] * vi, s[j] * vj
-            rest = [y[l] - ai * ri[l] - aj * rj[l] for l in range(k)]
+            zj = zget(j)
+            if zj is None:
+                zj = z[j] = sum(map(mul, crows[j], y))
+            g = gram.get(i * d + j)
+            if g is None:
+                g = gram[i * d + j] = sum(map(mul, crows[i], rows[j]))
+            vj = vvals[p[j]]
+            ni, nj = norms[i], norms[j]
+            ai = s[i] * vi
+            aj = s[j] * vj
             # a real swap breaks a tie towards +1, a complex one keeps the
-            # old phase
-            inner = 0.0
-            for l in range(k):
-                inner += rest[l].conjugate() * (vj * ri[l])
-            si2 = unit(inner, s[i] if cplx else 1.0)
+            # old phase; ci and cj are the changes of y's coefficients
+            w = cvals[p[j]] * (zi - ai * ni - aj * g)
+            si2 = w / abs(w) if w else (s[i] if cplx else 1.0)
             bi = si2 * vj
-            inner = 0.0
-            for l in range(k):
-                inner += (rest[l] + bi * ri[l]).conjugate() * (vi * rj[l])
-            sj2 = unit(inner, s[j] if cplx else 1.0)
+            ci = bi - ai
+            w = cvals[p[i]] * (zj + ci * g.conjugate() - aj * nj)
+            sj2 = w / abs(w) if w else (s[j] if cplx else 1.0)
             bj = sj2 * vi
-            y2 = [rest[l] + bi * ri[l] + bj * rj[l] for l in range(k)]
-            val2 = _norm(y2)
-            temp = t0 * ratio ** (m / denom)
-            if val2 > val or acc_u[m] < math.exp((val2 - val) / temp):
-                y = y2
-                p[i], p[j] = p[j], p[i]
-                s[i], s[j] = si2, sj2
-                val = val2
+            cj = bj - aj
+            # ||y + ci rows[i] + cj rows[j]||^2 - ||y||^2
+            gain = (ci.conjugate() * (2 * zi + ci * ni + 2 * cj * g)
+                    + cj.conjugate() * (2 * zj + cj * nj)).real
+            if not (gain > 0.0 or acc_u[m] < math.exp(
+                    (math.sqrt(max(sq + gain, 0.0)) - val)
+                    / (t0 * ratio ** (m / denom)))):
+                continue
+            ri, rj = rows[i], rows[j]
+            y = [y[l] - ai * ri[l] - aj * rj[l] + bi * ri[l] + bj * rj[l]
+                 for l in range(k)]
+            p[i], p[j] = p[j], p[i]
+            s[i], s[j] = si2, sj2
+        sq = _sqnorm(y)
+        val = math.sqrt(sq)
+        z.clear()
         if val > best_val:
             best_p, best_s, best_val = p[:], s[:], val
     return (np.array(best_p, dtype=np.int64), np.array(best_s, dtype=field),

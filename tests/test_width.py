@@ -15,6 +15,7 @@ from cylwidth.lowerbound import witness_vector
 from cylwidth.measures import UniformMeasure, sample_uniform
 from cylwidth.vectors import SubspaceBasis, decreasing_rearrangement, projection_norm
 from cylwidth.width import (
+    _value_of,
     estimate_f_integral,
     width_altmax,
     width_brute_signed_perm,
@@ -194,9 +195,9 @@ def test_width_altmax_ceiling_contract():
 def test_anneal_kernel_returns_a_valid_witness():
     # the endpoint is a signed permutation whose value is the reported one
     rng = np.random.default_rng(8)
-    for field in ("real", "complex"):
-        basis = sample_uniform(3, 7, field, seed=4)
-        d = basis.d
+    for field, (k, d) in itertools.product(("real", "complex"),
+                                           ((3, 7), (7, 7), (2, 256))):
+        basis = sample_uniform(k, d, field, seed=4)
         v = rng.standard_normal(d)
         v[2] = 0.0
         s0 = rng.choice(np.array([-1.0, 1.0]), size=d)
@@ -217,6 +218,128 @@ def test_anneal_kernel_returns_a_valid_witness():
             assert set(s.tolist()) <= {-1.0, 1.0}
         assert abs(val - float(np.linalg.norm(rows.T @ (s * v[p])))) < 1e-12
         assert val >= start - 1e-12
+
+
+def _norm(y):
+    acc = 0.0
+    for t in y:
+        acc += t.real * t.real + t.imag * t.imag
+    return math.sqrt(acc)
+
+
+def _anneal_loop(rows, vvals, p0, s0, t0, t1, pairs, acc_u):
+    """Reference anneal: build every candidate image in k-space, take its norm."""
+    cplx = np.iscomplexobj(rows) or np.iscomplexobj(vvals)
+    field = np.complex128 if cplx else np.float64
+
+    def unit(z, tie):
+        # a float's z / |z| is exactly +-1.0; a complex phase is taken with
+        # numpy's abs and a reciprocal multiply
+        if not z:
+            return tie
+        return z.conjugate() * (1.0 / float(np.abs(z))) if cplx else z / abs(z)
+
+    rows = np.asarray(rows, dtype=field).tolist()
+    vvals = np.asarray(vvals, dtype=field).tolist()
+    p = np.asarray(p0, dtype=np.int64).tolist()
+    s = np.asarray(s0, dtype=field).tolist()
+    k = len(rows[0])
+    y = [0.0] * k
+    for i, r in enumerate(rows):
+        a = s[i] * vvals[p[i]]
+        for l in range(k):
+            y[l] += a * r[l]
+    val = _norm(y)
+    best_p, best_s, best_val = p[:], s[:], val
+    ratio = t1 / t0
+    denom = max(len(pairs) - 1, 1)
+    for m, (i, j) in enumerate(np.asarray(pairs).tolist()):
+        if i == j:
+            vi, ri = vvals[p[i]], rows[i]
+            a = s[i] * vi
+            inner = 0.0
+            for l in range(k):
+                inner += (y[l] - a * ri[l]).conjugate() * (vi * ri[l])
+            s_new = unit(inner, s[i])
+            if s_new != s[i]:
+                delta = (s_new - s[i]) * vi
+                for l in range(k):
+                    y[l] += delta * ri[l]
+                val = _norm(y)
+                s[i] = s_new
+        else:
+            vi, vj, ri, rj = vvals[p[i]], vvals[p[j]], rows[i], rows[j]
+            ai, aj = s[i] * vi, s[j] * vj
+            rest = [y[l] - ai * ri[l] - aj * rj[l] for l in range(k)]
+            inner = 0.0
+            for l in range(k):
+                inner += rest[l].conjugate() * (vj * ri[l])
+            si2 = unit(inner, s[i] if cplx else 1.0)
+            bi = si2 * vj
+            inner = 0.0
+            for l in range(k):
+                inner += (rest[l] + bi * ri[l]).conjugate() * (vi * rj[l])
+            sj2 = unit(inner, s[j] if cplx else 1.0)
+            bj = sj2 * vi
+            y2 = [rest[l] + bi * ri[l] + bj * rj[l] for l in range(k)]
+            val2 = _norm(y2)
+            temp = t0 * ratio ** (m / denom)
+            if val2 > val or acc_u[m] < math.exp((val2 - val) / temp):
+                y = y2
+                p[i], p[j] = p[j], p[i]
+                s[i], s[j] = si2, sj2
+                val = val2
+        if val > best_val:
+            best_p, best_s, best_val = p[:], s[:], val
+    return np.array(best_p), np.array(best_s, dtype=field), best_val
+
+
+def test_anneal_kernel_matches_the_k_space_loop():
+    # The kernel scores moves in Gram form and the reference builds every
+    # candidate image, so their floats differ by rounding.  A real chain
+    # makes the same choices up to a global sign flip, which negation keeps
+    # exact, except at k = d: there every state is worth ||v|| and rounding
+    # picks among them, unless a coordinate-aligned basis makes the ties
+    # exact.  Complex phases at 1 < k < d converge slowly on flat optima,
+    # where rounding moves the path after some hundreds of moves, so those
+    # chains are short.
+    rng = np.random.default_rng(21)
+    for field, d, k, kind, axis in itertools.product(
+        ("real", "complex"), (3, 6), (1, 2, "d"), ("plain", "zero", "repeated"),
+        (False, True),
+    ):
+        k = d if k == "d" else k
+        if axis:
+            cols = np.eye(d)[:, rng.permutation(d)[:k]].astype(
+                np.complex128 if field == "complex" else np.float64)
+        else:
+            cols = sample_uniform(k, d, field, seed=[21, d, k]).columns
+        v = rng.standard_normal(d)
+        s0 = rng.choice(np.array([-1.0, 1.0]), size=d)
+        if field == "complex":
+            v = v + 1j * rng.standard_normal(d)
+            s0 = np.exp(2j * np.pi * rng.random(d))
+        if kind == "zero":
+            v[1] = 0.0
+        elif kind == "repeated":
+            v[1], v[2] = -v[0], v[0]
+        moves = 100 if field == "complex" and 1 < k < d else 1500
+        pairs = rng.integers(0, d, size=(moves, 2))
+        scalar_move = rng.random(moves) >= 0.7
+        pairs[scalar_move, 1] = pairs[scalar_move, 0]
+        acc = rng.random(moves)
+        scale = float(np.linalg.norm(v))
+        args = (cols.conj(), v, rng.permutation(d), s0, 0.25 * scale,
+                1e-5 * scale, pairs, acc)
+        p_ref, s_ref, val_ref = _anneal_loop(*args)
+        p, s, val = kernels.anneal_best(*args)
+        if field == "real" and (k < d or axis):
+            assert p.tolist() == p_ref.tolist()
+            image, image_ref = s * v[p], s_ref * v[p_ref]
+            assert (image == image_ref).all() or (image == -image_ref).all()
+            assert _value_of(cols, image) == _value_of(cols, image_ref)
+        else:
+            assert abs(val - val_ref) <= 1e-12 * val_ref
 
 
 def test_width_orbit_matches_manual_maximum():
