@@ -1,8 +1,10 @@
 """The three hot loops of the width engine, one implementation each.
 
 * ``altmax_best``: the alternating ascent, vectorized with numpy; at large
-  d each iteration is dominated by the two projections.  An optional
-  ceiling ends it early once an objective proves the width exceeds it.
+  d each iteration is dominated by the two projections.  Starts come as
+  basis coefficients and are formed only when their ascent begins.  An
+  optional ceiling ends it early once an objective proves the width
+  exceeds it.
 * ``anneal_best``: the annealed witness search.  Each move touches one or
   two rows of a k-column matrix and is scored from cached inner products
   in a few scalar operations; only an accepted move updates the k-vector
@@ -27,7 +29,8 @@ import numpy as np
 #
 #   cols     (d, k) orthonormal columns, float64 or complex128
 #   v_desc   (d,) float64, decreasing moduli of the target vector
-#   starts   (R, d) unit vectors inside span(cols), dtype matching cols
+#   starts   (R, k) basis coefficients of the starts, dtype matching cols,
+#            each with cols @ starts[r] != 0; R >= 1 and max_iter >= 1
 #   ceiling  float; once an iterate's objective exceeds
 #            ceiling * (1 + ALTMAX_CEILING_SLACK), the ascent stops and
 #            returns that iterate, its objective and the iterations so far
@@ -35,13 +38,20 @@ import numpy as np
 #   0 normal, 1 monotonicity violation (never expected), and the objective is
 #   sum_r v_desc[r] * r-th largest modulus of w.
 #
+# Start r is the unit vector w = cols @ starts[r] / ||cols @ starts[r]||.  It
+# is formed only when its ascent begins, so a return at the ceiling during
+# start r never pays for the starts after it.  Callers that know a start as
+# a vector of the subspace pass its coefficients cols^H w instead.
+#
 # The objective of an iterate w is <gv, w> for the image gv aligned with w,
 # so the witness norm ||proj gv|| is at least obj(w); the early return thus
 # certifies that the full ascent's width would exceed the ceiling as well.
 # In floats the two differ by rounding of order 1e-15 relative, and an
 # objective may dip by rounding within a start; the relative slack dominates
 # both by orders of magnitude, so a width reported below the ceiling by the
-# full ascent never triggers the early return.
+# full ascent never triggers the early return.  The early return is also the
+# only way the returned objective can exceed the bound, so callers can tell
+# it from the objective alone.
 # ---------------------------------------------------------------------------
 
 ALTMAX_CEILING_SLACK = 1e-9
@@ -52,11 +62,12 @@ def altmax_best(cols, v_desc, starts, max_iter, tol, ceiling=math.inf):
     cols_h = cols.conj().T
     bound = ceiling * (1.0 + ALTMAX_CEILING_SLACK)
     best_obj = -1.0
-    best_w = starts[0]
+    best_w = None
     total = 0
     status = 0
     for r in range(starts.shape[0]):
-        w = starts[r]
+        w = cols @ starts[r]
+        w = w / np.linalg.norm(w)
         obj_prev = -1.0
         for _ in range(max_iter):
             total += 1

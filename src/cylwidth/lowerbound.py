@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import ALTMAX_CEILING_SLACK
 from .errors import RankDeficientError
 from .groups import Orbit
 from .measures import sample_uniform
-from .vectors import SubspaceBasis, orthonormalize
-from .width import width_altmax, width_orbit
+from .vectors import SubspaceBasis, decreasing_rearrangement, orthonormalize
+from .width import _ascend, _conform, _witness_and_value, width_orbit
 
 __all__ = [
     "WitnessVector",
@@ -178,12 +179,16 @@ def adversarial_min_width(
     the inner ascent can only lower the reported minimum, so the result is
     a one-sided probe of the true minimal width.
 
-    For vector targets a candidate's ascent runs with the current width as
-    its ceiling and stops as soon as an iterate's objective exceeds it.
-    Every objective is a lower bound on the width the full ascent would
-    report, so such a candidate is rejected either way; its random starts
-    are drawn before the ascent, so the stream, and with it the result, is
-    the same bit for bit as with full evaluations.
+    For vector targets the target is validated and rearranged once, and
+    each frame is evaluated by the ascent helper that
+    :func:`~cylwidth.width.width_altmax` runs (with ``refine="none"``).  A
+    candidate's ascent runs with the current width as its ceiling and stops
+    as soon as an iterate's objective exceeds it.  Every objective is a
+    lower bound on the width the full ascent would report, so such a
+    candidate is rejected either way: the search takes the objective as its
+    value and builds no witness.  Its random starts are drawn before the
+    ascent, so the stream, and with it the result, is the same bit for bit
+    as with full evaluations.
     """
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
@@ -197,17 +202,22 @@ def adversarial_min_width(
             return width_orbit(basis, target).value
 
     else:
-        v = np.asarray(target)
-        if v.shape != (d,):
-            raise ValueError(f"witness vector must have shape ({d},)")
+        if inner_restarts < 1:
+            raise ValueError("need at least one inner restart")
+        v = _conform(target, d, "real")
+        v_desc = decreasing_rearrangement(v)
 
         # the search re-evaluates thousands of candidates, so it runs the
         # plain ascent; underestimates only lower the one-sided probe
         def evaluate(basis, rng, ceiling):
-            return width_altmax(
-                basis, v, restarts=inner_restarts, seed=rng, refine="none",
-                ceiling=ceiling,
-            ).value
+            cols, w, obj, _ = _ascend(
+                basis, v, v_desc, inner_restarts, rng, ceiling
+            )
+            # only a return at the ceiling leaves obj above the bound; then
+            # obj > ceiling, so the caller rejects the candidate unwitnessed
+            if obj > ceiling * (1.0 + ALTMAX_CEILING_SLACK):
+                return obj
+            return _witness_and_value(cols, v, w)[1]
 
     best_val = np.inf
     best_basis = None

@@ -79,13 +79,13 @@ class FIntegralEstimate:
     values: np.ndarray
 
 
-def _conform(basis: SubspaceBasis, v) -> np.ndarray:
+def _conform(v, d: int, field: str) -> np.ndarray:
     v = np.asarray(v)
-    if v.shape != (basis.d,):
-        raise ValueError(f"vector must have shape ({basis.d},)")
+    if v.shape != (d,):
+        raise ValueError(f"vector must have shape ({d},)")
     if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
-    if basis.field == "complex" or np.iscomplexobj(v):
+    if field == "complex" or np.iscomplexobj(v):
         return v.astype(np.complex128)
     return v.astype(np.float64)
 
@@ -94,7 +94,7 @@ def width_brute_signed_perm(basis: SubspaceBasis, v) -> WidthReport:
     """Exact supremum by enumerating all signed permutations (real, d<=8)."""
     if basis.field != "real" or np.iscomplexobj(np.asarray(v)):
         raise ValueError("brute enumeration covers the real field only")
-    v = _conform(basis, v)
+    v = _conform(v, basis.d, basis.field)
     d = basis.d
     if d > BRUTE_MAX_D:
         raise ValueError(f"brute enumeration is capped at d={BRUTE_MAX_D}")
@@ -156,13 +156,11 @@ def _value_of(cols: np.ndarray, image: np.ndarray) -> float:
 
 def _snap(cols, v_desc, v, image):
     """Ascend once from the projection direction of ``image``."""
-    w = cols @ (cols.conj().T @ image)
-    n = float(np.linalg.norm(w))
-    if n <= 1e-14:
+    c = cols.conj().T @ image
+    if float(np.linalg.norm(cols @ c)) <= 1e-14:
         return None
-    start = (w / n)[None, :].astype(cols.dtype)
     w_new, _, _, status = _kernels.altmax_best(
-        cols, v_desc, start, ASCENT_MAX_ITER, ASCENT_TOL
+        cols, v_desc, c[None, :], ASCENT_MAX_ITER, ASCENT_TOL
     )
     if status == 1:
         return None
@@ -223,6 +221,55 @@ def _anneal_refine(cols, v, v_desc, witness, value, rng):
     return best_wit, best_val
 
 
+def _ascend(basis: SubspaceBasis, v, v_desc, restarts, rng, ceiling):
+    """Draw the ascent's starts and run it; ``v`` is conformed already.
+
+    Returns ``(cols, w_best, best_obj, iterations)``.  ``cols`` are the
+    columns the ascent ran on: those of ``basis``, complexified when ``v``
+    is complex, since the supremum then ranges over complex images.  An
+    objective above ``ceiling * (1 + ALTMAX_CEILING_SLACK)`` means the
+    ascent stopped there; otherwise it ran in full.
+    """
+    if np.iscomplexobj(v):
+        basis = basis.complexify()
+    cols = basis.columns
+    k = basis.k
+    cplx = np.iscomplexobj(cols)
+    c0 = cols.conj().T @ v
+    have_det = float(np.linalg.norm(cols @ c0)) > 1e-15
+    n = restarts - 1 if have_det else restarts
+
+    def draw(m):
+        # the same stream as m consecutive draws of k (real, then imaginary)
+        if cplx:
+            g = rng.standard_normal((m, 2, k))
+            return g[:, 0] + 1j * g[:, 1]
+        return rng.standard_normal((m, k))
+
+    g = draw(n)
+    # a row too short to give a start is drawn again after all n rows, not
+    # at once, so from such a row on the stream differs from drawing the
+    # starts one by one; a Gaussian k-vector is that short with probability
+    # of order 1e-12**k
+    bad = np.linalg.norm(g, axis=1) < 1e-12
+    while bad.any():  # pragma: no cover - measure-zero restart
+        g[bad] = draw(int(bad.sum()))
+        bad = np.linalg.norm(g, axis=1) < 1e-12
+    starts = np.concatenate((c0[None, :], g)) if have_det else g
+    w_best, obj, iters, status = _kernels.altmax_best(
+        cols, v_desc, starts, ASCENT_MAX_ITER, ASCENT_TOL, ceiling
+    )
+    if status == 1:
+        raise RuntimeError("alternating ascent objective decreased")
+    return cols, w_best, obj, int(iters)
+
+
+def _witness_and_value(cols, v, w):
+    """The witness an ascent endpoint ``w`` defines, and its value."""
+    witness = _witness_from(np.asarray(w), v)
+    return witness, _value_of(cols, witness.apply(v))
+
+
 def width_altmax(
     basis: SubspaceBasis,
     v,
@@ -235,11 +282,14 @@ def width_altmax(
 
     One start is deterministic (the normalized projection of ``v`` itself,
     which guarantees the result is at least ``||proj_W v||``); the remaining
-    ``restarts - 1`` starts are random unit vectors of the subspace drawn
-    from ``seed``.  Each ascent stops when the objective gains less than
-    ``ASCENT_TOL`` or after ``ASCENT_MAX_ITER`` iterations.  The reported
-    value is the projection norm of the witness image, so the witness
-    reproduces it exactly.
+    ``restarts - 1`` starts are random unit vectors of the subspace, whose
+    basis coefficients are drawn from ``seed`` in one batch.  The kernel
+    forms each start only when its ascent begins.  Each ascent stops when
+    the objective gains less than ``ASCENT_TOL`` or after
+    ``ASCENT_MAX_ITER`` iterations.  The reported value is the projection
+    norm of the witness image, so the witness reproduces it exactly.  A
+    complex ``v`` against a real basis runs over the complexified span,
+    exactly as ``basis.complexify()`` would.
 
     ``refine`` controls the annealed witness search that follows the
     ascent: the default ``"auto"`` runs it for k >= 2, where ascent basins
@@ -250,9 +300,13 @@ def width_altmax(
     A finite ``ceiling`` stops the ascent at the first iterate whose
     objective exceeds ``ceiling`` by the kernel's relative slack; the report
     then carries that iterate's witness, so ``value >= ceiling`` and the
-    witness still reproduces ``value``.  The random starts are drawn before
-    the ascent runs, so ``seed`` is consumed the same either way.  A ceiling
-    at or above the width changes nothing.
+    witness still reproduces ``value``.  The random coefficients are drawn
+    before the ascent runs, so ``seed`` is consumed the same either way.  A
+    ceiling at or above the width changes nothing.
+
+    The start draw and the kernel call live in ``_ascend``, which
+    :func:`~cylwidth.lowerbound.adversarial_min_width` calls directly; the
+    search skips the witness of a candidate whose ascent hit the ceiling.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -260,47 +314,18 @@ def width_altmax(
         raise ValueError("ceiling must not be NaN")
     if refine not in ("auto", "none"):
         raise ValueError("refine must be 'auto' or 'none'")
-    v = _conform(basis, v)
-    cols = basis.columns
-    d, k = basis.d, basis.k
+    v = _conform(v, basis.d, basis.field)
     rng = np.random.default_rng(seed)
     v_desc = decreasing_rearrangement(v)
-
-    starts = np.empty((restarts, d), dtype=cols.dtype)
-    p = cols @ (cols.conj().T @ v)
-    pn = float(np.linalg.norm(p))
-    have_det = pn > 1e-15
-    n_random = restarts - 1 if have_det else restarts
-    if have_det:
-        starts[0] = p / pn
-    for r in range(n_random):
-        g = rng.standard_normal(k)
-        if np.iscomplexobj(cols):
-            g = g + 1j * rng.standard_normal(k)
-        w = cols @ g
-        wn = float(np.linalg.norm(w))
-        while wn < 1e-12:  # pragma: no cover - measure-zero restart
-            g = rng.standard_normal(k)
-            if np.iscomplexobj(cols):
-                g = g + 1j * rng.standard_normal(k)
-            w = cols @ g
-            wn = float(np.linalg.norm(w))
-        starts[(1 if have_det else 0) + r] = w / wn
-
-    w_best, _, iters, status = _kernels.altmax_best(
-        cols, v_desc, starts, ASCENT_MAX_ITER, ASCENT_TOL, ceiling
-    )
-    if status == 1:
-        raise RuntimeError("alternating ascent objective decreased")
-    witness = _witness_from(np.asarray(w_best), v)
-    value = _value_of(cols, witness.apply(v))
-    if refine == "auto" and k >= 2:
+    cols, w_best, _, iters = _ascend(basis, v, v_desc, restarts, rng, ceiling)
+    witness, value = _witness_and_value(cols, v, w_best)
+    if refine == "auto" and basis.k >= 2:
         witness, value = _anneal_refine(cols, v, v_desc, witness, value, rng)
     return WidthReport(
         value=value,
         method="altmax",
         restarts=restarts,
-        iterations=int(iters),
+        iterations=iters,
         witness=witness,
     )
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cylwidth.lowerbound as lowerbound
 from cylwidth.errors import RankDeficientError
 from cylwidth.groups import GroupPresentation, Orbit, enumerate_orbit
 from cylwidth.lowerbound import (
@@ -120,6 +121,23 @@ def test_adversarial_search_basics():
         adversarial_min_width(8, 1, wit.unit, restarts=0)
     with pytest.raises(ValueError, match="steps"):
         adversarial_min_width(8, 1, wit.unit, steps=-1)
+
+
+def test_adversarial_search_rejects_bad_vector_input_up_front(monkeypatch):
+    # the search validates the target and the inner restart count once,
+    # before it draws its first frame
+    def no_frames(*args, **kwargs):
+        raise AssertionError("the search drew a frame before validating")
+
+    monkeypatch.setattr(lowerbound, "sample_uniform", no_frames)
+    wit = witness_vector(8, 1).unit
+    with pytest.raises(ValueError, match="inner restart"):
+        adversarial_min_width(8, 1, wit, inner_restarts=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        target = wit.copy()
+        target[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            adversarial_min_width(8, 1, target)
 
 
 def test_adversarial_search_accepts_orbit_targets():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cylwidth._kernels as kernels
+import cylwidth.width as width
 from cylwidth.groups import GroupPresentation, enumerate_orbit, signed_permutation_apply
 from cylwidth.lowerbound import witness_vector
 from cylwidth.measures import UniformMeasure, sample_uniform
@@ -126,9 +128,10 @@ def test_altmax_kernel_contract():
         g = rng.standard_normal((10, 3))
         if field == "complex":
             g = g + 1j * rng.standard_normal((10, 3))
+        # the kernel takes the starts as coefficients; these are the vectors
         starts = g @ cols.T
         starts /= np.linalg.norm(starts, axis=1)[:, None]
-        w, obj, iters, status = kernels.altmax_best(cols, v_desc, starts, 500, 1e-10)
+        w, obj, iters, status = kernels.altmax_best(cols, v_desc, g, 500, 1e-10)
         assert status == 0
         assert 10 <= iters <= 10 * 500
         assert abs(float(np.linalg.norm(w)) - 1.0) < 1e-12
@@ -142,22 +145,144 @@ def test_altmax_kernel_returns_the_first_iterate_above_the_ceiling():
     cols = sample_uniform(2, 12, "real", seed=4).columns
     v_desc = decreasing_rearrangement(witness_vector(12, 2).unit)
     g = np.random.default_rng(5).standard_normal((4, 2))
-    starts = g @ cols.T
-    starts /= np.linalg.norm(starts, axis=1)[:, None]
+    # the start vectors the kernel forms from the coefficients g
+    starts = np.array([cols @ c / np.linalg.norm(cols @ c) for c in g])
     first = float(v_desc @ decreasing_rearrangement(np.abs(starts[0])))
     w, obj, iters, status = kernels.altmax_best(
-        cols, v_desc, starts, 500, 1e-10, ceiling=0.999 * first
+        cols, v_desc, g, 500, 1e-10, ceiling=0.999 * first
     )
     assert (iters, status) == (1, 0)
     assert w.tobytes() == starts[0].tobytes()
     assert obj == first
     # the default ceiling is never reached
-    assert kernels.altmax_best(cols, v_desc, starts, 500, 1e-10)[2] > 4
+    assert kernels.altmax_best(cols, v_desc, g, 500, 1e-10)[2] > 4
 
 
 def _report_bytes(rep):
     return (np.float64(rep.value).tobytes(), rep.iterations,
             rep.witness.perm.tobytes(), rep.witness.signs.tobytes())
+
+
+def _eager_altmax_best(cols, v_desc, starts, max_iter, tol, ceiling=math.inf):
+    # the ascent over (R, d) unit-vector starts, all formed before it runs
+    cols_h = cols.conj().T
+    bound = ceiling * (1.0 + kernels.ALTMAX_CEILING_SLACK)
+    best_obj, best_w, total, status = -1.0, starts[0], 0, 0
+    for r in range(starts.shape[0]):
+        w = starts[r]
+        obj_prev = -1.0
+        for _ in range(max_iter):
+            total += 1
+            m = np.abs(w)
+            order = np.argsort(-m, kind="stable")
+            obj = float(v_desc @ m[order])
+            if obj < obj_prev - 1e-12:
+                status = 1
+                break
+            if obj > bound:
+                return w, obj, total, 0
+            gain = obj - obj_prev
+            obj_prev = obj
+            u = np.zeros_like(w)
+            ph = np.ones_like(w)
+            nz = m > 0.0
+            ph[nz] = w[nz] / m[nz]
+            u[order] = ph[order] * v_desc
+            c = cols_h @ u
+            pn = float(np.linalg.norm(c))
+            if pn < 1e-15:
+                break
+            w = (cols @ c) / pn
+            if gain < tol:
+                break
+        if status:
+            break
+        if obj_prev > best_obj:
+            best_obj, best_w = obj_prev, w
+    return best_w, best_obj, total, status
+
+
+def _eager_snap(cols, v_desc, v, image):
+    w = cols @ (cols.conj().T @ image)
+    n = float(np.linalg.norm(w))
+    if n <= 1e-14:
+        return None
+    start = (w / n)[None, :].astype(cols.dtype)
+    w_new, _, _, status = _eager_altmax_best(
+        cols, v_desc, start, width.ASCENT_MAX_ITER, width.ASCENT_TOL
+    )
+    if status == 1:
+        return None
+    return width._witness_from(np.asarray(w_new), v)
+
+
+def _eager_width_altmax(basis, v, restarts, seed, refine, ceiling):
+    # width_altmax with every start drawn one at a time and formed up front
+    cols = basis.columns
+    cplx = np.iscomplexobj(cols)
+    v = np.asarray(v, dtype=np.complex128 if cplx else np.float64)
+    d, k = basis.d, basis.k
+    rng = np.random.default_rng(seed)
+    v_desc = decreasing_rearrangement(v)
+    starts = np.empty((restarts, d), dtype=cols.dtype)
+    p = cols @ (cols.conj().T @ v)
+    pn = float(np.linalg.norm(p))
+    have_det = pn > 1e-15
+    if have_det:
+        starts[0] = p / pn
+    for r in range(restarts - 1 if have_det else restarts):
+        g = rng.standard_normal(k)
+        if cplx:
+            g = g + 1j * rng.standard_normal(k)
+        w = cols @ g
+        starts[int(have_det) + r] = w / float(np.linalg.norm(w))
+    w_best, _, iters, status = _eager_altmax_best(
+        cols, v_desc, starts, width.ASCENT_MAX_ITER, width.ASCENT_TOL, ceiling
+    )
+    assert status == 0
+    witness = width._witness_from(np.asarray(w_best), v)
+    value = _value_of(cols, witness.apply(v))
+    if refine == "auto" and k >= 2:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(width, "_snap", _eager_snap)
+            witness, value = width._anneal_refine(cols, v, v_desc, witness, value, rng)
+    return width.WidthReport(value, "altmax", restarts, int(iters), witness)
+
+
+def test_width_altmax_matches_the_eager_start_reference():
+    # coefficient starts formed on demand and one batched draw give the same
+    # bits as drawing each start and forming every unit vector up front
+    d = 6
+    cases = itertools.product(("real", "complex"), ("none", "auto"), (1, d),
+                              (1, 20), range(2))
+    for field, refine, k, restarts, i in cases:
+        basis = sample_uniform(k, d, field, seed=[31, k, i])
+        rng = np.random.default_rng([32, k, i])
+        v = rng.standard_normal(d) if i == 0 else np.zeros(d)
+        if field == "complex" and i == 0:
+            v = v + 1j * rng.standard_normal(d)
+        seed = [33, k, i, restarts]
+        full = _eager_width_altmax(basis, v, restarts, seed, refine, math.inf)
+        for ceiling in (math.inf, full.value, 0.5 * full.value):
+            ref = _eager_width_altmax(basis, v, restarts, seed, refine, ceiling)
+            rep = width_altmax(basis, v, restarts=restarts, seed=seed,
+                               refine=refine, ceiling=ceiling)
+            assert _report_bytes(rep) == _report_bytes(ref), (
+                field, refine, k, restarts, i, ceiling)
+
+
+def test_complex_vector_on_a_real_basis_runs_over_the_complexified_span():
+    rng = np.random.default_rng(41)
+    for i in range(6):
+        basis = sample_uniform(2, 8, "real", seed=[42, i])
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        for refine in ("none", "auto"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = width_altmax(basis, v, restarts=6, seed=[43, i], refine=refine)
+            ref = width_altmax(basis.complexify(), v, restarts=6, seed=[43, i],
+                               refine=refine)
+            assert _report_bytes(rep) == _report_bytes(ref)
 
 
 def test_width_altmax_ceiling_contract():
