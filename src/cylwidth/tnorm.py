@@ -17,6 +17,7 @@ ball, which makes ``x -> ||x||_T`` Lipschitz with constant ``ln(2d)^2``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,7 +37,8 @@ __all__ = [
     "gaussian_tnorm_statistics",
 ]
 
-# elements per working block of t_norm_batch and t_norm_subspace_bound
+# elements per working block of t_norm_batch, t_norm_subspace_bound and
+# gaussian_tnorm_statistics
 _BATCH_ELEMENTS = 1 << 18
 
 
@@ -56,28 +58,41 @@ def t_norm(v) -> TNormValue:
     if v.ndim != 1 or v.size < 1:
         raise ValueError("t_norm expects a nonempty vector")
     d = v.size
-    mod2 = np.sort(np.abs(v).astype(np.float64) ** 2)[::-1]
-    scores = _weights(d) * np.cumsum(mod2)
+    with np.errstate(over="ignore"):
+        mod2 = np.sort(np.abs(v).astype(np.float64) ** 2)[::-1]
+        scores = _weights(d) * np.cumsum(mod2)
     i = int(np.argmax(scores))
+    _require_finite(scores[i], "t_norm")
     return TNormValue(float(np.sqrt(scores[i])), i + 1)
 
 
 def t_norm_batch(vectors) -> np.ndarray:
     """Norm values for every row of a 2-d array."""
     vs = np.asarray(vectors)
-    if vs.ndim != 2:
-        raise ValueError("t_norm_batch expects a 2-d array")
+    if vs.ndim != 2 or vs.shape[1] < 1:
+        raise ValueError("t_norm_batch expects a 2-d array with nonempty rows")
     n, d = vs.shape
     w = _weights(d)
     out = np.empty(n, dtype=np.float64)
-    step = max(1, _BATCH_ELEMENTS // max(d, 1))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        m2 = np.abs(vs[lo:hi]).astype(np.float64, copy=False) ** 2
-        m2.sort(axis=1)
-        scores = np.cumsum(m2[:, ::-1], axis=1) * w[None, :]
-        out[lo:hi] = np.sqrt(scores.max(axis=1))
+    step = max(1, _BATCH_ELEMENTS // d)
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            m2 = np.abs(vs[lo:hi]).astype(np.float64, copy=False) ** 2
+            m2.sort(axis=1)
+            scores = np.cumsum(m2[:, ::-1], axis=1) * w[None, :]
+            out[lo:hi] = np.sqrt(scores.max(axis=1))
+    _require_finite(out, "t_norm_batch")
     return out
+
+
+def _require_finite(values, name: str) -> None:
+    # a NaN or inf entry, or a finite one whose square or weighted tail sum
+    # overflows, makes the row's maximal score NaN or inf
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"{name} needs finite entries whose norm is representable"
+        )
 
 
 def lipschitz_bound(d: int) -> float:
@@ -161,14 +176,28 @@ def gaussian_tnorm_statistics(
     Each trial uses the derived stream ``(seed, trial)`` so results do not
     depend on evaluation order or on how trials are partitioned.  ``seed``
     may be an integer or a list of integers to derive from.
+
+    Trials are drawn into one reused block of ``t_norm_batch``'s row count,
+    so memory is one block of about ``_BATCH_ELEMENTS`` samples however
+    large ``trials`` is; a row's norm does not depend on its neighbours, so
+    the statistics equal those of one batch over all trials bit for bit.
     """
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+    if sum_zero and d < 2:
+        raise ValueError("sum-zero sampling needs d >= 2")
     if trials < 1:
         raise ValueError("need at least one trial")
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    samples = np.empty((trials, d))
-    for i in range(trials):
-        samples[i] = sample_gaussian(d, sum_zero=sum_zero, seed=[*base, i])
-    ratios = t_norm_batch(samples) / np.sqrt(d)
+    rows = max(1, _BATCH_ELEMENTS // d)
+    block = np.empty((min(rows, trials), d))
+    ratios = np.empty(trials)
+    for lo in range(0, trials, rows):
+        hi = min(trials, lo + rows)
+        for i in range(lo, hi):
+            block[i - lo] = sample_gaussian(d, sum_zero=sum_zero, seed=[*base, i])
+        ratios[lo:hi] = t_norm_batch(block[: hi - lo])
+    ratios /= np.sqrt(d)
     return GaussianTnormStats(
         d=d,
         trials=trials,

@@ -1,5 +1,7 @@
 """Tail-weighted norm: closed-form values, norm axioms, certified bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from cylwidth.nets import sphere_net
 from cylwidth.tnorm import (
+    _BATCH_ELEMENTS,
+    GaussianTnormStats,
     gaussian_tnorm_statistics,
     lipschitz_bound,
     sample_gaussian,
@@ -94,8 +98,27 @@ def test_input_validation():
         t_norm(np.ones((2, 2)))
     with pytest.raises(ValueError):
         t_norm_batch(np.ones(3))
+    with pytest.raises(ValueError, match="nonempty rows"):
+        t_norm_batch(np.ones((3, 0)))
     with pytest.raises(ValueError):
         lipschitz_bound(0)
+
+
+# NaN, inf, a finite entry whose square overflows, and finite squares whose
+# weighted tail sum overflows
+@pytest.mark.parametrize("bad", [
+    [1.0, np.nan, 0.5], [np.inf, 1.0, 0.5], [1e200, 1.0, 0.5], [1e154, 1e154, 1e154],
+    [1.0, complex(0.0, np.nan), 0.5], [complex(np.inf, 1.0), 1.0, 0.5],
+    [complex(1e200, 1e200), 1.0, 0.5], [complex(0.0, 1e154)] * 3,
+])
+def test_non_finite_input_is_rejected(bad):
+    bad = np.asarray(bad)
+    with pytest.raises(ValueError, match="finite"):
+        t_norm(bad)
+    rows = np.ones((5, 3), dtype=bad.dtype)
+    rows[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        t_norm_batch(rows)
 
 
 def test_subspace_bound_is_exact_for_lines():
@@ -157,6 +180,54 @@ def test_statistics_deterministic_and_ordered():
     assert s1 == s2
     assert 0.0 < s1.q50_ratio <= s1.q90_ratio <= s1.q99_ratio <= s1.max_ratio
     assert s1.mean_ratio <= s1.max_ratio
+
+
+@pytest.mark.parametrize("d, sum_zero", [(0, False), (-1, False), (1, True), (2.5, False)])
+def test_statistics_reject_bad_dimension(d, sum_zero):
+    with pytest.raises(ValueError):
+        gaussian_tnorm_statistics(d, 4, sum_zero=sum_zero)
+
+
+def _statistics_reference(d, trials, sum_zero, seed):
+    """All trials in one (trials, d) array and one t_norm_batch call."""
+    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    samples = np.empty((trials, d))
+    for i in range(trials):
+        samples[i] = sample_gaussian(d, sum_zero=sum_zero, seed=[*base, i])
+    ratios = t_norm_batch(samples) / np.sqrt(d)
+    return GaussianTnormStats(
+        d=d,
+        trials=trials,
+        sum_zero=sum_zero,
+        mean_ratio=float(ratios.mean()),
+        max_ratio=float(ratios.max()),
+        q50_ratio=float(np.quantile(ratios, 0.5)),
+        q90_ratio=float(np.quantile(ratios, 0.9)),
+        q99_ratio=float(np.quantile(ratios, 0.99)),
+    )
+
+
+# 4096 columns make 64-row blocks: 150 trials end in a partial block and 5
+# fit in one; above _BATCH_ELEMENTS columns a block is a single row
+@pytest.mark.parametrize("d, trials", [(4096, 150), (4096, 5), (_BATCH_ELEMENTS + 3, 3)])
+@pytest.mark.parametrize("sum_zero", [False, True])
+@pytest.mark.parametrize("seed", [11, [4, 32, 9]])
+def test_statistics_equal_the_one_batch_reference(d, trials, sum_zero, seed):
+    got = gaussian_tnorm_statistics(d, trials, sum_zero=sum_zero, seed=seed)
+    want = _statistics_reference(d, trials, sum_zero, seed)
+    for field, value in vars(want).items():
+        assert np.asarray(getattr(got, field)).tobytes() == np.asarray(value).tobytes(), field
+
+
+def test_statistics_memory_is_one_block():
+    # one (2048, 4096) array of samples alone would be 64 MiB
+    tracemalloc.start()
+    try:
+        gaussian_tnorm_statistics(4096, 2048, sum_zero=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_statistics_seed_list_prefix_matches_int_seed():
