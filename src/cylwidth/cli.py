@@ -361,6 +361,22 @@ def _cmd_lowerbound(args):
     return rows, code
 
 
+def _least_orbit_width(bases, orbit):
+    """Index and orbit width of the first basis of least width.
+
+    Each basis is measured with the least width so far as its ceiling, so a
+    wider one stops after the first block of orbit points that proves it
+    wider; only a strictly smaller width replaces the best, which is
+    ``np.argmin``'s first-minimum rule over the full widths.
+    """
+    best, best_width = 0, math.inf
+    for i, basis in enumerate(bases):
+        w = width_orbit(basis, orbit, best_width).value
+        if w < best_width:
+            best, best_width = i, w
+    return best, best_width
+
+
 def _cmd_realize(args):
     group = load_group_json(args.group)
     try:
@@ -401,9 +417,7 @@ def _cmd_realize(args):
     except (EmptyDyadicIndexError, ValueError, CertificationFailedError):
         pass  # dyadic construction infeasible at this (2k, d); uniform only
 
-    widths = [width_orbit(b, orbit).value for b in candidates]
-    best = int(np.argmin(widths))
-    complex_width = widths[best]
+    best, complex_width = _least_orbit_width(candidates, orbit)
     rep = realize_real_subspace(candidates[best])
     real_width = width_orbit(rep.basis, orbit).value
     ratio = real_width / complex_width if complex_width > 0 else math.inf

@@ -77,9 +77,9 @@ class SigmaProfile:
     """Sorted coordinate profile of a subspace.
 
     ``sigmas[i]`` is the (i+1)-th largest value of
-    ``||proj_W e_j||_2 / sqrt(k)``.  Construction validates the exact
-    identities: squares sum to one within 1e-8 and
-    ``sigmas[i] <= min(1/sqrt(k), 1/sqrt(i+1)) + 1e-9``.
+    ``||proj_W e_j||_2 / sqrt(k)``.  Construction rejects non-finite
+    entries and validates the exact identities: squares sum to one within
+    1e-8 and ``sigmas[i] <= min(1/sqrt(k), 1/sqrt(i+1)) + 1e-9``.
     """
 
     sigmas: np.ndarray
@@ -90,6 +90,8 @@ class SigmaProfile:
         s = np.asarray(self.sigmas, dtype=np.float64)
         if s.shape != (self.d,):
             raise ValueError("profile length must match the dimension")
+        if not np.isfinite(s).all():
+            raise ValueError("profile entries must be finite")
         total = float(np.sum(s**2))
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"profile squares sum to {total}, expected 1")
@@ -188,7 +190,9 @@ def adversarial_min_width(
     candidate is rejected either way: the search takes the objective as its
     value and builds no witness.  Its random starts are drawn before the
     ascent, so the stream, and with it the result, is the same bit for bit
-    as with full evaluations.
+    as with full evaluations.  An orbit target's evaluation likewise takes
+    the current width as its ceiling and stops after the first block of
+    orbit points that exceeds it.
     """
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
@@ -199,7 +203,7 @@ def adversarial_min_width(
     if isinstance(target, Orbit):
 
         def evaluate(basis, rng, ceiling):
-            return width_orbit(basis, target).value
+            return width_orbit(basis, target, ceiling).value
 
     else:
         if inner_restarts < 1:

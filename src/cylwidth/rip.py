@@ -67,8 +67,17 @@ def rip_target(m, k: int) -> float:
     return float(np.sqrt(np.sum(full[lo - 1 :] ** 2) / k))
 
 
-def _smallest_sv(m: np.ndarray, cols: list) -> float:
-    return float(np.linalg.svd(m[:, cols], compute_uv=False)[-1])
+def _best_subset(m: np.ndarray, subsets) -> tuple:
+    """First subset of largest smallest singular value, and that value.
+
+    One stacked SVD scores every subset (one row of column indices each);
+    LAPACK factors each stacked matrix on its own, so each value is the
+    one a separate SVD of that subset gives.
+    """
+    subsets = np.asarray(subsets)
+    smin = np.linalg.svd(m[:, subsets].transpose(1, 0, 2), compute_uv=False)[:, -1]
+    i = int(np.argmax(smin))
+    return tuple(int(c) for c in subsets[i]), float(smin[i])
 
 
 @dataclass(frozen=True)
@@ -98,6 +107,8 @@ def select_columns(m, k: int, c_rip: float = C_RIP) -> ColumnSelection:
     if np.iscomplexobj(m):
         raise ValueError("column selection operates on real matrices")
     m = np.ascontiguousarray(m, dtype=np.float64)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     if k < 1:
         raise ValueError("k must be positive")
     if m.shape != (2 * k, 4 * k):
@@ -112,30 +123,18 @@ def select_columns(m, k: int, c_rip: float = C_RIP) -> ColumnSelection:
     chosen: list = []
     remaining = list(range(4 * k))
     for _ in range(k):
-        best_c = -1
-        best_v = -1.0
-        for c in remaining:
-            val = _smallest_sv(m, chosen + [c])
-            if val > best_v:
-                best_v = val
-                best_c = c
-        chosen.append(best_c)
-        remaining.remove(best_c)
+        pick, _ = _best_subset(m, [chosen + [c] for c in remaining])
+        chosen.append(pick[-1])
+        remaining.remove(pick[-1])
     greedy_idx = tuple(sorted(chosen))
-    greedy_val = _smallest_sv(m, list(greedy_idx))
+    greedy_val = _best_subset(m, [greedy_idx])[1]
 
     exhaustive_idx = None
     exhaustive_val = None
     if k <= EXHAUSTIVE_MAX_K:
-        best_v = -1.0
-        best_s = None
-        for subset in itertools.combinations(range(4 * k), k):
-            val = _smallest_sv(m, list(subset))
-            if val > best_v:
-                best_v = val
-                best_s = subset
-        exhaustive_idx = tuple(best_s)
-        exhaustive_val = best_v
+        exhaustive_idx, exhaustive_val = _best_subset(
+            m, list(itertools.combinations(range(4 * k), k))
+        )
 
     if exhaustive_val is not None and exhaustive_val > greedy_val:
         indices, achieved = exhaustive_idx, exhaustive_val

@@ -330,19 +330,42 @@ def width_altmax(
     )
 
 
-def width_orbit(basis: SubspaceBasis, orbit: Orbit) -> WidthReport:
-    """Exact supremum of projection norms over an enumerated orbit."""
+ORBIT_BLOCK = 2048
+
+
+def width_orbit(
+    basis: SubspaceBasis, orbit: Orbit, ceiling: float = math.inf
+) -> WidthReport:
+    """Exact supremum of projection norms over an enumerated orbit.
+
+    The orbit is evaluated ``ORBIT_BLOCK`` points at a time, and the witness
+    is the first point attaining the maximum.  A finite ``ceiling`` stops
+    the evaluation after the first block whose running maximum exceeds it;
+    the report then carries that maximum and its first attaining point, so
+    ``value > ceiling`` and the witness still reproduces ``value``.  A
+    ceiling at or above the width changes nothing.  ``iterations`` counts
+    the points evaluated.
+    """
+    if math.isnan(ceiling):
+        raise ValueError("ceiling must not be NaN")
     if orbit.d != basis.d:
         raise ValueError("orbit and basis dimensions differ")
-    coeffs = orbit.points @ basis.columns.conj()
-    vals = np.linalg.norm(coeffs, axis=1)
-    i = int(np.argmax(vals))
+    cols = basis.columns.conj()
+    best = -math.inf
+    best_i = 0
+    end = 0
+    while end < orbit.n and best <= ceiling:
+        start, end = end, min(end + ORBIT_BLOCK, orbit.n)
+        vals = np.linalg.norm(orbit.points[start:end] @ cols, axis=1)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, best_i = float(vals[i]), start + i
     return WidthReport(
-        value=float(vals[i]),
+        value=best,
         method="orbit",
         restarts=0,
-        iterations=orbit.n,
-        witness=orbit.points[i].copy(),
+        iterations=end,
+        witness=orbit.points[best_i].copy(),
     )
 
 

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import cylwidth.cli as cli
+from cylwidth.groups import GroupPresentation, enumerate_orbit
+from cylwidth.measures import sample_uniform
+from cylwidth.width import width_orbit
 
 
 def run(argv, capsys):
@@ -203,6 +206,18 @@ def test_realize_round_trip(tmp_path, capsys):
     assert row["ok"] is True
     assert row["ratio"] <= 2.0 + 1e-6
     assert row["s_2k"] >= 1.0 / np.sqrt(2.0) - 1e-9
+
+
+def test_realize_picks_the_first_least_width_in_one_pass():
+    # with 2k = d the complex subspace is the whole space, so every width is
+    # the orbit's norm up to rounding and the candidates tie to within ulps
+    orbit = enumerate_orbit(GroupPresentation.signed_permutations(6),
+                            np.array([0.9, 0.5, 0.3, 0.2, 0.1, 0.05]), max_size=50_000)
+    bases = [sample_uniform(6, 6, "complex", [44, i]) for i in range(10)]
+    widths = [width_orbit(b, orbit).value for b in bases]
+    assert len(set(widths)) > 1
+    best = int(np.argmin(widths))
+    assert cli._least_orbit_width(bases, orbit) == (best, widths[best])
 
 
 def test_realize_rejects_bad_base_point(tmp_path, capsys):

@@ -64,6 +64,10 @@ def test_sigma_profile_validation():
         SigmaProfile(sigmas=np.array([1.0, 1.0]), d=2, k=1)
     with pytest.raises(ValueError):
         SigmaProfile(sigmas=np.array([1.0]), d=2, k=1)
+    # every comparison against NaN is False, so both identity checks pass it
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SigmaProfile(sigmas=np.array([bad, 0.5, 0.5, 0.5]), d=4, k=1)
 
 
 def test_selberg_exact_boundary_cases():
@@ -200,6 +204,10 @@ def _search_cases():
     orbit = enumerate_orbit(GroupPresentation.signed_permutations(4),
                             witness_vector(4, 2).unit)
     yield 4, 2, orbit, 2, 100, 8
+    # 3,840 points: two blocks, so a candidate can stop after the first
+    orbit = enumerate_orbit(GroupPresentation.signed_permutations(5),
+                            np.random.default_rng(9).standard_normal(5))
+    yield 5, 2, orbit, 2, 100, 9
 
 
 def test_adversarial_search_matches_full_evaluations():

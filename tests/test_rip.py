@@ -38,18 +38,60 @@ def test_select_columns_duplicated_identity():
     assert sel.achieved >= sel.greedy_achieved - 1e-15
 
 
+def test_equal_optimum_keeps_the_greedy_pick():
+    # greedy takes the long column 3 and then column 0; the exhaustive scan
+    # reaches the same value 1.0 first at (0, 1); a tie returns the greedy pick
+    m = np.zeros((4, 8))
+    m[[0, 1, 2, 3], [0, 1, 2, 3]] = (1.0, 1.0, 0.5, 2.0)
+    m[[0, 1, 2, 3], [4, 5, 6, 7]] = 0.1
+    sel = select_columns(m, 2, c_rip=0.0)
+    assert sel.exhaustive_indices == (0, 1)
+    assert sel.exhaustive_achieved == sel.greedy_achieved == 1.0
+    assert sel.indices == sel.greedy_indices == (0, 3)
+    assert sel.achieved == 1.0
+
+
+def _first_best(m, subsets):
+    # one SVD per subset; a later subset replaces the best only when its
+    # smallest singular value is strictly larger
+    best_v, best_s = -1.0, None
+    for sub in subsets:
+        val = float(np.linalg.svd(m[:, list(sub)], compute_uv=False)[-1])
+        if val > best_v:
+            best_v, best_s = val, tuple(sub)
+    return best_s, best_v
+
+
 def test_selection_is_the_exhaustive_optimum_for_small_k():
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         for i in range(8):
             rng = np.random.default_rng([120, k, i])
             m = rng.standard_normal((2 * k, 4 * k))
+            if i % 2:
+                m[:, 2 * k :] = m[:, : 2 * k]  # duplicated columns tie exactly
             sel = select_columns(m, k, c_rip=0.0)
-            best = max(
-                float(np.linalg.svd(m[:, list(sub)], compute_uv=False)[-1])
-                for sub in itertools.combinations(range(4 * k), k)
-            )
-            assert abs(sel.achieved - best) < 1e-12
-            assert sel.greedy_achieved <= best + 1e-12
+            chosen = []
+            for _ in range(k):
+                rest = [c for c in range(4 * k) if c not in chosen]
+                pick, _ = _first_best(m, [chosen + [c] for c in rest])
+                chosen.append(pick[-1])
+            assert sel.greedy_indices == tuple(sorted(chosen))
+            if k <= 3:
+                best_s, best_v = _first_best(m, itertools.combinations(range(4 * k), k))
+                assert sel.exhaustive_indices == best_s
+                assert sel.exhaustive_achieved == best_v
+                # the sorted greedy subset is one of the combinations, so the
+                # returned selection reaches the optimum bit for bit
+                assert sel.greedy_achieved <= best_v
+                assert sel.achieved == best_v
+                if sel.greedy_achieved < best_v:
+                    assert sel.indices == best_s
+                else:
+                    assert sel.indices == sel.greedy_indices
+            else:
+                assert sel.exhaustive_indices is None
+                assert sel.indices == sel.greedy_indices
+                assert sel.achieved == sel.greedy_achieved
 
 
 def test_select_columns_validation():
@@ -63,6 +105,13 @@ def test_select_columns_validation():
     for bad in (np.nan, np.inf, -0.1):
         with pytest.raises(ValueError, match="c_rip"):
             select_columns(np.hstack([np.eye(2), np.eye(2)]), 1, c_rip=bad)
+    # a non-finite entry used to give target nan and ratio inf with no
+    # GuaranteeMissedError (inf), or numpy's LinAlgError (nan)
+    for bad in (np.inf, -np.inf, np.nan):
+        m = np.hstack([np.eye(2), np.eye(2)])
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            select_columns(m, 1)
     degenerate = np.zeros((2, 4))
     degenerate[0, 0] = 1.0
     with pytest.raises(RankDeficientError):

@@ -479,6 +479,39 @@ def test_width_orbit_matches_manual_maximum():
         width_orbit(sample_uniform(1, 4, "real", seed=0), orbit)
 
 
+def test_width_orbit_ceiling_contract():
+    # 46,080 points: 23 blocks, the last one partial
+    orbit = enumerate_orbit(GroupPresentation.signed_permutations(6),
+                            np.array([0.9, 0.5, 0.3, 0.2, 0.1, 0.05]), max_size=50_000)
+    assert orbit.n % width.ORBIT_BLOCK != 0
+    for i in range(8):
+        field = "complex" if i % 2 else "real"
+        basis = sample_uniform(1 + i % 4, 6, field, seed=[24, i])
+        # reference: width_orbit's formula over the whole orbit at once
+        vals = np.linalg.norm(orbit.points @ basis.columns.conj(), axis=1)
+        top = int(np.argmax(vals))
+        # a ceiling at or above the width changes nothing
+        for ceiling in (math.inf, 1.5 * vals[top], vals[top]):
+            rep = width_orbit(basis, orbit, ceiling)
+            assert np.float64(rep.value).tobytes() == vals[top].tobytes()
+            assert rep.witness.tobytes() == orbit.points[top].tobytes()
+            assert rep.iterations == orbit.n
+        # below it the evaluation stops after the first block whose running
+        # maximum exceeds the ceiling, and reports that maximum
+        for ceiling in (-math.inf, 0.0, 0.5 * vals[top], vals[top] * (1 - 1e-15)):
+            rep = width_orbit(basis, orbit, ceiling)
+            n = rep.iterations
+            assert n == orbit.n or n % width.ORBIT_BLOCK == 0
+            assert vals[: n - width.ORBIT_BLOCK].max(initial=-math.inf) <= ceiling
+            assert rep.value > ceiling
+            j = int(np.argmax(vals[:n]))
+            assert np.float64(rep.value).tobytes() == vals[j].tobytes()
+            assert rep.witness.tobytes() == orbit.points[j].tobytes()
+        assert width_orbit(basis, orbit, 0.0).iterations == width.ORBIT_BLOCK
+    with pytest.raises(ValueError, match="NaN"):
+        width_orbit(basis, orbit, math.nan)
+
+
 def test_orbit_enumeration_equals_signed_perm_enumeration():
     group = GroupPresentation.signed_permutations(4)
     v = np.array([0.7, 0.5, 0.3, 0.2])
