@@ -4,7 +4,7 @@ Subcommands::
 
     tnorm         Gaussian norm-ratio statistics over a dimension grid
     scaling       dyadic-measure width integrals across (d, k) pairs
-    lowerbound    adversarial minimal width against the harmonic witness
+    lowerbound    minimal width against the harmonic witness (exact at k = 1)
     realize       complex-to-real reduction on an enumerated group orbit
     selberg-fuzz  randomized checks of the Gram row-sum bound
     rip-fuzz      randomized checks of greedy/exhaustive column selection
@@ -191,20 +191,39 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="scale-window offset: j_min = ceil(log2(2k)) + delta",
     )
-    p.add_argument("--restarts", type=_count, default=20)
+    p.add_argument(
+        "--restarts",
+        type=_count,
+        default=20,
+        help="ascent starts per width for k >= 2 (a line's width is exact)",
+    )
 
     p = sub.add_parser(
         "lowerbound",
         parents=[common],
         formatter_class=argparse.RawDescriptionHelpFormatter,
         help="adversarial minimal width",
+        description=(
+            "Least width of a real k-frame against the harmonic witness.\n"
+            "k = 1 is exact: min over m of the sum of the m largest witness\n"
+            "coordinates over sqrt(m).  k >= 2 runs a random search."
+        ),
         epilog=_epilog("lowerbound"),
     )
     p.add_argument("--d", action="append", type=int, default=None)
     p.add_argument("--k", action="append", type=int, default=None)
-    p.add_argument("--restarts", type=_count, default=10)
-    p.add_argument("--steps", type=_count, default=2000)
-    p.add_argument("--inner-restarts", type=_count, default=6)
+    p.add_argument(
+        "--restarts", type=_count, default=10, help="search restarts (k >= 2 only)"
+    )
+    p.add_argument(
+        "--steps", type=_count, default=2000, help="steps per restart (k >= 2 only)"
+    )
+    p.add_argument(
+        "--inner-restarts",
+        type=_count,
+        default=6,
+        help="ascent starts per candidate (k >= 2 only)",
+    )
 
     p = sub.add_parser(
         "realize",

@@ -14,7 +14,11 @@ sums to one in squares and obeys ``sigma_i <= min(1/sqrt(k), 1/sqrt(i))``.
 The adversarial minimizer is a derivative-free random search over frames:
 Gaussian perturbations of the basis columns are re-orthonormalized, moves
 are accepted when the width drops, and the step size halves after
-``SEARCH_REJECTION_LIMIT`` consecutive rejections.
+``SEARCH_REJECTION_LIMIT`` consecutive rejections.  Against a vector, lines
+(k = 1) need no search: the least width over real lines is
+``min_m (v~_1 + ... + v~_m) / sqrt(m)``, attained by the normalized
+indicator of the first ``m`` coordinates (see
+:func:`adversarial_min_width`).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import RankDeficientError
 from .groups import Orbit
 from .measures import sample_uniform
 from .vectors import SubspaceBasis, decreasing_rearrangement, orthonormalize
-from .width import _ascend, _conform, _witness_and_value, width_orbit
+from .width import _ascend, _conform, _line_width, _witness_and_value, width_orbit
 
 __all__ = [
     "WitnessVector",
@@ -160,6 +164,23 @@ class AdversarialResult:
     evaluations: int
 
 
+def _least_line_width(v, v_desc) -> AdversarialResult:
+    """The exact minimum over real lines; see :func:`adversarial_min_width`."""
+    d = v.shape[0]
+    ratios = np.cumsum(v_desc) / np.sqrt(np.arange(1, d + 1))
+    m = int(np.argmin(ratios)) + 1
+    cols = np.zeros((d, 1))
+    cols[:m] = 1.0 / math.sqrt(m)
+    basis = SubspaceBasis(cols)
+    return AdversarialResult(
+        min_value=_line_width(basis, v).value,
+        basis=basis,
+        restarts=0,
+        steps=0,
+        evaluations=1,
+    )
+
+
 def adversarial_min_width(
     d: int,
     k: int,
@@ -169,7 +190,7 @@ def adversarial_min_width(
     seed: int = 0,
     inner_restarts: int = 6,
 ) -> AdversarialResult:
-    """Projected random search for a real frame of minimal width.
+    """Real frame of minimal width: exact for lines, a random search above.
 
     ``target`` is either an :class:`~cylwidth.groups.Orbit` (evaluated
     exactly) or a vector (evaluated by the alternating ascent over signed
@@ -193,6 +214,21 @@ def adversarial_min_width(
     as with full evaluations.  An orbit target's evaluation likewise takes
     the current width as its ceiling and stops after the first block of
     orbit points that exceeds it.
+
+    A vector target at k = 1 is solved exactly, with no search: ``restarts``,
+    ``steps`` and ``inner_restarts`` are validated and otherwise unused, and
+    the result reports one evaluation and zero restarts and steps.  Let
+    ``A_m = v~_1 + ... + v~_m`` and ``1_[m]`` be the vector with ones on the
+    first ``m`` coordinates.  A real unit ``u`` spans a line of width
+    ``sum_i u~_i v~_i`` (see :func:`~cylwidth.width.width_altmax`).  The
+    decreasing non-negative ``u~`` is ``sum_m lam_m 1_[m]`` with
+    ``lam_m = u~_m - u~_(m+1) >= 0``, so its width is ``sum_m lam_m A_m``,
+    while the triangle inequality gives
+    ``1 = ||u~|| <= sum_m lam_m ||1_[m]|| = sum_m lam_m sqrt(m)``.  Hence
+    ``width >= sum_m lam_m A_m / sum_m lam_m sqrt(m) >= min_m A_m / sqrt(m)``,
+    and ``1_[m*] / sqrt(m*)`` attains it for ``m*`` the first minimizer.
+    The returned basis is that line and ``min_value`` its width, from the
+    witness that :func:`~cylwidth.width.width_altmax` builds.
     """
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
@@ -210,6 +246,8 @@ def adversarial_min_width(
             raise ValueError("need at least one inner restart")
         v = _conform(target, d, "real")
         v_desc = decreasing_rearrangement(v)
+        if k == 1:
+            return _least_line_width(v, v_desc)
 
         # the search re-evaluates thousands of candidates, so it runs the
         # plain ascent; underestimates only lower the one-sided probe

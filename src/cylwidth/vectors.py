@@ -68,6 +68,9 @@ class SubspaceBasis:
         err = float(np.max(np.abs(gram - np.eye(k))))
         if err > ORTHO_TOL:
             raise ValueError(f"columns not orthonormal (deviation {err:.3e})")
+        self._seal(cols)
+
+    def _seal(self, cols: np.ndarray) -> None:
         if self.sum_zero:
             worst = float(np.max(np.abs(cols.sum(axis=0))))
             if worst > SUM_ZERO_TOL:
@@ -76,6 +79,19 @@ class SubspaceBasis:
                 )
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
+
+    @classmethod
+    def _from_q_factor(cls, q: np.ndarray, sum_zero: bool) -> "SubspaceBasis":
+        """Basis from a QR ``Q`` factor, orthonormal by construction.
+
+        Householder QR returns columns orthonormal to working precision
+        whatever the input's conditioning, so the Gram re-check is skipped;
+        the sum check still runs.
+        """
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "sum_zero", sum_zero)
+        basis._seal(q)
+        return basis
 
     @property
     def d(self) -> int:
@@ -132,24 +148,34 @@ def dom_membership(w, v, tol: float = 1e-12) -> bool:
 def orthonormalize(columns, sum_zero: bool = False) -> SubspaceBasis:
     """Orthonormal basis with the same column span as ``columns``.
 
-    Raises :class:`RankDeficientError` when the smallest singular value is
-    at most ``1e-10`` times the largest, i.e. the columns do not determine a
-    subspace of their full count.  The QR factor is normalized to make the
-    diagonal of R real positive, so the output is deterministic.
+    Raises ``ValueError`` on non-finite entries, and
+    :class:`RankDeficientError` when the smallest singular value is at most
+    ``1e-10`` times the largest, i.e. the columns do not determine a
+    subspace of their full count.  The singular values are taken from the
+    small factor R of ``columns = QR``, which has the spectrum of
+    ``columns`` since Q has orthonormal columns.  The QR factor is
+    normalized to make the diagonal of R real positive, so the output is
+    deterministic.
     """
     a = _as_matrix(columns)
-    s = np.linalg.svd(a, compute_uv=False)
+    if not np.isfinite(a).all():
+        raise ValueError("columns must be finite")
+    q, r = np.linalg.qr(a)
+    s = np.linalg.svd(r, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         raise RankDeficientError(
             f"columns are numerically rank deficient (spectrum {s[-1]:.3e}"
             f" vs {s[0]:.3e})"
         )
-    q, r = np.linalg.qr(a)
-    diag = np.diagonal(r).copy()
-    mod = np.abs(diag)
-    phase = np.where(mod > 0, diag / np.where(mod > 0, mod, 1.0), 1.0)
-    q = q * phase.conj()[None, :]
-    return SubspaceBasis(q, sum_zero=sum_zero)
+    diag = np.diagonal(r)
+    if np.iscomplexobj(diag):
+        mod = np.abs(diag)
+        phase = np.where(mod > 0, diag / np.where(mod > 0, mod, 1.0), 1.0).conj()
+    else:
+        # diag / |diag| is exactly -1.0 or 1.0 for a real diagonal
+        phase = np.where(diag < 0.0, -1.0, 1.0)
+    q = q * phase[None, :]
+    return SubspaceBasis._from_q_factor(q, sum_zero)
 
 
 def orthonormal_complement(basis: SubspaceBasis) -> SubspaceBasis:

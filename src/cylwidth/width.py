@@ -13,6 +13,11 @@ drives the alternating ascent: fix ``w``, build the maximizing image of
 ``v``; project it back into ``W`` and renormalize; repeat.  Both half-steps
 are exact maximizations, so the objective is monotone.
 
+For a line (k = 1) no ascent is needed: with ``u`` spanning it, the
+supremum is ``sum_i u~_i v~_i`` by the rearrangement inequality, attained
+by the image that pairs the two rearrangements and carries the phases of
+``u``.  :func:`width_altmax` builds that witness directly.
+
 The same routine evaluates suprema over dominance cones: the projection
 norm is convex, the cone is the convex hull of the signed-permutation
 orbit, and a convex function attains its supremum at an extreme point.
@@ -270,6 +275,25 @@ def _witness_and_value(cols, v, w):
     return witness, _value_of(cols, witness.apply(v))
 
 
+def _line_width(basis: SubspaceBasis, v) -> WidthReport:
+    """Exact width of a line; ``v`` is conformed already.
+
+    The witness pairs the rearrangement of ``v`` with that of the spanning
+    vector, which is the optimal image, so no start is drawn.
+    """
+    if np.iscomplexobj(v):
+        basis = basis.complexify()
+    cols = basis.columns
+    witness, value = _witness_and_value(cols, v, cols[:, 0])
+    return WidthReport(
+        value=value,
+        method="rearrangement",
+        restarts=0,
+        iterations=0,
+        witness=witness,
+    )
+
+
 def width_altmax(
     basis: SubspaceBasis,
     v,
@@ -278,24 +302,33 @@ def width_altmax(
     refine: str = "auto",
     ceiling: float = math.inf,
 ) -> WidthReport:
-    """Alternating ascent estimate of the signed-permutation supremum.
+    """Signed-permutation supremum: exact for a line, an ascent estimate above.
 
-    One start is deterministic (the normalized projection of ``v`` itself,
-    which guarantees the result is at least ``||proj_W v||``); the remaining
-    ``restarts - 1`` starts are random unit vectors of the subspace, whose
-    basis coefficients are drawn from ``seed`` in one batch.  The kernel
-    forms each start only when its ascent begins.  Each ascent stops when
-    the objective gains less than ``ASCENT_TOL`` or after
-    ``ASCENT_MAX_ITER`` iterations.  The reported value is the projection
-    norm of the witness image, so the witness reproduces it exactly.  A
-    complex ``v`` against a real basis runs over the complexified span,
-    exactly as ``basis.complexify()`` would.
+    For k >= 2 an alternating ascent runs.  One start is deterministic (the
+    normalized projection of ``v`` itself, which guarantees the result is at
+    least ``||proj_W v||``); the remaining ``restarts - 1`` starts are
+    random unit vectors of the subspace, whose basis coefficients are drawn
+    from ``seed`` in one batch.  The kernel forms each start only when its
+    ascent begins.  Each ascent stops when the objective gains less than
+    ``ASCENT_TOL`` or after ``ASCENT_MAX_ITER`` iterations.  The reported
+    value is the projection norm of the witness image, so the witness
+    reproduces it exactly.  A complex ``v`` against a real basis runs over
+    the complexified span, exactly as ``basis.complexify()`` would.
 
     ``refine`` controls the annealed witness search that follows the
-    ascent: the default ``"auto"`` runs it for k >= 2, where ascent basins
-    fragment, and ``"none"`` never does.  For k = 1 the ascent converges to
-    the optimum from any start with positive projection, so refinement
-    adds nothing there.
+    ascent: the default ``"auto"`` runs it, since ascent basins fragment
+    for k >= 2, and ``"none"`` never does.
+
+    For a line (k = 1) the width is exact and no ascent runs.  With ``u``
+    the basis vector, the rearrangement inequality gives
+    ``width = sum_i |u|~_i |v|~_i``, attained by the witness that sends the
+    i-th largest modulus of ``v`` to the coordinate of the i-th largest
+    modulus of ``u`` with ``u``'s phase there.  The report carries that
+    witness and its projection norm (over the complexified line when ``v``
+    is complex), with ``method="rearrangement"``, ``iterations=0`` and
+    ``restarts=0``.  ``restarts``, ``refine`` and ``ceiling`` are validated
+    and otherwise unused; the exact value meets the ceiling contract below,
+    and nothing is drawn from ``seed``.
 
     A finite ``ceiling`` stops the ascent at the first iterate whose
     objective exceeds ``ceiling`` by the kernel's relative slack; the report
@@ -315,11 +348,13 @@ def width_altmax(
     if refine not in ("auto", "none"):
         raise ValueError("refine must be 'auto' or 'none'")
     v = _conform(v, basis.d, basis.field)
+    if basis.k == 1:
+        return _line_width(basis, v)
     rng = np.random.default_rng(seed)
     v_desc = decreasing_rearrangement(v)
     cols, w_best, _, iters = _ascend(basis, v, v_desc, restarts, rng, ceiling)
     witness, value = _witness_and_value(cols, v, w_best)
-    if refine == "auto" and basis.k >= 2:
+    if refine == "auto":
         witness, value = _anneal_refine(cols, v, v_desc, witness, value, rng)
     return WidthReport(
         value=value,

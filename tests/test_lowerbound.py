@@ -1,5 +1,9 @@
 """Witness vectors, coordinate profiles, Gram bounds, adversarial search."""
 
+import functools
+import inspect
+import itertools
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +23,8 @@ from cylwidth.lowerbound import (
     witness_vector,
 )
 from cylwidth.measures import sample_uniform
-from cylwidth.vectors import SubspaceBasis, orthonormalize
-from cylwidth.width import width_altmax, width_orbit
+from cylwidth.vectors import SubspaceBasis, decreasing_rearrangement, orthonormalize
+from cylwidth.width import width_altmax, width_brute_signed_perm, width_orbit
 
 
 def test_witness_harmonic_tail_norm():
@@ -108,23 +112,26 @@ def test_mean_abs_coordinates_supported_on_the_subspace():
 
 
 def test_adversarial_search_basics():
-    wit = witness_vector(8, 1)
-    res = adversarial_min_width(8, 1, wit.unit, restarts=3, steps=150, seed=4)
+    # k = 2: a vector target at k = 1 is solved without a search
+    wit = witness_vector(8, 2)
+    res = adversarial_min_width(8, 2, wit.unit, restarts=3, steps=150, seed=4)
     assert 0.0 < res.min_value < 1.0
-    assert (res.basis.d, res.basis.k) == (8, 1)
+    assert (res.basis.d, res.basis.k) == (8, 2)
     assert res.evaluations >= 3 * 150
-    assert res.min_value * np.sqrt(np.log(16.0)) >= 0.1
-    res2 = adversarial_min_width(8, 1, wit.unit, restarts=3, steps=150, seed=4)
+    assert (res.restarts, res.steps) == (3, 150)
+    assert res.min_value * np.sqrt(np.log(8.0)) >= 0.1
+    res2 = adversarial_min_width(8, 2, wit.unit, restarts=3, steps=150, seed=4)
     assert res2.min_value == res.min_value
     with pytest.raises(ValueError):
         adversarial_min_width(4, 5, witness_vector(4, 1).unit)
-    with pytest.raises(ValueError):
-        adversarial_min_width(8, 1, np.ones(5))
-    # zero restarts would report an infinite minimum with no frame
-    with pytest.raises(ValueError):
-        adversarial_min_width(8, 1, wit.unit, restarts=0)
-    with pytest.raises(ValueError, match="steps"):
-        adversarial_min_width(8, 1, wit.unit, steps=-1)
+    for k in (1, 2):
+        with pytest.raises(ValueError):
+            adversarial_min_width(8, k, np.ones(5))
+        # zero restarts would report an infinite minimum with no frame
+        with pytest.raises(ValueError):
+            adversarial_min_width(8, k, wit.unit, restarts=0)
+        with pytest.raises(ValueError, match="steps"):
+            adversarial_min_width(8, k, wit.unit, steps=-1)
 
 
 def test_adversarial_search_rejects_bad_vector_input_up_front(monkeypatch):
@@ -149,11 +156,107 @@ def test_adversarial_search_accepts_orbit_targets():
     orbit = enumerate_orbit(group, witness_vector(4, 1).unit)
     res = adversarial_min_width(4, 1, orbit, restarts=2, steps=100, seed=1)
     assert 0.0 < res.min_value <= 1.0 + 1e-12
+    # an orbit target keeps the search at k = 1
+    assert res.evaluations == 2 * 101
+
+
+def _least_line_search_failures(search):
+    """What a k = 1 minimizer gets wrong against brute-force line widths.
+
+    ``search(d, v)`` returns ``(min_value, basis)``.  The minimum must equal
+    the least brute-force width of the 2^d - 1 normalized indicator lines,
+    stay at or below the brute-force width of random lines, and be attained
+    by the returned basis.
+    """
+    failures = []
+    for i, (v, floor, random_min) in enumerate(_least_line_cases()):
+        value, basis = search(v.shape[0], v)
+        attained = width_brute_signed_perm(basis, v).value
+        if abs(value - floor) > 1e-12 * max(floor, 1.0):
+            failures.append((i, "indicator minimum", value, floor))
+        if value > random_min + 1e-12 * max(value, 1.0):
+            failures.append((i, "random line", value, random_min))
+        off = abs(attained - value) > 1e-15 * max(value, 1.0)
+        if (basis.d, basis.k) != (v.shape[0], 1) or off:
+            failures.append((i, "attained", value, attained))
+    return failures
+
+
+def _brute_line_widths(lines, v):
+    # the width of every real line (a column of ``lines``), by enumerating
+    # all signed permutations of v
+    d = v.shape[0]
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))
+    best = np.zeros(lines.shape[1])
+    for perm in itertools.permutations(range(d)):
+        np.maximum(best, np.abs((signs * v[list(perm)]) @ lines).max(axis=0), out=best)
+    return best
+
+
+@functools.cache
+def _least_line_cases():
+    """Target vectors with d <= 7, each with its least indicator-line width
+    and its least width over 200 random lines, both by brute force."""
+    rng = np.random.default_rng(96)
+    vectors = [witness_vector(d, 1).unit for d in range(1, 8)]
+    for d in range(2, 8):
+        flat = np.ones(d)
+        flat[0] = 3.0
+        vectors += [rng.standard_normal(d), np.abs(rng.standard_normal(d)) ** 3, flat,
+                    np.concatenate((np.ones(d - 1), [0.0])), np.zeros(d)]
+    cases = []
+    for v in vectors:
+        d = v.shape[0]
+        member = (np.arange(1, 2**d)[None, :] >> np.arange(d)[:, None]) & 1
+        lines = rng.standard_normal((d, 200))
+        lines = np.hstack((member / np.sqrt(member.sum(axis=0)),
+                           lines / np.linalg.norm(lines, axis=0)))
+        widths = _brute_line_widths(lines, v)
+        cases.append((v, float(widths[: 2**d - 1].min()), float(widths[2**d - 1 :].min())))
+    return tuple(cases)
+
+
+def _closed_form_search(d, v):
+    res = adversarial_min_width(d, 1, v, restarts=1, steps=0)
+    return res.min_value, res.basis
+
+
+def test_adversarial_k1_minimum_is_the_least_indicator_line_width():
+    assert _least_line_search_failures(_closed_form_search) == []
+    v = witness_vector(7, 1).unit
+    res = adversarial_min_width(7, 1, v, restarts=4, steps=50, seed=9)
+    assert (res.restarts, res.steps, res.evaluations) == (0, 0, 1)
+    # nothing is drawn, so the seed and the search budget change nothing
+    again = adversarial_min_width(7, 1, v, restarts=1, steps=0, seed=1)
+    assert np.float64(again.min_value).tobytes() == np.float64(res.min_value).tobytes()
+    assert again.basis.columns.tobytes() == res.basis.columns.tobytes()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("np.sqrt(np.arange(1, d + 1))", "np.sqrt(np.arange(2, d + 2))"),
+    ("np.argmin(", "np.argmax("),
+])
+def test_least_line_check_catches_a_wrong_minimizer(old, new):
+    # mutate the source of the closed form and run the mutant through the
+    # check above, which must report it
+    source = textwrap.dedent(inspect.getsource(lowerbound._least_line_width))
+    assert old in source
+    namespace = dict(vars(lowerbound))
+    exec(source.replace(old, new), namespace)
+    mutant = namespace["_least_line_width"]
+
+    def search(d, v):
+        v = np.asarray(v, dtype=np.float64)
+        res = mutant(v, decreasing_rearrangement(v))
+        return res.min_value, res.basis
+
+    assert _least_line_search_failures(search)
 
 
 def _search_with_full_evaluations(d, k, target, restarts, steps, seed, inner_restarts=6):
     # the search as it was before candidates were cut off at the current
-    # width: every candidate gets a complete evaluation
+    # width: every candidate gets a complete evaluation.  Also counts the
+    # candidates whose width lies within rounding of the current one.
     if isinstance(target, Orbit):
         def evaluate(basis, rng):
             return width_orbit(basis, target).value
@@ -161,7 +264,7 @@ def _search_with_full_evaluations(d, k, target, restarts, steps, seed, inner_res
         def evaluate(basis, rng):
             return width_altmax(basis, target, restarts=inner_restarts, seed=rng,
                                 refine="none").value
-    best_val, best_basis, evals = np.inf, None, 0
+    best_val, best_basis, evals, near = np.inf, None, 0, 0
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         basis = sample_uniform(k, d, "real", rng)
@@ -180,6 +283,7 @@ def _search_with_full_evaluations(d, k, target, restarts, steps, seed, inner_res
                 continue
             val = evaluate(cand, rng)
             evals += 1
+            near += abs(val - current) <= 4e-16 * current
             if val < current:
                 basis, current, rejected = cand, val, 0
             else:
@@ -189,21 +293,22 @@ def _search_with_full_evaluations(d, k, target, restarts, steps, seed, inner_res
                     rejected = 0
         if current < best_val:
             best_val, best_basis = current, basis
-    return best_val, best_basis, evals
+    return best_val, best_basis, evals, near
 
 
 def _search_cases():
-    for d, k, seed in ((8, 1, 1), (12, 2, 2), (16, 4, 3), (20, 3, 4)):
-        yield d, k, witness_vector(d, k).unit, 2, 120, seed  # zero tail if k >= 2
-    for d, k, seed in ((10, 2, 5), (16, 1, 6)):
+    # vector targets need k >= 2: at k = 1 the minimum is exact, no search
+    for d, k, seed in ((8, 2, 1), (12, 2, 2), (16, 4, 3), (20, 3, 4)):
+        yield d, k, witness_vector(d, k).unit, 2, 120, seed  # zero tail
+    for d, k, seed in ((10, 2, 5), (16, 2, 6)):
         yield d, k, np.random.default_rng(seed).standard_normal(d), 2, 120, seed
     # long enough for the step to collapse: candidates then sit within
-    # rounding of the current width, and some are accepted for a gain of
-    # one ulp
-    yield 4, 1, np.random.default_rng(2).standard_normal(4), 1, 2500, 2
+    # rounding of the current width, which the test checks
+    yield 4, 2, np.random.default_rng(2).standard_normal(4), 1, 2500, 2
     orbit = enumerate_orbit(GroupPresentation.signed_permutations(4),
                             witness_vector(4, 2).unit)
     yield 4, 2, orbit, 2, 100, 8
+    yield 4, 1, orbit, 2, 100, 10
     # 3,840 points: two blocks, so a candidate can stop after the first
     orbit = enumerate_orbit(GroupPresentation.signed_permutations(5),
                             np.random.default_rng(9).standard_normal(5))
@@ -214,8 +319,10 @@ def test_adversarial_search_matches_full_evaluations():
     for d, k, target, restarts, steps, seed in _search_cases():
         res = adversarial_min_width(d, k, target, restarts=restarts, steps=steps,
                                     seed=seed)
-        want_val, want_basis, want_evals = _search_with_full_evaluations(
+        want_val, want_basis, want_evals, near = _search_with_full_evaluations(
             d, k, target, restarts, steps, seed)
         assert np.float64(res.min_value).tobytes() == np.float64(want_val).tobytes()
         assert res.evaluations == want_evals
         assert res.basis.columns.tobytes() == want_basis.columns.tobytes()
+        if steps == 2500:
+            assert near > 0

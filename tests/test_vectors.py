@@ -63,6 +63,67 @@ def test_orthonormalize_deterministic():
 def test_orthonormalize_rejects_rank_deficiency():
     with pytest.raises(RankDeficientError):
         orthonormalize(np.ones((5, 2)))
+    with pytest.raises(RankDeficientError):
+        orthonormalize(np.zeros((4, 1)))
+    cols = np.random.default_rng(8).standard_normal((6, 3))
+    cols[:, 2] = cols[:, 0] - 2.0 * cols[:, 1]
+    with pytest.raises(RankDeficientError):
+        orthonormalize(cols)
+    rng = np.random.default_rng(9)
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+        for a in (rng.standard_normal((6, 2)),
+                  rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))):
+            if np.iscomplexobj(bad) and not np.iscomplexobj(a):
+                continue
+            a[3, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                orthonormalize(a)
+
+
+def _orthonormalize_reference(columns, sum_zero=False):
+    # the rank test on an SVD of the whole input, then the QR, then the
+    # full validation of the basis
+    a = np.asarray(columns)
+    s = np.linalg.svd(a, compute_uv=False)
+    if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
+        raise RankDeficientError("rank deficient")
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r).copy()
+    mod = np.abs(diag)
+    phase = np.where(mod > 0, diag / np.where(mod > 0, mod, 1.0), 1.0)
+    return SubspaceBasis(q * phase.conj()[None, :], sum_zero=sum_zero)
+
+
+def test_orthonormalize_equals_the_validated_svd_path():
+    # the rank test on R and the skipped Gram check leave Q bit for bit
+    rng = np.random.default_rng(10)
+    cases = complex_cases = 0
+    for i in range(2200):
+        d = int(rng.integers(1, 40))
+        k = int(rng.integers(1, min(d, 6) + 1))
+        a = rng.standard_normal((d, k))
+        if i % 40 == 0:
+            a = a + 1j * rng.standard_normal((d, k))
+        if i % 7 == 0:
+            a[:, -1] = a[:, 0] + 1e-6 * a[:, -1]  # ill-conditioned, full rank
+        sum_zero = i % 3 == 0 and k < d
+        if sum_zero:
+            a = a - a.mean(axis=0, keepdims=True)
+        try:
+            want = _orthonormalize_reference(a, sum_zero)
+        except (RankDeficientError, ValueError):
+            continue
+        got = orthonormalize(a, sum_zero=sum_zero)
+        assert got.columns.dtype == want.columns.dtype
+        assert got.columns.tobytes() == want.columns.tobytes(), i
+        assert got.columns.flags.c_contiguous and not got.columns.flags.writeable
+        assert got.sum_zero == sum_zero
+        cases += 1
+        complex_cases += np.iscomplexobj(a)
+    assert cases - complex_cases >= 2000 and complex_cases >= 50
+    # the sum check still runs on a trusted Q
+    with pytest.raises(ValueError, match="sum-free"):
+        orthonormalize(np.eye(4)[:, :2], sum_zero=True)
 
 
 def test_basis_validation():

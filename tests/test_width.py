@@ -249,9 +249,26 @@ def _eager_width_altmax(basis, v, restarts, seed, refine, ceiling):
     return width.WidthReport(value, "altmax", restarts, int(iters), witness)
 
 
+def _line_reference(basis, v):
+    # the rearrangement pairing written out: the j-th largest modulus of v
+    # goes where u has its j-th largest modulus, and takes u's phase there
+    cols = basis.columns.astype(np.complex128 if np.iscomplexobj(v) else basis.columns.dtype)
+    u = cols[:, 0]
+    mu, mv = np.abs(u), np.abs(v)
+    perm = np.empty(v.shape[0], dtype=np.int64)
+    perm[np.argsort(-mu, kind="stable")] = np.argsort(-mv, kind="stable")
+    phase_u = np.where(mu > 0, u / np.where(mu > 0, mu, 1.0), 1.0)
+    phase_v = np.where(mv > 0, v / np.where(mv > 0, mv, 1.0), 1.0)
+    signs = phase_u * np.conj(phase_v[perm])
+    value = float(np.linalg.norm(cols.conj().T @ (signs * v[perm])))
+    return width.WidthReport(value, "rearrangement", 0, 0,
+                             width.GammaWitness(perm=perm, signs=signs))
+
+
 def test_width_altmax_matches_the_eager_start_reference():
     # coefficient starts formed on demand and one batched draw give the same
-    # bits as drawing each start and forming every unit vector up front
+    # bits as drawing each start and forming every unit vector up front; a
+    # line is solved exactly, by the rearrangement pairing
     d = 6
     cases = itertools.product(("real", "complex"), ("none", "auto"), (1, d),
                               (1, 20), range(2))
@@ -264,11 +281,91 @@ def test_width_altmax_matches_the_eager_start_reference():
         seed = [33, k, i, restarts]
         full = _eager_width_altmax(basis, v, restarts, seed, refine, math.inf)
         for ceiling in (math.inf, full.value, 0.5 * full.value):
-            ref = _eager_width_altmax(basis, v, restarts, seed, refine, ceiling)
+            if k == 1:
+                ref = _line_reference(basis, v.astype(basis.columns.dtype))
+            else:
+                ref = _eager_width_altmax(basis, v, restarts, seed, refine, ceiling)
             rep = width_altmax(basis, v, restarts=restarts, seed=seed,
                                refine=refine, ceiling=ceiling)
             assert _report_bytes(rep) == _report_bytes(ref), (
                 field, refine, k, restarts, i, ceiling)
+            assert rep.method == ("rearrangement" if k == 1 else "altmax")
+
+
+def _line_ascent(basis, v, restarts, seed):
+    # the alternating ascent that width_altmax ran on lines before their
+    # width was taken in closed form
+    v = width._conform(v, basis.d, basis.field)
+    rng = np.random.default_rng(seed)
+    cols, w, _, _ = width._ascend(basis, v, decreasing_rearrangement(v), restarts, rng,
+                                  math.inf)
+    return width._witness_and_value(cols, v, w)[1]
+
+
+def test_line_width_is_exact():
+    # real lines with d <= 8: the brute-force width up to its summation
+    # order (the brute force takes each product sum inside one matrix
+    # product, which can round it another way by up to two ulps)
+    rng = np.random.default_rng(61)
+    dims = [*range(1, 7)] * 50 + [7] * 10 + [8]
+    for i, d in enumerate(dims):
+        basis = sample_uniform(1, d, "real", seed=[62, i])
+        v = rng.standard_normal(d)
+        if i % 5 == 1:
+            v[0] = 0.0
+        elif i % 5 == 2 and d > 1:
+            v[1] = -v[0]
+        rep = width_altmax(basis, v, seed=[63, i])
+        brute = width_brute_signed_perm(basis, v).value
+        assert abs(rep.value - brute) <= 2 * np.spacing(brute), (i, d)
+        assert rep.value == projection_norm(basis, rep.witness.apply(v))
+        # the ascent it replaces ends on the same value, bit for bit
+        assert rep.value == _line_ascent(basis, v, 6, [63, i]), (i, d)
+    # up to d = 1024: bit for bit the ascent on real input, and within
+    # 1e-15 relative of it on complex input, where the ascent ends on
+    # another global phase
+    for i, (d, field, vfield) in enumerate(itertools.product(
+            (2, 16, 128, 1024), ("real", "complex"), ("real", "complex"))):
+        for rep_i in range(3):
+            basis = sample_uniform(1, d, field, seed=[64, i, rep_i])
+            v = rng.standard_normal(d)
+            if vfield == "complex":
+                v = v + 1j * rng.standard_normal(d)
+            rep = width_altmax(basis, v)
+            ascent = _line_ascent(basis, v, 6, [65, i, rep_i])
+            if field == "real" and vfield == "real":
+                assert rep.value == ascent, d
+                assert rep.value == projection_norm(basis, rep.witness.apply(v))
+            else:
+                assert abs(rep.value - ascent) <= 1e-15 * rep.value, (d, field, vfield)
+                cplx = basis.complexify()
+                assert rep.value == projection_norm(cplx, rep.witness.apply(v))
+
+
+def test_line_width_report_and_contract():
+    basis = sample_uniform(1, 9, "real", seed=66)
+    v = np.random.default_rng(67).standard_normal(9)
+    rng = np.random.default_rng(68)
+    state = rng.bit_generator.state
+    rep = width_altmax(basis, v, restarts=4, seed=rng)
+    # nothing is drawn from the stream
+    assert rng.bit_generator.state == state
+    assert (rep.method, rep.iterations, rep.restarts) == ("rearrangement", 0, 0)
+    # the exact value is the same whatever the budget, seed or ceiling, which
+    # meets the ceiling contract
+    for kwargs in ({"restarts": 1}, {"seed": 5, "refine": "none"},
+                   {"ceiling": 0.0}, {"ceiling": 0.5 * rep.value},
+                   {"ceiling": rep.value}):
+        assert _report_bytes(width_altmax(basis, v, **kwargs)) == _report_bytes(rep)
+    # the arguments are still validated
+    with pytest.raises(ValueError, match="restart"):
+        width_altmax(basis, v, restarts=0)
+    with pytest.raises(ValueError, match="refine"):
+        width_altmax(basis, v, refine="anneal")
+    with pytest.raises(ValueError, match="NaN"):
+        width_altmax(basis, v, ceiling=math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        width_altmax(basis, np.full(9, np.inf))
 
 
 def test_complex_vector_on_a_real_basis_runs_over_the_complexified_span():
