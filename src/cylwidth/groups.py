@@ -66,27 +66,27 @@ def _closure(generators, start: np.ndarray, max_size: int, error: Exception):
     """Breadth-first closure of ``start`` under ``generators``, level by level.
 
     ``start`` is one (d, m) item; the result stacks the distinct items in
-    discovery order, shape (n, d, m).  Raises ``error`` as soon as more than
-    ``max_size`` items are found.
+    discovery order, shape (n, d, m).  Raises ``error`` after the first
+    level that brings the count of distinct items above ``max_size``.
     """
     gens = np.stack(generators)
     frontier = start[None]
     levels = [frontier]
     seen = set(_round_keys(frontier))
+    add = seen.add
     while frontier.shape[0]:
         # one matrix-vector (or matrix-matrix) product per (item, generator)
         # pair, in the order (item 0, g 0), (item 0, g 1), ...
         products = np.matmul(gens[None], frontier[:, None]).reshape(
             -1, *start.shape
         )
-        fresh = []
-        for i, key in enumerate(_round_keys(products)):
-            if key in seen:
-                continue
-            seen.add(key)
-            fresh.append(i)
-            if len(seen) > max_size:
-                raise error
+        # add() returns None, so each new key is kept once, in order
+        fresh = [
+            i for i, key in enumerate(_round_keys(products))
+            if key not in seen and not add(key)
+        ]
+        if len(seen) > max_size:
+            raise error
         frontier = products[fresh]
         levels.append(frontier)
     return np.concatenate(levels)

@@ -149,17 +149,22 @@ def orthonormalize(columns, sum_zero: bool = False) -> SubspaceBasis:
     """Orthonormal basis with the same column span as ``columns``.
 
     Raises ``ValueError`` on non-finite entries, and
-    :class:`RankDeficientError` when the smallest singular value is at most
-    ``1e-10`` times the largest, i.e. the columns do not determine a
-    subspace of their full count.  The singular values are taken from the
-    small factor R of ``columns = QR``, which has the spectrum of
-    ``columns`` since Q has orthonormal columns.  The QR factor is
-    normalized to make the diagonal of R real positive, so the output is
-    deterministic.
+    :class:`RankDeficientError` when the columns do not determine a subspace
+    of their full count: there are more columns than coordinates, or the
+    smallest singular value is at most ``1e-10`` times the largest.  The
+    singular values are taken from the small factor R of ``columns = QR``,
+    which has the spectrum of ``columns`` since Q has orthonormal columns.
+    The QR factor is normalized to make the diagonal of R real positive, so
+    the output is deterministic.
     """
     a = _as_matrix(columns)
     if not np.isfinite(a).all():
         raise ValueError("columns must be finite")
+    if a.shape[1] > a.shape[0]:
+        # the reduced QR would keep only d of the columns
+        raise RankDeficientError(
+            f"{a.shape[1]} columns in dimension {a.shape[0]} are dependent"
+        )
     q, r = np.linalg.qr(a)
     s = np.linalg.svd(r, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:

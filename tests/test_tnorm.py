@@ -1,5 +1,9 @@
 """Tail-weighted norm: closed-form values, norm axioms, certified bounds."""
 
+import functools
+import inspect
+import math
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cylwidth import tnorm
 from cylwidth.nets import sphere_net
 from cylwidth.tnorm import (
     _BATCH_ELEMENTS,
@@ -33,6 +38,81 @@ def subset_oracle(v):
         score = np.log(2.0 * d / len(idx)) ** 4 * mod2[idx].sum()
         best = max(best, score)
     return float(np.sqrt(best))
+
+
+def full_sort_t_norm(v):
+    """The norm and its smallest maximizing size, scoring every size after a
+    full sort of the moduli."""
+    v = np.asarray(v)
+    d = v.size
+    mod2 = np.sort(np.abs(v).astype(np.float64) ** 2)[::-1]
+    sizes = np.arange(1, d + 1, dtype=np.float64)
+    scores = np.log(2.0 * d / sizes) ** 4 * np.cumsum(mod2)
+    i = int(np.argmax(scores))
+    return float(np.sqrt(scores[i])), i + 1
+
+
+@functools.cache
+def _prefix_families(d):
+    """Three rows of each shape the prefix argument must hold for."""
+    rng = np.random.default_rng([17, d])
+    shape = (3, d)
+    return {
+        "gaussian": rng.standard_normal(shape),
+        "flat": np.ones(shape),
+        "integers": rng.integers(0, 3, shape).astype(np.float64),
+        "harmonic": np.tile(1.0 / np.arange(1, d + 1), (3, 1)),
+        "heavy-tailed": rng.standard_cauchy(shape),
+        "complex": rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        "zero": np.zeros(shape),
+        "eighth power": rng.standard_normal(shape) ** 8,
+        "near flat": np.abs(rng.standard_normal(shape)) ** 0.01,
+    }
+
+
+PREFIX_DIMS = (*range(1, 81), 255, 256, 257, 4096)
+
+
+def _prefix_failures(dims, families=None):
+    """Rows where t_norm or t_norm_batch differs in any bit from the full sort."""
+    failures = []
+    for d in dims:
+        for name, rows in _prefix_families(d).items():
+            if families is not None and name not in families:
+                continue
+            batch = t_norm_batch(rows)
+            for i, v in enumerate(rows):
+                value, size = full_sort_t_norm(v)
+                got = t_norm(v)
+                same = (np.float64(got.value).tobytes() == np.float64(value).tobytes()
+                        and batch[i].tobytes() == np.float64(value).tobytes())
+                if not same or got.argmax_size != size:
+                    failures.append((d, name, i))
+    return failures
+
+
+def test_prefix_equals_a_full_sort_bit_for_bit():
+    assert _prefix_failures(PREFIX_DIMS) == []
+
+
+def test_smallest_maximizing_size_is_at_most_the_peak_of_g():
+    # score_t < score_c for t > c = ceil(2d/e^4), where g(s) = s ln(2d/s)^4 falls
+    for d in PREFIX_DIMS:
+        for rows in _prefix_families(d).values():
+            for v in rows:
+                assert t_norm(v).argmax_size <= math.ceil(2 * d / math.exp(4))
+
+
+def test_prefix_check_catches_a_short_prefix(monkeypatch):
+    # a prefix of c - 1 entries misses the maximum of flat rows whose score
+    # peaks at c; the check above must report it
+    source = textwrap.dedent(inspect.getsource(tnorm._prefix_scores))
+    old = "2 * math.ceil(2.0 * d / math.exp(4.0)) - 1"
+    assert old in source
+    namespace = dict(vars(tnorm))
+    exec(source.replace(old, "max(1, math.ceil(2.0 * d / math.exp(4.0)) - 1)"), namespace)
+    monkeypatch.setattr(tnorm, "_prefix_scores", namespace["_prefix_scores"])
+    assert _prefix_failures(range(1, 201), families=("flat",))
 
 
 def test_unit_vector_in_r2():
@@ -189,12 +269,12 @@ def test_statistics_reject_bad_dimension(d, sum_zero):
 
 
 def _statistics_reference(d, trials, sum_zero, seed):
-    """All trials in one (trials, d) array and one t_norm_batch call."""
+    """All trials in one (trials, d) array, each scored by a full sort."""
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     samples = np.empty((trials, d))
     for i in range(trials):
         samples[i] = sample_gaussian(d, sum_zero=sum_zero, seed=[*base, i])
-    ratios = t_norm_batch(samples) / np.sqrt(d)
+    ratios = np.array([full_sort_t_norm(v)[0] for v in samples]) / np.sqrt(d)
     return GaussianTnormStats(
         d=d,
         trials=trials,

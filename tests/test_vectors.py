@@ -69,6 +69,11 @@ def test_orthonormalize_rejects_rank_deficiency():
     cols[:, 2] = cols[:, 0] - 2.0 * cols[:, 1]
     with pytest.raises(RankDeficientError):
         orthonormalize(cols)
+    # more columns than coordinates: full row rank, yet dependent
+    for wide in (np.random.default_rng(7).standard_normal((2, 3)), np.eye(3, 4),
+                 np.ones((1, 2), dtype=np.complex128)):
+        with pytest.raises(RankDeficientError):
+            orthonormalize(wide)
     rng = np.random.default_rng(9)
     for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
         for a in (rng.standard_normal((6, 2)),
