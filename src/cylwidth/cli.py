@@ -370,8 +370,8 @@ def _cmd_lowerbound(args):
                 {
                     "d": d,
                     "k": k,
-                    "restarts": args.restarts,
-                    "steps": args.steps,
+                    "restarts": res.restarts,
+                    "steps": res.steps,
                     "min_width": res.min_value,
                     "normalized": normalized,
                     "ok": ok,

@@ -15,8 +15,15 @@ candidates in blocks of 64 and first drops, in one broadcast, those covered
 by a kept point inside the block's bounding box padded by the packing
 distance; no point outside that box can cover them, and the broadcast
 rounds each squared distance as the one-by-one check does, so the net is
-bit for bit the plain greedy one.  In grid order few kept points lie near
-a block, so the broadcast is small.
+bit for bit the plain greedy one.  It finds the box's kept points in a
+window: kept points whose first coordinate, and that of every point kept
+before them, lies more than the packing distance behind the block fail the
+box test on that axis, and a bisection on the running maximum of the first
+coordinate skips them.  Squared distances are summed over the axes from
+left to right, the order numpy's row sum uses for k <= 7, so the net does
+not depend on how numpy orders a reduction.  In grid order the first
+coordinate rises slab by slab, so the window holds only the last few slabs'
+kept points and few of them lie near a block.
 """
 
 from __future__ import annotations
@@ -37,7 +44,8 @@ def _circle_net(delta: float) -> np.ndarray:
     return np.column_stack((np.cos(theta), np.sin(theta)))
 
 
-def _shell_grid_net(k: int, delta: float) -> np.ndarray:
+def _shell_grid(k: int, delta: float) -> np.ndarray:
+    """The normalized shell of the cubic grid covering S^(k-1) within delta/2."""
     h = delta / (2.0 * np.sqrt(k))
     half_diag = h * np.sqrt(k) / 2.0
     m = int(np.ceil((1.0 + half_diag) / h)) + 1
@@ -55,12 +63,14 @@ def _shell_grid_net(k: int, delta: float) -> np.ndarray:
     shells = []
     for x0 in axis:
         slab[:, 0] = x0
-        norms = np.linalg.norm(slab, axis=1)
+        # the squares summed left to right, in the order of norm's row sum
+        sq = x0 * x0 + slab[:, 1] * slab[:, 1]
+        for j in range(2, k):
+            sq += slab[:, j] * slab[:, j]
+        norms = np.sqrt(sq)
         shell = np.abs(norms - 1.0) <= half_diag
         shells.append(slab[shell] / norms[shell][:, None])
-    pts = np.concatenate(shells)
-    keep = greedy_pack(pts, delta / 2.0)
-    return np.ascontiguousarray(pts[keep])
+    return np.concatenate(shells)
 
 
 def sphere_net(k: int, delta: float) -> np.ndarray:
@@ -80,5 +90,6 @@ def sphere_net(k: int, delta: float) -> np.ndarray:
     if k == 2:
         return _circle_net(delta)
     if k in (3, 4):
-        return _shell_grid_net(k, delta)
+        pts = _shell_grid(k, delta)
+        return np.ascontiguousarray(pts[greedy_pack(pts, delta / 2.0)])
     raise ValueError(f"no deterministic net construction for k={k} (max 4)")

@@ -181,6 +181,18 @@ def test_lowerbound_small_grid(capsys):
     )
 
 
+def test_lowerbound_rows_report_the_search_that_ran(capsys):
+    # k = 1 is solved exactly, with no search; k = 2 runs the requested one
+    code, out, _ = run(
+        ["lowerbound", "--d", "4", "--k", "1", "--k", "2", "--restarts", "2",
+         "--steps", "3", "--seed", "5"],
+        capsys,
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["k"], r["restarts"], r["steps"]) for r in rows] == [(1, 0, 0), (2, 2, 3)]
+
+
 def test_realize_round_trip(tmp_path, capsys):
     gfile = tmp_path / "group.json"
     gfile.write_text(json.dumps({"d": 3, "kind": "signed_permutations"}))

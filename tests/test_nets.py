@@ -1,6 +1,8 @@
 """Sphere nets: unit norms, covering radius, packing separation."""
 
 import hashlib
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cylwidth import _kernels
 from cylwidth._kernels import greedy_pack
-from cylwidth.nets import sphere_net
+from cylwidth.nets import _shell_grid, sphere_net
 
 
 def sampled_covering_radius(net, k, trials, seed):
@@ -91,15 +94,23 @@ def test_shell_nets_are_pinned(k, delta):
 
 
 def greedy_pack_reference(points, min_dist):
-    """The plain greedy loop: each candidate against every point kept so far."""
+    """The plain greedy loop: each candidate against every point kept so far.
+
+    Squared distances are summed over the axes from left to right; numpy's
+    own row sum adds in another order from 8 axes on.
+    """
     points = np.ascontiguousarray(points, dtype=np.float64)
     keep = np.zeros(points.shape[0], dtype=np.bool_)
     kept = np.empty_like(points)
     m = 0
     md2 = float(min_dist) ** 2
     for i, p in enumerate(points):
-        if m and float(np.sum((kept[:m] - p) ** 2, axis=1).min()) < md2:
-            continue
+        if m:
+            d2 = (kept[:m, 0] - p[0]) ** 2
+            for j in range(1, points.shape[1]):
+                d2 += (kept[:m, j] - p[j]) ** 2
+            if float(d2.min()) < md2:
+                continue
         keep[i] = True
         kept[m] = p
         m += 1
@@ -124,6 +135,17 @@ def _pack_cases():
     yield "inexact grid", g.reshape(-1, 3), h
     for n in (0, 1, 10, 63, 64, 65, 200):
         yield f"n={n}", sphere[:n], 0.3
+    # the first coordinate rises slab by slab, so the window skips most kept
+    # points; reversed, it falls, and the window must never skip
+    shell = _shell_grid(3, 0.25)
+    yield "shell grid k=3", shell, 0.125
+    yield "shell grid k=3 reversed", shell[::-1], 0.125
+    # one ulp of 1e8 is 1.49e-8: kept points one ulp behind a block on the
+    # first axis can cover, two ulps behind cannot
+    ulp = float(np.spacing(1e8))
+    far = np.column_stack((1e8 + ulp * np.sort(rng.integers(0, 160, 600)),
+                           ulp * rng.integers(0, 3, 600)))
+    yield "far offset", far, 1.5e-8
 
 
 @pytest.mark.parametrize("name, points, min_dist", list(_pack_cases()))
@@ -157,9 +179,37 @@ def test_greedy_pack_property_matches_the_plain_loop(points, min_dist):
     )
 
 
+def test_greedy_pack_window_check_catches_a_wide_skip():
+    # a window that skips one kept point more than the bisection allows
+    # must change the mask on some case above
+    source = textwrap.dedent(inspect.getsource(_kernels.greedy_pack))
+    old = "key=lambda t: b0 - t <= md)"
+    assert old in source
+    namespace = dict(vars(_kernels))
+    exec(source.replace(old, old + " + 1"), namespace)
+    mutant = namespace["greedy_pack"]
+    assert any(
+        not np.array_equal(mutant(points, md), greedy_pack_reference(points, md))
+        for _, points, md in _pack_cases()
+    )
+
+
+def test_greedy_pack_rejects_bad_min_dist():
+    pts = np.random.default_rng(3).standard_normal((300, 3))
+    for bad in (np.nan, np.inf, -np.inf, -0.5):
+        with pytest.raises(ValueError, match="min_dist"):
+            greedy_pack(pts, bad)
+
+
 def test_greedy_pack_rejects_non_finite_points():
     for bad in (np.nan, np.inf):
         pts = np.zeros((70, 2))
         pts[66, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             greedy_pack(pts, 0.1)
+
+
+def test_greedy_pack_rejects_points_without_axes():
+    for shape in ((5,), (5, 0), (2, 3, 2)):
+        with pytest.raises(ValueError, match="k >= 1"):
+            greedy_pack(np.zeros(shape), 0.1)
