@@ -2,9 +2,11 @@
 
 * ``altmax_best``: the alternating ascent, vectorized with numpy; at large
   d each iteration is dominated by the two projections.  Starts come as
-  basis coefficients and are formed only when their ascent begins.  An
-  optional ceiling ends it early once an objective proves the width
-  exceeds it.
+  basis coefficients.  An optional ceiling ends it early once an objective
+  proves the width exceeds it; under a finite ceiling all starts are first
+  formed together and raced in lockstep for a few steps, and only the start
+  that crosses the ceiling first is replayed by the sequential ascent.
+  Without a ceiling each start is formed only when its ascent begins.
 * ``anneal_best``: the annealed witness search.  Each move touches one or
   two rows of a k-column matrix and is scored from cached inner products
   in a few scalar operations; only an accepted move updates the k-vector
@@ -37,16 +39,33 @@ import numpy as np
 #   starts   (R, k) basis coefficients of the starts, dtype matching cols,
 #            each with cols @ starts[r] != 0; R >= 1 and max_iter >= 1
 #   ceiling  float; once an iterate's objective exceeds
-#            ceiling * (1 + ALTMAX_CEILING_SLACK), the ascent stops and
-#            returns that iterate, its objective and the iterations so far
+#            bound = ceiling * (1 + ALTMAX_CEILING_SLACK), the ascent stops
+#            and returns a crossing iterate of one start's sequential ascent
 # Returns (w_best, best_obj, total_iters, status) where status is
 #   0 normal, 1 monotonicity violation (never expected), and the objective is
 #   sum_r v_desc[r] * r-th largest modulus of w.
 #
-# Start r is the unit vector w = cols @ starts[r] / ||cols @ starts[r]||.  It
-# is formed only when its ascent begins, so a return at the ceiling during
-# start r never pays for the starts after it.  Callers that know a start as
-# a vector of the subspace pass its coefficients cols^H w instead.
+# Start r is the unit vector w = cols @ starts[r] / ||cols @ starts[r]||, and
+# its sequential ascent (_ascent) depends on that start alone.  Callers that
+# know a start as a vector of the subspace pass its coefficients cols^H w
+# instead.  With an infinite ceiling, or a single start, the starts run one
+# after the other, each formed only when its ascent begins.
+#
+# Under a finite ceiling with R >= 2 the starts first race to it (_race):
+# all are formed in one (d, R) product and advanced in lockstep for at most
+# RACE_STEPS steps, and the earliest step at which an objective exceeds the
+# bound names its start, the lowest index on a tie.  That start's sequential
+# ascent is replayed; if it crosses the bound, its crossing iterate comes
+# back, and total_iters counts that replay alone.  Otherwise (lockstep
+# rounding misled the race, or no start crossed in time) the sequential loop
+# runs over every start as it would without the race, and its result comes
+# back as is: neither the race's steps nor a failed replay's iterations
+# count.  Lockstep values never reach an output; they only choose a start.
+# Each start's crossing is its own, so a candidate is rejected exactly when
+# the loop would reject it; which crossing iterate comes back, and the
+# count, can differ from the loop's first crossing.  A replay that crosses
+# also returns before an earlier start's monotonicity error, which the loop
+# would report first; no such error is expected.
 #
 # The objective of an iterate w is <gv, w> for the image gv aligned with w,
 # so the witness norm ||proj gv|| is at least obj(w); the early return thus
@@ -60,50 +79,90 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 ALTMAX_CEILING_SLACK = 1e-9
+RACE_STEPS = 4
+
+
+def _ascent(cols, cols_h, v_desc, start, max_iter, tol, bound):
+    """One start's sequential ascent: ``(w, obj, iters, status)``.
+
+    status 0: stopped below the bound, with its endpoint and last objective;
+    1: monotonicity violation; 2: ``w`` is the first iterate whose objective
+    ``obj`` exceeds ``bound``.
+    """
+    w = cols @ start
+    w = w / np.linalg.norm(w)
+    obj_prev = -1.0
+    for it in range(1, max_iter + 1):
+        m = np.abs(w)
+        order = np.argsort(-m, kind="stable")
+        obj = float(v_desc @ m[order])
+        if obj < obj_prev - 1e-12:
+            return w, obj_prev, it, 1
+        if obj > bound:
+            return w, obj, it, 2
+        gain = obj - obj_prev
+        obj_prev = obj
+        u = np.zeros_like(w)
+        ph = np.ones_like(w)
+        nz = m > 0.0
+        ph[nz] = w[nz] / m[nz]
+        u[order] = ph[order] * v_desc
+        c = cols_h @ u
+        pn = float(np.linalg.norm(c))
+        if pn < 1e-15:
+            break
+        w = (cols @ c) / pn
+        if gain < tol:
+            break
+    return w, obj_prev, it, 0
+
+
+def _race(cols, cols_h, v_desc, starts, steps, bound):
+    """Index of the start whose lockstep ascent first exceeds ``bound``, or -1."""
+    # the columns of w are the starts' iterates, left unnormalized: an
+    # objective is scored against the bound times its column's norm
+    w = cols @ starts.T
+    idx = np.arange(w.shape[1])
+    vr = np.empty(w.shape)
+    for _ in range(steps):
+        m = np.abs(w)
+        # vr[:, r] holds v_desc in the order of the moduli of w[:, r]
+        vr[np.argsort(-m, axis=0, kind="stable"), idx] = v_desc[:, None]
+        hit = (m * vr).sum(axis=0) > bound * np.sqrt((m * m).sum(axis=0))
+        if hit.any():
+            return int(hit.argmax())
+        w = cols @ (cols_h @ (np.divide(w, m, out=np.ones_like(w), where=m > 0.0) * vr))
+    return -1
 
 
 def altmax_best(cols, v_desc, starts, max_iter, tol, ceiling=math.inf):
     """Run the alternating ascent from every start, return the best endpoint."""
     cols_h = cols.conj().T
     bound = ceiling * (1.0 + ALTMAX_CEILING_SLACK)
+    if math.isfinite(bound) and starts.shape[0] > 1:
+        r = _race(cols, cols_h, v_desc, starts, min(RACE_STEPS, max_iter), bound)
+        if r >= 0:
+            w, obj, iters, status = _ascent(
+                cols, cols_h, v_desc, starts[r], max_iter, tol, bound
+            )
+            if status == 2:
+                return w, obj, iters, 0
     best_obj = -1.0
     best_w = None
     total = 0
-    status = 0
-    for r in range(starts.shape[0]):
-        w = cols @ starts[r]
-        w = w / np.linalg.norm(w)
-        obj_prev = -1.0
-        for _ in range(max_iter):
-            total += 1
-            m = np.abs(w)
-            order = np.argsort(-m, kind="stable")
-            obj = float(v_desc @ m[order])
-            if obj < obj_prev - 1e-12:
-                status = 1
-                break
-            if obj > bound:
-                return w, obj, total, 0
-            gain = obj - obj_prev
-            obj_prev = obj
-            u = np.zeros_like(w)
-            ph = np.ones_like(w)
-            nz = m > 0.0
-            ph[nz] = w[nz] / m[nz]
-            u[order] = ph[order] * v_desc
-            c = cols_h @ u
-            pn = float(np.linalg.norm(c))
-            if pn < 1e-15:
-                break
-            w = (cols @ c) / pn
-            if gain < tol:
-                break
-        if status:
-            break
-        if obj_prev > best_obj:
-            best_obj = obj_prev
+    for start in starts:
+        w, obj, iters, status = _ascent(
+            cols, cols_h, v_desc, start, max_iter, tol, bound
+        )
+        total += iters
+        if status == 2:
+            return w, obj, total, 0
+        if status == 1:
+            return best_w, best_obj, total, 1
+        if obj > best_obj:
+            best_obj = obj
             best_w = w
-    return best_w, best_obj, total, status
+    return best_w, best_obj, total, 0
 
 
 # ---------------------------------------------------------------------------

@@ -239,8 +239,9 @@ def enumerate_group_elements(
 def signed_permutation_apply(perm, signs, v) -> np.ndarray:
     """Apply the signed permutation ``(gv)_i = signs[i] * v[perm[i]]``.
 
-    ``perm`` must be a permutation of ``range(d)`` and every sign must have
-    unit modulus within 1e-9 (so the map is unitary).
+    ``perm`` must be a permutation of ``range(d)``, every sign must have
+    unit modulus within 1e-9 (so the map is unitary), and ``v`` must be
+    finite.
     """
     perm = np.asarray(perm)
     signs = np.asarray(signs)
@@ -250,8 +251,11 @@ def signed_permutation_apply(perm, signs, v) -> np.ndarray:
         raise ValueError("perm, signs, and v must share one length")
     if not np.array_equal(np.sort(perm), np.arange(d)):
         raise ValueError("perm is not a permutation of range(d)")
-    if float(np.max(np.abs(np.abs(signs) - 1.0))) > 1e-9:
+    # written so that a NaN deviation fails the test
+    if not float(np.max(np.abs(np.abs(signs) - 1.0))) <= 1e-9:
         raise ValueError("signs must have unit modulus")
+    if not np.isfinite(v).all():
+        raise ValueError("v must be finite")
     return signs * v[perm]
 
 

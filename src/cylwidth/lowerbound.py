@@ -206,14 +206,16 @@ def adversarial_min_width(
     each frame is evaluated by the ascent helper that
     :func:`~cylwidth.width.width_altmax` runs (with ``refine="none"``).  A
     candidate's ascent runs with the current width as its ceiling and stops
-    as soon as an iterate's objective exceeds it.  Every objective is a
-    lower bound on the width the full ascent would report, so such a
-    candidate is rejected either way: the search takes the objective as its
-    value and builds no witness.  Its random starts are drawn before the
-    ascent, so the stream, and with it the result, is the same bit for bit
-    as with full evaluations.  An orbit target's evaluation likewise takes
-    the current width as its ceiling and stops after the first block of
-    orbit points that exceeds it.
+    at an iterate whose objective exceeds it, which some start's own
+    sequential ascent reaches; the kernel races the starts to find one.
+    Every objective is a lower bound on the width the full ascent would
+    report, so such a candidate is rejected either way: the search takes the
+    objective as its value and builds no witness.  A candidate is rejected
+    exactly when a full evaluation would reject it, and its random starts
+    are drawn before the ascent, so the stream, and with it the result, is
+    the same bit for bit as with full evaluations.  An orbit target's
+    evaluation likewise takes the current width as its ceiling and stops
+    after the first block of orbit points that exceeds it.
 
     A vector target at k = 1 is solved exactly, with no search: ``restarts``,
     ``steps`` and ``inner_restarts`` are validated and otherwise unused, and

@@ -386,6 +386,8 @@ class TensorProductMeasure:
         for g in gammas:
             if g.shape != (d, d):
                 raise ValueError("mixing unitaries must be square and equal size")
+            if not np.isfinite(g).all():
+                raise ValueError("mixing matrix entries must be finite")
             err = float(np.max(np.abs(g @ g.conj().T - np.eye(d))))
             if err > 1e-9:
                 raise ValueError(f"mixing matrix not unitary (deviation {err:.3e})")

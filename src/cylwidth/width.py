@@ -330,12 +330,15 @@ def width_altmax(
     and otherwise unused; the exact value meets the ceiling contract below,
     and nothing is drawn from ``seed``.
 
-    A finite ``ceiling`` stops the ascent at the first iterate whose
-    objective exceeds ``ceiling`` by the kernel's relative slack; the report
-    then carries that iterate's witness, so ``value >= ceiling`` and the
-    witness still reproduces ``value``.  The random coefficients are drawn
-    before the ascent runs, so ``seed`` is consumed the same either way.  A
-    ceiling at or above the width changes nothing.
+    A finite ``ceiling`` stops the ascent at a crossing iterate of the
+    sequential ascent: an iterate, of one start's own ascent, whose objective
+    exceeds ``ceiling`` by the kernel's relative slack.  Which start's
+    crossing is returned, and the iteration count, are the kernel's choice
+    (see ``_kernels.altmax_best``); the report carries that iterate's
+    witness, so ``value >= ceiling`` and the witness still reproduces
+    ``value``.  The random coefficients are drawn before the ascent runs, so
+    ``seed`` is consumed the same either way.  A ceiling at or above the
+    width changes nothing.
 
     The start draw and the kernel call live in ``_ascend``, which
     :func:`~cylwidth.lowerbound.adversarial_min_width` calls directly; the

@@ -3,18 +3,23 @@
 ``perfbench/tracing.py`` wraps each layer function on every module that
 binds it and reads counters from named arguments.  These tests load it as
 it is, so renaming a layer or a counted parameter fails here and not only
-when the benchmark runs.
+when the benchmark runs.  The benchmark's own self-test runs here as well,
+so a change that stops a traced layer from firing, or makes its counters
+differ between identical runs, fails too.
 """
 
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import cylwidth.cli  # noqa: F401  (loads every module the tracer patches)
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -60,3 +65,13 @@ def test_counted_arguments_are_parameters_of_their_layer():
         checked += len(read)
     # starts, pairs, points, vectors, orbit, k
     assert checked == 6
+
+
+def test_benchmark_selftest_passes():
+    # a few seconds: every workload at a tiny size, once untraced, twice traced
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

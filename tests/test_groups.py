@@ -38,6 +38,12 @@ def test_apply_validates_inputs():
         signed_permutation_apply([0, 1], [2.0, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         signed_permutation_apply([0, 1], [1.0, 1.0], [1.0, 2.0, 3.0])
+    # a NaN deviation from unit modulus compares False against any tolerance
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="unit modulus"):
+            signed_permutation_apply([1, 0, 2], [bad, 1.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            signed_permutation_apply([1, 0, 2], [1.0, 1.0, 1.0], [1.0, bad, 3.0])
 
 
 def test_standard_generators_are_orthogonal():

@@ -220,6 +220,14 @@ def test_tensor_product_rejects_non_unitary_mixer():
             [np.diag([2.0, 1.0, 1.0, 1.0])],
             v1,
         )
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            tensor_product_measure(
+                UniformMeasure(k=1, d=1),
+                UniformMeasure(k=1, d=1),
+                [np.diag([bad, 1.0, 1.0, 1.0])],
+                v1,
+            )
 
 
 def test_invariant_decomposition_permutation_action_splits():

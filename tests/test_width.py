@@ -202,6 +202,89 @@ def _eager_altmax_best(cols, v_desc, starts, max_iter, tol, ceiling=math.inf):
     return best_w, best_obj, total, status
 
 
+def _race_cases():
+    # (cols, v_desc, coefficient starts, unit-vector starts): real and
+    # complex columns, Gaussian targets, the witness vector (a zero tail and
+    # tied moduli) and v = 0
+    rng = np.random.default_rng(51)
+    for field, (k, d), target in itertools.product(
+            ("real", "complex"), ((2, 12), (4, 16)),
+            ("gaussian", "witness", "zero")):
+        for i in range(2):
+            cols = sample_uniform(k, d, field, seed=[52, k, d, i]).columns
+            if target == "gaussian":
+                v = rng.standard_normal(d)
+            elif target == "witness":
+                v = witness_vector(d, k).unit
+            else:
+                v = np.zeros(d)
+            g = rng.standard_normal((6, k))
+            if field == "complex":
+                g = g + 1j * rng.standard_normal((6, k))
+            starts = np.array([cols @ c / np.linalg.norm(cols @ c) for c in g])
+            yield cols, decreasing_rearrangement(v), g, starts
+
+
+def _ceilings(value):
+    # at, just above, just below and at half the sequential value; with
+    # v = 0 the value is 0 and only a zero ceiling is tried
+    if value == 0.0:
+        return (0.0,)
+    below = value * (1.0 - 2.0 * kernels.ALTMAX_CEILING_SLACK)
+    return (value, math.nextafter(value, math.inf), below, 0.5 * value)
+
+
+def _as_bytes(result):
+    w, obj, iters, status = result
+    return (np.asarray(w).tobytes(), np.float64(obj).tobytes(), iters, status)
+
+
+def test_altmax_race_replays_one_start_of_the_sequential_ascent(monkeypatch):
+    # under a finite ceiling the kernel rejects exactly when the sequential
+    # ascent does; below the bound it returns the sequential ascent's bits,
+    # above it the crossing iterate of one start's own sequential ascent
+    picks = []
+    race = kernels._race
+
+    def spy(*args):
+        picks.append(race(*args))
+        return picks[-1]
+
+    monkeypatch.setattr(kernels, "_race", spy)
+    crossed = misses = 0
+    for cols, v_desc, g, starts in _race_cases():
+        value = _eager_altmax_best(cols, v_desc, starts, 500, 1e-10)[1]
+        for ceiling in _ceilings(value):
+            bound = ceiling * (1.0 + kernels.ALTMAX_CEILING_SLACK)
+            eager = _eager_altmax_best(cols, v_desc, starts, 500, 1e-10, ceiling)
+            # each start's own sequential ascent under the ceiling
+            own = [_eager_altmax_best(cols, v_desc, starts[r:r + 1], 500, 1e-10,
+                                      ceiling) for r in range(len(g))]
+            got = kernels.altmax_best(cols, v_desc, g, 500, 1e-10, ceiling)
+            assert (got[1] > bound) == (eager[1] > bound)
+            assert got[3] == eager[3] == 0
+            if eager[1] > bound:
+                crossed += 1
+                # a replay counts its own start's iterations, the fallback
+                # those of every start it ran
+                assert any(_as_bytes(got)[:2] == _as_bytes(o)[:2]
+                           and got[2] in (o[2], eager[2])
+                           for o in own if o[1] > bound)
+            else:
+                assert _as_bytes(got) == _as_bytes(eager)
+            # a race that names a start which never crosses falls back to
+            # the sequential ascent over every start
+            for r in (r for r, o in enumerate(own) if not o[1] > bound):
+                monkeypatch.setattr(kernels, "_race", lambda *args, r=r: r)
+                assert _as_bytes(kernels.altmax_best(
+                    cols, v_desc, g, 500, 1e-10, ceiling)) == _as_bytes(eager)
+                monkeypatch.setattr(kernels, "_race", spy)
+                misses += eager[1] > bound
+    # the race named a crossing start, and a named start that does not cross
+    # was tried while another start crossed
+    assert crossed and misses and max(picks) >= 0
+
+
 def _eager_snap(cols, v_desc, v, image):
     w = cols @ (cols.conj().T @ image)
     n = float(np.linalg.norm(w))
