@@ -409,9 +409,12 @@ def _cmd_realize(args):
             f"base point has {base.shape[0]} coordinates, group acts on "
             f"dimension {group.d}"
         )
-    norm = float(np.linalg.norm(base))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(base))
     if norm == 0.0:
         raise ValueError("base point must be nonzero")
+    if not math.isfinite(norm):
+        raise ValueError("base point norm must be finite")
     base = base / norm
     d = group.d
     k = args.k

@@ -175,9 +175,12 @@ class Orbit:
             pts = np.ascontiguousarray(pts, dtype=np.float64)
         if not np.isfinite(pts).all():
             raise ValueError("orbit points must be finite")
-        norms = np.linalg.norm(pts, axis=1)
-        if float(np.max(np.abs(norms - norms[0]))) > 1e-9:
-            raise ValueError("orbit points must share a common norm")
+        # an overflowing norm makes the deviation NaN, which must not pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(pts, axis=1)
+            dev = float(np.max(np.abs(norms - norms[0])))
+        if not dev <= 1e-9:
+            raise ValueError("orbit points must share a common finite norm")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

@@ -241,6 +241,14 @@ def test_realize_rejects_bad_base_point(tmp_path, capsys):
             capsys,
         )
         assert code == 2
+    # finite coordinates whose norm overflows: normalizing would zero them
+    code, out, err = run(
+        ["realize", "--group", str(gfile), "--base-point", "1e308,2e307,1.0",
+         "--k", "1", "--seed", "1"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert "norm must be finite" in err
 
 
 def test_scaling_row_content(capsys):

@@ -207,6 +207,17 @@ def test_rejects_non_finite_generators_and_orbits(bad):
             Orbit(pts.astype(np.complex128))
 
 
+def test_orbit_rejects_points_whose_norm_overflows():
+    # finite entries, but the first norm is inf, so every deviation from it
+    # is NaN or inf
+    for pts in (np.array([[1e308, 1e308], [1.0, 0.0]]), np.array([[1e308, 1e308]]),
+                np.array([[1.0, 0.0], [1e308, 1e308]])):
+        with pytest.raises(ValueError, match="finite norm"):
+            Orbit(pts)
+        with pytest.raises(ValueError, match="finite norm"):
+            Orbit(pts.astype(np.complex128))
+
+
 def test_explicit_dict_real_rotation():
     angle = 2.0 * np.pi / 5.0
     rot = np.array(

@@ -3,6 +3,7 @@
 import functools
 import inspect
 import itertools
+import math
 import textwrap
 from fractions import Fraction
 
@@ -24,7 +25,12 @@ from cylwidth.lowerbound import (
 )
 from cylwidth.measures import sample_uniform
 from cylwidth.vectors import SubspaceBasis, decreasing_rearrangement, orthonormalize
-from cylwidth.width import width_altmax, width_brute_signed_perm, width_orbit
+from cylwidth.width import (
+    _ascend,
+    _witness_and_value,
+    width_brute_signed_perm,
+    width_orbit,
+)
 
 
 def test_witness_harmonic_tail_norm():
@@ -261,9 +267,13 @@ def _search_with_full_evaluations(d, k, target, restarts, steps, seed, inner_res
         def evaluate(basis, rng):
             return width_orbit(basis, target).value
     else:
+        v = np.asarray(target, dtype=np.float64)
+        v_desc = decreasing_rearrangement(v)
+
         def evaluate(basis, rng):
-            return width_altmax(basis, target, restarts=inner_restarts, seed=rng,
-                                refine="none").value
+            # the search's inner evaluation, a plain ascent
+            cols, w, _, _ = _ascend(basis, v, v_desc, inner_restarts, rng, math.inf)
+            return _witness_and_value(cols, v, w)[1]
     best_val, best_basis, evals, near = np.inf, None, 0, 0
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
