@@ -13,21 +13,12 @@ class OrbitTooLargeError(CylwidthError):
     """Orbit closure exceeded the caller-supplied size cap."""
 
 
-class GroupTooLargeError(CylwidthError):
-    """Group closure exceeded the caller-supplied size cap."""
-
-
 class EmptyDyadicIndexError(CylwidthError):
     """The dyadic scale window contains no feasible index."""
 
 
 class CertificationFailedError(CylwidthError):
     """No draw produced a delocalization certificate under the threshold."""
-
-
-class NonOrthogonalImagesError(CylwidthError):
-    """Images of a subspace under the supplied unitaries are not mutually
-    orthogonal, so the tensor-style product construction is undefined."""
 
 
 class GuaranteeMissedError(CylwidthError):

@@ -1,16 +1,15 @@
-"""Finite unitary group presentations, orbits, and closure enumeration.
+"""Finite unitary group presentations and their orbits.
 
 A group is given by explicit unitary generator matrices (or symbolically as
 the full signed permutation group of the coordinate axes, which expands to
-three standard generators).  Orbits and element closures are computed by
-breadth-first search, one level at a time: every (item, generator) product
-of a level comes from one stacked ``np.matmul``, with vectors as (d, 1)
-items and group elements as (d, d) items.  A stacked matmul runs the same
-per-item BLAS kernel (matrix-vector for vectors) as a lone ``g @ x``, so
-every product has the bits the per-point search gave; one matrix-matrix
-product ``frontier @ g.T`` would block and reorder the sums and change last
-bits.  Products are deduplicated by rounding coordinates to 1e-8 and hashing
-the bytes, checked in the per-point order (item by item, generator by
+three standard generators).  Orbits are computed by breadth-first search,
+one level at a time: every (point, generator) product of a level comes from
+one stacked ``np.matmul`` over (d, 1) points.  A stacked matmul runs the
+same per-point matrix-vector kernel as a lone ``g @ x``, so every product
+has the bits the per-point search gave; one matrix-matrix product
+``frontier @ g.T`` would block and reorder the sums and change last bits.
+Products are deduplicated by rounding coordinates to 1e-8 and hashing the
+bytes, checked in the per-point order (point by point, generator by
 generator), so the points, their order and the first-seen representative of
 each are those of the per-point search.  Generators whose orbits contain
 pairs closer than that resolution are outside the supported domain.
@@ -35,13 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupTooLargeError, OrbitTooLargeError
+from .errors import OrbitTooLargeError
 
 __all__ = [
     "GroupPresentation",
     "Orbit",
     "enumerate_orbit",
-    "enumerate_group_elements",
     "signed_permutation_apply",
     "signed_permutation_generators",
     "group_from_dict",
@@ -52,33 +50,34 @@ UNITARY_TOL = 1e-9
 DEDUP_DECIMALS = 8
 
 
-def _round_keys(items: np.ndarray) -> list[bytes]:
-    """One dedup key per item of an (n, ...) stack: its coordinates rounded
-    to ``DEDUP_DECIMALS``, with -0.0 made +0.0, as raw bytes."""
-    r = np.round(items.reshape(items.shape[0], -1), DEDUP_DECIMALS)
+def _round_keys(points: np.ndarray) -> list[bytes]:
+    """One dedup key per point of an (n, d, 1) stack: its coordinates
+    rounded to ``DEDUP_DECIMALS``, with -0.0 made +0.0, as raw bytes."""
+    r = np.round(points.reshape(points.shape[0], -1), DEDUP_DECIMALS)
     if np.iscomplexobj(r):
         r = r.view(np.float64)
     r = r + 0.0  # normalize -0.0
     return r.view(np.dtype((np.void, r.shape[1] * r.itemsize))).ravel().tolist()
 
 
-def _closure(generators, start: np.ndarray, max_size: int, error: Exception):
-    """Breadth-first closure of ``start`` under ``generators``, level by level.
+def _closure(generators, start: np.ndarray, max_size: int) -> np.ndarray:
+    """Breadth-first closure of the (d,) point ``start`` under
+    ``generators``, level by level.
 
-    ``start`` is one (d, m) item; the result stacks the distinct items in
-    discovery order, shape (n, d, m).  Raises ``error`` after the first
-    level that brings the count of distinct items above ``max_size``.
+    Returns the distinct points in discovery order, shape (n, d).  Raises
+    :class:`OrbitTooLargeError` after the first level that brings the count
+    of distinct points above ``max_size``.
     """
     gens = np.stack(generators)
-    frontier = start[None]
+    frontier = start[None, :, None]
     levels = [frontier]
     seen = set(_round_keys(frontier))
     add = seen.add
     while frontier.shape[0]:
-        # one matrix-vector (or matrix-matrix) product per (item, generator)
-        # pair, in the order (item 0, g 0), (item 0, g 1), ...
+        # one matrix-vector product per (point, generator) pair, in the
+        # order (point 0, g 0), (point 0, g 1), ...
         products = np.matmul(gens[None], frontier[:, None]).reshape(
-            -1, *start.shape
+            -1, start.shape[0], 1
         )
         # add() returns None, so each new key is kept once, in order
         fresh = [
@@ -86,10 +85,10 @@ def _closure(generators, start: np.ndarray, max_size: int, error: Exception):
             if key not in seen and not add(key)
         ]
         if len(seen) > max_size:
-            raise error
+            raise OrbitTooLargeError(f"orbit exceeded cap of {max_size} points")
         frontier = products[fresh]
         levels.append(frontier)
-    return np.concatenate(levels)
+    return np.concatenate(levels)[:, :, 0]
 
 
 def signed_permutation_generators(d: int) -> list[np.ndarray]:
@@ -211,32 +210,7 @@ def enumerate_orbit(group: GroupPresentation, v, max_size: int = 10_000) -> Orbi
         v = v.astype(np.complex128)
     else:
         v = v.astype(np.float64)
-    points = _closure(
-        group.generators,
-        v[:, None],
-        max_size,
-        OrbitTooLargeError(f"orbit exceeded cap of {max_size} points"),
-    )
-    return Orbit(points[:, :, 0])
-
-
-def enumerate_group_elements(
-    group: GroupPresentation, max_size: int = 10_000
-) -> list[np.ndarray]:
-    """All group elements by breadth-first closure of the generators.
-
-    Raises :class:`GroupTooLargeError` beyond ``max_size`` elements.
-    """
-    eye = np.eye(group.d)
-    if group.field == "complex":
-        eye = eye.astype(np.complex128)
-    elements = _closure(
-        group.generators,
-        eye,
-        max_size,
-        GroupTooLargeError(f"group exceeded cap of {max_size} elements"),
-    )
-    return list(elements)
+    return Orbit(_closure(group.generators, v, max_size))
 
 
 def signed_permutation_apply(perm, signs, v) -> np.ndarray:

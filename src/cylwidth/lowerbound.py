@@ -43,7 +43,6 @@ __all__ = [
     "witness_vector",
     "sigma_profile",
     "selberg_check",
-    "mean_abs_coordinates",
     "adversarial_min_width",
 ]
 
@@ -140,19 +139,6 @@ def selberg_check(points, tol: float = 1e-9) -> SelbergReport:
     lhs = float(np.linalg.eigvalsh(gram)[-1])
     rhs = float(np.max(np.sum(np.abs(gram), axis=1)))
     return SelbergReport(lhs=lhs, rhs=rhs, margin=rhs - lhs, holds=lhs <= rhs + tol)
-
-
-def mean_abs_coordinates(
-    basis: SubspaceBasis, trials: int = 2000, seed=None
-) -> np.ndarray:
-    """Monte-Carlo estimate of ``E |y_i|`` for uniform unit ``y`` in the span."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((trials, basis.k))
-    if basis.field == "complex":
-        g = g + 1j * rng.standard_normal((trials, basis.k))
-    g /= np.linalg.norm(g, axis=1)[:, None]
-    y = g @ basis.columns.T
-    return np.abs(y).mean(axis=0)
 
 
 @dataclass(frozen=True)

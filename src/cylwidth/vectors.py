@@ -5,9 +5,7 @@ Conventions used throughout the package:
 * the scalar field of an array is its dtype (float64 for real data,
   complex128 for complex data); every routine accepts both,
 * the decreasing rearrangement of ``v`` is the vector of moduli ``|v_i|``
-  sorted in non-increasing order,
-* ``w`` is dominated by ``v`` when its rearrangement is bounded by the
-  rearrangement of ``v`` in every coordinate.
+  sorted in non-increasing order.
 """
 
 from __future__ import annotations
@@ -22,10 +20,7 @@ __all__ = [
     "SubspaceBasis",
     "decreasing_rearrangement",
     "decreasing_argsort",
-    "dom_membership",
     "orthonormalize",
-    "orthonormal_complement",
-    "project",
     "projection_norm",
 ]
 
@@ -113,10 +108,6 @@ class SubspaceBasis:
             self.columns.astype(np.complex128), sum_zero=self.sum_zero
         )
 
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace as a dense matrix."""
-        return self.columns @ self.columns.conj().T
-
 
 def decreasing_rearrangement(v) -> np.ndarray:
     """Moduli of ``v`` sorted in non-increasing order."""
@@ -128,21 +119,6 @@ def decreasing_argsort(v) -> np.ndarray:
     """Indices ordering ``v`` by decreasing modulus, ties by original index."""
     v = np.asarray(v)
     return np.argsort(-np.abs(v), kind="stable")
-
-
-def dom_membership(w, v, tol: float = 1e-12) -> bool:
-    """Whether the rearrangement of ``w`` is dominated by that of ``v``.
-
-    Uses a componentwise slack of ``tol``.  Both arguments must share the
-    same length; the scalar fields may differ.
-    """
-    w = np.asarray(w)
-    v = np.asarray(v)
-    if w.shape != v.shape or w.ndim != 1:
-        raise ValueError("dominance requires two vectors of equal length")
-    return bool(
-        np.all(decreasing_rearrangement(w) <= decreasing_rearrangement(v) + tol)
-    )
 
 
 def orthonormalize(columns, sum_zero: bool = False) -> SubspaceBasis:
@@ -181,20 +157,6 @@ def orthonormalize(columns, sum_zero: bool = False) -> SubspaceBasis:
         phase = np.where(diag < 0.0, -1.0, 1.0)
     q = q * phase[None, :]
     return SubspaceBasis._from_q_factor(q, sum_zero)
-
-
-def orthonormal_complement(basis: SubspaceBasis) -> SubspaceBasis:
-    """Orthonormal basis of the orthogonal complement."""
-    if basis.k == basis.d:
-        raise ValueError("complement of the full space is empty")
-    u, _, _ = np.linalg.svd(basis.columns, full_matrices=True)
-    return SubspaceBasis(np.ascontiguousarray(u[:, basis.k :]))
-
-
-def project(basis: SubspaceBasis, x) -> np.ndarray:
-    """Orthogonal projection of ``x`` onto the subspace."""
-    x = np.asarray(x)
-    return basis.columns @ (basis.columns.conj().T @ x)
 
 
 def projection_norm(basis: SubspaceBasis, x) -> float:

@@ -123,12 +123,16 @@ def width_brute_signed_perm(basis: SubspaceBasis, v) -> WidthReport:
             best = float(vals[i])
             best_perm = np.asarray(perm)
             best_sign = signs[i].copy()
+    # the ranking sums inside one matrix product, which can round a few ulps
+    # away from the witness's own projection; report the latter, so that
+    # re-evaluating the witness reproduces the value
+    witness = GammaWitness(perm=best_perm, signs=best_sign)
     return WidthReport(
-        value=float(np.sqrt(best)),
+        value=_value_of(cols, witness.apply(v)),
         method="brute",
         restarts=0,
         iterations=count,
-        witness=GammaWitness(perm=best_perm, signs=best_sign),
+        witness=witness,
     )
 
 

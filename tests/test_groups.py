@@ -1,4 +1,4 @@
-"""Group presentations, closures, orbits, and the JSON wire format."""
+"""Group presentations, orbits, and the JSON wire format."""
 
 import hashlib
 import json
@@ -6,11 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from cylwidth.errors import GroupTooLargeError, OrbitTooLargeError
+from cylwidth.errors import OrbitTooLargeError
 from cylwidth.groups import (
     GroupPresentation,
     Orbit,
-    enumerate_group_elements,
     enumerate_orbit,
     group_from_dict,
     load_group_json,
@@ -68,17 +67,10 @@ def test_degenerate_orbit_is_smaller():
     assert orbit.n == 6
 
 
-def test_group_closure_counts():
-    assert len(enumerate_group_elements(GroupPresentation.signed_permutations(2))) == 8
-    assert len(enumerate_group_elements(GroupPresentation.signed_permutations(3))) == 48
-
-
 def test_orbit_and_group_caps():
     group = GroupPresentation.signed_permutations(4)  # order 384
     with pytest.raises(OrbitTooLargeError):
         enumerate_orbit(group, np.array([0.8, 0.5, 0.3, 0.1]), max_size=100)
-    with pytest.raises(GroupTooLargeError):
-        enumerate_group_elements(group, max_size=50)
 
 
 def _oracle_key(a):
@@ -167,25 +159,6 @@ def test_d6_signed_permutation_orbit_is_pinned():
     )
 
 
-@pytest.mark.parametrize(
-    "make",
-    [lambda: _SP(2), lambda: _SP(3), lambda: _SP(4),
-     lambda: _rotated_signed_permutations(3, 7), lambda: _phase_group(2)],
-    ids=["signed-d2", "signed-d3", "signed-d4", "rotated-d3", "phase-d2"],
-)
-def test_group_elements_are_byte_identical_to_the_per_point_closure(make):
-    group = make()
-    cplx = group.field == "complex"
-    eye = np.eye(group.d, dtype=np.complex128 if cplx else np.float64)
-    want = _oracle_closure(group.generators, eye, 10_000)
-    elements = enumerate_group_elements(group)
-    assert np.array(elements).tobytes() == want.tobytes()
-    n = len(elements)
-    with pytest.raises(GroupTooLargeError, match=f"cap of {n - 1} "):
-        enumerate_group_elements(group, max_size=n - 1)
-    assert len(enumerate_group_elements(group, max_size=n)) == n
-
-
 def test_rejects_non_unitary_generator():
     shear = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
@@ -226,7 +199,7 @@ def test_explicit_dict_real_rotation():
     wire = [[[rot[i, j], 0.0] for j in range(2)] for i in range(2)]
     group = group_from_dict({"d": 2, "kind": "Explicit", "generators": [wire]})
     assert group.field == "real"
-    assert len(enumerate_group_elements(group)) == 5
+    assert enumerate_orbit(group, np.array([1.0, 0.0])).n == 5
 
 
 def test_explicit_dict_complex_phase():
@@ -234,7 +207,7 @@ def test_explicit_dict_complex_phase():
         {"d": 1, "kind": "explicit", "generators": [[[[0.0, 1.0]]]]}
     )
     assert group.field == "complex"
-    assert len(enumerate_group_elements(group)) == 4
+    assert enumerate_orbit(group, np.array([1.0])).n == 4
 
 
 def test_wire_format_round_trip(tmp_path):

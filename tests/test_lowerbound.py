@@ -18,7 +18,6 @@ from cylwidth.lowerbound import (
     SEARCH_REJECTION_LIMIT,
     SigmaProfile,
     adversarial_min_width,
-    mean_abs_coordinates,
     selberg_check,
     sigma_profile,
     witness_vector,
@@ -107,14 +106,6 @@ def test_selberg_input_validation():
     for bad in (np.nan, np.inf, -1e-9):
         with pytest.raises(ValueError, match="tol"):
             selberg_check(np.eye(3), tol=bad)
-
-
-def test_mean_abs_coordinates_supported_on_the_subspace():
-    basis = SubspaceBasis(np.eye(8)[:, :3])
-    m = mean_abs_coordinates(basis, trials=4000, seed=0)
-    assert np.allclose(m[3:], 0.0)
-    assert np.allclose(m[:3], m[0], rtol=0.1)
-    assert np.array_equal(m, mean_abs_coordinates(basis, trials=4000, seed=0))
 
 
 def test_adversarial_search_basics():

@@ -1,4 +1,4 @@
-"""Rearrangements, dominance, and orthonormal subspace bases."""
+"""Rearrangements and orthonormal subspace bases."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,7 @@ from cylwidth.vectors import (
     SubspaceBasis,
     decreasing_argsort,
     decreasing_rearrangement,
-    dom_membership,
-    orthonormal_complement,
     orthonormalize,
-    project,
     projection_norm,
 )
 
@@ -31,19 +28,6 @@ def test_argsort_breaks_ties_by_position():
     assert decreasing_argsort(v).tolist() == [0, 1, 3, 2]
 
 
-def test_dom_membership_under_permutation_phase_and_shrinking():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 6))
-        w = (phases * v)[rng.permutation(6)]
-        assert dom_membership(w, v)
-        assert dom_membership(0.7 * w, v)
-    assert not dom_membership(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        dom_membership(np.ones(3), np.ones(4))
-
-
 def test_orthonormalize_gram_and_span():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((7, 3))
@@ -51,7 +35,7 @@ def test_orthonormalize_gram_and_span():
     assert (basis.d, basis.k, basis.field) == (7, 3, "real")
     assert np.allclose(basis.columns.T @ basis.columns, np.eye(3), atol=1e-12)
     for j in range(3):
-        assert np.allclose(project(basis, a[:, j]), a[:, j])
+        assert np.allclose(basis.columns @ (basis.columns.T @ a[:, j]), a[:, j])
 
 
 def test_orthonormalize_deterministic():
@@ -162,29 +146,11 @@ def test_complexify_preserves_columns_and_flags():
     assert cplx.complexify() is cplx
 
 
-def test_complement_orthogonality():
-    basis = orthonormalize(np.random.default_rng(4).standard_normal((6, 2)))
-    comp = orthonormal_complement(basis)
-    assert comp.k == 4
-    assert float(np.max(np.abs(basis.columns.T @ comp.columns))) < 1e-12
-    with pytest.raises(ValueError):
-        orthonormal_complement(SubspaceBasis(np.eye(3)))
-
-
 def test_projection_identities():
     rng = np.random.default_rng(5)
     basis = orthonormalize(rng.standard_normal((8, 3)))
     x = rng.standard_normal(8)
-    p = project(basis, x)
-    assert np.allclose(project(basis, p), p)
+    p = basis.columns @ (basis.columns.T @ x)
+    assert np.allclose(basis.columns @ (basis.columns.T @ p), p)
     assert abs(np.linalg.norm(p) - projection_norm(basis, x)) < 1e-12
     assert abs(np.vdot(x - p, p)) < 1e-12
-
-
-def test_projector_matrix_agrees_with_projection():
-    rng = np.random.default_rng(6)
-    basis = orthonormalize(
-        rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-    )
-    x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    assert np.allclose(basis.projector() @ x, project(basis, x))

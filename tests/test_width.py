@@ -32,10 +32,10 @@ def test_brute_hand_checked_case():
     basis = SubspaceBasis(np.eye(2)[:, :1])
     v = np.array([0.3, -0.8])
     rep = width_brute_signed_perm(basis, v)
-    assert abs(rep.value - 0.8) < 1e-15
+    assert rep.value == 0.8
     image = rep.witness.apply(v)
-    assert abs(abs(image[0]) - 0.8) < 1e-15
-    assert abs(projection_norm(basis, image) - rep.value) < 1e-15
+    assert abs(image[0]) == 0.8
+    assert projection_norm(basis, image) == rep.value
 
 
 def test_brute_rejects_complex_and_large_inputs():
@@ -453,13 +453,6 @@ def test_line_width_report_and_contract():
         width_altmax(basis, np.full(9, np.inf))
 
 
-def _brute_image_value(basis, v):
-    # the brute-force optimum, valued the way width_altmax values a witness
-    # (the brute force sums inside one matrix product, which can round its
-    # own value another way by a few ulps)
-    return _value_of(basis.columns, width_brute_signed_perm(basis, v).witness.apply(v))
-
-
 def test_plane_width_matches_brute_force():
     # from d = 3 on, the optimal image is unique up to sign, so its value is
     # the brute-force optimum's bit for bit; at d = 2 every image is optimal
@@ -471,7 +464,7 @@ def test_plane_width_matches_brute_force():
         v = rng.standard_normal(d)
         rep = width_altmax(basis, v)
         assert rep.method == "sweep"
-        assert rep.value == _brute_image_value(basis, v), (i, d)
+        assert rep.value == width_brute_signed_perm(basis, v).value, (i, d)
         assert rep.value == projection_norm(basis, rep.witness.apply(v))
 
 
@@ -581,7 +574,8 @@ def test_plane_width_check_catches_dropped_events(drop):
             d = int(rng.integers(3, 7))
             basis = sample_uniform(2, d, "real", seed=[90, i])
             v = rng.standard_normal(d)
-            misses += width_altmax(basis, v).value < _brute_image_value(basis, v) - 1e-12
+            brute = width_brute_signed_perm(basis, v).value
+            misses += width_altmax(basis, v).value < brute - 1e-12
     assert misses
 
 
@@ -934,5 +928,6 @@ def test_property_brute_width_is_signed_permutation_invariant(inst, data):
     perm = data.draw(st.permutations(range(d)))
     signs = data.draw(hnp.arrays(np.float64, d, elements=st.sampled_from([-1.0, 1.0])))
     moved = signed_permutation_apply(perm, signs, v)
-    want = width_brute_signed_perm(basis, v).value
-    assert abs(width_brute_signed_perm(basis, moved).value - want) <= 1e-12
+    rep = width_brute_signed_perm(basis, v)
+    assert rep.value == projection_norm(basis, rep.witness.apply(v))
+    assert abs(width_brute_signed_perm(basis, moved).value - rep.value) <= 1e-12
