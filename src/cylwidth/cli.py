@@ -213,7 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", action="append", type=int, default=None)
     p.add_argument("--k", action="append", type=int, default=None)
     p.add_argument(
-        "--restarts", type=_count, default=10, help="search restarts (k >= 2 only)"
+        "--restarts",
+        type=_count,
+        default=10,
+        help="search restarts (k >= 2 only); they run in forked workers, one "
+        "per usable CPU, and the output does not depend on how many",
     )
     p.add_argument(
         "--steps", type=_count, default=2000, help="steps per restart (k >= 2 only)"

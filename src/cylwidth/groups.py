@@ -136,8 +136,10 @@ class GroupPresentation:
                 )
             if not np.isfinite(a).all():
                 raise ValueError("generator entries must be finite")
-            err = float(np.max(np.abs(a @ a.conj().T - np.eye(self.d))))
-            if err > UNITARY_TOL:
+            # an overflowing product makes the deviation NaN, which must not pass
+            with np.errstate(over="ignore", invalid="ignore"):
+                err = float(np.max(np.abs(a @ a.conj().T - np.eye(self.d))))
+            if not err <= UNITARY_TOL:
                 raise ValueError(f"generator is not unitary (deviation {err:.3e})")
             a.setflags(write=False)
             gens.append(a)

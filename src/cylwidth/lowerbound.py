@@ -18,12 +18,16 @@ are accepted when the width drops, and the step size halves after
 (k = 1) need no search: the least width over real lines is
 ``min_m (v~_1 + ... + v~_m) / sqrt(m)``, attained by the normalized
 indicator of the first ``m`` coordinates (see
-:func:`adversarial_min_width`).
+:func:`adversarial_min_width`).  The restarts of a search are independent,
+so they run in forked worker processes, one per usable CPU; the output does
+not depend on how many.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +171,117 @@ def _least_line_width(v, v_desc) -> AdversarialResult:
     )
 
 
+def _restart(evaluate, d, k, steps, stream):
+    """One restart of the search on the random stream ``stream``.
+
+    Returns the least width it reached, the frame that reached it and the
+    number of evaluations made.
+    """
+    rng = np.random.default_rng(stream)
+    basis = sample_uniform(k, d, "real", rng)
+    current = evaluate(basis, rng, math.inf)
+    evals = 1
+    eta = SEARCH_INITIAL_STEP
+    rejected = 0
+    for _ in range(steps):
+        noise = rng.standard_normal((d, k))
+        try:
+            cand = orthonormalize(basis.columns + eta * noise)
+        except RankDeficientError:  # pragma: no cover - tiny probability
+            rejected += 1
+            if rejected >= SEARCH_REJECTION_LIMIT:
+                eta /= 2.0
+                rejected = 0
+            continue
+        val = evaluate(cand, rng, current)
+        evals += 1
+        if val < current:
+            basis = cand
+            current = val
+            rejected = 0
+        else:
+            rejected += 1
+            if rejected >= SEARCH_REJECTION_LIMIT:
+                eta /= 2.0
+                rejected = 0
+    return current, basis, evals
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _map_forked(func, n_items):
+    """``[func(i) for i in range(n_items)]``, run in forked workers.
+
+    There is one worker per usable CPU, and never more than ``n_items``;
+    worker ``w`` runs items ``w, w + n, w + 2n, ...`` and pickles its results
+    back through a pipe.  The list comes back in item order, so it does not
+    depend on the worker count.  With one worker, or without ``os.fork``,
+    the items run in this process.  A worker's exception is raised here
+    with its own type; every worker is reaped before this returns or raises.
+    A forked worker shares the loaded modules and ``func``'s closure, so it
+    starts at once and only the results are pickled.
+    """
+    n = min(_usable_cpus(), n_items) if hasattr(os, "fork") else 1
+    if n <= 1:
+        return [func(i) for i in range(n_items)]
+    results = [None] * n_items
+    workers = []  # (pid, read end of its pipe), unreaped, in worker order
+    try:
+        for w in range(n):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                # _exit skips atexit handlers and the flush of inherited buffers
+                try:
+                    os.close(read_fd)
+                    try:
+                        msg = ("ok", [(i, func(i)) for i in range(w, n_items, n)])
+                    except Exception as exc:
+                        msg = ("err", exc)
+                    with open(write_fd, "wb") as fh:
+                        fh.write(pickle.dumps(msg))
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            workers.append((pid, open(read_fd, "rb")))
+        while workers:
+            pid, fh = workers[0]
+            with fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            workers.pop(0)
+            # a worker that finishes exits 0; a killed one may leave a torn message
+            if status or not data:
+                raise RuntimeError(
+                    f"search worker {pid} sent no result (wait status {status})"
+                )
+            kind, payload = pickle.loads(data)
+            if kind == "err":
+                raise payload
+            for i, value in payload:
+                results[i] = value
+        return results
+    finally:
+        if workers:
+            import signal  # only a failed search needs it; kept off the import path
+
+            for pid, fh in workers:
+                fh.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def adversarial_min_width(
     d: int,
     k: int,
@@ -187,6 +302,12 @@ def adversarial_min_width(
     ``SEARCH_REJECTION_LIMIT`` consecutive rejections.  Underestimation by
     the inner ascent can only lower the reported minimum, so the result is
     a one-sided probe of the true minimal width.
+
+    The restarts run in forked worker processes, one per usable CPU and
+    never more than ``restarts`` (in this process when there is one, or no
+    ``os.fork``).  Each restart draws only from its own stream, and the
+    results are folded in restart order, the first least width winning, so
+    the result is the same bit for bit for any number of workers.
 
     For vector targets the target is validated and rearranged once, and
     each frame is evaluated by the ascent helper that
@@ -249,38 +370,13 @@ def adversarial_min_width(
                 return obj
             return _witness_and_value(cols, v, w)[1]
 
+    seed_base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    runs = _map_forked(
+        lambda r: _restart(evaluate, d, k, steps, [*seed_base, r]), restarts
+    )
     best_val = np.inf
     best_basis = None
-    evals = 0
-    seed_base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    for r in range(restarts):
-        rng = np.random.default_rng([*seed_base, r])
-        basis = sample_uniform(k, d, "real", rng)
-        current = evaluate(basis, rng, math.inf)
-        evals += 1
-        eta = SEARCH_INITIAL_STEP
-        rejected = 0
-        for _ in range(steps):
-            noise = rng.standard_normal((d, k))
-            try:
-                cand = orthonormalize(basis.columns + eta * noise)
-            except RankDeficientError:  # pragma: no cover - tiny probability
-                rejected += 1
-                if rejected >= SEARCH_REJECTION_LIMIT:
-                    eta /= 2.0
-                    rejected = 0
-                continue
-            val = evaluate(cand, rng, current)
-            evals += 1
-            if val < current:
-                basis = cand
-                current = val
-                rejected = 0
-            else:
-                rejected += 1
-                if rejected >= SEARCH_REJECTION_LIMIT:
-                    eta /= 2.0
-                    rejected = 0
+    for current, basis, _ in runs:
         if current < best_val:
             best_val = current
             best_basis = basis
@@ -289,5 +385,5 @@ def adversarial_min_width(
         basis=best_basis,
         restarts=restarts,
         steps=steps,
-        evaluations=evals,
+        evaluations=sum(evals for _, _, evals in runs),
     )

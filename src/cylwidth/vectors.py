@@ -46,7 +46,8 @@ class SubspaceBasis:
     (max deviation of the Gram matrix from the identity at most 1e-9).  When
     ``sum_zero`` is set the columns must additionally have coordinate sums at
     most 1e-9 in modulus, i.e. the subspace sits inside the hyperplane
-    orthogonal to the all-ones vector.  The stored array is made read-only.
+    orthogonal to the all-ones vector.  The stored array is made read-only,
+    and stays so through pickling.
     """
 
     columns: np.ndarray
@@ -59,16 +60,23 @@ class SubspaceBasis:
             raise ValueError(f"basis has {k} columns in dimension {d}")
         if not np.isfinite(cols).all():
             raise ValueError("basis columns must be finite")
-        gram = cols.conj().T @ cols
-        err = float(np.max(np.abs(gram - np.eye(k))))
-        if err > ORTHO_TOL:
+        # an overflowing Gram matrix makes the deviation NaN, which must not pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = cols.conj().T @ cols
+            err = float(np.max(np.abs(gram - np.eye(k))))
+        if not err <= ORTHO_TOL:
             raise ValueError(f"columns not orthonormal (deviation {err:.3e})")
         self._seal(cols)
+
+    def __reduce__(self):
+        # unpickle through the constructor, so the columns are validated and
+        # read-only again (pickle restores arrays writable)
+        return (type(self), (self.columns, self.sum_zero))
 
     def _seal(self, cols: np.ndarray) -> None:
         if self.sum_zero:
             worst = float(np.max(np.abs(cols.sum(axis=0))))
-            if worst > SUM_ZERO_TOL:
+            if not worst <= SUM_ZERO_TOL:
                 raise ValueError(
                     f"columns not sum-free (coordinate sum {worst:.3e})"
                 )

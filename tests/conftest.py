@@ -3,8 +3,11 @@
 Acceptance tests register one verdict each through the
 ``acceptance_recorder`` fixture; the verdicts are printed as a separate
 section at the end of the pytest run so every criterion shows a single
-pass/fail line regardless of output capturing.
+pass/fail line regardless of output capturing.  Every test also fails if
+it leaves a child process unreaped.
 """
+
+import os
 
 import pytest
 
@@ -18,6 +21,17 @@ def record_acceptance(index: int, title: str, ok: bool, detail: str = "") -> Non
 @pytest.fixture(scope="session")
 def acceptance_recorder():
     return record_acceptance
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no children: all were reaped
+        return
+    state = "still running" if pid == 0 else f"pid {pid}, wait status {status}"
+    pytest.fail(f"the test left a child process unreaped ({state})")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -91,6 +91,16 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert code == 2
     assert "finite" in err
 
+    # finite, but g g* overflows to NaN, which a `deviation > tol` check passes
+    gfile.write_text('{"d": 2, "kind": "explicit", "generators": '
+                     '[[[[1e200, 1e200], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}')
+    code, _, err = run(
+        ["realize", "--group", str(gfile), "--base-point", "1,0", "--seed", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert "not unitary" in err
+
     code, _, err = run(["tnorm", "--d", "1", "--trials", "2", "--seed", "1"], capsys)
     assert code == 2
 

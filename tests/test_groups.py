@@ -180,6 +180,12 @@ def test_rejects_non_finite_generators_and_orbits(bad):
             Orbit(pts.astype(np.complex128))
 
 
+def test_rejects_generator_whose_product_overflows():
+    # finite entries, but g g* overflows to NaN
+    with pytest.raises(ValueError, match="not unitary"):
+        GroupPresentation(d=2, generators=([[1e200 + 1e200j, 0], [0, 1]],))
+
+
 def test_orbit_rejects_points_whose_norm_overflows():
     # finite entries, but the first norm is inf, so every deviation from it
     # is NaN or inf

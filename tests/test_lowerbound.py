@@ -4,6 +4,7 @@ import functools
 import inspect
 import itertools
 import math
+import os
 import textwrap
 from fractions import Fraction
 
@@ -327,3 +328,56 @@ def test_adversarial_search_matches_full_evaluations():
         assert res.basis.columns.tobytes() == want_basis.columns.tobytes()
         if steps == 2500:
             assert near > 0
+
+
+def test_search_output_does_not_depend_on_the_worker_count(monkeypatch):
+    orbit = enumerate_orbit(GroupPresentation.signed_permutations(4),
+                            witness_vector(4, 2).unit)
+    cases = [(8, 2, witness_vector(8, 2).unit), (10, 4, witness_vector(10, 4).unit),
+             (4, 2, orbit)]
+    for (d, k, target), restarts in itertools.product(cases, (1, 3, 12)):
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(lowerbound, "_usable_cpus", lambda w=workers: w)
+            res = adversarial_min_width(d, k, target, restarts=restarts, steps=30,
+                                        seed=[7, d, k])
+            # an unpickled basis is sealed like one built in this process
+            assert not res.basis.columns.flags.writeable
+            results.append((np.float64(res.min_value).tobytes(),
+                            res.basis.columns.tobytes(), res.evaluations))
+        assert results[1] == results[0] and results[2] == results[0]
+
+
+def test_search_worker_failure_is_raised_and_every_worker_reaped(monkeypatch):
+    real_ascend = lowerbound._ascend
+
+    def ascend(basis, v, v_desc, starts, rng, ceiling):
+        # restart r draws from the stream (seed, r)
+        if rng.bit_generator.seed_seq.entropy[-1] == 2:
+            raise RuntimeError("ascent failed in restart 2")
+        return real_ascend(basis, v, v_desc, starts, rng, ceiling)
+
+    monkeypatch.setattr(lowerbound, "_ascend", ascend)
+    wit = witness_vector(8, 2).unit
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda w=workers: w)
+        with pytest.raises(RuntimeError, match="restart 2"):
+            adversarial_min_width(8, 2, wit, restarts=4, steps=20, seed=1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_worker_that_sends_nothing_is_reported(monkeypatch):
+    monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 2)
+
+    def item(i):
+        if i == 1:
+            os._exit(5)  # runs in the second worker, never in this process
+        return i
+
+    with pytest.raises(RuntimeError, match="sent no result"):
+        lowerbound._map_forked(item, 3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert lowerbound._map_forked(lambda i: i * i, 5) == [0, 1, 4, 9, 16]

@@ -1,5 +1,7 @@
 """Rearrangements and orthonormal subspace bases."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -130,10 +132,23 @@ def test_basis_validation():
             SubspaceBasis(cols)
 
 
+def test_basis_rejects_overflowing_columns():
+    # finite entries whose Gram matrix overflows to NaN
+    with pytest.raises(ValueError, match="not orthonormal"):
+        SubspaceBasis(np.array([[1e200 + 1e200j], [1e200 - 1e200j]]))
+    # a NaN coordinate sum must not pass the sum check
+    with pytest.raises(ValueError, match="sum-free"):
+        SubspaceBasis._from_q_factor(np.array([[np.nan], [0.0]]), sum_zero=True)
+
+
 def test_basis_is_read_only():
     basis = orthonormalize(np.random.default_rng(3).standard_normal((5, 2)))
     with pytest.raises(ValueError):
         basis.columns[0, 0] = 7.0
+    # pickle restores arrays writable; the basis is rebuilt sealed
+    again = pickle.loads(pickle.dumps(basis))
+    assert again.columns.tobytes() == basis.columns.tobytes()
+    assert not again.columns.flags.writeable
 
 
 def test_complexify_preserves_columns_and_flags():
