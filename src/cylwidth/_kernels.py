@@ -2,8 +2,10 @@
 
 * ``altmax_best``: the alternating ascent, vectorized with numpy; at large
   d each iteration is dominated by the two projections.  Starts come as
-  basis coefficients.  An optional ceiling ends it early once an objective
-  proves the width exceeds it; under a finite ceiling all starts are first
+  basis coefficients.  It owns its stopping rules: each start stops on a
+  small gain or after ``ASCENT_MAX_ITER`` iterations, and an optional
+  ceiling ends the whole ascent early, with status 2, once an objective
+  proves the width exceeds it.  Under a finite ceiling all starts are first
   formed together and raced in lockstep for a few steps, and only the start
   that crosses the ceiling first is replayed by the sequential ascent.
   Without a ceiling each start is formed only when its ascent begins.
@@ -37,13 +39,15 @@ import numpy as np
 #   cols     (d, k) orthonormal columns, float64 or complex128
 #   v_desc   (d,) float64, decreasing moduli of the target vector
 #   starts   (R, k) basis coefficients of the starts, dtype matching cols,
-#            each with cols @ starts[r] != 0; R >= 1 and max_iter >= 1
+#            each with cols @ starts[r] != 0; R >= 1
 #   ceiling  float; once an iterate's objective exceeds
 #            bound = ceiling * (1 + ALTMAX_CEILING_SLACK), the ascent stops
 #            and returns a crossing iterate of one start's sequential ascent
 # Returns (w_best, best_obj, total_iters, status) where status is
-#   0 normal, 1 monotonicity violation (never expected), and the objective is
-#   sum_r v_desc[r] * r-th largest modulus of w.
+#   0 normal, 1 monotonicity violation (never expected), 2 stopped at a
+#   crossing iterate, whose objective exceeds the bound; the objective is
+#   sum_r v_desc[r] * r-th largest modulus of w.  Each start's ascent stops
+#   once its objective gains less than ASCENT_TOL, or after ASCENT_MAX_ITER.
 #
 # Start r is the unit vector w = cols @ starts[r] / ||cols @ starts[r]||, and
 # its sequential ascent (_ascent) depends on that start alone.  Callers that
@@ -73,16 +77,16 @@ import numpy as np
 # In floats the two differ by rounding of order 1e-15 relative, and an
 # objective may dip by rounding within a start; the relative slack dominates
 # both by orders of magnitude, so a width reported below the ceiling by the
-# full ascent never triggers the early return.  The early return is also the
-# only way the returned objective can exceed the bound, so callers can tell
-# it from the objective alone.
+# full ascent never triggers the early return.
 # ---------------------------------------------------------------------------
 
 ALTMAX_CEILING_SLACK = 1e-9
+ASCENT_MAX_ITER = 500
+ASCENT_TOL = 1e-10
 RACE_STEPS = 4
 
 
-def _ascent(cols, cols_h, v_desc, start, max_iter, tol, bound):
+def _ascent(cols, cols_h, v_desc, start, bound):
     """One start's sequential ascent: ``(w, obj, iters, status)``.
 
     status 0: stopped below the bound, with its endpoint and last objective;
@@ -92,7 +96,7 @@ def _ascent(cols, cols_h, v_desc, start, max_iter, tol, bound):
     w = cols @ start
     w = w / np.linalg.norm(w)
     obj_prev = -1.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, ASCENT_MAX_ITER + 1):
         m = np.abs(w)
         order = np.argsort(-m, kind="stable")
         obj = float(v_desc @ m[order])
@@ -112,19 +116,19 @@ def _ascent(cols, cols_h, v_desc, start, max_iter, tol, bound):
         if pn < 1e-15:
             break
         w = (cols @ c) / pn
-        if gain < tol:
+        if gain < ASCENT_TOL:
             break
     return w, obj_prev, it, 0
 
 
-def _race(cols, cols_h, v_desc, starts, steps, bound):
+def _race(cols, cols_h, v_desc, starts, bound):
     """Index of the start whose lockstep ascent first exceeds ``bound``, or -1."""
     # the columns of w are the starts' iterates, left unnormalized: an
     # objective is scored against the bound times its column's norm
     w = cols @ starts.T
     idx = np.arange(w.shape[1])
     vr = np.empty(w.shape)
-    for _ in range(steps):
+    for _ in range(RACE_STEPS):
         m = np.abs(w)
         # vr[:, r] holds v_desc in the order of the moduli of w[:, r]
         vr[np.argsort(-m, axis=0, kind="stable"), idx] = v_desc[:, None]
@@ -135,28 +139,24 @@ def _race(cols, cols_h, v_desc, starts, steps, bound):
     return -1
 
 
-def altmax_best(cols, v_desc, starts, max_iter, tol, ceiling=math.inf):
+def altmax_best(cols, v_desc, starts, ceiling=math.inf):
     """Run the alternating ascent from every start, return the best endpoint."""
     cols_h = cols.conj().T
     bound = ceiling * (1.0 + ALTMAX_CEILING_SLACK)
     if math.isfinite(bound) and starts.shape[0] > 1:
-        r = _race(cols, cols_h, v_desc, starts, min(RACE_STEPS, max_iter), bound)
+        r = _race(cols, cols_h, v_desc, starts, bound)
         if r >= 0:
-            w, obj, iters, status = _ascent(
-                cols, cols_h, v_desc, starts[r], max_iter, tol, bound
-            )
-            if status == 2:
-                return w, obj, iters, 0
+            result = _ascent(cols, cols_h, v_desc, starts[r], bound)
+            if result[3] == 2:
+                return result
     best_obj = -1.0
     best_w = None
     total = 0
     for start in starts:
-        w, obj, iters, status = _ascent(
-            cols, cols_h, v_desc, start, max_iter, tol, bound
-        )
+        w, obj, iters, status = _ascent(cols, cols_h, v_desc, start, bound)
         total += iters
         if status == 2:
-            return w, obj, total, 0
+            return w, obj, total, 2
         if status == 1:
             return best_w, best_obj, total, 1
         if obj > best_obj:

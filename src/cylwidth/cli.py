@@ -34,7 +34,7 @@ from .errors import (
     EmptyDyadicIndexError,
     GuaranteeMissedError,
 )
-from .groups import enumerate_orbit, load_group_json
+from .groups import enumerate_orbit, group_dimension, group_from_dict, read_group_json
 from .lowerbound import adversarial_min_width, selberg_check, witness_vector
 from .measures import (
     desk_scale_j_min,
@@ -401,17 +401,19 @@ def _least_orbit_width(bases, orbit):
 
 
 def _cmd_realize(args):
-    group = load_group_json(args.group)
+    obj = read_group_json(args.group)
     try:
         base = np.array([float(t) for t in args.base_point.split(",")])
     except ValueError as exc:
         raise ValueError(f"cannot parse base point: {exc}") from exc
     if not np.isfinite(base).all():
         raise ValueError("base point coordinates must be finite")
-    if base.shape[0] != group.d:
+    # checked before the group's d x d generators are built
+    d = group_dimension(obj)
+    if base.shape[0] != d:
         raise ValueError(
             f"base point has {base.shape[0]} coordinates, group acts on "
-            f"dimension {group.d}"
+            f"dimension {d}"
         )
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(base))
@@ -420,11 +422,10 @@ def _cmd_realize(args):
     if not math.isfinite(norm):
         raise ValueError("base point norm must be finite")
     base = base / norm
-    d = group.d
     k = args.k
     if k < 1 or 2 * k > d:
         raise ValueError(f"need 1 <= k <= d/2 for the reduction, got k={k}, d={d}")
-    orbit = enumerate_orbit(group, base, max_size=args.max_orbit)
+    orbit = enumerate_orbit(group_from_dict(obj), base, max_size=args.max_orbit)
 
     candidates = [
         sample_uniform(2 * k, d, "complex", [args.seed, 41, i])

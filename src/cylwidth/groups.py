@@ -14,7 +14,8 @@ generator), so the points, their order and the first-seen representative of
 each are those of the per-point search.  Generators whose orbits contain
 pairs closer than that resolution are outside the supported domain.
 
-JSON wire format, loadable by :func:`load_group_json`::
+JSON wire format, read by :func:`read_group_json` and built by
+:func:`group_from_dict`::
 
     {"d": 3,
      "kind": "EXPLICIT",
@@ -42,8 +43,9 @@ __all__ = [
     "enumerate_orbit",
     "signed_permutation_apply",
     "signed_permutation_generators",
+    "group_dimension",
     "group_from_dict",
-    "load_group_json",
+    "read_group_json",
 ]
 
 UNITARY_TOL = 1e-9
@@ -238,16 +240,25 @@ def signed_permutation_apply(perm, signs, v) -> np.ndarray:
     return signs * v[perm]
 
 
-def group_from_dict(obj: dict) -> GroupPresentation:
-    """Build a presentation from the JSON wire format."""
+def group_dimension(obj: dict) -> int:
+    """The dimension of a wire-format object, read without building it."""
     try:
         d = obj["d"]
-        kind = str(obj["kind"]).lower()
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed group object: {exc}") from exc
     # bool is an int subclass; a float d would be truncated or overflow
     if isinstance(d, bool) or not isinstance(d, numbers.Integral):
         raise ValueError(f"group d must be an integer, got {d!r}")
+    return d
+
+
+def group_from_dict(obj: dict) -> GroupPresentation:
+    """Build a presentation from the JSON wire format."""
+    d = group_dimension(obj)
+    try:
+        kind = str(obj["kind"]).lower()
+    except KeyError as exc:
+        raise ValueError(f"malformed group object: {exc}") from exc
     if kind == "signed_permutations":
         return GroupPresentation.signed_permutations(d)
     if kind != "explicit":
@@ -270,8 +281,8 @@ def group_from_dict(obj: dict) -> GroupPresentation:
     return GroupPresentation(d=d, generators=tuple(gens), kind="explicit")
 
 
-def load_group_json(path) -> GroupPresentation:
-    """Load a presentation from a JSON file; parse errors carry positions."""
+def read_group_json(path) -> dict:
+    """The wire-format object of a JSON file; parse errors carry positions."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -279,4 +290,4 @@ def load_group_json(path) -> GroupPresentation:
             raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
-    return group_from_dict(obj)
+    return obj

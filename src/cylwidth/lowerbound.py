@@ -11,10 +11,10 @@ For a subspace basis the coordinate profile ``sigma_i`` is the i-th largest
 projection norm of a coordinate vector divided by ``sqrt(k)``.  The profile
 sums to one in squares and obeys ``sigma_i <= min(1/sqrt(k), 1/sqrt(i))``.
 
-The adversarial minimizer is a derivative-free random search over frames:
-Gaussian perturbations of the basis columns are re-orthonormalized, moves
-are accepted when the width drops, and the step size halves after
-``SEARCH_REJECTION_LIMIT`` consecutive rejections.  Against a vector, lines
+The adversarial minimizer is a derivative-free random search over frames
+against a target vector: Gaussian perturbations of the basis columns are
+re-orthonormalized, moves are accepted when the width drops, and the step
+size halves after ``SEARCH_REJECTION_LIMIT`` consecutive rejections.  Lines
 (k = 1) need no search: the least width over real lines is
 ``min_m (v~_1 + ... + v~_m) / sqrt(m)``, attained by the normalized
 indicator of the first ``m`` coordinates (see
@@ -32,12 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import ALTMAX_CEILING_SLACK
 from .errors import RankDeficientError
-from .groups import Orbit
 from .measures import sample_uniform
 from .vectors import SubspaceBasis, decreasing_rearrangement, orthonormalize
-from .width import _ascend, _conform, _line_width, _witness_and_value, width_orbit
+from .width import _ascend, _conform, _line_width, _witness_and_value
 
 __all__ = [
     "WitnessVector",
@@ -131,17 +129,23 @@ def selberg_check(points, tol: float = 1e-9) -> SelbergReport:
     For any finite family ``x_1..x_m`` the supremum over unit ``w`` of
     ``sum_i |<w, x_i>|^2`` is the top eigenvalue of the Gram matrix, and it
     never exceeds ``max_i sum_j |<x_i, x_j>|``.  ``tol`` must be finite and
-    nonnegative, so the check cannot hold vacuously.
+    nonnegative, so the check cannot hold vacuously, and the points must be
+    finite with finite Gram row sums, so it cannot fail on invalid input.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     x = np.asarray(points)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("need a nonempty (m, d) array of row vectors")
-    gram = x @ x.conj().T
-    gram = (gram + gram.conj().T) / 2.0
+    # a non-finite point or an overflowing Gram matrix makes a row sum inf
+    # or NaN, which must not pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x @ x.conj().T
+        gram = (gram + gram.conj().T) / 2.0
+        rhs = float(np.max(np.sum(np.abs(gram), axis=1)))
+    if not rhs < math.inf:
+        raise ValueError("points must be finite, with finite Gram row sums")
     lhs = float(np.linalg.eigvalsh(gram)[-1])
-    rhs = float(np.max(np.sum(np.abs(gram), axis=1)))
     return SelbergReport(lhs=lhs, rhs=rhs, margin=rhs - lhs, holds=lhs <= rhs + tol)
 
 
@@ -293,15 +297,15 @@ def adversarial_min_width(
 ) -> AdversarialResult:
     """Real frame of minimal width: exact for lines, a random search above.
 
-    ``target`` is either an :class:`~cylwidth.groups.Orbit` (evaluated
-    exactly) or a vector (evaluated by the alternating ascent over signed
-    permutations with ``inner_restarts`` starts).  Restart ``r`` runs on the
-    derived stream ``(seed, r)``: a uniform random frame is perturbed by
-    Gaussian noise of scale ``SEARCH_INITIAL_STEP`` and re-orthonormalized;
-    strict improvements are accepted and the scale halves after
-    ``SEARCH_REJECTION_LIMIT`` consecutive rejections.  Underestimation by
-    the inner ascent can only lower the reported minimum, so the result is
-    a one-sided probe of the true minimal width.
+    ``target`` is a vector, and a frame's width against it is evaluated by
+    the alternating ascent over signed permutations with ``inner_restarts``
+    starts.  Restart ``r`` runs on the derived stream ``(seed, r)``: a
+    uniform random frame is perturbed by Gaussian noise of scale
+    ``SEARCH_INITIAL_STEP`` and re-orthonormalized; strict improvements are
+    accepted and the scale halves after ``SEARCH_REJECTION_LIMIT``
+    consecutive rejections.  Underestimation by the inner ascent can only
+    lower the reported minimum, so the result is a one-sided probe of the
+    true minimal width.
 
     The restarts run in forked worker processes, one per usable CPU and
     never more than ``restarts`` (in this process when there is one, or no
@@ -309,22 +313,19 @@ def adversarial_min_width(
     results are folded in restart order, the first least width winning, so
     the result is the same bit for bit for any number of workers.
 
-    For vector targets the target is validated and rearranged once, and
-    each frame is evaluated by the ascent helper that
-    :func:`~cylwidth.width.width_altmax` runs (with ``refine="none"``).  A
-    candidate's ascent runs with the current width as its ceiling and stops
-    at an iterate whose objective exceeds it, which some start's own
-    sequential ascent reaches; the kernel races the starts to find one.
+    The target is validated and rearranged once, and each frame is evaluated
+    by the ascent helper that :func:`~cylwidth.width.width_altmax` runs (with
+    ``refine="none"``).  A candidate's ascent runs with the current width as
+    its ceiling, and the kernel stops it at an iterate whose objective
+    exceeds that ceiling if some start's own sequential ascent reaches one.
     Every objective is a lower bound on the width the full ascent would
-    report, so such a candidate is rejected either way: the search takes the
-    objective as its value and builds no witness.  A candidate is rejected
-    exactly when a full evaluation would reject it, and its random starts
-    are drawn before the ascent, so the stream, and with it the result, is
-    the same bit for bit as with full evaluations.  An orbit target's
-    evaluation likewise takes the current width as its ceiling and stops
-    after the first block of orbit points that exceeds it.
+    report, so a stopped candidate is rejected either way: the search takes
+    the objective as its value and builds no witness.  A candidate is
+    rejected exactly when a full evaluation would reject it, and its random
+    starts are drawn before the ascent, so the stream, and with it the
+    result, is the same bit for bit as with full evaluations.
 
-    A vector target at k = 1 is solved exactly, with no search: ``restarts``,
+    A target at k = 1 is solved exactly, with no search: ``restarts``,
     ``steps`` and ``inner_restarts`` are validated and otherwise unused, and
     the result reports one evaluation and zero restarts and steps.  Let
     ``A_m = v~_1 + ... + v~_m`` and ``1_[m]`` be the vector with ones on the
@@ -345,30 +346,22 @@ def adversarial_min_width(
         raise ValueError("need at least one restart")
     if steps < 0:
         raise ValueError(f"need steps >= 0, got {steps}")
-    if isinstance(target, Orbit):
+    if inner_restarts < 1:
+        raise ValueError("need at least one inner restart")
+    v = _conform(target, d, "real")
+    v_desc = decreasing_rearrangement(v)
+    if k == 1:
+        return _least_line_width(v, v_desc)
 
-        def evaluate(basis, rng, ceiling):
-            return width_orbit(basis, target, ceiling).value
-
-    else:
-        if inner_restarts < 1:
-            raise ValueError("need at least one inner restart")
-        v = _conform(target, d, "real")
-        v_desc = decreasing_rearrangement(v)
-        if k == 1:
-            return _least_line_width(v, v_desc)
-
-        # the search re-evaluates thousands of candidates, so it runs the
-        # plain ascent; underestimates only lower the one-sided probe
-        def evaluate(basis, rng, ceiling):
-            cols, w, obj, _ = _ascend(
-                basis, v, v_desc, inner_restarts, rng, ceiling
-            )
-            # only a return at the ceiling leaves obj above the bound; then
-            # obj > ceiling, so the caller rejects the candidate unwitnessed
-            if obj > ceiling * (1.0 + ALTMAX_CEILING_SLACK):
-                return obj
-            return _witness_and_value(cols, v, w)[1]
+    # the search re-evaluates thousands of candidates, so it runs the plain
+    # ascent; underestimates only lower the one-sided probe.  A stopped
+    # ascent's objective exceeds the ceiling, so the caller rejects the
+    # candidate unwitnessed
+    def evaluate(basis, rng, ceiling):
+        cols, w, obj, _, stopped = _ascend(
+            basis, v, v_desc, inner_restarts, rng, ceiling
+        )
+        return obj if stopped else _witness_and_value(cols, v, w)[1]
 
     seed_base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     runs = _map_forked(

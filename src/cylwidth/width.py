@@ -159,8 +159,6 @@ def _witness_from(w: np.ndarray, v: np.ndarray) -> GammaWitness:
 
 ANNEAL_CHAINS = 6
 ANNEAL_MOVES = 2500
-ASCENT_MAX_ITER = 500
-ASCENT_TOL = 1e-10
 
 
 def _value_of(cols: np.ndarray, image: np.ndarray) -> float:
@@ -172,9 +170,7 @@ def _snap(cols, v_desc, v, image):
     c = cols.conj().T @ image
     if float(np.linalg.norm(cols @ c)) <= 1e-14:
         return None
-    w_new, _, _, status = _kernels.altmax_best(
-        cols, v_desc, c[None, :], ASCENT_MAX_ITER, ASCENT_TOL
-    )
+    w_new, _, _, status = _kernels.altmax_best(cols, v_desc, c[None, :])
     if status == 1:
         return None
     return _witness_from(np.asarray(w_new), v)
@@ -237,11 +233,11 @@ def _anneal_refine(cols, v, v_desc, witness, value, rng):
 def _ascend(basis: SubspaceBasis, v, v_desc, restarts, rng, ceiling):
     """Draw the ascent's starts and run it; ``v`` is conformed already.
 
-    Returns ``(cols, w_best, best_obj, iterations)``.  ``cols`` are the
-    columns the ascent ran on: those of ``basis``, complexified when ``v``
-    is complex, since the supremum then ranges over complex images.  An
-    objective above ``ceiling * (1 + ALTMAX_CEILING_SLACK)`` means the
-    ascent stopped there; otherwise it ran in full.
+    Returns ``(cols, w_best, best_obj, iterations, stopped)``.  ``cols`` are
+    the columns the ascent ran on: those of ``basis``, complexified when
+    ``v`` is complex, since the supremum then ranges over complex images.
+    ``stopped`` says the kernel stopped at an iterate that proves the width
+    exceeds ``ceiling``; otherwise the ascent ran in full.
     """
     if np.iscomplexobj(v):
         basis = basis.complexify()
@@ -269,12 +265,10 @@ def _ascend(basis: SubspaceBasis, v, v_desc, restarts, rng, ceiling):
         g[bad] = draw(int(bad.sum()))
         bad = np.linalg.norm(g, axis=1) < 1e-12
     starts = np.concatenate((c0[None, :], g)) if have_det else g
-    w_best, obj, iters, status = _kernels.altmax_best(
-        cols, v_desc, starts, ASCENT_MAX_ITER, ASCENT_TOL, ceiling
-    )
+    w_best, obj, iters, status = _kernels.altmax_best(cols, v_desc, starts, ceiling)
     if status == 1:
         raise RuntimeError("alternating ascent objective decreased")
-    return cols, w_best, obj, int(iters)
+    return cols, w_best, obj, int(iters), status == 2
 
 
 def _witness_and_value(cols, v, w):
@@ -439,7 +433,6 @@ def width_altmax(
     restarts: int = 20,
     seed=None,
     refine: str = "auto",
-    ceiling: float = math.inf,
 ) -> WidthReport:
     """Signed-permutation supremum, exact for lines and real planes.
 
@@ -449,10 +442,10 @@ def width_altmax(
     random unit vectors of the subspace, whose basis coefficients are drawn
     from ``seed`` in one batch.  The kernel forms each start only when its
     ascent begins.  Each ascent stops when the objective gains less than
-    ``ASCENT_TOL`` or after ``ASCENT_MAX_ITER`` iterations.  The reported
-    value is the projection norm of the witness image, so the witness
-    reproduces it exactly.  A complex ``v`` against a real basis runs over
-    the complexified span, exactly as ``basis.complexify()`` would.
+    ``_kernels.ASCENT_TOL`` or after ``_kernels.ASCENT_MAX_ITER`` iterations.
+    The reported value is the projection norm of the witness image, so the
+    witness reproduces it exactly.  A complex ``v`` against a real basis runs
+    over the complexified span, exactly as ``basis.complexify()`` would.
 
     ``refine`` controls the annealed witness search that follows the
     ascent: the default ``"auto"`` runs it, since ascent basins fragment
@@ -465,9 +458,8 @@ def width_altmax(
     modulus of ``u`` with ``u``'s phase there.  The report carries that
     witness and its projection norm (over the complexified line when ``v``
     is complex), with ``method="rearrangement"``, ``iterations=0`` and
-    ``restarts=0``.  ``restarts``, ``refine`` and ``ceiling`` are validated
-    and otherwise unused; the exact value meets the ceiling contract below,
-    and nothing is drawn from ``seed``.
+    ``restarts=0``.  ``restarts`` and ``refine`` are validated and otherwise
+    unused, and nothing is drawn from ``seed``.
 
     A real plane (k = 2, real basis) against a real ``v`` is exact too:
     :func:`_plane_width` sweeps the angle of ``w = cos(t) c_1 + sin(t) c_2``
@@ -475,29 +467,18 @@ def width_altmax(
     the same, and reports the best arc's witness and its projection norm,
     with ``method="sweep"``, ``restarts=0`` and ``iterations`` the number of
     arcs.  As for a line, no start is drawn, no ascent or anneal runs, and
-    ``restarts``, ``refine`` and ``ceiling`` are only validated.  The sweep
-    takes O(d^2 log d) time and O(d^2) memory, so at d = 1024 (~1 s and
-    ~130 MB) it is slower than the ascent estimate it replaces.  A complex
-    ``v`` runs the ascent over the complexified span, below.
-
-    A finite ``ceiling`` stops the ascent at a crossing iterate of the
-    sequential ascent: an iterate, of one start's own ascent, whose objective
-    exceeds ``ceiling`` by the kernel's relative slack.  Which start's
-    crossing is returned, and the iteration count, are the kernel's choice
-    (see ``_kernels.altmax_best``); the report carries that iterate's
-    witness, so ``value >= ceiling`` and the witness still reproduces
-    ``value``.  The random coefficients are drawn before the ascent runs, so
-    ``seed`` is consumed the same either way.  A ceiling at or above the
-    width changes nothing.
+    ``restarts`` and ``refine`` are only validated.  The sweep takes
+    O(d^2 log d) time and O(d^2) memory, so at d = 1024 (~1 s and ~130 MB)
+    it is slower than the ascent estimate it replaces.  A complex ``v`` runs
+    the ascent over the complexified span, below.
 
     The start draw and the kernel call live in ``_ascend``, which
-    :func:`~cylwidth.lowerbound.adversarial_min_width` calls directly; the
-    search skips the witness of a candidate whose ascent hit the ceiling.
+    :func:`~cylwidth.lowerbound.adversarial_min_width` calls directly with a
+    ceiling; the search skips the witness of a candidate whose ascent
+    stopped at it.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    if math.isnan(ceiling):
-        raise ValueError("ceiling must not be NaN")
     if refine not in ("auto", "none"):
         raise ValueError("refine must be 'auto' or 'none'")
     v = _conform(v, basis.d, basis.field)
@@ -507,7 +488,7 @@ def width_altmax(
         return _plane_width(basis, v)
     rng = np.random.default_rng(seed)
     v_desc = decreasing_rearrangement(v)
-    cols, w_best, _, iters = _ascend(basis, v, v_desc, restarts, rng, ceiling)
+    cols, w_best, _, iters, _ = _ascend(basis, v, v_desc, restarts, rng, math.inf)
     witness, value = _witness_and_value(cols, v, w_best)
     if refine == "auto":
         witness, value = _anneal_refine(cols, v, v_desc, witness, value, rng)

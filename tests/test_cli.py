@@ -259,6 +259,15 @@ def test_realize_rejects_bad_base_point(tmp_path, capsys):
     )
     assert (code, out) == (2, "")
     assert "norm must be finite" in err
+    # a group dimension that does not match is reported before the group's
+    # d x d generators are built
+    gfile.write_text(json.dumps({"d": 1_000_000_000, "kind": "SIGNED_PERMUTATIONS"}))
+    code, out, err = run(
+        ["realize", "--group", str(gfile), "--base-point", "0.9,0.4,0.1", "--seed", "1"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert "dimension 1000000000" in err
 
 
 def test_scaling_row_content(capsys):

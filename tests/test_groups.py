@@ -12,7 +12,7 @@ from cylwidth.groups import (
     Orbit,
     enumerate_orbit,
     group_from_dict,
-    load_group_json,
+    read_group_json,
     signed_permutation_apply,
     signed_permutation_generators,
 )
@@ -219,7 +219,7 @@ def test_explicit_dict_complex_phase():
 def test_wire_format_round_trip(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"d": 3, "kind": "SIGNED_PERMUTATIONS"}))
-    group = load_group_json(path)
+    group = group_from_dict(read_group_json(path))
     assert group.kind == "signed_permutations"
     assert group.d == 3
     assert len(group.generators) == 3
@@ -229,11 +229,11 @@ def test_wire_format_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ValueError, match="bad.json"):
-        load_group_json(bad)
+        read_group_json(bad)
     top = tmp_path / "top.json"
     top.write_text("[1, 2]")
     with pytest.raises(ValueError, match="top level"):
-        load_group_json(top)
+        read_group_json(top)
     with pytest.raises(ValueError, match="kind"):
         group_from_dict({"d": 2, "kind": "mystery"})
     with pytest.raises(ValueError, match="shape"):

@@ -13,7 +13,6 @@ import pytest
 
 import cylwidth.lowerbound as lowerbound
 from cylwidth.errors import RankDeficientError
-from cylwidth.groups import GroupPresentation, Orbit, enumerate_orbit
 from cylwidth.lowerbound import (
     SEARCH_INITIAL_STEP,
     SEARCH_REJECTION_LIMIT,
@@ -29,7 +28,6 @@ from cylwidth.width import (
     _ascend,
     _witness_and_value,
     width_brute_signed_perm,
-    width_orbit,
 )
 
 
@@ -104,6 +102,13 @@ def test_selberg_random_complex_families_hold():
 def test_selberg_input_validation():
     with pytest.raises(ValueError):
         selberg_check(np.ones(3))
+    # a non-finite point, or a Gram matrix that overflows, would report a
+    # missed guarantee for invalid input
+    for bad in ([[np.nan, 1.0], [1.0, 0.0]], [[np.inf, 1.0], [1.0, 0.0]],
+                [[1e200, 1.0], [1.0, 0.0]], [[1e154, 1e154], [1.0, 0.0]],
+                [[1e200j, 1.0], [1.0, 0.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            selberg_check(np.array(bad))
     for bad in (np.nan, np.inf, -1e-9):
         with pytest.raises(ValueError, match="tol"):
             selberg_check(np.eye(3), tol=bad)
@@ -147,15 +152,6 @@ def test_adversarial_search_rejects_bad_vector_input_up_front(monkeypatch):
         target[3] = bad
         with pytest.raises(ValueError, match="finite"):
             adversarial_min_width(8, 1, target)
-
-
-def test_adversarial_search_accepts_orbit_targets():
-    group = GroupPresentation.signed_permutations(4)
-    orbit = enumerate_orbit(group, witness_vector(4, 1).unit)
-    res = adversarial_min_width(4, 1, orbit, restarts=2, steps=100, seed=1)
-    assert 0.0 < res.min_value <= 1.0 + 1e-12
-    # an orbit target keeps the search at k = 1
-    assert res.evaluations == 2 * 101
 
 
 def _least_line_search_failures(search):
@@ -255,17 +251,13 @@ def _search_with_full_evaluations(d, k, target, restarts, steps, seed, inner_res
     # the search as it was before candidates were cut off at the current
     # width: every candidate gets a complete evaluation.  Also counts the
     # candidates whose width lies within rounding of the current one.
-    if isinstance(target, Orbit):
-        def evaluate(basis, rng):
-            return width_orbit(basis, target).value
-    else:
-        v = np.asarray(target, dtype=np.float64)
-        v_desc = decreasing_rearrangement(v)
+    v = np.asarray(target, dtype=np.float64)
+    v_desc = decreasing_rearrangement(v)
 
-        def evaluate(basis, rng):
-            # the search's inner evaluation, a plain ascent
-            cols, w, _, _ = _ascend(basis, v, v_desc, inner_restarts, rng, math.inf)
-            return _witness_and_value(cols, v, w)[1]
+    def evaluate(basis, rng):
+        # the search's inner evaluation, a plain ascent
+        cols, w, _, _, _ = _ascend(basis, v, v_desc, inner_restarts, rng, math.inf)
+        return _witness_and_value(cols, v, w)[1]
     best_val, best_basis, evals, near = np.inf, None, 0, 0
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
@@ -307,14 +299,6 @@ def _search_cases():
     # long enough for the step to collapse: candidates then sit within
     # rounding of the current width, which the test checks
     yield 4, 2, np.random.default_rng(2).standard_normal(4), 1, 2500, 2
-    orbit = enumerate_orbit(GroupPresentation.signed_permutations(4),
-                            witness_vector(4, 2).unit)
-    yield 4, 2, orbit, 2, 100, 8
-    yield 4, 1, orbit, 2, 100, 10
-    # 3,840 points: two blocks, so a candidate can stop after the first
-    orbit = enumerate_orbit(GroupPresentation.signed_permutations(5),
-                            np.random.default_rng(9).standard_normal(5))
-    yield 5, 2, orbit, 2, 100, 9
 
 
 def test_adversarial_search_matches_full_evaluations():
@@ -331,10 +315,7 @@ def test_adversarial_search_matches_full_evaluations():
 
 
 def test_search_output_does_not_depend_on_the_worker_count(monkeypatch):
-    orbit = enumerate_orbit(GroupPresentation.signed_permutations(4),
-                            witness_vector(4, 2).unit)
-    cases = [(8, 2, witness_vector(8, 2).unit), (10, 4, witness_vector(10, 4).unit),
-             (4, 2, orbit)]
+    cases = [(8, 2, witness_vector(8, 2).unit), (10, 4, witness_vector(10, 4).unit)]
     for (d, k, target), restarts in itertools.product(cases, (1, 3, 12)):
         results = []
         for workers in (1, 2, 3):
@@ -346,6 +327,32 @@ def test_search_output_does_not_depend_on_the_worker_count(monkeypatch):
             results.append((np.float64(res.min_value).tobytes(),
                             res.basis.columns.tobytes(), res.evaluations))
         assert results[1] == results[0] and results[2] == results[0]
+
+
+def test_search_builds_a_witness_only_for_candidates_whose_ascent_ran_in_full(
+        monkeypatch):
+    # a stopped ascent already proves the candidate wider than the current
+    # frame, so building its witness would only cost time
+    monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 1)
+    counts = {"stopped": 0, "full": 0, "witness": 0}
+    real_ascend, real_witness = lowerbound._ascend, lowerbound._witness_and_value
+
+    def ascend(*args):
+        result = real_ascend(*args)
+        counts["stopped" if result[4] else "full"] += 1
+        return result
+
+    def witness(*args):
+        counts["witness"] += 1
+        return real_witness(*args)
+
+    monkeypatch.setattr(lowerbound, "_ascend", ascend)
+    monkeypatch.setattr(lowerbound, "_witness_and_value", witness)
+    res = adversarial_min_width(8, 2, witness_vector(8, 2).unit, restarts=2, steps=150,
+                                seed=4)
+    assert counts["stopped"] > 0 and counts["full"] > 0
+    assert counts["witness"] == counts["full"]
+    assert counts["stopped"] + counts["full"] == res.evaluations
 
 
 def test_search_worker_failure_is_raised_and_every_worker_reaped(monkeypatch):

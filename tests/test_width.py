@@ -132,9 +132,9 @@ def test_altmax_kernel_contract():
         # the kernel takes the starts as coefficients; these are the vectors
         starts = g @ cols.T
         starts /= np.linalg.norm(starts, axis=1)[:, None]
-        w, obj, iters, status = kernels.altmax_best(cols, v_desc, g, 500, 1e-10)
+        w, obj, iters, status = kernels.altmax_best(cols, v_desc, g)
         assert status == 0
-        assert 10 <= iters <= 10 * 500
+        assert 10 <= iters <= 10 * kernels.ASCENT_MAX_ITER
         assert abs(float(np.linalg.norm(w)) - 1.0) < 1e-12
         assert np.allclose(cols @ (cols.conj().T @ w), w, atol=1e-12)
         assert float(v_desc @ decreasing_rearrangement(w)) >= obj - 1e-12
@@ -149,14 +149,13 @@ def test_altmax_kernel_returns_the_first_iterate_above_the_ceiling():
     # the start vectors the kernel forms from the coefficients g
     starts = np.array([cols @ c / np.linalg.norm(cols @ c) for c in g])
     first = float(v_desc @ decreasing_rearrangement(np.abs(starts[0])))
-    w, obj, iters, status = kernels.altmax_best(
-        cols, v_desc, g, 500, 1e-10, ceiling=0.999 * first
-    )
-    assert (iters, status) == (1, 0)
+    w, obj, iters, status = kernels.altmax_best(cols, v_desc, g, ceiling=0.999 * first)
+    assert (iters, status) == (1, 2)
     assert w.tobytes() == starts[0].tobytes()
     assert obj == first
     # the default ceiling is never reached
-    assert kernels.altmax_best(cols, v_desc, g, 500, 1e-10)[2] > 4
+    _, _, iters, status = kernels.altmax_best(cols, v_desc, g)
+    assert iters > 4 and status == 0
 
 
 def _report_bytes(rep):
@@ -164,7 +163,7 @@ def _report_bytes(rep):
             rep.witness.perm.tobytes(), rep.witness.signs.tobytes())
 
 
-def _eager_altmax_best(cols, v_desc, starts, max_iter, tol, ceiling=math.inf):
+def _eager_altmax_best(cols, v_desc, starts, ceiling=math.inf):
     # the ascent over (R, d) unit-vector starts, all formed before it runs
     cols_h = cols.conj().T
     bound = ceiling * (1.0 + kernels.ALTMAX_CEILING_SLACK)
@@ -172,7 +171,7 @@ def _eager_altmax_best(cols, v_desc, starts, max_iter, tol, ceiling=math.inf):
     for r in range(starts.shape[0]):
         w = starts[r]
         obj_prev = -1.0
-        for _ in range(max_iter):
+        for _ in range(kernels.ASCENT_MAX_ITER):
             total += 1
             m = np.abs(w)
             order = np.argsort(-m, kind="stable")
@@ -181,7 +180,7 @@ def _eager_altmax_best(cols, v_desc, starts, max_iter, tol, ceiling=math.inf):
                 status = 1
                 break
             if obj > bound:
-                return w, obj, total, 0
+                return w, obj, total, 2
             gain = obj - obj_prev
             obj_prev = obj
             u = np.zeros_like(w)
@@ -194,7 +193,7 @@ def _eager_altmax_best(cols, v_desc, starts, max_iter, tol, ceiling=math.inf):
             if pn < 1e-15:
                 break
             w = (cols @ c) / pn
-            if gain < tol:
+            if gain < kernels.ASCENT_TOL:
                 break
         if status:
             break
@@ -254,16 +253,17 @@ def test_altmax_race_replays_one_start_of_the_sequential_ascent(monkeypatch):
     monkeypatch.setattr(kernels, "_race", spy)
     crossed = misses = 0
     for cols, v_desc, g, starts in _race_cases():
-        value = _eager_altmax_best(cols, v_desc, starts, 500, 1e-10)[1]
+        value = _eager_altmax_best(cols, v_desc, starts)[1]
         for ceiling in _ceilings(value):
             bound = ceiling * (1.0 + kernels.ALTMAX_CEILING_SLACK)
-            eager = _eager_altmax_best(cols, v_desc, starts, 500, 1e-10, ceiling)
+            eager = _eager_altmax_best(cols, v_desc, starts, ceiling)
             # each start's own sequential ascent under the ceiling
-            own = [_eager_altmax_best(cols, v_desc, starts[r:r + 1], 500, 1e-10,
-                                      ceiling) for r in range(len(g))]
-            got = kernels.altmax_best(cols, v_desc, g, 500, 1e-10, ceiling)
+            own = [_eager_altmax_best(cols, v_desc, starts[r:r + 1], ceiling)
+                   for r in range(len(g))]
+            got = kernels.altmax_best(cols, v_desc, g, ceiling)
             assert (got[1] > bound) == (eager[1] > bound)
-            assert got[3] == eager[3] == 0
+            # status 2, and only it, marks a stop at a crossing iterate
+            assert got[3] == eager[3] == (2 if eager[1] > bound else 0)
             if eager[1] > bound:
                 crossed += 1
                 # a replay counts its own start's iterations, the fallback
@@ -278,7 +278,7 @@ def test_altmax_race_replays_one_start_of_the_sequential_ascent(monkeypatch):
             for r in (r for r, o in enumerate(own) if not o[1] > bound):
                 monkeypatch.setattr(kernels, "_race", lambda *args, r=r: r)
                 assert _as_bytes(kernels.altmax_best(
-                    cols, v_desc, g, 500, 1e-10, ceiling)) == _as_bytes(eager)
+                    cols, v_desc, g, ceiling)) == _as_bytes(eager)
                 monkeypatch.setattr(kernels, "_race", spy)
                 misses += eager[1] > bound
     # the race named a crossing start, and a named start that does not cross
@@ -292,22 +292,17 @@ def _eager_snap(cols, v_desc, v, image):
     if n <= 1e-14:
         return None
     start = (w / n)[None, :].astype(cols.dtype)
-    w_new, _, _, status = _eager_altmax_best(
-        cols, v_desc, start, width.ASCENT_MAX_ITER, width.ASCENT_TOL
-    )
+    w_new, _, _, status = _eager_altmax_best(cols, v_desc, start)
     if status == 1:
         return None
     return width._witness_from(np.asarray(w_new), v)
 
 
-def _eager_width_altmax(basis, v, restarts, seed, refine, ceiling):
-    # width_altmax with every start drawn one at a time and formed up front
+def _eager_starts(basis, v, restarts, rng):
+    # the ascent's starts drawn one at a time and formed up front
     cols = basis.columns
-    cplx = np.iscomplexobj(cols)
-    v = np.asarray(v, dtype=np.complex128 if cplx else np.float64)
     d, k = basis.d, basis.k
-    rng = np.random.default_rng(seed)
-    v_desc = decreasing_rearrangement(v)
+    cplx = np.iscomplexobj(cols)
     starts = np.empty((restarts, d), dtype=cols.dtype)
     p = cols @ (cols.conj().T @ v)
     pn = float(np.linalg.norm(p))
@@ -320,13 +315,21 @@ def _eager_width_altmax(basis, v, restarts, seed, refine, ceiling):
             g = g + 1j * rng.standard_normal(k)
         w = cols @ g
         starts[int(have_det) + r] = w / float(np.linalg.norm(w))
-    w_best, _, iters, status = _eager_altmax_best(
-        cols, v_desc, starts, width.ASCENT_MAX_ITER, width.ASCENT_TOL, ceiling
-    )
+    return starts
+
+
+def _eager_width_altmax(basis, v, restarts, seed, refine):
+    # width_altmax with every start drawn one at a time and formed up front
+    cols = basis.columns
+    v = np.asarray(v, dtype=np.complex128 if np.iscomplexobj(cols) else np.float64)
+    rng = np.random.default_rng(seed)
+    v_desc = decreasing_rearrangement(v)
+    starts = _eager_starts(basis, v, restarts, rng)
+    w_best, _, iters, status = _eager_altmax_best(cols, v_desc, starts)
     assert status == 0
     witness = width._witness_from(np.asarray(w_best), v)
     value = _value_of(cols, witness.apply(v))
-    if refine == "auto" and k >= 2:
+    if refine == "auto" and basis.k >= 2:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(width, "_snap", _eager_snap)
             witness, value = width._anneal_refine(cols, v, v_desc, witness, value, rng)
@@ -363,17 +366,39 @@ def test_width_altmax_matches_the_eager_start_reference():
         if field == "complex" and i == 0:
             v = v + 1j * rng.standard_normal(d)
         seed = [33, k, i, restarts]
-        full = _eager_width_altmax(basis, v, restarts, seed, refine, math.inf)
-        for ceiling in (math.inf, full.value, 0.5 * full.value):
-            if k == 1:
-                ref = _line_reference(basis, v.astype(basis.columns.dtype))
-            else:
-                ref = _eager_width_altmax(basis, v, restarts, seed, refine, ceiling)
-            rep = width_altmax(basis, v, restarts=restarts, seed=seed,
-                               refine=refine, ceiling=ceiling)
-            assert _report_bytes(rep) == _report_bytes(ref), (
-                field, refine, k, restarts, i, ceiling)
-            assert rep.method == ("rearrangement" if k == 1 else "altmax")
+        if k == 1:
+            ref = _line_reference(basis, v.astype(basis.columns.dtype))
+        else:
+            ref = _eager_width_altmax(basis, v, restarts, seed, refine)
+        rep = width_altmax(basis, v, restarts=restarts, seed=seed, refine=refine)
+        assert _report_bytes(rep) == _report_bytes(ref), (field, refine, k, restarts, i)
+        assert rep.method == ("rearrangement" if k == 1 else "altmax")
+
+
+def test_ascend_matches_the_eager_start_reference_under_a_ceiling():
+    # the same starts under a ceiling: none, the value (which no objective
+    # exceeds) and half of it (which one exceeds unless v = 0)
+    d = 6
+    for field, k, restarts, i in itertools.product(("real", "complex"), (2, d),
+                                                   (1, 20), range(2)):
+        basis = sample_uniform(k, d, field, seed=[31, k, i])
+        rng = np.random.default_rng([32, k, i])
+        v = rng.standard_normal(d) if i == 0 else np.zeros(d)
+        if field == "complex" and i == 0:
+            v = v + 1j * rng.standard_normal(d)
+        v = width._conform(v, d, field)
+        v_desc = decreasing_rearrangement(v)
+        seed = [33, k, i, restarts]
+        starts = _eager_starts(basis, v, restarts, np.random.default_rng(seed))
+        value = _eager_altmax_best(basis.columns, v_desc, starts)[1]
+        for ceiling in (math.inf, value, 0.5 * value):
+            w, obj, iters, status = _eager_altmax_best(basis.columns, v_desc, starts,
+                                                       ceiling)
+            _, got_w, got_obj, got_iters, stopped = width._ascend(
+                basis, v, v_desc, restarts, np.random.default_rng(seed), ceiling)
+            assert _as_bytes((got_w, got_obj, got_iters, 2 if stopped else 0)) == (
+                _as_bytes((w, obj, iters, status))), (field, k, restarts, i, ceiling)
+            assert stopped == (i == 0 and ceiling == 0.5 * value)
 
 
 def _plain_ascent(basis, v, restarts, seed):
@@ -382,8 +407,8 @@ def _plain_ascent(basis, v, restarts, seed):
     # adversarial search's inner evaluation
     v = width._conform(v, basis.d, basis.field)
     rng = np.random.default_rng(seed)
-    cols, w, _, _ = width._ascend(basis, v, decreasing_rearrangement(v), restarts, rng,
-                                  math.inf)
+    cols, w, _, _, _ = width._ascend(basis, v, decreasing_rearrangement(v), restarts,
+                                     rng, math.inf)
     return width._witness_and_value(cols, v, w)[1]
 
 
@@ -436,19 +461,14 @@ def test_line_width_report_and_contract():
     # nothing is drawn from the stream
     assert rng.bit_generator.state == state
     assert (rep.method, rep.iterations, rep.restarts) == ("rearrangement", 0, 0)
-    # the exact value is the same whatever the budget, seed or ceiling, which
-    # meets the ceiling contract
-    for kwargs in ({"restarts": 1}, {"seed": 5, "refine": "none"},
-                   {"ceiling": 0.0}, {"ceiling": 0.5 * rep.value},
-                   {"ceiling": rep.value}):
+    # the exact value is the same whatever the budget or seed
+    for kwargs in ({"restarts": 1}, {"seed": 5, "refine": "none"}):
         assert _report_bytes(width_altmax(basis, v, **kwargs)) == _report_bytes(rep)
     # the arguments are still validated
     with pytest.raises(ValueError, match="restart"):
         width_altmax(basis, v, restarts=0)
     with pytest.raises(ValueError, match="refine"):
         width_altmax(basis, v, refine="anneal")
-    with pytest.raises(ValueError, match="NaN"):
-        width_altmax(basis, v, ceiling=math.nan)
     with pytest.raises(ValueError, match="finite"):
         width_altmax(basis, np.full(9, np.inf))
 
@@ -589,19 +609,14 @@ def test_plane_width_report_and_contract():
     assert rng.bit_generator.state == state
     # 9 zero crossings and 2 * 36 pair crossings, one arc after each
     assert (rep.method, rep.iterations, rep.restarts) == ("sweep", 81, 0)
-    # the exact value is the same whatever the budget, seed or ceiling, which
-    # meets the ceiling contract
-    for kwargs in ({"restarts": 1}, {"seed": 5, "refine": "none"},
-                   {"ceiling": 0.0}, {"ceiling": 0.5 * rep.value},
-                   {"ceiling": rep.value}):
+    # the exact value is the same whatever the budget or seed
+    for kwargs in ({"restarts": 1}, {"seed": 5, "refine": "none"}):
         assert _report_bytes(width_altmax(basis, v, **kwargs)) == _report_bytes(rep)
     # the arguments are still validated
     with pytest.raises(ValueError, match="restart"):
         width_altmax(basis, v, restarts=0)
     with pytest.raises(ValueError, match="refine"):
         width_altmax(basis, v, refine="anneal")
-    with pytest.raises(ValueError, match="NaN"):
-        width_altmax(basis, v, ceiling=math.nan)
     with pytest.raises(ValueError, match="finite"):
         width_altmax(basis, np.full(9, np.inf))
     # a complex vector, or a complex basis, still runs the ascent
@@ -623,37 +638,41 @@ def test_complex_vector_on_a_real_basis_runs_over_the_complexified_span():
             assert _report_bytes(rep) == _report_bytes(ref)
 
 
-def test_width_altmax_ceiling_contract():
+def _ascend_bytes(basis, v, restarts, seed, ceiling):
+    cols, w, obj, iters, stopped = width._ascend(
+        basis, v, decreasing_rearrangement(v), restarts, np.random.default_rng(seed),
+        ceiling)
+    return (cols.tobytes(), w.tobytes(), np.float64(obj).tobytes(), iters, stopped)
+
+
+def test_ascend_ceiling_contract():
     rng = np.random.default_rng(21)
+    slack = 1.0 + kernels.ALTMAX_CEILING_SLACK
     for i in range(24):
         d = int(rng.integers(4, 25))
         k = int(rng.integers(1, min(d - 1, 5) + 1))
         basis = sample_uniform(k, d, "real", seed=[22, i])
         v = witness_vector(d, k).unit if i % 2 else rng.standard_normal(d)
-        refine = "auto" if i % 3 == 0 else "none"
-        full = width_altmax(basis, v, restarts=6, seed=[23, i], refine=refine)
+        full = _ascend_bytes(basis, v, 6, [23, i], math.inf)
+        assert not full[4]
+        value = width._witness_and_value(basis.columns, v, np.frombuffer(full[1]))[1]
         # a ceiling at or above the width changes nothing
-        for ceiling in (full.value, 1.5 * full.value, math.inf):
-            rep = width_altmax(basis, v, restarts=6, seed=[23, i], refine=refine,
-                               ceiling=ceiling)
-            assert _report_bytes(rep) == _report_bytes(full)
-        # below it the ascent may stop early, but the report still bounds
-        # the ceiling and its witness reproduces the value
-        for ceiling in (0.0, 0.5 * full.value, 0.999 * full.value):
-            rep = width_altmax(basis, v, restarts=6, seed=[23, i], refine=refine,
-                               ceiling=ceiling)
-            assert rep.value >= ceiling
-            assert rep.value == projection_norm(basis, rep.witness.apply(v))
-            assert rep.iterations <= full.iterations
+        for ceiling in (value, 1.5 * value):
+            assert _ascend_bytes(basis, v, 6, [23, i], ceiling) == full
+        # below it the ascent stops at an iterate whose objective exceeds
+        # the bound, and whose witness exceeds the ceiling
+        for ceiling in (0.0, 0.5 * value, 0.999 * value):
+            cols, w, obj, iters, stopped = width._ascend(
+                basis, v, decreasing_rearrangement(v), 6, np.random.default_rng([23, i]),
+                ceiling)
+            assert stopped and obj > ceiling * slack
+            assert width._witness_and_value(cols, v, w)[1] >= ceiling
+            assert iters <= full[3]
     # with v = 0 every objective is 0, which does not exceed a zero ceiling
-    # (at k = 3: a real plane's width is exact and runs no ascent)
     basis = sample_uniform(3, 6, "real", seed=1)
-    full = width_altmax(basis, np.zeros(6), restarts=5, seed=2)
-    rep = width_altmax(basis, np.zeros(6), restarts=5, seed=2, ceiling=0.0)
-    assert _report_bytes(rep) == _report_bytes(full)
-    assert full.iterations == 5
-    with pytest.raises(ValueError, match="NaN"):
-        width_altmax(basis, np.ones(6), ceiling=math.nan)
+    full = _ascend_bytes(basis, np.zeros(6), 5, 2, math.inf)
+    assert _ascend_bytes(basis, np.zeros(6), 5, 2, 0.0) == full
+    assert full[3:] == (5, False)
 
 
 def test_anneal_kernel_returns_a_valid_witness():
