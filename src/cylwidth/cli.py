@@ -173,7 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--d", action="append", type=int, required=True, help="dimension (repeatable)"
     )
-    p.add_argument("--trials", type=_count, default=200)
+    p.add_argument(
+        "--trials",
+        type=_count,
+        default=200,
+        help="Gaussian draws per row; their blocks are spread over one process "
+        "per usable CPU, and the output does not depend on how many",
+    )
 
     p = sub.add_parser(
         "scaling",
@@ -184,7 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--d", action="append", type=int, required=True)
     p.add_argument("--k", action="append", type=int, default=None)
-    p.add_argument("--trials", type=_count, default=200)
+    p.add_argument(
+        "--trials",
+        type=_count,
+        default=200,
+        help="width trials per column; they are spread over one process per "
+        "usable CPU, and the output does not depend on how many",
+    )
     p.add_argument(
         "--delta",
         type=int,
@@ -216,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--restarts",
         type=_count,
         default=10,
-        help="search restarts (k >= 2 only); they run in forked workers, one "
+        help="search restarts (k >= 2 only); they are spread over one process "
         "per usable CPU, and the output does not depend on how many",
     )
     p.add_argument(

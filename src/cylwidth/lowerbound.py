@@ -19,19 +19,18 @@ size halves after ``SEARCH_REJECTION_LIMIT`` consecutive rejections.  Lines
 ``min_m (v~_1 + ... + v~_m) / sqrt(m)``, attained by the normalized
 indicator of the first ``m`` coordinates (see
 :func:`adversarial_min_width`).  The restarts of a search are independent,
-so they run in forked worker processes, one per usable CPU; the output does
-not depend on how many.
+so they are spread over the usable CPUs; the output does not depend on how
+many.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import map_forked
 from .errors import RankDeficientError
 from .measures import sample_uniform
 from .vectors import SubspaceBasis, decreasing_rearrangement, orthonormalize
@@ -131,10 +130,13 @@ def selberg_check(points, tol: float = 1e-9) -> SelbergReport:
     never exceeds ``max_i sum_j |<x_i, x_j>|``.  ``tol`` must be finite and
     nonnegative, so the check cannot hold vacuously, and the points must be
     finite with finite Gram row sums, so it cannot fail on invalid input.
+    The points are converted to float64 (complex128 if complex) first, so
+    integer points cannot wrap around in the Gram product.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     x = np.asarray(points)
+    x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("need a nonempty (m, d) array of row vectors")
     # a non-finite point or an overflowing Gram matrix makes a row sum inf
@@ -211,81 +213,6 @@ def _restart(evaluate, d, k, steps, stream):
     return current, basis, evals
 
 
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def _map_forked(func, n_items):
-    """``[func(i) for i in range(n_items)]``, run in forked workers.
-
-    There is one worker per usable CPU, and never more than ``n_items``;
-    worker ``w`` runs items ``w, w + n, w + 2n, ...`` and pickles its results
-    back through a pipe.  The list comes back in item order, so it does not
-    depend on the worker count.  With one worker, or without ``os.fork``,
-    the items run in this process.  A worker's exception is raised here
-    with its own type; every worker is reaped before this returns or raises.
-    A forked worker shares the loaded modules and ``func``'s closure, so it
-    starts at once and only the results are pickled.
-    """
-    n = min(_usable_cpus(), n_items) if hasattr(os, "fork") else 1
-    if n <= 1:
-        return [func(i) for i in range(n_items)]
-    results = [None] * n_items
-    workers = []  # (pid, read end of its pipe), unreaped, in worker order
-    try:
-        for w in range(n):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                # _exit skips atexit handlers and the flush of inherited buffers
-                try:
-                    os.close(read_fd)
-                    try:
-                        msg = ("ok", [(i, func(i)) for i in range(w, n_items, n)])
-                    except Exception as exc:
-                        msg = ("err", exc)
-                    with open(write_fd, "wb") as fh:
-                        fh.write(pickle.dumps(msg))
-                finally:
-                    os._exit(0)
-            os.close(write_fd)
-            workers.append((pid, open(read_fd, "rb")))
-        while workers:
-            pid, fh = workers[0]
-            with fh:
-                data = fh.read()
-            _, status = os.waitpid(pid, 0)
-            workers.pop(0)
-            # a worker that finishes exits 0; a killed one may leave a torn message
-            if status or not data:
-                raise RuntimeError(
-                    f"search worker {pid} sent no result (wait status {status})"
-                )
-            kind, payload = pickle.loads(data)
-            if kind == "err":
-                raise payload
-            for i, value in payload:
-                results[i] = value
-        return results
-    finally:
-        if workers:
-            import signal  # only a failed search needs it; kept off the import path
-
-            for pid, fh in workers:
-                fh.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
 def adversarial_min_width(
     d: int,
     k: int,
@@ -307,11 +234,12 @@ def adversarial_min_width(
     lower the reported minimum, so the result is a one-sided probe of the
     true minimal width.
 
-    The restarts run in forked worker processes, one per usable CPU and
-    never more than ``restarts`` (in this process when there is one, or no
-    ``os.fork``).  Each restart draws only from its own stream, and the
-    results are folded in restart order, the first least width winning, so
-    the result is the same bit for bit for any number of workers.
+    The restarts are spread by :func:`~cylwidth._fork.map_forked` over
+    this process and forked workers, one process per usable CPU and never
+    more than ``restarts``.  Each restart draws only from its own stream,
+    and the results are folded in restart order, the first least width
+    winning, so the result is the same bit for bit for any number of
+    processes.
 
     The target is validated and rearranged once, and each frame is evaluated
     by the ascent helper that :func:`~cylwidth.width.width_altmax` runs (with
@@ -364,7 +292,7 @@ def adversarial_min_width(
         return obj if stopped else _witness_and_value(cols, v, w)[1]
 
     seed_base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    runs = _map_forked(
+    runs = map_forked(
         lambda r: _restart(evaluate, d, k, steps, [*seed_base, r]), restarts
     )
     best_val = np.inf

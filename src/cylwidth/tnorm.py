@@ -46,6 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._fork import map_forked
 from .nets import sphere_net
 from .vectors import SubspaceBasis
 
@@ -210,10 +211,14 @@ def gaussian_tnorm_statistics(
     depend on evaluation order or on how trials are partitioned.  ``seed``
     may be an integer or a list of integers to derive from.
 
-    Trials are drawn into one reused block of ``t_norm_batch``'s row count,
-    so memory is one block of about ``_BATCH_ELEMENTS`` samples however
-    large ``trials`` is; a row's norm does not depend on its neighbours, so
-    the statistics equal those of one batch over all trials bit for bit.
+    Trials are drawn in blocks of ``t_norm_batch``'s row count, and the
+    blocks are spread by :func:`~cylwidth._fork.map_forked` over this
+    process and forked workers, one process per usable CPU.  Each process
+    draws its blocks into one reused buffer, so memory is one block of
+    about ``_BATCH_ELEMENTS`` samples per process however large ``trials``
+    is.  A row's norm does not depend on its neighbours, and the blocks
+    come back in order, so the statistics equal those of one batch over all
+    trials bit for bit, for any number of processes.
     """
     if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
@@ -223,16 +228,20 @@ def gaussian_tnorm_statistics(
         raise ValueError("need at least one trial")
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     rows = max(1, _BATCH_ELEMENTS // d)
+    # a forked worker writes its own copy of this buffer
     block = np.empty((min(rows, trials), d))
-    ratios = np.empty(trials)
-    for lo in range(0, trials, rows):
+
+    def block_ratios(b):
+        lo = b * rows
         hi = min(trials, lo + rows)
         # the draws of sample_gaussian(d, sum_zero, [*base, i]), made in place
         for row, i in zip(block, range(lo, hi)):
             np.random.default_rng([*base, i]).standard_normal(out=row)
             if sum_zero:
                 row -= row.mean()
-        ratios[lo:hi] = t_norm_batch(block[: hi - lo])
+        return t_norm_batch(block[: hi - lo])
+
+    ratios = np.concatenate(map_forked(block_ratios, -(-trials // rows)))
     ratios /= np.sqrt(d)
     return GaussianTnormStats(
         d=d,

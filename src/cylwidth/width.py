@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._fork import map_forked
 from .groups import Orbit, signed_permutation_apply
 from .vectors import SubspaceBasis, decreasing_argsort, decreasing_rearrangement
 
@@ -556,16 +557,21 @@ def estimate_f_integral(
 
     Trial ``i`` draws its subspace and evaluates with the derived stream
     ``(seed, i)``, so the result is independent of evaluation order.
-    ``seed`` may be an integer or a list of integers to derive from.
+    ``seed`` may be an integer or a list of integers to derive from.  The
+    trials are spread by :func:`~cylwidth._fork.map_forked` over this
+    process and forked workers, one process per usable CPU, and come back
+    in trial order, so the result is the same bit for bit for any number of
+    processes.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    values = np.empty(trials, dtype=np.float64)
-    for i in range(trials):
+
+    def trial(i):
         rng = np.random.default_rng([*base, i])
-        basis = measure.sample(rng)
-        values[i] = evaluator(basis, rng) ** 2
+        return evaluator(measure.sample(rng), rng) ** 2
+
+    values = np.array(map_forked(trial, trials), dtype=np.float64)
     stderr = 0.0
     if trials > 1:
         stderr = float(values.std(ddof=1) / np.sqrt(trials))

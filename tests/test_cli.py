@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import cylwidth._fork as _fork
 import cylwidth.cli as cli
 from cylwidth.groups import GroupPresentation, enumerate_orbit
 from cylwidth.measures import sample_uniform
@@ -48,13 +49,23 @@ def test_help_documents_csv_columns(capsys):
         assert ", ".join(cli.COLUMNS[command]) in help_text
 
 
-def test_reruns_are_byte_identical(tmp_path):
+def test_reruns_are_byte_identical(tmp_path, monkeypatch):
+    # the second run spreads its trials, blocks or restarts over 3 processes
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
-    argv = ["selberg-fuzz", "--trials", "12", "--seed", "9"]
-    assert cli.main(argv + ["--out", str(first)]) == 0
-    assert cli.main(argv + ["--out", str(second)]) == 0
-    assert first.read_bytes() == second.read_bytes()
+    for argv in (
+        ["selberg-fuzz", "--trials", "12", "--seed", "9"],
+        ["tnorm", "--d", "4096", "--d", "64", "--trials", "131", "--seed", "9"],
+        ["scaling", "--d", "16", "--k", "1", "--k", "2", "--trials", "5",
+         "--restarts", "4", "--seed", "9"],
+        ["lowerbound", "--d", "8", "--k", "1", "--k", "2", "--restarts", "4",
+         "--steps", "40", "--seed", "9"],
+    ):
+        monkeypatch.setattr(_fork, "_usable_cpus", lambda: 1)
+        assert cli.main(argv + ["--out", str(first)]) == 0
+        monkeypatch.setattr(_fork, "_usable_cpus", lambda: 3)
+        assert cli.main(argv + ["--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes(), argv[0]
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cylwidth._fork as _fork
 import cylwidth.lowerbound as lowerbound
 from cylwidth.errors import RankDeficientError
 from cylwidth.lowerbound import (
@@ -97,6 +98,16 @@ def test_selberg_random_complex_families_hold():
         d = int(rng.integers(1, 12))
         x = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
         assert selberg_check(x).holds
+
+
+def test_selberg_integer_points_do_not_wrap_around():
+    # in int64 the Gram entry 2 * 2**64 wraps to 0
+    points = np.array([[2**32, 2**32], [1, 0]])
+    got = selberg_check(points)
+    want = selberg_check(points.astype(np.float64))
+    assert got.lhs == want.lhs and got.rhs == want.rhs
+    assert abs(got.lhs - 2.0**65) <= 1e-12 * 2.0**65
+    assert got.holds
 
 
 def test_selberg_input_validation():
@@ -319,7 +330,7 @@ def test_search_output_does_not_depend_on_the_worker_count(monkeypatch):
     for (d, k, target), restarts in itertools.product(cases, (1, 3, 12)):
         results = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(lowerbound, "_usable_cpus", lambda w=workers: w)
+            monkeypatch.setattr(_fork, "_usable_cpus", lambda w=workers: w)
             res = adversarial_min_width(d, k, target, restarts=restarts, steps=30,
                                         seed=[7, d, k])
             # an unpickled basis is sealed like one built in this process
@@ -333,7 +344,7 @@ def test_search_builds_a_witness_only_for_candidates_whose_ascent_ran_in_full(
         monkeypatch):
     # a stopped ascent already proves the candidate wider than the current
     # frame, so building its witness would only cost time
-    monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 1)
     counts = {"stopped": 0, "full": 0, "witness": 0}
     real_ascend, real_witness = lowerbound._ascend, lowerbound._witness_and_value
 
@@ -367,7 +378,7 @@ def test_search_worker_failure_is_raised_and_every_worker_reaped(monkeypatch):
     monkeypatch.setattr(lowerbound, "_ascend", ascend)
     wit = witness_vector(8, 2).unit
     for workers in (1, 2, 3):
-        monkeypatch.setattr(lowerbound, "_usable_cpus", lambda w=workers: w)
+        monkeypatch.setattr(_fork, "_usable_cpus", lambda w=workers: w)
         with pytest.raises(RuntimeError, match="restart 2"):
             adversarial_min_width(8, 2, wit, restarts=4, steps=20, seed=1)
         with pytest.raises(ChildProcessError):
@@ -376,15 +387,15 @@ def test_search_worker_failure_is_raised_and_every_worker_reaped(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_worker_that_sends_nothing_is_reported(monkeypatch):
-    monkeypatch.setattr(lowerbound, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
 
     def item(i):
         if i == 1:
-            os._exit(5)  # runs in the second worker, never in this process
+            os._exit(5)  # runs in the forked worker, never in this process
         return i
 
     with pytest.raises(RuntimeError, match="sent no result"):
-        lowerbound._map_forked(item, 3)
+        _fork.map_forked(item, 3)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert lowerbound._map_forked(lambda i: i * i, 5) == [0, 1, 4, 9, 16]
+    assert _fork.map_forked(lambda i: i * i, 5) == [0, 1, 4, 9, 16]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cylwidth import tnorm
+from cylwidth import _fork, tnorm
 from cylwidth.nets import sphere_net
 from cylwidth.tnorm import (
     _BATCH_ELEMENTS,
@@ -297,6 +297,21 @@ def test_statistics_equal_the_one_batch_reference(d, trials, sum_zero, seed):
     want = _statistics_reference(d, trials, sum_zero, seed)
     for field, value in vars(want).items():
         assert np.asarray(getattr(got, field)).tobytes() == np.asarray(value).tobytes(), field
+
+
+# the trial counts end below, at and across block boundaries, so the
+# processes get uneven shares
+@pytest.mark.parametrize("sum_zero", [False, True])
+def test_statistics_do_not_depend_on_the_worker_count(monkeypatch, sum_zero):
+    rows = _BATCH_ELEMENTS // 4096
+    for trials in (1, rows, rows + 1, 2 * rows + 3):
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_fork, "_usable_cpus", lambda w=workers: w)
+            got = gaussian_tnorm_statistics(4096, trials, sum_zero=sum_zero,
+                                            seed=[3, trials])
+            results.append([np.float64(v).tobytes() for v in vars(got).values()])
+        assert results[1] == results[0] and results[2] == results[0]
 
 
 def test_statistics_memory_is_one_block():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import cylwidth._fork as _fork
 import cylwidth._kernels as kernels
 import cylwidth.width as width
 from cylwidth.groups import GroupPresentation, enumerate_orbit, signed_permutation_apply
@@ -914,6 +915,37 @@ def test_estimate_f_integral_deterministic_and_prefix_stable():
     assert single.values[0] == est1.values[0]
     with pytest.raises(ValueError):
         estimate_f_integral(mu, evaluator, 0, seed=5)
+
+
+def test_estimate_f_integral_does_not_depend_on_the_worker_count(monkeypatch):
+    mu = UniformMeasure(k=2, d=6, field="real")
+    evaluator = width.altmax_evaluator(witness_vector(6, 2).unit, restarts=4)
+    for trials in (1, 2, 5):
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_fork, "_usable_cpus", lambda w=workers: w)
+            est = estimate_f_integral(mu, evaluator, trials, seed=[9, trials])
+            results.append((est.values.tobytes(), np.float64(est.mean).tobytes(),
+                            np.float64(est.stderr).tobytes()))
+        assert results[1] == results[0] and results[2] == results[0]
+
+
+@pytest.mark.parametrize("failing", [3, 4])
+def test_estimate_f_integral_reraises_a_failing_trial(monkeypatch, failing):
+    # trial 3 runs in this process with 3 processes and in a worker with 2;
+    # trial 4 the other way round
+    mu = UniformMeasure(k=1, d=4, field="real")
+
+    def evaluator(basis, rng):
+        # trial i draws from the stream (seed, i)
+        if rng.bit_generator.seed_seq.entropy[-1] == failing:
+            raise FloatingPointError(f"trial {failing} failed")
+        return 1.0
+
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_fork, "_usable_cpus", lambda w=workers: w)
+        with pytest.raises(FloatingPointError, match=f"trial {failing}"):
+            estimate_f_integral(mu, evaluator, 5, seed=[2])
 
 
 _d_and_k = st.integers(2, 5).flatmap(
