@@ -366,8 +366,6 @@ def _cmd_lowerbound(args):
     code = 0
     for d in ds:
         for k in ks:
-            if not 1 <= k <= d:
-                raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
             wit = witness_vector(d, k)
             res = adversarial_min_width(
                 d,
@@ -453,7 +451,7 @@ def _cmd_realize(args):
         candidates.extend(
             mu.sample([args.seed, 43, i]) for i in range(args.draws)
         )
-    except (EmptyDyadicIndexError, ValueError, CertificationFailedError):
+    except (EmptyDyadicIndexError, CertificationFailedError):
         pass  # dyadic construction infeasible at this (2k, d); uniform only
 
     best, complex_width = _least_orbit_width(candidates, orbit)

@@ -118,7 +118,6 @@ class GroupPresentation:
 
     d: int
     generators: tuple
-    kind: str = "explicit"
 
     def __post_init__(self):
         if self.d < 1:
@@ -149,11 +148,7 @@ class GroupPresentation:
 
     @classmethod
     def signed_permutations(cls, d: int) -> "GroupPresentation":
-        return cls(
-            d=d,
-            generators=tuple(signed_permutation_generators(d)),
-            kind="signed_permutations",
-        )
+        return cls(d=d, generators=tuple(signed_permutation_generators(d)))
 
     @property
     def field(self) -> str:
@@ -195,18 +190,18 @@ class Orbit:
     def d(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def base_point(self) -> np.ndarray:
-        return self.points[0]
-
 
 def enumerate_orbit(group: GroupPresentation, v, max_size: int = 10_000) -> Orbit:
     """Closure of ``v`` under the generators, as an :class:`Orbit`.
 
     Raises :class:`OrbitTooLargeError` as soon as the closure exceeds
-    ``max_size`` points.  For a finite group the generator semigroup equals
-    the group, so no explicit inverses are needed.
+    ``max_size`` points, a positive integer.  For a finite group the
+    generator semigroup equals the group, so no explicit inverses are needed.
     """
+    # `len(seen) > nan` is False, so a NaN cap would never stop the search
+    if (isinstance(max_size, bool) or not isinstance(max_size, numbers.Integral)
+            or max_size < 1):
+        raise ValueError(f"max_size must be a positive integer, got {max_size!r}")
     v = np.asarray(v)
     if v.shape != (group.d,):
         raise ValueError(f"base point must have shape ({group.d},)")
@@ -278,7 +273,7 @@ def group_from_dict(obj: dict) -> GroupPresentation:
         if not np.any(a[..., 1]):
             m = m.real
         gens.append(m)
-    return GroupPresentation(d=d, generators=tuple(gens), kind="explicit")
+    return GroupPresentation(d=d, generators=tuple(gens))
 
 
 def read_group_json(path) -> dict:

@@ -1,7 +1,7 @@
 """Probability measures on Grassmannians of k-dimensional subspaces.
 
 Every measure object exposes ``d`` (ambient dimension), ``k`` (subspace
-dimension), ``kind`` and a ``sample(seed_or_rng)`` method returning a
+dimension) and a ``sample(seed_or_rng)`` method returning a
 :class:`~cylwidth.vectors.SubspaceBasis`.  Identical seeds give bitwise
 identical draws.
 
@@ -19,6 +19,7 @@ complexified subspace.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ from .tnorm import t_norm_batch, t_norm_subspace_bound
 from .vectors import SubspaceBasis, orthonormalize
 
 __all__ = [
-    "UniformMeasure",
     "DyadicAltMeasure",
     "sample_uniform",
     "build_delocalized_subspace",
@@ -58,23 +58,6 @@ def sample_uniform(k: int, d: int, field: str = "real", seed=None) -> SubspaceBa
     if field == "complex":
         g = g + 1j * rng.standard_normal((d, k))
     return orthonormalize(g)
-
-
-@dataclass(frozen=True)
-class UniformMeasure:
-    k: int
-    d: int
-    field: str = "real"
-    kind = "uniform"
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.d:
-            raise ValueError(f"need 1 <= k <= d, got k={self.k}, d={self.d}")
-        if self.field not in ("real", "complex"):
-            raise ValueError("field must be 'real' or 'complex'")
-
-    def sample(self, seed=None) -> SubspaceBasis:
-        return sample_uniform(self.k, self.d, self.field, seed)
 
 
 def build_delocalized_subspace(k: int, d: int, seed=None):
@@ -141,8 +124,12 @@ def dyadic_index_set(k: int, d: int, j_min_override=None) -> tuple:
     j_max = math.floor(math.log2(d))
     if j_min_override is None:
         j_min = math.ceil(math.log2(2.0 * k * math.log(d) ** 4))
+    elif isinstance(j_min_override, bool) or not isinstance(
+        j_min_override, numbers.Integral
+    ):
+        raise ValueError(f"j_min_override must be an integer, got {j_min_override!r}")
     else:
-        j_min = int(j_min_override)
+        j_min = j_min_override
     if j_min > j_max:
         raise EmptyDyadicIndexError(
             f"scale window empty: j_min={j_min} exceeds floor(log2 d)={j_max}"
@@ -158,22 +145,13 @@ class DyadicAltMeasure:
     k: int
     d: int
     j_values: tuple
-    block_bases: tuple
     certificates: tuple
     ambient_bases: tuple
-    kind = "dyadic_alt"
-    field = "complex"
 
     def sample(self, seed=None) -> SubspaceBasis:
         rng = np.random.default_rng(seed)
         i = int(rng.integers(len(self.j_values)))
         return self.ambient_bases[i]
-
-    def certificate_for(self, j: int) -> float:
-        return self.certificates[self.j_values.index(j)]
-
-    def block_basis_for(self, j: int) -> SubspaceBasis:
-        return self.block_bases[self.j_values.index(j)]
 
 
 def dyadic_alt_measure(k: int, d: int, j_min_override=None, seed=0) -> DyadicAltMeasure:
@@ -194,13 +172,11 @@ def dyadic_alt_measure(k: int, d: int, j_min_override=None, seed=0) -> DyadicAlt
             "raise the scale override"
         )
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    blocks = []
     certs = []
     ambients = []
     for j in j_values:
         m = 2**j
         basis, cert = build_delocalized_subspace(k, m, seed=[*base, j])
-        blocks.append(basis)
         certs.append(cert)
         cols = np.zeros((d, k), dtype=np.complex128)
         cols[:m] = basis.columns
@@ -209,7 +185,6 @@ def dyadic_alt_measure(k: int, d: int, j_min_override=None, seed=0) -> DyadicAlt
         k=k,
         d=d,
         j_values=j_values,
-        block_bases=tuple(blocks),
         certificates=tuple(certs),
         ambient_bases=tuple(ambients),
     )

@@ -57,7 +57,6 @@ __all__ = [
     "t_norm_batch",
     "lipschitz_bound",
     "t_norm_subspace_bound",
-    "sample_gaussian",
     "gaussian_tnorm_statistics",
 ]
 
@@ -172,24 +171,6 @@ def t_norm_subspace_bound(basis: SubspaceBasis, net_step: float = 0.25) -> float
     return best / (1.0 - net_step)
 
 
-def sample_gaussian(d: int, sum_zero: bool = False, seed=None) -> np.ndarray:
-    """Standard Gaussian vector, optionally conditioned on coordinate sum 0.
-
-    The conditional law of a standard Gaussian given ``sum(w) = 0`` is the
-    projection onto the hyperplane orthogonal to the all-ones vector, i.e.
-    mean subtraction.
-    """
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    if sum_zero and d < 2:
-        raise ValueError("sum-zero sampling needs d >= 2")
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal(d)
-    if sum_zero:
-        w = w - w.mean()
-    return w
-
-
 @dataclass(frozen=True)
 class GaussianTnormStats:
     d: int
@@ -234,7 +215,8 @@ def gaussian_tnorm_statistics(
     def block_ratios(b):
         lo = b * rows
         hi = min(trials, lo + rows)
-        # the draws of sample_gaussian(d, sum_zero, [*base, i]), made in place
+        # trial i: d standard normals from the stream [*base, i], drawn in
+        # place, minus their mean when sum_zero
         for row, i in zip(block, range(lo, hi)):
             np.random.default_rng([*base, i]).standard_normal(out=row)
             if sum_zero:

@@ -21,7 +21,6 @@ __all__ = [
     "decreasing_rearrangement",
     "decreasing_argsort",
     "orthonormalize",
-    "projection_norm",
 ]
 
 ORTHO_TOL = 1e-9
@@ -165,9 +164,3 @@ def orthonormalize(columns, sum_zero: bool = False) -> SubspaceBasis:
         phase = np.where(diag < 0.0, -1.0, 1.0)
     q = q * phase[None, :]
     return SubspaceBasis._from_q_factor(q, sum_zero)
-
-
-def projection_norm(basis: SubspaceBasis, x) -> float:
-    """Euclidean norm of the projection of ``x`` onto the subspace."""
-    x = np.asarray(x)
-    return float(np.linalg.norm(basis.columns.conj().T @ x))

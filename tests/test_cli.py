@@ -18,7 +18,7 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
-def test_tnorm_json_schema(capsys):
+def test_tnorm_json_schema(tmp_path, capsys):
     code, out, err = run(["tnorm", "--d", "16", "--trials", "5", "--seed", "1"], capsys)
     assert code == 0
     assert err == ""
@@ -29,6 +29,29 @@ def test_tnorm_json_schema(capsys):
     assert doc["config"]["d"] == [16]
     assert len(doc["rows"]) == 1
     assert set(doc["rows"][0]) == set(cli.COLUMNS["tnorm"])
+
+    # every handler builds its rows in the documented column order; the JSON
+    # report sorts the keys, so the order is checked on the handler's rows
+    gfile = tmp_path / "sp3.json"
+    gfile.write_text('{"d": 3, "kind": "SIGNED_PERMUTATIONS"}')
+    tiny = {
+        "tnorm": ["--d", "8", "--trials", "2"],
+        "scaling": ["--d", "16", "--k", "1", "--trials", "2", "--restarts", "2"],
+        "lowerbound": ["--d", "6", "--k", "1", "--restarts", "1", "--steps", "5"],
+        "realize": ["--group", str(gfile), "--base-point", "3,2,1", "--draws", "1"],
+        "selberg-fuzz": ["--trials", "3"],
+        "rip-fuzz": ["--k", "1", "--trials", "1"],
+    }
+    assert set(tiny) == set(cli.COLUMNS)
+    for command, argv in tiny.items():
+        args = cli.build_parser().parse_args([command, *argv, "--seed", "1"])
+        rows, _ = cli.HANDLERS[command](args)
+        assert rows
+        for row in rows:
+            assert list(row) == cli.COLUMNS[command], command
+        doc = json.loads(cli._render(command, args, rows, "json"))
+        for row in doc["rows"]:
+            assert list(row) == sorted(cli.COLUMNS[command]), command
 
 
 def test_csv_header_matches_documented_columns(capsys):
@@ -120,6 +143,7 @@ def test_validation_exit_codes(tmp_path, capsys):
         capsys,
     )
     assert code == 2
+    assert err == "error: need 1 <= k <= d, got k=9, d=4\n"
 
     # a count below one would run nothing and report a vacuous pass
     for argv, flag in (
@@ -147,6 +171,17 @@ def test_validation_exit_codes(tmp_path, capsys):
     )
     assert code == 2
     assert "1 <= k <= d/2" in err
+
+    # a negative --delta leaves the smallest dyadic block too small for 2k
+    # columns; that is bad input, not an infeasible construction to skip
+    for delta in ("-1", "-5"):
+        code, _, err = run(
+            ["realize", "--group", str(gfile), "--base-point", "1,0,0,0,0,0",
+             "--k", "1", "--delta", delta, "--seed", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert "does not fit in the smallest block" in err
 
     # a d that is not an integer: int() would overflow on 1e400 and truncate 3.7
     for text in ("1e400", "3.7"):

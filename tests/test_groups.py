@@ -56,7 +56,7 @@ def test_generic_orbit_d3_has_48_points():
     base = np.array([0.9, 0.4, 0.1])
     orbit = enumerate_orbit(group, base)
     assert (orbit.n, orbit.d) == (48, 3)
-    assert np.array_equal(orbit.base_point, base)
+    assert np.array_equal(orbit.points[0], base)
     norms = np.linalg.norm(orbit.points, axis=1)
     assert np.allclose(norms, np.linalg.norm(base), atol=1e-12)
 
@@ -71,6 +71,16 @@ def test_orbit_and_group_caps():
     group = GroupPresentation.signed_permutations(4)  # order 384
     with pytest.raises(OrbitTooLargeError):
         enumerate_orbit(group, np.array([0.8, 0.5, 0.3, 0.1]), max_size=100)
+
+
+@pytest.mark.parametrize("max_size", [float("nan"), float("inf"), 47.5, True, 0, -3])
+def test_orbit_cap_must_be_a_positive_integer(max_size):
+    # `len(seen) > nan` is False, so a NaN cap would let the closure run on
+    with pytest.raises(ValueError, match="max_size"):
+        enumerate_orbit(
+            GroupPresentation.signed_permutations(3), np.array([1.0, 2.0, 3.0]),
+            max_size=max_size,
+        )
 
 
 def _oracle_key(a):
@@ -220,9 +230,10 @@ def test_wire_format_round_trip(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"d": 3, "kind": "SIGNED_PERMUTATIONS"}))
     group = group_from_dict(read_group_json(path))
-    assert group.kind == "signed_permutations"
     assert group.d == 3
     assert len(group.generators) == 3
+    for g, want in zip(group.generators, signed_permutation_generators(3)):
+        assert np.array_equal(g, want)
 
 
 def test_wire_format_errors(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from cylwidth import measures
 from cylwidth.errors import CertificationFailedError, EmptyDyadicIndexError
 from cylwidth.measures import (
-    UniformMeasure,
     build_delocalized_subspace,
     desk_scale_j_min,
     dyadic_alt_measure,
@@ -26,13 +25,6 @@ def test_sample_uniform_orthonormal_and_deterministic():
         sample_uniform(5, 4)
     with pytest.raises(ValueError):
         sample_uniform(2, 4, "quaternion")
-
-
-def test_uniform_measure_wraps_sampler():
-    mu = UniformMeasure(k=2, d=6)
-    basis = mu.sample(9)
-    assert (basis.d, basis.k, basis.field) == (6, 2, "real")
-    assert np.array_equal(basis.columns, sample_uniform(2, 6, "real", 9).columns)
 
 
 def test_delocalized_subspace_properties():
@@ -73,19 +65,26 @@ def test_scale_window():
         dyadic_index_set(2, 1024)
 
 
+@pytest.mark.parametrize("override", [2.7, 2.0, float("nan"), True, "2"])
+def test_scale_override_must_be_an_integer(override):
+    # int() would truncate 2.7 to the window (2, 3, 4) without a word
+    with pytest.raises(ValueError, match="j_min_override"):
+        dyadic_index_set(1, 16, j_min_override=override)
+
+
 def test_dyadic_measure_structure():
     mu = dyadic_alt_measure(2, 64, j_min_override=2, seed=3)
     assert mu.j_values == (2, 3, 4, 5, 6)
-    assert (mu.d, mu.k, mu.field) == (64, 2, "complex")
+    assert (mu.d, mu.k) == (64, 2)
     for i, j in enumerate(mu.j_values):
         ambient = mu.ambient_bases[i]
         assert ambient.field == "complex"
         if 2**j < 64:
             assert float(np.max(np.abs(ambient.columns[2**j :]))) == 0.0
-        assert mu.certificate_for(j) <= 40.0
-        block = mu.block_basis_for(j)
-        assert block.d == 2**j
-        assert np.allclose(ambient.columns[: 2**j], block.columns)
+        # block j is the delocalized subspace of the stream (seed, j)
+        block, cert = build_delocalized_subspace(2, 2**j, seed=[3, j])
+        assert mu.certificates[i] == cert <= 40.0
+        assert np.array_equal(ambient.columns[: 2**j], block.columns)
     assert np.array_equal(mu.sample(11).columns, mu.sample(11).columns)
     seen = {id(mu.sample([5, i])) for i in range(80)}
     assert len(seen) == len(mu.j_values)

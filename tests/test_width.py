@@ -4,6 +4,8 @@ import inspect
 import itertools
 import math
 import warnings
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +18,8 @@ import cylwidth._kernels as kernels
 import cylwidth.width as width
 from cylwidth.groups import GroupPresentation, enumerate_orbit, signed_permutation_apply
 from cylwidth.lowerbound import witness_vector
-from cylwidth.measures import UniformMeasure, sample_uniform
-from cylwidth.vectors import SubspaceBasis, decreasing_rearrangement, projection_norm
+from cylwidth.measures import sample_uniform
+from cylwidth.vectors import SubspaceBasis, decreasing_rearrangement
 from cylwidth.width import (
     _value_of,
     estimate_f_integral,
@@ -25,6 +27,16 @@ from cylwidth.width import (
     width_brute_signed_perm,
     width_orbit,
 )
+
+
+def projection_norm(basis, x):
+    """Euclidean norm of the projection of ``x`` onto the span of ``basis``."""
+    return float(np.linalg.norm(basis.columns.conj().T @ np.asarray(x)))
+
+
+def uniform_real_measure(k, d):
+    """A measure for ``estimate_f_integral``, which reads only ``sample``."""
+    return SimpleNamespace(sample=partial(sample_uniform, k, d, "real"))
 
 
 def test_brute_hand_checked_case():
@@ -894,7 +906,7 @@ def test_dominance_cone_supremum_sits_on_the_orbit():
 
 
 def test_estimate_f_integral_deterministic_and_prefix_stable():
-    mu = UniformMeasure(k=1, d=6, field="real")
+    mu = uniform_real_measure(1, 6)
     orbit = enumerate_orbit(
         GroupPresentation.signed_permutations(6), np.eye(6)[0]
     )
@@ -918,7 +930,7 @@ def test_estimate_f_integral_deterministic_and_prefix_stable():
 
 
 def test_estimate_f_integral_does_not_depend_on_the_worker_count(monkeypatch):
-    mu = UniformMeasure(k=2, d=6, field="real")
+    mu = uniform_real_measure(2, 6)
     evaluator = width.altmax_evaluator(witness_vector(6, 2).unit, restarts=4)
     for trials in (1, 2, 5):
         results = []
@@ -934,7 +946,7 @@ def test_estimate_f_integral_does_not_depend_on_the_worker_count(monkeypatch):
 def test_estimate_f_integral_reraises_a_failing_trial(monkeypatch, failing):
     # trial 3 runs in this process with 3 processes and in a worker with 2;
     # trial 4 the other way round
-    mu = UniformMeasure(k=1, d=4, field="real")
+    mu = uniform_real_measure(1, 4)
 
     def evaluator(basis, rng):
         # trial i draws from the stream (seed, i)
