@@ -9,12 +9,12 @@ Subcommands::
     selberg-fuzz  randomized checks of the Gram row-sum bound
     rip-fuzz      randomized checks of greedy/exhaustive column selection
 
-Every subcommand requires ``--seed``; identical invocations produce
-byte-identical output.  Reports are JSON (versioned envelope with
-``schema``, ``command``, ``config`` and ``rows``) or CSV (header plus
-rows, column order as documented in each subcommand's help).  Exit codes:
-0 success, 2 invalid configuration or input, 3 a theoretical guarantee was
-missed.
+Every subcommand requires ``--seed``, a non-negative integer; identical
+invocations produce byte-identical output.  Reports are JSON (versioned
+envelope with ``schema``, ``command``, ``config`` and ``rows``) or CSV
+(header plus rows, column order as documented in each subcommand's help).
+Exit codes: 0 success, 2 invalid configuration or input (an input too
+large to allocate included), 3 a theoretical guarantee was missed.
 """
 
 from __future__ import annotations
@@ -123,17 +123,43 @@ COLUMNS = {
 }
 
 
-def _count(text: str) -> int:
-    """argparse type for counts; argparse names the flag in the error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int):
+    """argparse type for integers of at least ``low``; argparse names the
+    flag in the error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_count = _at_least(1)
+_seed = _at_least(0)  # numpy derives streams from non-negative integers only
+
+
+def _desk_j_min(rank: int, k: int, delta: int) -> int:
+    """``desk_scale_j_min(rank, delta)``, refused when the smallest block
+    ``2^j_min`` cannot hold a ``rank``-dimensional sum-free subspace.
+
+    ``k`` and ``delta`` are the values of ``--k`` and ``--delta``, which the
+    message names.
+    """
+    j_min = desk_scale_j_min(rank, delta)
+    if j_min < rank.bit_length():  # 2^j_min - 1 < rank
+        raise ValueError(
+            f"--delta {delta} is too small for --k {k}: the smallest dyadic "
+            f"block cannot hold the subspace; pass --delta "
+            f"{delta + rank.bit_length() - j_min} or more"
+        )
+    return j_min
 
 
 def _epilog(command: str) -> str:
@@ -152,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, required=True, help="master seed")
+    common.add_argument(
+        "--seed", type=_seed, required=True, help="master seed (non-negative)"
+    )
     common.add_argument(
         "--format",
         choices=("json", "csv"),
@@ -317,10 +345,11 @@ def _cmd_scaling(args):
                 raise ValueError(
                     f"scaling requires k <= d/4, got k={k}, d={d}"
                 )
+            j_min = _desk_j_min(k, k, args.delta)
             mu = dyadic_alt_measure(
                 k,
                 d,
-                j_min_override=desk_scale_j_min(k, args.delta),
+                j_min_override=j_min,
                 seed=[args.seed, 11, d, k],
             )
             wit = witness_vector(d, k).unit
@@ -435,6 +464,7 @@ def _cmd_realize(args):
     k = args.k
     if k < 1 or 2 * k > d:
         raise ValueError(f"need 1 <= k <= d/2 for the reduction, got k={k}, d={d}")
+    j_min = _desk_j_min(2 * k, k, args.delta)
     orbit = enumerate_orbit(group_from_dict(obj), base, max_size=args.max_orbit)
 
     candidates = [
@@ -445,7 +475,7 @@ def _cmd_realize(args):
         mu = dyadic_alt_measure(
             2 * k,
             d,
-            j_min_override=desk_scale_j_min(2 * k, args.delta),
+            j_min_override=j_min,
             seed=[args.seed, 42],
         )
         candidates.extend(
@@ -595,7 +625,7 @@ def main(argv=None) -> int:
     except (GuaranteeMissedError, CertificationFailedError) as exc:
         print(f"guarantee missed: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, CylwidthError) as exc:
+    except (ValueError, OSError, MemoryError, CylwidthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

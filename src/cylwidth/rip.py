@@ -59,8 +59,11 @@ def singular_values(m) -> np.ndarray:
 
 def rip_target(m, k: int) -> float:
     """Tail quantity the selected columns are measured against."""
-    s = singular_values(m)
-    n = np.asarray(m).shape[1]
+    return _tail_target(singular_values(m), np.asarray(m).shape[1], k)
+
+
+def _tail_target(s: np.ndarray, n: int, k: int) -> float:
+    """:func:`rip_target` of a matrix with ``n`` columns and spectrum ``s``."""
     full = np.zeros(n)
     full[: s.shape[0]] = s
     lo = math.ceil(3 * k / 2)  # 1-indexed position
@@ -140,7 +143,7 @@ def select_columns(m, k: int, c_rip: float = C_RIP) -> ColumnSelection:
         indices, achieved = exhaustive_idx, exhaustive_val
     else:
         indices, achieved = greedy_idx, greedy_val
-    target = rip_target(m, k)
+    target = _tail_target(s, 4 * k, k)
     ratio = achieved / target if target > 0 else np.inf
     if achieved < c_rip * target:
         raise GuaranteeMissedError(

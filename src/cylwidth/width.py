@@ -19,8 +19,8 @@ by the image that pairs the two rearrangements and carries the phases of
 ``u``.  :func:`width_altmax` builds that witness directly.  For a real
 plane (k = 2) and real ``v`` the identity leaves one angle to search, and
 the optimal image is constant between the finitely many angles where a
-coordinate of ``w`` vanishes or two coordinates tie in modulus, so an
-angular sweep over those arcs gives the exact width.
+coordinate of ``w`` vanishes or two coordinates tie in modulus, so
+valuing the image of each arc between those angles gives the exact width.
 
 The same routine evaluates suprema over dominance cones: the projection
 norm is convex, the cone is the convex hull of the signed-permutation
@@ -298,132 +298,75 @@ def _line_width(basis: SubspaceBasis, v) -> WidthReport:
 
 
 SWEEP_ANGLE_TOL = 1e-12
+SWEEP_BLOCK = 1 << 16  # image entries valued at once
 
 
-def _plane_events(a, b):
-    """Sorted event angles of the plane with rows ``(a_i, b_i)``.
+def _plane_angles(a, b):
+    """Sorted angles in ``[0, pi]`` where the plane's optimal image may change.
 
-    Returns ``(angles, i, j)``: ``y_i(theta) = a_i cos(theta) + b_i sin(theta)``
-    changes sign at ``angles`` in ``[0, pi]`` where ``j = -1``, and
-    ``y_i - y_j`` or ``y_i + y_j`` changes sign where ``j >= 0``.  Zero rows
-    and the sums or differences of equal rows vanish identically, so they
-    give no event.
+    With ``y_i(theta) = a_i cos(theta) + b_i sin(theta)``, these are the
+    angles where some ``y_i``, ``y_i - y_j`` or ``y_i + y_j`` changes sign.
+    Zero rows and the sums or differences of equal rows vanish identically,
+    so they give no angle.
     """
     live = np.flatnonzero((a != 0.0) | (b != 0.0))
     iu, ju = np.triu_indices(live.size, 1)
     pi, pj = live[iu], live[ju]
-    i = np.concatenate((live, pi, pi))
-    j = np.concatenate((np.full(live.size, -1), pj, pj))
     alpha = np.concatenate((a[live], a[pi] - a[pj], a[pi] + a[pj]))
     beta = np.concatenate((b[live], b[pi] - b[pj], b[pi] + b[pj]))
     keep = (alpha != 0.0) | (beta != 0.0)
     # alpha cos(theta) + beta sin(theta) vanishes where (cos, sin) is
     # parallel to (-beta, alpha)
-    angles = np.arctan2(alpha[keep], -beta[keep]) % np.pi
-    # the order among equal angles does not matter: they bound an arc too
-    # short to count, after which the sweep rebuilds its state
-    order = np.argsort(angles)
-    return angles[order], i[keep][order], j[keep][order]
+    return np.sort(np.arctan2(alpha[keep], -beta[keep]) % np.pi)
 
 
 def _plane_width(basis: SubspaceBasis, v) -> WidthReport:
-    """Exact width of a real plane against real ``v`` by an angular sweep.
+    """Exact width of a real plane against real ``v``, one image per arc.
 
     For ``y(theta) = cos(theta) c_1 + sin(theta) c_2`` the optimal image of
     ``v`` (see :func:`_witness_from`) depends only on the signs of ``y`` and
-    the order of ``|y|``.  These change only at the events of
-    :func:`_plane_events`, so on each arc between consecutive events one
+    the order of ``|y|``.  These change only at the angles of
+    :func:`_plane_angles`, so on each arc between consecutive angles one
     signed permutation ``g`` is optimal, and the width is the largest
     ``||P_W g v||`` over the arcs: the optimal image's own direction lies in
     the closure of its arc.
 
-    The walk keeps the rank and sign of every coordinate and the 2-vector
-    ``P_W g v``.  A zero event flips one sign; a pair event swaps two ranks,
-    which are adjacent at that angle.  Each updates the projection in O(1).
-    Where events lie within ``SWEEP_ANGLE_TOL`` of each other, or an event
-    does not meet the state it expects, the state is rebuilt from the next
-    arc's midpoint.  Every arc whose running value lies within the walk's
-    rounding bound of the largest is then rebuilt from its midpoint and
-    valued exactly; the first best of those is the report's witness.
-    O(d^2 log d) time and O(d^2) memory.
+    Arcs no longer than ``SWEEP_ANGLE_TOL`` are skipped.  Every other arc's
+    image is built from its midpoint and valued, ``SWEEP_BLOCK`` image
+    entries at a time.  The arcs whose value lies within ``d eps ||v||^2``
+    of the largest, a bound on the rounding of one value, are rebuilt from
+    the midpoint by :func:`_witness_and_value`; the first best of those is
+    the report's witness.  O(d^3 log d) time and O(d^2) memory.
     """
     cols = basis.columns
     d = cols.shape[0]
-    a, b = cols[:, 0], cols[:, 1]
-    angles, ev_i, ev_j = _plane_events(a, b)
-    n = angles.size
+    angles = _plane_angles(cols[:, 0], cols[:, 1])
     lo = np.concatenate(([angles[-1] - np.pi], angles[:-1]))
     mids = 0.5 * (lo + angles)
-    tiny = (angles - lo <= SWEEP_ANGLE_TOL).tolist()
+    arcs = np.flatnonzero(angles - lo > SWEEP_ANGLE_TOL)
     v_desc = decreasing_rearrangement(v)
-    vd = v_desc.tolist()
-    live = int(np.count_nonzero((a != 0.0) | (b != 0.0)))
-
-    def point(m):
-        return cols @ np.array([math.cos(mids[m]), math.sin(mids[m])])
-
-    def state(m):
-        y = point(m)
-        rank = np.empty(d, dtype=np.int64)
-        rank[decreasing_argsort(y)] = np.arange(d)
-        sign = np.where(y < 0.0, -1.0, 1.0)
-        p = (sign * v_desc[rank]) @ cols
-        return rank.tolist(), sign.tolist(), float(p[0]), float(p[1])
-
-    al, bl, ei, ej = a.tolist(), b.tolist(), ev_i.tolist(), ev_j.tolist()
-    # each step moves a running coordinate by at most 4 ||v|| and rounds it
-    # by a few ulps of that, so a running square is off by well under this
-    slack = 64.0 * (n + 1) * np.finfo(np.float64).eps * float(v_desc @ v_desc)
-    # (squared running value, arc) of every arc that came within the slack
-    # of the best so far; an arc too short to count, or holding the same
-    # image as the arc before it, adds none
-    best, cands = -math.inf, []
-    rank, sign, p0, p1 = state(0)
-    if not tiny[0]:
-        best = p0 * p0 + p1 * p1
-        cands.append((best, 0))
-    for m in range(n - 1):
-        if tiny[m + 1]:
-            continue
-        i, j = ei[m], ej[m]
-        ri = rank[i]
-        rj = rank[j] if j >= 0 else live
-        # a crossing of zero moves the least live modulus; a crossing of two
-        # moduli swaps adjacent ranks
-        if tiny[m] or (ri - rj != 1 and rj - ri != 1):
-            rank, sign, p0, p1 = state(m + 1)
-        elif j < 0:
-            c = 2.0 * sign[i] * vd[ri]
-            sign[i] = -sign[i]
-            if not c:
-                continue
-            p0 -= c * al[i]
-            p1 -= c * bl[i]
-        else:
-            rank[i], rank[j] = rj, ri
-            dm = vd[rj] - vd[ri]
-            if not dm:
-                continue
-            si, sj = sign[i], sign[j]
-            p0 += dm * (si * al[i] - sj * al[j])
-            p1 += dm * (si * bl[i] - sj * bl[j])
-        val = p0 * p0 + p1 * p1
-        if val >= best - slack:
-            cands.append((val, m + 1))
-            if val > best:
-                best = val
+    step = max(1, SWEEP_BLOCK // d)
+    vals = np.empty(arcs.size)
+    for s in range(0, arcs.size, step):
+        t = mids[arcs[s : s + step]]
+        y = np.stack((np.cos(t), np.sin(t)), axis=1) @ cols.T
+        images = np.empty_like(y)
+        images[np.arange(t.size)[:, None], decreasing_argsort(y)] = v_desc
+        np.negative(images, out=images, where=y < 0.0)
+        p = images @ cols
+        vals[s : s + step] = np.einsum("ij,ij->i", p, p)
+    slack = d * np.finfo(np.float64).eps * float(v_desc @ v_desc)
     witness, value = None, -math.inf
-    for val, m in cands:
-        if val < best - slack:
-            continue
-        cand, cand_val = _witness_and_value(cols, v, point(m))
+    for m in arcs[vals >= vals.max() - slack]:
+        y = cols @ np.array([math.cos(mids[m]), math.sin(mids[m])])
+        cand, cand_val = _witness_and_value(cols, v, y)
         if cand_val > value:
             witness, value = cand, cand_val
     return WidthReport(
         value=value,
         method="sweep",
         restarts=0,
-        iterations=n,
+        iterations=angles.size,
         witness=witness,
     )
 
@@ -463,15 +406,17 @@ def width_altmax(
     unused, and nothing is drawn from ``seed``.
 
     A real plane (k = 2, real basis) against a real ``v`` is exact too:
-    :func:`_plane_width` sweeps the angle of ``w = cos(t) c_1 + sin(t) c_2``
-    over the at most ``d^2`` arcs on which the optimal image of ``v`` stays
-    the same, and reports the best arc's witness and its projection norm,
-    with ``method="sweep"``, ``restarts=0`` and ``iterations`` the number of
-    arcs.  As for a line, no start is drawn, no ascent or anneal runs, and
-    ``restarts`` and ``refine`` are only validated.  The sweep takes
-    O(d^2 log d) time and O(d^2) memory, so at d = 1024 (~1 s and ~130 MB)
-    it is slower than the ascent estimate it replaces.  A complex ``v`` runs
-    the ascent over the complexified span, below.
+    :func:`_plane_width` splits the angle of ``w = cos(t) c_1 + sin(t) c_2``
+    into the at most ``d^2`` arcs on which the optimal image of ``v`` stays
+    the same, values each arc's image from its midpoint, and reports the
+    best arc's witness and its projection norm, with ``method="sweep"``,
+    ``restarts=0`` and ``iterations`` the number of arcs.  As for a line, no
+    start is drawn, no ascent or anneal runs, and ``restarts`` and
+    ``refine`` are only validated.  The sweep takes O(d^3 log d) time and
+    O(d^2) memory: under 0.1 ms up to d = 8, 5.8 ms at d = 64, and at
+    d = 1024 ~24 s and ~60 MB on one CPU, far slower than the ascent
+    estimate it replaces there.  Nothing calls it above d = 64.  A complex
+    ``v`` runs the ascent over the complexified span, below.
 
     The start draw and the kernel call live in ``_ascend``, which
     :func:`~cylwidth.lowerbound.adversarial_min_width` calls directly with a

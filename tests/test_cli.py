@@ -1,6 +1,9 @@
 """Command-line interface: report schemas, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -173,15 +176,25 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert "1 <= k <= d/2" in err
 
     # a negative --delta leaves the smallest dyadic block too small for 2k
-    # columns; that is bad input, not an infeasible construction to skip
-    for delta in ("-1", "-5"):
-        code, _, err = run(
-            ["realize", "--group", str(gfile), "--base-point", "1,0,0,0,0,0",
-             "--k", "1", "--delta", delta, "--seed", "1"],
-            capsys,
-        )
+    # columns; that is bad input, not an infeasible construction to skip.
+    # The message names the flags as given and no block 2^-3
+    realize = ["realize", "--group", str(gfile), "--base-point", "1,0,0,0,0,0"]
+    for argv, k, delta in (
+        (realize + ["--k", "1"], "1", "-1"),
+        (realize + ["--k", "1"], "1", "-5"),
+        (["scaling", "--d", "16", "--k", "2", "--trials", "2"], "2", "-1"),
+        (["scaling", "--d", "16", "--k", "2", "--trials", "2"], "2", "-5"),
+    ):
+        code, _, err = run([*argv, "--delta", delta, "--seed", "1"], capsys)
         assert code == 2
-        assert "does not fit in the smallest block" in err
+        assert err == (f"error: --delta {delta} is too small for --k {k}: the smallest "
+                       "dyadic block cannot hold the subspace; pass --delta 0 or more\n")
+
+    # numpy rejects a negative seed only deep inside a command
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tnorm", "--d", "4", "--trials", "2", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
 
     # a d that is not an integer: int() would overflow on 1e400 and truncate 3.7
     for text in ("1e400", "3.7"):
@@ -203,6 +216,28 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_unallocatable_input_exits_2():
+    # each command asks numpy for a terabyte-sized array; under a 1 GiB
+    # address-space cap, with BLAS on one thread, nothing that large is ever
+    # allocated, and the failure is reported like any other bad input
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from cylwidth.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv in (["tnorm", "--d", "100000000000", "--trials", "1"],
+                 ["scaling", "--d", "100000000000"],
+                 ["lowerbound", "--d", "100000000000", "--k", "1"]):
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--seed", "1"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: Unable to allocate"), (argv, proc.stderr)
+        assert proc.stdout == ""
 
 
 def test_missing_required_seed_is_a_usage_error(capsys):

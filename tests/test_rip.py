@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import cylwidth.rip as rip
 from cylwidth.errors import GuaranteeMissedError, RankDeficientError
 from cylwidth.groups import GroupPresentation, enumerate_orbit
 from cylwidth.measures import sample_uniform
@@ -36,6 +37,26 @@ def test_select_columns_duplicated_identity():
     assert abs(sel.ratio - 1.0 / np.sqrt(2.0)) < 1e-12
     assert sel.exhaustive_achieved is not None
     assert sel.achieved >= sel.greedy_achieved - 1e-15
+
+
+def test_select_columns_takes_one_full_spectrum(monkeypatch):
+    # the rank check's spectrum also gives the target, which is the one
+    # rip_target computes, bit for bit
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return singular_values(m)
+
+    rng = np.random.default_rng(9)
+    for k in (1, 2, 3, 4):
+        m = rng.standard_normal((2 * k, 4 * k))
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(rip, "singular_values", counted)
+            sel = select_columns(m, k, c_rip=0.0)
+        assert calls == [(2 * k, 4 * k)], k
+        assert sel.target == rip_target(m, k), k
 
 
 def test_equal_optimum_keeps_the_greedy_pick():

@@ -590,11 +590,10 @@ def test_plane_width_extends_gate_4_to_larger_d():
 def test_plane_width_check_catches_dropped_events(drop):
     # a source mutant of the sweep that never sees y_i = y_j (or y_i = -y_j)
     # misses the brute-force width on some frame
-    one_block = [("(live, pi, pi)", "(live, pi)"), ("pj, pj)", "pj)")]
     dropped = {"difference": [("a[pi] - a[pj], ", ""), ("b[pi] - b[pj], ", "")],
                "sum": [(", a[pi] + a[pj]", ""), (", b[pi] + b[pj]", "")]}[drop]
-    source = inspect.getsource(width._plane_events)
-    for old, new in one_block + dropped:
+    source = inspect.getsource(width._plane_angles)
+    for old, new in dropped:
         assert old in source
         source = source.replace(old, new)
     namespace = dict(vars(width))
@@ -602,7 +601,7 @@ def test_plane_width_check_catches_dropped_events(drop):
     rng = np.random.default_rng(89)
     misses = 0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(width, "_plane_events", namespace["_plane_events"])
+        mp.setattr(width, "_plane_angles", namespace["_plane_angles"])
         for i in range(40):
             d = int(rng.integers(3, 7))
             basis = sample_uniform(2, d, "real", seed=[90, i])
