@@ -14,7 +14,9 @@ invocations produce byte-identical output.  Reports are JSON (versioned
 envelope with ``schema``, ``command``, ``config`` and ``rows``) or CSV
 (header plus rows, column order as documented in each subcommand's help).
 Exit codes: 0 success, 2 invalid configuration or input (an input too
-large to allocate included), 3 a theoretical guarantee was missed.
+large to allocate included), 3 a theoretical guarantee was missed: a
+certification failed, or some row's ``ok`` or ``holds`` is false, in which
+case the report is still written.
 """
 
 from __future__ import annotations
@@ -333,12 +335,13 @@ def _cmd_tnorm(args):
                 "lipschitz_bound": lipschitz_bound(d),
             }
         )
-    return rows, 0
+    return rows
 
 
 def _cmd_scaling(args):
     ks = args.k if args.k else [1]
-    rows = []
+    # every (d, k) is checked before the first measure is built
+    j_mins = {}
     for d in args.d:
         for k in ks:
             if 4 * k > d:
@@ -346,10 +349,21 @@ def _cmd_scaling(args):
                     f"scaling requires k <= d/4, got k={k}, d={d}"
                 )
             j_min = _desk_j_min(k, k, args.delta)
+            excess = j_min - math.floor(math.log2(d))
+            if excess > 0:
+                raise ValueError(
+                    f"--delta {args.delta} is too large for --d {d} and --k {k}: "
+                    f"the smallest dyadic block would be larger than --d; pass --delta "
+                    f"{args.delta - excess} or less"
+                )
+            j_mins[d, k] = j_min
+    rows = []
+    for d in args.d:
+        for k in ks:
             mu = dyadic_alt_measure(
                 k,
                 d,
-                j_min_override=j_min,
+                j_min_override=j_mins[d, k],
                 seed=[args.seed, 11, d, k],
             )
             wit = witness_vector(d, k).unit
@@ -385,14 +399,13 @@ def _cmd_scaling(args):
                     "normalized_witness": est_w.mean * scale,
                 }
             )
-    return rows, 0
+    return rows
 
 
 def _cmd_lowerbound(args):
     ds = args.d if args.d else [16]
     ks = args.k if args.k else [1, 2, 4]
     rows = []
-    code = 0
     for d in ds:
         for k in ks:
             wit = witness_vector(d, k)
@@ -406,9 +419,6 @@ def _cmd_lowerbound(args):
                 inner_restarts=args.inner_restarts,
             )
             normalized = res.min_value * math.sqrt(math.log(2 * d / k))
-            ok = bool(normalized >= LOWERBOUND_FLOOR)
-            if not ok:
-                code = 3
             rows.append(
                 {
                     "d": d,
@@ -417,10 +427,10 @@ def _cmd_lowerbound(args):
                     "steps": res.steps,
                     "min_width": res.min_value,
                     "normalized": normalized,
-                    "ok": ok,
+                    "ok": bool(normalized >= LOWERBOUND_FLOOR),
                 }
             )
-    return rows, code
+    return rows
 
 
 def _least_orbit_width(bases, orbit):
@@ -488,8 +498,7 @@ def _cmd_realize(args):
     rep = realize_real_subspace(candidates[best])
     real_width = width_orbit(rep.basis, orbit).value
     ratio = real_width / complex_width if complex_width > 0 else math.inf
-    ok = bool(ratio <= REALIZE_RATIO_CAP)
-    rows = [
+    return [
         {
             "d": d,
             "k": k,
@@ -502,15 +511,13 @@ def _cmd_realize(args):
             "s_2k": rep.s_2k,
             "achieved": rep.selection.achieved,
             "target": rep.selection.target,
-            "ok": ok,
+            "ok": bool(ratio <= REALIZE_RATIO_CAP),
         }
     ]
-    return rows, 0 if ok else 3
 
 
 def _cmd_selberg_fuzz(args):
     rows = []
-    code = 0
     families = ("complex_gaussian", "near_parallel", "rank_one")
     for trial in range(args.trials):
         rng = np.random.default_rng([args.seed, 51, trial])
@@ -530,8 +537,6 @@ def _cmd_selberg_fuzz(args):
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             x = v[None, :] * rng.standard_normal((m, 1))
         rep = selberg_check(x)
-        if not rep.holds:
-            code = 3
         rows.append(
             {
                 "trial": trial,
@@ -544,13 +549,12 @@ def _cmd_selberg_fuzz(args):
                 "holds": rep.holds,
             }
         )
-    return rows, code
+    return rows
 
 
 def _cmd_rip_fuzz(args):
     ks = args.k if args.k else [1, 2, 3]
     rows = []
-    code = 0
     for k in ks:
         if k < 1:
             raise ValueError("k must be positive")
@@ -558,9 +562,6 @@ def _cmd_rip_fuzz(args):
             rng = np.random.default_rng([args.seed, 61, k, trial])
             m = rng.standard_normal((2 * k, 4 * k))
             sel = select_columns(m, k, c_rip=0.0)
-            ok = bool(sel.achieved >= C_RIP * sel.target)
-            if not ok:
-                code = 3
             rows.append(
                 {
                     "k": k,
@@ -574,10 +575,10 @@ def _cmd_rip_fuzz(args):
                         if sel.exhaustive_achieved is not None
                         else ""
                     ),
-                    "ok": ok,
+                    "ok": bool(sel.achieved >= C_RIP * sel.target),
                 }
             )
-    return rows, code
+    return rows
 
 
 HANDLERS = {
@@ -615,7 +616,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        rows, code = HANDLERS[args.command](args)
+        rows = HANDLERS[args.command](args)
         text = _render(args.command, args, rows, args.format)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -628,7 +629,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError, CylwidthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
+    # a row whose check failed still goes out, and the process signals it
+    missed = any(row.get("ok") is False or row.get("holds") is False for row in rows)
+    return 3 if missed else 0
 
 
 def entry() -> None:

@@ -29,7 +29,7 @@ from .errors import (
     EmptyDyadicIndexError,
     RankDeficientError,
 )
-from .tnorm import t_norm_batch, t_norm_subspace_bound
+from .tnorm import t_norm_subspace_bound
 from .vectors import SubspaceBasis, orthonormalize
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
 
 DELOC_THRESHOLD = 40.0
 DELOC_ATTEMPTS = 8
-DELOC_NET_STEP = 0.25
-DELOC_MC_SAMPLES = 10_000
 
 
 def sample_uniform(k: int, d: int, field: str = "real", seed=None) -> SubspaceBasis:
@@ -66,10 +64,10 @@ def build_delocalized_subspace(k: int, d: int, seed=None):
     Draws a Gaussian ``d x k`` matrix, subtracts column means (placing the
     span inside the hyperplane orthogonal to the all-ones vector) and
     orthonormalizes.  The supremum of the tail-weighted norm over unit
-    vectors of the span is then bounded: for ``k <= 4`` by an exact
-    deterministic ``DELOC_NET_STEP``-net certificate, otherwise by twice the
-    maximum over ``DELOC_MC_SAMPLES`` random unit vectors.  Draws are
-    retried until the bound is at most ``DELOC_THRESHOLD``.
+    vectors of the span is then bounded by
+    :func:`~cylwidth.tnorm.t_norm_subspace_bound`, a proven bound for every
+    ``k``.  Draws are retried until the bound is at most
+    ``DELOC_THRESHOLD``.
 
     Returns ``(basis, certificate)``.  Raises
     :class:`CertificationFailedError` after ``DELOC_ATTEMPTS`` failures.  The
@@ -88,26 +86,28 @@ def build_delocalized_subspace(k: int, d: int, seed=None):
             basis = orthonormalize(g, sum_zero=True)
         except RankDeficientError:  # pragma: no cover - measure-zero event
             continue
-        if k <= 4:
-            cert = t_norm_subspace_bound(basis, DELOC_NET_STEP)
-        else:
-            coef = rng.standard_normal((DELOC_MC_SAMPLES, k))
-            coef /= np.linalg.norm(coef, axis=1)[:, None]
-            cert = 2.0 * float(t_norm_batch(coef @ basis.columns.T).max())
-        last = cert
-        if cert <= DELOC_THRESHOLD:
-            return basis, float(cert)
+        last = t_norm_subspace_bound(basis)
+        if last <= DELOC_THRESHOLD:
+            return basis, last
     raise CertificationFailedError(
         f"no draw certified below {DELOC_THRESHOLD} in {DELOC_ATTEMPTS} "
         f"attempts (last certificate {last})"
     )
 
 
+def _integer(name: str, value):
+    # bool is an int subclass; a float would be truncated, and NaN or inf
+    # would pass or overflow the comparisons below
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def desk_scale_j_min(k: int, delta: int = 1) -> int:
     """Small-dimension replacement for the asymptotic lower scale index."""
-    if k < 1:
+    if _integer("k", k) < 1:
         raise ValueError("k must be positive")
-    return math.ceil(math.log2(2 * k)) + delta
+    return math.ceil(math.log2(2 * k)) + _integer("delta", delta)
 
 
 def dyadic_index_set(k: int, d: int, j_min_override=None) -> tuple:
@@ -119,17 +119,13 @@ def dyadic_index_set(k: int, d: int, j_min_override=None) -> tuple:
     asymptotic regime.  Raises :class:`EmptyDyadicIndexError` when the
     window contains no index.
     """
-    if d < 2 or k < 1:
+    if _integer("d", d) < 2 or _integer("k", k) < 1:
         raise ValueError("need d >= 2 and k >= 1")
     j_max = math.floor(math.log2(d))
     if j_min_override is None:
         j_min = math.ceil(math.log2(2.0 * k * math.log(d) ** 4))
-    elif isinstance(j_min_override, bool) or not isinstance(
-        j_min_override, numbers.Integral
-    ):
-        raise ValueError(f"j_min_override must be an integer, got {j_min_override!r}")
     else:
-        j_min = j_min_override
+        j_min = _integer("j_min_override", j_min_override)
     if j_min > j_max:
         raise EmptyDyadicIndexError(
             f"scale window empty: j_min={j_min} exceeds floor(log2 d)={j_max}"

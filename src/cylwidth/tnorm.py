@@ -48,7 +48,7 @@ import numpy as np
 
 from ._fork import map_forked
 from .nets import sphere_net
-from .vectors import SubspaceBasis
+from .vectors import SubspaceBasis, decreasing_rearrangement
 
 __all__ = [
     "TNormValue",
@@ -63,6 +63,9 @@ __all__ = [
 # elements per working block of t_norm_batch, t_norm_subspace_bound and
 # gaussian_tnorm_statistics
 _BATCH_ELEMENTS = 1 << 18
+
+# covering radius of the sphere net that t_norm_subspace_bound evaluates
+NET_STEP = 0.25
 
 
 class TNormValue(NamedTuple):
@@ -130,45 +133,46 @@ def _require_finite(values, name: str) -> None:
 
 def lipschitz_bound(d: int) -> float:
     """Upper bound ln(2d)^2 on the Euclidean norm of dual-ball elements."""
-    if d < 1:
-        raise ValueError("dimension must be positive")
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+        raise ValueError(f"dimension must be a positive integer, got {d!r}")
     return float(np.log(2.0 * d) ** 2)
 
 
-def t_norm_subspace_bound(basis: SubspaceBasis, net_step: float = 0.25) -> float:
+def t_norm_subspace_bound(basis: SubspaceBasis) -> float:
     """Certified upper bound on the norm over unit vectors of a subspace.
 
-    A ``net_step``-net of the coefficient sphere is evaluated exactly and
-    inflated by ``1/(1 - net_step)``, which dominates the supremum because
-    the norm is 1-Lipschitz along the subspace up to its own supremum:
-    ``sup <= max_net + net_step * sup``.  One-dimensional subspaces are
-    evaluated exactly (the two-point net is the whole sphere).  The same
-    bound applies to the complexification of the subspace, since the squared
-    moduli of ``a u + i b u'`` split coordinatewise over the real and
-    imaginary parts.
+    For ``2 <= k <= 4`` a ``NET_STEP``-net of the coefficient sphere is
+    evaluated exactly and inflated by ``1/(1 - NET_STEP)``: the norm is
+    1-Lipschitz along the subspace up to its own supremum, so
+    ``sup <= max_net + NET_STEP * sup``.  Every other ``k`` takes the
+    row-profile bound, exact for a line: a unit ``y`` in the span has
+    ``|y_j| <= r_j``, the norm of row ``j`` of the basis, so with ``r~`` the
+    row norms in decreasing order
 
-    Only real bases of dimension at most 4 are supported.
+        sup ||y||_T <= sqrt(max_s ln(2d/s)^4 min(1, r~_1^2 + ... + r~_s^2)),
+
+    raised by ``4d`` relative ulps to cover its rounding.  Both bounds hold
+    for the complexified span too, whose squared moduli split over the real
+    and imaginary parts.  Only real bases are supported.
     """
     if basis.field != "real":
         raise ValueError("certified bounds require a real basis")
-    if not (0.0 < net_step <= 0.5):
-        raise ValueError("net_step must lie in (0, 1/2]")
-    if basis.k == 1:
-        return t_norm(basis.columns[:, 0]).value
-    if basis.k > 4:
-        raise ValueError(
-            f"net certification supports k <= 4, got k={basis.k}"
-        )
-    net = sphere_net(basis.k, net_step)
+    d, k = basis.d, basis.k
+    if not 2 <= k <= 4:
+        rows = decreasing_rearrangement(np.linalg.norm(basis.columns, axis=1))
+        mass = np.minimum(1.0, np.cumsum(rows**2))
+        slack = 1.0 + 4 * d * math.ulp(1.0)
+        return math.sqrt(float(np.max(mass * _weights(d)))) * slack
+    net = sphere_net(k, NET_STEP)
     cols_t = basis.columns.T
     # row chunks that are a multiple of 64 rows long reproduce the rows of
     # the full product net @ cols_t bit for bit; 1-row chunks would not
-    rows = 64 * max(1, _BATCH_ELEMENTS // (64 * basis.d))
+    rows = 64 * max(1, _BATCH_ELEMENTS // (64 * d))
     best = max(
         float(t_norm_batch(net[lo:lo + rows] @ cols_t).max())
         for lo in range(0, net.shape[0], rows)
     )
-    return best / (1.0 - net_step)
+    return best / (1.0 - NET_STEP)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def test_tnorm_json_schema(tmp_path, capsys):
     assert set(tiny) == set(cli.COLUMNS)
     for command, argv in tiny.items():
         args = cli.build_parser().parse_args([command, *argv, "--seed", "1"])
-        rows, _ = cli.HANDLERS[command](args)
+        rows = cli.HANDLERS[command](args)
         assert rows
         for row in rows:
             assert list(row) == cli.COLUMNS[command], command
@@ -190,6 +191,22 @@ def test_validation_exit_codes(tmp_path, capsys):
         assert err == (f"error: --delta {delta} is too small for --k {k}: the smallest "
                        "dyadic block cannot hold the subspace; pass --delta 0 or more\n")
 
+    # a --delta past floor(log2 d) leaves the scale window empty; the message
+    # names the flags and the largest valid --delta, not the library's j_min
+    scaling = ["scaling", "--d", "16", "--k", "2", "--trials", "2", "--seed", "1"]
+    for delta in ("3", "5", "99999999999999999999"):
+        code, _, err = run([*scaling, "--delta", delta], capsys)
+        assert code == 2
+        assert err == (f"error: --delta {delta} is too large for --d 16 and --k 2: "
+                       "the smallest dyadic block would be larger than --d; "
+                       "pass --delta 2 or less\n")
+    # every (d, k) is checked before any measure is built
+    code, out, err = run(["scaling", "--d", "1024", "--d", "16", "--k", "1",
+                          "--delta", "4", "--trials", "2", "--seed", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "--delta 4 is too large for --d 16 and --k 1" in err
+    assert "pass --delta 3 or less" in err
+
     # numpy rejects a negative seed only deep inside a command
     with pytest.raises(SystemExit) as exc:
         cli.main(["tnorm", "--d", "4", "--trials", "2", "--seed", "-1"])
@@ -257,6 +274,39 @@ def test_guarantee_missed_exit_code(monkeypatch, capsys):
     assert code == 3
     doc = json.loads(out)
     assert doc["rows"][0]["ok"] is False
+
+
+def test_realize_missed_ratio_exit_code(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "REALIZE_RATIO_CAP", 0.0)
+    gfile = tmp_path / "group.json"
+    gfile.write_text(json.dumps({"d": 3, "kind": "signed_permutations"}))
+    code, out, _ = run(["realize", "--group", str(gfile), "--base-point", "0.9,0.4,0.1",
+                        "--draws", "2", "--seed", "2"], capsys)
+    assert code == 3
+    assert json.loads(out)["rows"][0]["ok"] is False
+
+
+def test_rip_fuzz_missed_target_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "C_RIP", 1e6)
+    code, out, _ = run(["rip-fuzz", "--k", "1", "--trials", "2", "--seed", "2"], capsys)
+    assert code == 3
+    assert [row["ok"] for row in json.loads(out)["rows"]] == [False, False]
+
+
+def test_selberg_fuzz_missed_bound_exit_code(monkeypatch, capsys):
+    # one failing trial among passing ones is enough
+    real_check = cli.selberg_check
+    calls = []
+
+    def fail_second(x):
+        calls.append(x)
+        rep = real_check(x)
+        return replace(rep, holds=False) if len(calls) == 2 else rep
+
+    monkeypatch.setattr(cli, "selberg_check", fail_second)
+    code, out, _ = run(["selberg-fuzz", "--trials", "3", "--seed", "2"], capsys)
+    assert code == 3
+    assert [row["holds"] for row in json.loads(out)["rows"]] == [True, False, True]
 
 
 def test_lowerbound_small_grid(capsys):

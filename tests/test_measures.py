@@ -12,7 +12,7 @@ from cylwidth.measures import (
     dyadic_index_set,
     sample_uniform,
 )
-from cylwidth.tnorm import t_norm_batch
+from cylwidth.tnorm import t_norm_batch, t_norm_subspace_bound
 
 
 def test_sample_uniform_orthonormal_and_deterministic():
@@ -38,10 +38,14 @@ def test_delocalized_subspace_properties():
     assert float(t_norm_batch(coef @ basis.columns.T).max()) <= cert + 1e-9
 
 
-def test_delocalized_subspace_monte_carlo_path():
+def test_delocalized_subspace_profile_path():
+    # k >= 5 is certified by the row profile, a proven bound
     basis, cert = build_delocalized_subspace(6, 64, seed=8)
     assert (basis.d, basis.k) == (64, 6)
-    assert cert <= 40.0
+    assert cert == t_norm_subspace_bound(basis) <= 40.0
+    coef = np.random.default_rng(9).standard_normal((2000, 6))
+    coef /= np.linalg.norm(coef, axis=1)[:, None]
+    assert float(t_norm_batch(coef @ basis.columns.T).max()) <= cert
 
 
 def test_delocalized_threshold_failure(monkeypatch):
@@ -70,6 +74,25 @@ def test_scale_override_must_be_an_integer(override):
     # int() would truncate 2.7 to the window (2, 3, 4) without a word
     with pytest.raises(ValueError, match="j_min_override"):
         dyadic_index_set(1, 16, j_min_override=override)
+
+
+@pytest.mark.parametrize("k, delta", [
+    (1, float("nan")), (1, 1.5), (1, float("inf")), (1, True),
+    (float("inf"), 1), (float("nan"), 1), (2.5, 1), (True, 1),
+])
+def test_desk_scale_j_min_rejects_non_integers(k, delta):
+    with pytest.raises(ValueError, match="must be an integer"):
+        desk_scale_j_min(k, delta)
+
+
+@pytest.mark.parametrize("k, d", [
+    (1, 16.5), (1, float("inf")), (1, float("nan")), (1, True),
+    (1.0, 16), (float("inf"), 16), (True, 16),
+])
+def test_dyadic_index_set_rejects_non_integers(k, d):
+    # 16.5 used to give the window (2, 3, 4), and inf an OverflowError
+    with pytest.raises(ValueError, match="must be an integer"):
+        dyadic_index_set(k, d, j_min_override=2)
 
 
 def test_dyadic_measure_structure():

@@ -183,6 +183,13 @@ def test_input_validation():
         lipschitz_bound(0)
 
 
+@pytest.mark.parametrize("d", [float("nan"), float("inf"), 2.5, 4.0, True, 0, -3])
+def test_lipschitz_bound_rejects_non_integer_dimensions(d):
+    # NaN used to give nan, inf gave inf, and 2.5 a value
+    with pytest.raises(ValueError, match="positive integer"):
+        lipschitz_bound(d)
+
+
 # NaN, inf, a finite entry whose square overflows, and finite squares whose
 # weighted tail sum overflows
 @pytest.mark.parametrize("bad", [
@@ -201,48 +208,56 @@ def test_non_finite_input_is_rejected(bad):
 
 
 def test_subspace_bound_is_exact_for_lines():
-    basis = orthonormalize(np.random.default_rng(15).standard_normal((12, 1)))
-    bound = t_norm_subspace_bound(basis)
-    assert abs(bound - t_norm(basis.columns[:, 0]).value) < 1e-12
+    rng = np.random.default_rng(15)
+    for d in (12, 100, 500):
+        basis = orthonormalize(rng.standard_normal((d, 1)))
+        exact = t_norm(basis.columns[:, 0]).value
+        assert t_norm_subspace_bound(basis) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_subspace_bound_certifies_sampled_unit_vectors():
+    # the net for k = 2..4, the row profile for the other k
     rng = np.random.default_rng(16)
-    for k in (2, 3):
-        basis = orthonormalize(rng.standard_normal((16, k)))
-        bound = t_norm_subspace_bound(basis, net_step=0.3)
+    for k in (1, 2, 3, 4, 5, 8, 16):
+        basis = orthonormalize(rng.standard_normal((64, k)))
+        bound = t_norm_subspace_bound(basis)
         coef = rng.standard_normal((500, k))
         coef /= np.linalg.norm(coef, axis=1)[:, None]
-        assert float(t_norm_batch(coef @ basis.columns.T).max()) <= bound + 1e-9
+        assert float(t_norm_batch(coef @ basis.columns.T).max()) <= bound
         # the same certificate covers the complexified span
         ccoef = rng.standard_normal((200, k)) + 1j * rng.standard_normal((200, k))
         ccoef /= np.linalg.norm(ccoef, axis=1)[:, None]
         cvals = t_norm_batch(ccoef @ basis.columns.T.astype(np.complex128))
-        assert float(cvals.max()) <= bound + 1e-9
+        assert float(cvals.max()) <= bound
+
+
+@pytest.mark.parametrize("d", [1, 8, 64, 1024])
+def test_subspace_bound_of_the_whole_space_is_attained(d):
+    # every row norm is 1, so the capped profile scores ln(2d/s)^4 at each s
+    # and the bound is ln(2d)^2, the norm of a coordinate vector
+    bound = t_norm_subspace_bound(orthonormalize(np.eye(d)))
+    assert bound == pytest.approx(math.log(2 * d) ** 2, rel=1e-12, abs=0)
+    assert bound >= t_norm(np.eye(d)[0]).value
 
 
 # on these bases, evaluating the net one row at a time moves the maximum
 @pytest.mark.parametrize("k, step, d, seed", [(2, 0.25, 16, 18), (3, 0.25, 2048, 2051),
                                                (4, 0.4, 2048, 2452)])
-def test_subspace_bound_equals_the_whole_net_evaluation(k, step, d, seed):
+def test_subspace_bound_equals_the_whole_net_evaluation(k, step, d, seed, monkeypatch):
     # the bound walks the net in row chunks; it must equal the one-shot value
+    monkeypatch.setattr(tnorm, "NET_STEP", step)
     basis = orthonormalize(np.random.default_rng(seed).standard_normal((d, k)))
     whole = t_norm_batch(sphere_net(k, step) @ basis.columns.T).max()
-    assert t_norm_subspace_bound(basis, step) == float(whole / (1.0 - step))
+    assert t_norm_subspace_bound(basis) == float(whole / (1.0 - step))
 
 
 def test_subspace_bound_rejects_unsupported_inputs():
     rng = np.random.default_rng(17)
-    wide = orthonormalize(rng.standard_normal((16, 5)))
-    with pytest.raises(ValueError):
-        t_norm_subspace_bound(wide)
     cplx = orthonormalize(
         rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="real basis"):
         t_norm_subspace_bound(cplx)
-    with pytest.raises(ValueError):
-        t_norm_subspace_bound(orthonormalize(np.eye(4)[:, :2]), net_step=0.8)
 
 
 def test_statistics_deterministic_and_ordered():
