@@ -48,7 +48,7 @@ import numpy as np
 
 from ._fork import map_forked
 from .nets import sphere_net
-from .vectors import SubspaceBasis, decreasing_rearrangement
+from .vectors import SubspaceBasis, _gram_deviation, decreasing_rearrangement
 
 __all__ = [
     "TNormValue",
@@ -64,7 +64,8 @@ __all__ = [
 # gaussian_tnorm_statistics
 _BATCH_ELEMENTS = 1 << 18
 
-# covering radius of the sphere net that t_norm_subspace_bound evaluates
+# covering radius of the sphere net that t_norm_subspace_bound evaluates for
+# 2 <= k <= 3
 NET_STEP = 0.25
 
 
@@ -141,38 +142,45 @@ def lipschitz_bound(d: int) -> float:
 def t_norm_subspace_bound(basis: SubspaceBasis) -> float:
     """Certified upper bound on the norm over unit vectors of a subspace.
 
-    For ``2 <= k <= 4`` a ``NET_STEP``-net of the coefficient sphere is
+    For ``2 <= k <= 3`` a ``NET_STEP``-net of the coefficient sphere is
     evaluated exactly and inflated by ``1/(1 - NET_STEP)``: the norm is
     1-Lipschitz along the subspace up to its own supremum, so
     ``sup <= max_net + NET_STEP * sup``.  Every other ``k`` takes the
-    row-profile bound, exact for a line: a unit ``y`` in the span has
-    ``|y_j| <= r_j``, the norm of row ``j`` of the basis, so with ``r~`` the
-    row norms in decreasing order
+    row-profile bound, exact for a line: a unit ``y = C x`` in the span of an
+    orthonormal ``C`` has ``|y_j| <= r_j``, the norm of row ``j`` of ``C``,
+    so with ``r~`` the row norms in decreasing order
 
         sup ||y||_T <= sqrt(max_s ln(2d/s)^4 min(1, r~_1^2 + ... + r~_s^2)),
 
     raised by ``4d`` relative ulps to cover its rounding.  Both bounds hold
     for the complexified span too, whose squared moduli split over the real
     and imaginary parts.  Only real bases are supported.
+
+    Both bounds take unit coefficients ``x``.  A basis may deviate from
+    orthonormal by ``dev = max |C^T C - I|`` (up to ``vectors.ORTHO_TOL``);
+    Gershgorin gives ``lambda_min(C^T C) >= 1 - k dev``, so a unit ``y`` has
+    ``|x| <= 1/sqrt(1 - k dev)``, and either bound is divided by that root.
     """
     if basis.field != "real":
         raise ValueError("certified bounds require a real basis")
     d, k = basis.d, basis.k
-    if not 2 <= k <= 4:
+    if not 2 <= k <= 3:
         rows = decreasing_rearrangement(np.linalg.norm(basis.columns, axis=1))
         mass = np.minimum(1.0, np.cumsum(rows**2))
         slack = 1.0 + 4 * d * math.ulp(1.0)
-        return math.sqrt(float(np.max(mass * _weights(d)))) * slack
-    net = sphere_net(k, NET_STEP)
-    cols_t = basis.columns.T
-    # row chunks that are a multiple of 64 rows long reproduce the rows of
-    # the full product net @ cols_t bit for bit; 1-row chunks would not
-    rows = 64 * max(1, _BATCH_ELEMENTS // (64 * d))
-    best = max(
-        float(t_norm_batch(net[lo:lo + rows] @ cols_t).max())
-        for lo in range(0, net.shape[0], rows)
-    )
-    return best / (1.0 - NET_STEP)
+        bound = math.sqrt(float(np.max(mass * _weights(d)))) * slack
+    else:
+        net = sphere_net(k, NET_STEP)
+        cols_t = basis.columns.T
+        # row chunks that are a multiple of 64 rows long reproduce the rows of
+        # the full product net @ cols_t bit for bit; 1-row chunks would not
+        rows = 64 * max(1, _BATCH_ELEMENTS // (64 * d))
+        best = max(
+            float(t_norm_batch(net[lo:lo + rows] @ cols_t).max())
+            for lo in range(0, net.shape[0], rows)
+        )
+        bound = best / (1.0 - NET_STEP)
+    return bound / math.sqrt(1.0 - k * _gram_deviation(basis.columns))
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,15 @@ def _as_matrix(columns) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
+def _gram_deviation(cols: np.ndarray) -> float:
+    """Largest entry of ``|C^H C - I|`` for the columns ``C``."""
+    # an overflowing Gram matrix makes the deviation NaN, which must not pass
+    # a ``<=`` check
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = cols.conj().T @ cols
+        return float(np.max(np.abs(gram - np.eye(cols.shape[1]))))
+
+
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Orthonormal basis of a k-dimensional subspace, stored column-wise.
@@ -59,10 +68,7 @@ class SubspaceBasis:
             raise ValueError(f"basis has {k} columns in dimension {d}")
         if not np.isfinite(cols).all():
             raise ValueError("basis columns must be finite")
-        # an overflowing Gram matrix makes the deviation NaN, which must not pass
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = cols.conj().T @ cols
-            err = float(np.max(np.abs(gram - np.eye(k))))
+        err = _gram_deviation(cols)
         if not err <= ORTHO_TOL:
             raise ValueError(f"columns not orthonormal (deviation {err:.3e})")
         self._seal(cols)

@@ -1,9 +1,11 @@
 """Subspace measures: uniform draws, delocalized blocks and the dyadic measure."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from cylwidth import measures
+from cylwidth import cli, measures, nets, tnorm
 from cylwidth.errors import CertificationFailedError, EmptyDyadicIndexError
 from cylwidth.measures import (
     build_delocalized_subspace,
@@ -39,13 +41,57 @@ def test_delocalized_subspace_properties():
 
 
 def test_delocalized_subspace_profile_path():
-    # k >= 5 is certified by the row profile, a proven bound
-    basis, cert = build_delocalized_subspace(6, 64, seed=8)
-    assert (basis.d, basis.k) == (64, 6)
-    assert cert == t_norm_subspace_bound(basis) <= 40.0
-    coef = np.random.default_rng(9).standard_normal((2000, 6))
-    coef /= np.linalg.norm(coef, axis=1)[:, None]
-    assert float(t_norm_batch(coef @ basis.columns.T).max()) <= cert
+    # k = 1 and k >= 4 are certified by the row profile, a proven bound
+    for k in (4, 6):
+        basis, cert = build_delocalized_subspace(k, 64, seed=8)
+        assert (basis.d, basis.k) == (64, k)
+        assert cert == t_norm_subspace_bound(basis) <= 40.0
+        coef = np.random.default_rng(9).standard_normal((2000, k))
+        coef /= np.linalg.norm(coef, axis=1)[:, None]
+        assert float(t_norm_batch(coef @ basis.columns.T).max()) <= cert
+
+
+def test_k4_certification_builds_no_sphere_net(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a k = 4 certificate built a sphere net")
+
+    for module in (nets, tnorm):
+        monkeypatch.setattr(module, "sphere_net", refuse)
+    basis, cert = build_delocalized_subspace(4, 64, seed=0)
+    assert basis.k == 4 and cert <= 40.0
+    argv = ["scaling", "--seed", "1", "--d", "16", "--k", "4", "--trials", "2"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+
+
+# sha256 of the complexified ambient columns of dyadic_alt_measure(4, d) in
+# the desk window, seeds [7, 11, d, 4]; the net certificate accepts the
+# same draws
+K4_BLOCK_DIGESTS = {
+    2**10: "16d140ac9006066776a1a03adc3288f892be644916bad6ded9f3e445f84f5a6c",
+    2**12: "15ebb6ce1326012acb97db3a5ce8a2a9649a3007fd326af9a1ff50487728f549",
+}
+
+
+@pytest.fixture(scope="module")
+def k4_net():
+    return nets.sphere_net(4, tnorm.NET_STEP)
+
+
+@pytest.mark.parametrize("d", sorted(K4_BLOCK_DIGESTS))
+def test_k4_blocks_are_pinned_and_certified_below_the_net(d, k4_net):
+    mu = dyadic_alt_measure(4, d, j_min_override=desk_scale_j_min(4), seed=[7, 11, d, 4])
+    digest = hashlib.sha256()
+    for ambient in mu.ambient_bases:
+        digest.update(ambient.columns.tobytes())
+    assert digest.hexdigest() == K4_BLOCK_DIGESTS[d]
+    for j, ambient, cert in zip(mu.j_values, mu.ambient_bases, mu.certificates):
+        block_t = ambient.columns[: 2**j].real.T
+        net_max = max(
+            float(t_norm_batch(k4_net[lo:lo + 512] @ block_t).max())
+            for lo in range(0, len(k4_net), 512)
+        )
+        assert cert <= net_max / (1.0 - tnorm.NET_STEP)
 
 
 def test_delocalized_threshold_failure(monkeypatch):

@@ -76,7 +76,8 @@ def test_greedy_pack_is_greedy_and_maximal():
         assert float(np.linalg.norm(earlier - pts[i], axis=1).min()) < 0.2
 
 
-# sha256 of the net's bytes; the certificates of every k >= 3 block rest on them
+# sha256 of the net's bytes; the certificates of k = 3 blocks rest on the
+# step-0.25 one, and the k = 4 block tests use that one as an oracle
 NET_DIGESTS = {
     (3, 0.25): ((542, 3), "605fb56d3a49b552f0482a5c44cbe0a707d5e80b1cfef01546596e8c5f6d2aa3"),
     (3, 0.4): ((215, 3), "3bdc231e66c12a3a5e7914da6f2ceead7149ebd4b4bb028443ea5005bdecde6b"),

@@ -23,7 +23,7 @@ from cylwidth.tnorm import (
     t_norm_batch,
     t_norm_subspace_bound,
 )
-from cylwidth.vectors import orthonormalize
+from cylwidth.vectors import SubspaceBasis, _gram_deviation, orthonormalize
 
 
 def subset_oracle(v):
@@ -216,7 +216,7 @@ def test_subspace_bound_is_exact_for_lines():
 
 
 def test_subspace_bound_certifies_sampled_unit_vectors():
-    # the net for k = 2..4, the row profile for the other k
+    # the net for k = 2, 3, the row profile for the other k
     rng = np.random.default_rng(16)
     for k in (1, 2, 3, 4, 5, 8, 16):
         basis = orthonormalize(rng.standard_normal((64, k)))
@@ -242,13 +242,26 @@ def test_subspace_bound_of_the_whole_space_is_attained(d):
 
 # on these bases, evaluating the net one row at a time moves the maximum
 @pytest.mark.parametrize("k, step, d, seed", [(2, 0.25, 16, 18), (3, 0.25, 2048, 2051),
-                                               (4, 0.4, 2048, 2452)])
+                                               (3, 0.4, 2048, 2017)])
 def test_subspace_bound_equals_the_whole_net_evaluation(k, step, d, seed, monkeypatch):
     # the bound walks the net in row chunks; it must equal the one-shot value
     monkeypatch.setattr(tnorm, "NET_STEP", step)
     basis = orthonormalize(np.random.default_rng(seed).standard_normal((d, k)))
     whole = t_norm_batch(sphere_net(k, step) @ basis.columns.T).max()
-    assert t_norm_subspace_bound(basis) == float(whole / (1.0 - step))
+    root = math.sqrt(1.0 - k * _gram_deviation(basis.columns))
+    assert t_norm_subspace_bound(basis) == float(whole / (1.0 - step)) / root
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 5])
+def test_subspace_bound_covers_accepted_non_orthonormal_bases(k):
+    # columns sqrt(1 - 0.9e-9) e_i pass SubspaceBasis's 1e-9 Gram check, and
+    # the unit vector e_1 of their span scores ln(128)^2; a certificate
+    # without the Gershgorin factor reads ~1e-8 below it at k = 1, 4, 5
+    d = 64
+    basis = SubspaceBasis(math.sqrt(1.0 - 0.9e-9) * np.eye(d)[:, :k])
+    worst = t_norm(np.eye(d)[0]).value
+    assert worst == 23.542197681991865
+    assert t_norm_subspace_bound(basis) >= worst
 
 
 def test_subspace_bound_rejects_unsupported_inputs():
