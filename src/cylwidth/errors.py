@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its check of integer
+arguments."""
+
+import numbers
+
+
+def _integer(name: str, value):
+    """``value`` if it is an integer, else ``ValueError``."""
+    # bool is an int subclass; a float would be truncated, and NaN or inf
+    # would pass or overflow the comparisons that follow
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class CylwidthError(Exception):

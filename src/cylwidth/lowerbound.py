@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from ._fork import map_forked
-from .errors import RankDeficientError
+from .errors import RankDeficientError, _integer
 from .measures import sample_uniform
 from .vectors import SubspaceBasis, decreasing_rearrangement, orthonormalize
 from .width import _ascend, _conform, _line_width, _witness_and_value
@@ -181,7 +182,12 @@ def _restart(evaluate, d, k, steps, stream):
     """One restart of the search on the random stream ``stream``.
 
     Returns the least width it reached, the frame that reached it and the
-    number of evaluations made.
+    number of evaluations made.  The restart ends early once its step
+    cannot move the width past the ascent's own tolerance: a perturbation
+    ``eta * noise`` has norm about ``eta * sqrt(d k)``, and moves the width
+    against a unit target by at most about that much, so once that is below
+    ``_kernels.ASCENT_TOL`` a candidate differs from the current frame only
+    by what the ascent does not resolve.
     """
     rng = np.random.default_rng(stream)
     basis = sample_uniform(k, d, "real", rng)
@@ -190,6 +196,8 @@ def _restart(evaluate, d, k, steps, stream):
     eta = SEARCH_INITIAL_STEP
     rejected = 0
     for _ in range(steps):
+        if eta * math.sqrt(d * k) < _kernels.ASCENT_TOL:
+            break
         noise = rng.standard_normal((d, k))
         try:
             cand = orthonormalize(basis.columns + eta * noise)
@@ -230,9 +238,10 @@ def adversarial_min_width(
     uniform random frame is perturbed by Gaussian noise of scale
     ``SEARCH_INITIAL_STEP`` and re-orthonormalized; strict improvements are
     accepted and the scale halves after ``SEARCH_REJECTION_LIMIT``
-    consecutive rejections.  Underestimation by the inner ascent can only
-    lower the reported minimum, so the result is a one-sided probe of the
-    true minimal width.
+    consecutive rejections, until ``steps`` candidates are drawn or the
+    scale times ``sqrt(d k)`` falls below ``_kernels.ASCENT_TOL``.
+    Underestimation by the inner ascent can only lower the reported
+    minimum, so the result is a one-sided probe of the true minimal width.
 
     The restarts are spread by :func:`~cylwidth._fork.map_forked` over
     this process and forked workers, one process per usable CPU and never
@@ -270,11 +279,11 @@ def adversarial_min_width(
     """
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-    if restarts < 1:
+    if _integer("restarts", restarts) < 1:
         raise ValueError("need at least one restart")
-    if steps < 0:
+    if _integer("steps", steps) < 0:
         raise ValueError(f"need steps >= 0, got {steps}")
-    if inner_restarts < 1:
+    if _integer("inner_restarts", inner_restarts) < 1:
         raise ValueError("need at least one inner restart")
     v = _conform(target, d, "real")
     v_desc = decreasing_rearrangement(v)

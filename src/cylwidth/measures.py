@@ -19,7 +19,6 @@ complexified subspace.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .errors import (
     CertificationFailedError,
     EmptyDyadicIndexError,
     RankDeficientError,
+    _integer,
 )
 from .tnorm import t_norm_subspace_bound
 from .vectors import SubspaceBasis, orthonormalize
@@ -93,14 +93,6 @@ def build_delocalized_subspace(k: int, d: int, seed=None):
         f"no draw certified below {DELOC_THRESHOLD} in {DELOC_ATTEMPTS} "
         f"attempts (last certificate {last})"
     )
-
-
-def _integer(name: str, value):
-    # bool is an int subclass; a float would be truncated, and NaN or inf
-    # would pass or overflow the comparisons below
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def desk_scale_j_min(k: int, delta: int = 1) -> int:

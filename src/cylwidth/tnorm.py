@@ -47,6 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._fork import map_forked
+from .errors import _integer
 from .nets import sphere_net
 from .vectors import SubspaceBasis, _gram_deviation, decreasing_rearrangement
 
@@ -217,7 +218,7 @@ def gaussian_tnorm_statistics(
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
     if sum_zero and d < 2:
         raise ValueError("sum-zero sampling needs d >= 2")
-    if trials < 1:
+    if _integer("trials", trials) < 1:
         raise ValueError("need at least one trial")
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     rows = max(1, _BATCH_ELEMENTS // d)

@@ -21,6 +21,10 @@ plane (k = 2) and real ``v`` the identity leaves one angle to search, and
 the optimal image is constant between the finitely many angles where a
 coordinate of ``w`` vanishes or two coordinates tie in modulus, so
 valuing the image of each arc between those angles gives the exact width.
+For a real 3-frame (k = 3, up to ``SWEEP_MAX_D``) those conditions cut
+the unit sphere of ``W`` along great circles; every cell of that
+arrangement borders an arc of some circle, so valuing the images on both
+sides of every arc gives the exact width too, with the same routine.
 
 The same routine evaluates suprema over dominance cones: the projection
 norm is convex, the cone is the convex hull of the signed-permutation
@@ -37,6 +41,7 @@ import numpy as np
 
 from . import _kernels
 from ._fork import map_forked
+from .errors import _integer
 from .groups import Orbit, signed_permutation_apply
 from .vectors import SubspaceBasis, decreasing_argsort, decreasing_rearrangement
 
@@ -298,75 +303,227 @@ def _line_width(basis: SubspaceBasis, v) -> WidthReport:
 
 
 SWEEP_ANGLE_TOL = 1e-12
-SWEEP_BLOCK = 1 << 16  # image entries valued at once
+# image entries valued at once: from 2^13 to 2^16 the sweep runs as fast,
+# and the smaller block keeps its arrays to about 1 MB at the cut-over
+SWEEP_BLOCK = 1 << 14
+# the largest d at which a real 3-frame takes the sweep: at d = 13 it runs
+# about as long as the ascent and anneal it replaces
+SWEEP_MAX_D = 13
+
+
+def _pairs(n):
+    """The index pairs ``i < j`` below ``n``, as ``np.triu_indices(n, 1)``."""
+    r = np.arange(n)
+    return np.nonzero(r[:, None] < r)
 
 
 def _plane_angles(a, b):
-    """Sorted angles in ``[0, pi]`` where the plane's optimal image may change.
+    """Sorted angles in ``[0, pi]`` where the optimal image may change.
 
-    With ``y_i(theta) = a_i cos(theta) + b_i sin(theta)``, these are the
-    angles where some ``y_i``, ``y_i - y_j`` or ``y_i + y_j`` changes sign.
-    Zero rows and the sums or differences of equal rows vanish identically,
-    so they give no angle.
+    Row ``r`` of ``a`` and ``b`` is the circle ``y(theta) = a_r cos(theta) +
+    b_r sin(theta)``, and its row of angles holds those where some ``y_i``,
+    ``y_i - y_j`` or ``y_i + y_j`` changes sign.  A condition that vanishes
+    identically on the circle, such as one of a zero row, has no such angle;
+    it repeats the row's smallest one, which adds no arc.
     """
-    live = np.flatnonzero((a != 0.0) | (b != 0.0))
-    iu, ju = np.triu_indices(live.size, 1)
-    pi, pj = live[iu], live[ju]
-    alpha = np.concatenate((a[live], a[pi] - a[pj], a[pi] + a[pj]))
-    beta = np.concatenate((b[live], b[pi] - b[pj], b[pi] + b[pj]))
-    keep = (alpha != 0.0) | (beta != 0.0)
+    iu, ju = _pairs(a.shape[1])
+    alpha = np.concatenate((a, a[:, iu] - a[:, ju], a[:, iu] + a[:, ju]), axis=1)
+    beta = np.concatenate((b, b[:, iu] - b[:, ju], b[:, iu] + b[:, ju]), axis=1)
     # alpha cos(theta) + beta sin(theta) vanishes where (cos, sin) is
     # parallel to (-beta, alpha)
-    return np.sort(np.arctan2(alpha[keep], -beta[keep]) % np.pi)
+    angles = np.arctan2(alpha, -beta) % np.pi
+    dead = (alpha == 0.0) & (beta == 0.0)
+    least = np.where(dead, np.inf, angles).min(axis=1, keepdims=True)
+    return np.sort(np.where(dead, least, angles), axis=1)
 
 
-def _plane_width(basis: SubspaceBasis, v) -> WidthReport:
-    """Exact width of a real plane against real ``v``, one image per arc.
+def _great_circles(cols):
+    """The circles a 3-frame's sweep walks, with their own ties made exact.
 
-    For ``y(theta) = cos(theta) c_1 + sin(theta) c_2`` the optimal image of
-    ``v`` (see :func:`_witness_from`) depends only on the signs of ``y`` and
-    the order of ``|y|``.  These change only at the angles of
-    :func:`_plane_angles`, so on each arc between consecutive angles one
-    signed permutation ``g`` is optimal, and the width is the largest
-    ``||P_W g v||`` over the arcs: the optimal image's own direction lies in
-    the closure of its arc.
+    For unit ``x`` in R^3 and ``y = C x``, the optimal image of ``v`` can
+    change only where some ``y_i``, ``y_i - y_j`` or ``y_i + y_j`` vanishes:
+    on the great circle orthogonal to ``c_i``, ``c_i - c_j`` or ``c_i +
+    c_j``, with ``c_i`` the rows of ``C``.  Conditions whose normals are
+    parallel within ``SWEEP_ANGLE_TOL`` (parallel rows, or ``c_a -+ c_b``
+    parallel to ``c_c``) share one circle, and zero normals (zero, equal or
+    opposite rows) give none.
+
+    Returns ``(a, b, push)``, one row per circle: ``a = C p`` and ``b = C q``
+    for an orthonormal pair ``p, q`` spanning the circle's plane, and ``push
+    = C n`` for its unit normal ``n``, the direction in which ``y`` leaves
+    the circle.  A circle's own conditions hold all along it, so ``a`` and
+    ``b`` are made to satisfy them bit for bit: a tied entry copies its
+    partner's (negated for ``y_i = -y_j``), and an entry that vanishes is
+    set to 0.  :func:`_plane_angles` then sees no crossing of them, and the
+    images along the circle see the ties exactly.
+    """
+    live = np.flatnonzero((cols != 0.0).any(axis=1))
+    iu, ju = _pairs(live.size)
+    pi, pj = live[iu], live[ju]
+    # a condition reads y[first] = 0 (second = -1), or y[second] = tie * y[first]
+    first = np.concatenate((live, pi, pi))
+    second = np.concatenate((np.full(live.size, -1), pj, pj))
+    tie = np.repeat([0.0, 1.0, -1.0], (live.size, iu.size, iu.size))
+    normals = np.concatenate((cols[live], cols[pi] - cols[pj], cols[pi] + cols[pj]))
+    norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
+    real = norms > 0.0
+    first, second, tie = first[real], second[real], tie[real]
+    u = normals[real] / norms[real, None]
+    # each circle is labelled by its first condition.  Two normals are
+    # parallel when the sine of their angle, |u x w|, is at most the
+    # tolerance; |cos| > 1 - 1e-6 is only a loose filter before that test,
+    # and u[:, 1:4] = (u_y, u_z, u_x), u[:, 2:5] = (u_z, u_x, u_y)
+    i, j = np.nonzero(np.abs(u @ u.T) > 1.0 - 1e-6)
+    ui, uj = np.concatenate((u, u[:, :2]), axis=1)[[i, j]]
+    cross = ui[:, 1:4] * uj[:, 2:5] - ui[:, 2:5] * uj[:, 1:4]
+    same = np.einsum("ij,ij->i", cross, cross) <= SWEEP_ANGLE_TOL**2
+    label = np.arange(u.shape[0])
+    np.minimum.at(label, j[same], i[same])
+    leads = label == np.arange(u.shape[0])
+    circle = (np.cumsum(leads) - 1)[label]
+    n = u[leads]
+    # an orthonormal pair orthogonal to each normal (Duff et al., 2017)
+    s = np.where(n[:, 2] < 0.0, -1.0, 1.0)
+    h = -1.0 / (s + n[:, 2])
+    g = n[:, 0] * n[:, 1] * h
+    p = np.stack((1.0 + s * n[:, 0] ** 2 * h, s * g, -s * n[:, 0]), axis=1)
+    q = np.stack((g, s + n[:, 1] ** 2 * h, -n[:, 1]), axis=1)
+    frame = np.concatenate((p, q, n))
+    # entry by entry, so that equal rows of cols give equal entries
+    m = n.shape[0]
+    abp = frame[:, :1] * cols[:, 0] + frame[:, 1:2] * cols[:, 1] + frame[:, 2:] * cols[:, 2]
+    a, b, push = abp[:m], abp[m : 2 * m], abp[2 * m :]
+    alone = np.bincount(circle)[circle] == 1
+    pair = alone & (second >= 0)
+    c, f, t = circle[pair], first[pair], second[pair]
+    a[c, t] = tie[pair] * a[c, f]
+    b[c, t] = tie[pair] * b[c, f]
+    zero = alone & (second < 0)
+    a[circle[zero], first[zero]] = b[circle[zero], first[zero]] = 0.0
+    # a shared circle's ties can chain, so they are set one at a time, by
+    # increasing tied entry (which copies a smaller one, already set), and
+    # the vanishing entries last
+    shared = np.flatnonzero(~alone)
+    target = np.where(second[shared] < 0, cols.shape[0], second[shared])
+    for cond in shared[np.argsort(target, kind="stable")]:
+        c, f, t = circle[cond], first[cond], second[cond]
+        if t >= 0:
+            a[c, t], b[c, t] = tie[cond] * a[c, f], tie[cond] * b[c, f]
+        else:
+            a[c, f] = b[c, f] = 0.0
+    return a, b, push
+
+
+def _ranked(y, push):
+    """Order and signs of the optimal image at each row of ``y``.
+
+    The optimal image puts the i-th largest modulus of ``v`` where ``y`` has
+    its i-th largest modulus, with ``y``'s sign there.  With ``push`` (one
+    row per row of ``y``) the image is the one at ``y + eps push`` for
+    small ``eps > 0``, which breaks the exact ties of ``y`` combinatorially:
+    to first order that point's moduli are ``|y_i| + eps sign(y_i) push_i``,
+    or ``eps |push_i|`` with sign ``sign(push_i)`` where ``y_i = 0``, so the
+    order is by decreasing ``|y|`` and then by decreasing first-order term,
+    which a complex sort key compares lexicographically.  Without ``push``
+    ties go by index.
+    """
+    if push is None:
+        return decreasing_argsort(y), np.where(y < 0.0, -1.0, 1.0)
+    sign = np.sign(y)
+    zero = sign == 0.0
+    sign[zero] = np.where(push[zero] < 0.0, -1.0, 1.0)
+    key = np.empty(y.shape, dtype=np.complex128)
+    key.real = np.abs(y)
+    key.imag = push * sign
+    np.negative(key, out=key)
+    return np.argsort(key, axis=1, kind="stable"), sign
+
+
+def _sweep_width(basis: SubspaceBasis, v) -> WidthReport:
+    """Exact width of a real plane or 3-frame against real ``v``.
+
+    For unit ``x`` and ``y = C x`` the optimal image of ``v`` (see
+    :func:`_witness_from`) depends only on the signs of ``y`` and the order
+    of ``|y|``, so it is constant on each cell of the arrangement of the
+    circles where some ``y_i``, ``y_i - y_j`` or ``y_i + y_j`` vanishes.
+    The optimal image's own direction lies in the closure of its cell, so
+    the width is the largest ``||P_W g v||`` over the cells' images ``g``.
+
+    A plane (k = 2) is one circle, ``x = (cos(theta), sin(theta))``, and its
+    cells are the arcs between the angles of :func:`_plane_angles`.  For a
+    3-frame the cells are regions of the sphere, bounded by arcs of the
+    circles of :func:`_great_circles`, and no other circle crosses the
+    inside of an arc.  So each cell's image is the one at the midpoint of
+    such an arc with the ties of the arc's own circle broken towards the
+    cell's side, and the sweep values both sides of every arc; each
+    candidate is a real signed permutation of ``v``, so the sweep can never
+    overshoot.  The images
+    along half of each circle suffice, since ``-x`` has the negated image.
 
     Arcs no longer than ``SWEEP_ANGLE_TOL`` are skipped.  Every other arc's
-    image is built from its midpoint and valued, ``SWEEP_BLOCK`` image
-    entries at a time.  The arcs whose value lies within ``d eps ||v||^2``
-    of the largest, a bound on the rounding of one value, are rebuilt from
-    the midpoint by :func:`_witness_and_value`; the first best of those is
-    the report's witness.  O(d^3 log d) time and O(d^2) memory.
+    images are built from its midpoint by :func:`_ranked` and valued,
+    ``SWEEP_BLOCK`` image entries at a time.  The images whose value lies
+    within ``d eps ||v||^2`` of the largest, a bound on the rounding of one
+    value, are rebuilt by :func:`_witness_and_value`, each image and its
+    negation once; the first best of those is the report's witness.
+    ``iterations`` counts the arcs valued.  A plane takes O(d^3 log d) time
+    and O(d^2) memory; a 3-frame has up to d^2 circles, so O(d^5 log d)
+    time, in blocks of O(``SWEEP_BLOCK``) memory up to ``SWEEP_MAX_D``.
     """
     cols = basis.columns
     d = cols.shape[0]
-    angles = _plane_angles(cols[:, 0], cols[:, 1])
-    lo = np.concatenate(([angles[-1] - np.pi], angles[:-1]))
-    mids = 0.5 * (lo + angles)
-    arcs = np.flatnonzero(angles - lo > SWEEP_ANGLE_TOL)
+    if basis.k == 2:
+        a, b, push = cols[None, :, 0], cols[None, :, 1], None
+    else:
+        a, b, push = _great_circles(cols)
     v_desc = decreasing_rearrangement(v)
-    step = max(1, SWEEP_BLOCK // d)
-    vals = np.empty(arcs.size)
-    for s in range(0, arcs.size, step):
-        t = mids[arcs[s : s + step]]
-        y = np.stack((np.cos(t), np.sin(t)), axis=1) @ cols.T
-        images = np.empty_like(y)
-        images[np.arange(t.size)[:, None], decreasing_argsort(y)] = v_desc
-        np.negative(images, out=images, where=y < 0.0)
-        p = images @ cols
-        vals[s : s + step] = np.einsum("ij,ij->i", p, p)
+    sides = 1 if push is None else 2
+    per = max(1, SWEEP_BLOCK // (d * d))
+    step = max(1, SWEEP_BLOCK // (sides * d))
     slack = d * np.finfo(np.float64).eps * float(v_desc @ v_desc)
+    best, arcs = -math.inf, 0
+    # the images within slack of the best value so far, each up to sign,
+    # in the order first met
+    near = {}
+    for c0 in range(0, a.shape[0], per):
+        angles = _plane_angles(a[c0 : c0 + per], b[c0 : c0 + per])
+        lo = np.concatenate((angles[:, -1:] - np.pi, angles[:, :-1]), axis=1)
+        circle, m = np.nonzero(angles - lo > SWEEP_ANGLE_TOL)
+        mids = 0.5 * (lo[circle, m] + angles[circle, m])
+        circle += c0
+        arcs += mids.size
+        for s in range(0, mids.size, step):
+            c, t = circle[s : s + step], mids[s : s + step]
+            y = np.cos(t)[:, None] * a[c] + np.sin(t)[:, None] * b[c]
+            off = None
+            if push is not None:
+                y = np.concatenate((y, y))
+                off = np.concatenate((push[c], -push[c]))
+            order, sign = _ranked(y, off)
+            images = np.empty_like(y)
+            images[np.arange(y.shape[0])[:, None], order] = v_desc
+            images *= sign
+            p = images @ cols
+            vals = np.einsum("ij,ij->i", p, p)
+            top = float(vals.max())
+            if top > best:
+                best = top
+                near = {key: e for key, e in near.items() if e[0] >= best - slack}
+            for r in np.flatnonzero(vals >= best - slack):
+                # + 0.0 turns -0.0 into 0.0
+                key = (images[r] + 0.0).tobytes()
+                if key not in near and (0.0 - images[r]).tobytes() not in near:
+                    near[key] = (vals[r], images[r].copy())
     witness, value = None, -math.inf
-    for m in arcs[vals >= vals.max() - slack]:
-        y = cols @ np.array([math.cos(mids[m]), math.sin(mids[m])])
-        cand, cand_val = _witness_and_value(cols, v, y)
+    for _, image in near.values():
+        cand, cand_val = _witness_and_value(cols, v, image)
         if cand_val > value:
             witness, value = cand, cand_val
     return WidthReport(
         value=value,
         method="sweep",
         restarts=0,
-        iterations=angles.size,
+        iterations=arcs,
         witness=witness,
     )
 
@@ -378,7 +535,7 @@ def width_altmax(
     seed=None,
     refine: str = "auto",
 ) -> WidthReport:
-    """Signed-permutation supremum, exact for lines and real planes.
+    """Signed-permutation supremum, exact for lines, real planes and 3-frames.
 
     Past those cases an alternating ascent runs.  One start is deterministic
     (the normalized projection of ``v`` itself, which guarantees the result
@@ -406,32 +563,59 @@ def width_altmax(
     unused, and nothing is drawn from ``seed``.
 
     A real plane (k = 2, real basis) against a real ``v`` is exact too:
-    :func:`_plane_width` splits the angle of ``w = cos(t) c_1 + sin(t) c_2``
+    :func:`_sweep_width` splits the angle of ``w = cos(t) c_1 + sin(t) c_2``
     into the at most ``d^2`` arcs on which the optimal image of ``v`` stays
     the same, values each arc's image from its midpoint, and reports the
     best arc's witness and its projection norm, with ``method="sweep"``,
     ``restarts=0`` and ``iterations`` the number of arcs.  As for a line, no
     start is drawn, no ascent or anneal runs, and ``restarts`` and
     ``refine`` are only validated.  The sweep takes O(d^3 log d) time and
-    O(d^2) memory: under 0.1 ms up to d = 8, 5.8 ms at d = 64, and at
-    d = 1024 ~24 s and ~60 MB on one CPU, far slower than the ascent
-    estimate it replaces there.  Nothing calls it above d = 64.  A complex
-    ``v`` runs the ascent over the complexified span, below.
+    O(d^2) memory: under 0.1 ms up to d = 8, 5 ms at d = 64, and at
+    d = 1024 ~27 s and ~50 MB on one CPU, far slower than the ascent
+    estimate it replaces there.  Nothing calls it above d = 64.
+
+    A real 3-frame (k = 3, real basis) against a real ``v`` is exact up to
+    ``d = SWEEP_MAX_D``, by the same sweep over the up to ``d^2`` great
+    circles where some ``y_i`` or ``y_i -+ y_j`` vanishes, ``y`` the unit
+    vectors of ``W``: each arc is valued on both sides, with its circle's
+    own ties broken combinatorially (see :func:`_great_circles`).  The
+    report is as for a plane, ``iterations`` counting the arcs, ``d^2 (d -
+    1)^2`` for a generic frame, and again nothing is drawn from ``seed``
+    for either ``refine``.  The sweep takes O(d^5 log d) time, and the
+    ascent with ``refine="auto"`` (20 restarts) 15-20 ms at every d here,
+    so past the cut-over the ascent runs instead (2 vCPUs, BLAS on 1
+    thread, one call):
+
+    ====  =======  =======
+    d     sweep    "auto"
+    ====  =======  =======
+    4     0.25 ms  15 ms
+    7     1.1 ms   16 ms
+    10    4.9 ms   17 ms
+    13    15 ms    18 ms
+    14    22 ms    18 ms
+    16    40 ms    20 ms
+    ====  =======  =======
+
+    The 6-start ``refine="none"`` ascent takes ~0.3 ms at d <= 7, but
+    misses the exact width on most real 3-frames there.  A complex ``v``, or a
+    complex basis, runs the ascent over the complexified span, below.
 
     The start draw and the kernel call live in ``_ascend``, which
     :func:`~cylwidth.lowerbound.adversarial_min_width` calls directly with a
     ceiling; the search skips the witness of a candidate whose ascent
     stopped at it.
     """
-    if restarts < 1:
+    if _integer("restarts", restarts) < 1:
         raise ValueError("need at least one restart")
     if refine not in ("auto", "none"):
         raise ValueError("refine must be 'auto' or 'none'")
     v = _conform(v, basis.d, basis.field)
     if basis.k == 1:
         return _line_width(basis, v)
-    if basis.k == 2 and basis.field == "real" and not np.iscomplexobj(v):
-        return _plane_width(basis, v)
+    if (basis.field == "real" and not np.iscomplexobj(v)
+            and (basis.k == 2 or (basis.k == 3 and basis.d <= SWEEP_MAX_D))):
+        return _sweep_width(basis, v)
     rng = np.random.default_rng(seed)
     v_desc = decreasing_rearrangement(v)
     cols, w_best, _, iters, _ = _ascend(basis, v, v_desc, restarts, rng, math.inf)
@@ -508,7 +692,7 @@ def estimate_f_integral(
     in trial order, so the result is the same bit for bit for any number of
     processes.
     """
-    if trials < 1:
+    if _integer("trials", trials) < 1:
         raise ValueError("need at least one trial")
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
 

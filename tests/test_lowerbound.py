@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cylwidth._fork as _fork
+import cylwidth._kernels as kernels
 import cylwidth.lowerbound as lowerbound
 from cylwidth.errors import RankDeficientError
 from cylwidth.lowerbound import (
@@ -148,6 +149,33 @@ def test_adversarial_search_basics():
             adversarial_min_width(8, k, wit.unit, steps=-1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, True], ids=repr)
+def test_adversarial_search_rejects_non_integer_counts(bad):
+    # on the exact k = 1 path and on the search
+    for k in (1, 2):
+        wit = witness_vector(8, k).unit
+        for name in ("restarts", "steps", "inner_restarts"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                adversarial_min_width(8, k, wit, **{name: bad})
+
+
+def test_long_search_stops_once_its_step_is_below_the_ascent_tolerance():
+    # 2000 steps halve the scale 100 times, far below what the ascent
+    # resolves; each restart stops once eta * sqrt(d k) < ASCENT_TOL
+    d, k, restarts, steps = 8, 2, 2, 2000
+    wit = witness_vector(d, k).unit
+    res = adversarial_min_width(d, k, wit, restarts=restarts, steps=steps, seed=5)
+    assert res.evaluations < restarts * (steps + 1)
+    # each halving takes at least SEARCH_REJECTION_LIMIT steps, and the stop
+    # comes after the halving that crosses the tolerance
+    halvings = math.ceil(math.log2(
+        lowerbound.SEARCH_INITIAL_STEP * math.sqrt(d * k) / kernels.ASCENT_TOL))
+    assert res.evaluations >= restarts * (halvings * lowerbound.SEARCH_REJECTION_LIMIT + 1)
+    # a short search is not cut
+    res = adversarial_min_width(d, k, wit, restarts=restarts, steps=150, seed=5)
+    assert res.evaluations == restarts * 151
+
+
 def test_adversarial_search_rejects_bad_vector_input_up_front(monkeypatch):
     # the search validates the target and the inner restart count once,
     # before it draws its first frame
@@ -277,6 +305,8 @@ def _search_with_full_evaluations(d, k, target, restarts, steps, seed, inner_res
         evals += 1
         eta, rejected = SEARCH_INITIAL_STEP, 0
         for _ in range(steps):
+            if eta * math.sqrt(d * k) < kernels.ASCENT_TOL:
+                break
             noise = rng.standard_normal((d, k))
             try:
                 cand = orthonormalize(basis.columns + eta * noise)
@@ -307,9 +337,12 @@ def _search_cases():
         yield d, k, witness_vector(d, k).unit, 2, 120, seed  # zero tail
     for d, k, seed in ((10, 2, 5), (16, 2, 6)):
         yield d, k, np.random.default_rng(seed).standard_normal(d), 2, 120, seed
-    # long enough for the step to collapse: candidates then sit within
-    # rounding of the current width, which the test checks
+    # long enough for the step to fall below the ascent's tolerance, where
+    # the search stops
     yield 4, 2, np.random.default_rng(2).standard_normal(4), 1, 2500, 2
+    # a frame of full rank has width ||v||, so every candidate sits within
+    # rounding of the current width, which the test checks
+    yield 3, 3, np.random.default_rng(3).standard_normal(3), 1, 400, 3
 
 
 def test_adversarial_search_matches_full_evaluations():
@@ -321,7 +354,7 @@ def test_adversarial_search_matches_full_evaluations():
         assert np.float64(res.min_value).tobytes() == np.float64(want_val).tobytes()
         assert res.evaluations == want_evals
         assert res.basis.columns.tobytes() == want_basis.columns.tobytes()
-        if steps == 2500:
+        if k == d:
             assert near > 0
 
 

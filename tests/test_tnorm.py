@@ -287,6 +287,12 @@ def test_statistics_reject_bad_dimension(d, sum_zero):
         gaussian_tnorm_statistics(d, 4, sum_zero=sum_zero)
 
 
+@pytest.mark.parametrize("trials", [math.nan, math.inf, 2.5, True, 0])
+def test_statistics_reject_bad_trial_counts(trials):
+    with pytest.raises(ValueError, match="trial"):
+        gaussian_tnorm_statistics(8, trials)
+
+
 def sample_gaussian(d, sum_zero, seed):
     """Standard Gaussian vector, conditioned on coordinate sum 0 if asked.
 

@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import math
+import tracemalloc
 import warnings
 from functools import partial
 from types import SimpleNamespace
@@ -116,6 +117,24 @@ def test_ascent_deterministic():
         width_altmax(basis, v, restarts=0)
     with pytest.raises(ValueError, match="refine"):
         width_altmax(basis, v, refine="anneal")
+
+
+NON_INTEGERS = (math.nan, math.inf, 2.5, 3.0, True, np.float64(4.0))
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+def test_count_arguments_reject_non_integers(bad):
+    # on every exact path (k = 1, 2, 3) and on the ascent (k = 4), and for
+    # the trial count of the Monte-Carlo mean
+    v = np.random.default_rng(107).standard_normal(6)
+    for k in (1, 2, 3, 4):
+        basis = sample_uniform(k, 6, "real", seed=[108, k])
+        with pytest.raises(ValueError, match="restarts must be an integer"):
+            width_altmax(basis, v, restarts=bad)
+        # a numpy integer is an integer
+        assert width_altmax(basis, v, restarts=np.int64(2), seed=0).value > 0.0
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        estimate_f_integral(uniform_real_measure(2, 6), width.altmax_evaluator(v), bad, 0)
 
 
 def test_ascent_rejects_non_finite_vectors():
@@ -501,29 +520,30 @@ def test_plane_width_matches_brute_force():
         assert rep.value == projection_norm(basis, rep.witness.apply(v))
 
 
-def _plane_frame(rows):
+def _frame(rows):
     # orthonormal columns whose rows keep the given relations: zero, equal
-    # and opposite rows stay so bit for bit, and doubled rows too
+    # and opposite rows stay so bit for bit, and doubled rows too; a row that
+    # is a sum or difference of others stays one up to rounding
     rows = np.asarray(rows, dtype=np.float64)
     r_inv = np.linalg.inv(np.linalg.qr(rows)[1])
-    return SubspaceBasis(rows[:, :1] * r_inv[0] + rows[:, 1:] * r_inv[1])
+    return SubspaceBasis(sum(rows[:, i : i + 1] * r_inv[i] for i in range(rows.shape[1])))
 
 
 def _degenerate_planes():
     rng = np.random.default_rng(84)
     for i in range(6):
         g = rng.standard_normal((8, 2))
-        yield "zero rows", _plane_frame(np.concatenate((g[:4], np.zeros((2, 2))))[
+        yield "zero rows", _frame(np.concatenate((g[:4], np.zeros((2, 2))))[
             rng.permutation(6)])
-        yield "equal rows", _plane_frame(g[[0, 1, 2, 0, 3, 1]])
-        yield "opposite rows", _plane_frame(np.concatenate((g[:3], -g[:2])))
-        yield "doubled rows", _plane_frame(np.concatenate((g[:3], 2.0 * g[:3])))
-        yield "near-parallel rows", _plane_frame(np.concatenate((g[:3], 0.3 * g[:3])))
-        yield "mixed", _plane_frame(np.concatenate((g[:2], -g[:1], 0.5 * g[1:2],
+        yield "equal rows", _frame(g[[0, 1, 2, 0, 3, 1]])
+        yield "opposite rows", _frame(np.concatenate((g[:3], -g[:2])))
+        yield "doubled rows", _frame(np.concatenate((g[:3], 2.0 * g[:3])))
+        yield "near-parallel rows", _frame(np.concatenate((g[:3], 0.3 * g[:3])))
+        yield "mixed", _frame(np.concatenate((g[:2], -g[:1], 0.5 * g[1:2],
                                                     np.zeros((2, 2)))))
         d = int(rng.integers(2, 7))
         yield "coordinate plane", SubspaceBasis(np.eye(d)[:, rng.permutation(d)[:2]])
-        yield "d = 2", _plane_frame(rng.standard_normal((2, 2)))
+        yield "d = 2", _frame(rng.standard_normal((2, 2)))
 
 
 def test_plane_width_on_degenerate_inputs():
@@ -590,8 +610,8 @@ def test_plane_width_extends_gate_4_to_larger_d():
 def test_plane_width_check_catches_dropped_events(drop):
     # a source mutant of the sweep that never sees y_i = y_j (or y_i = -y_j)
     # misses the brute-force width on some frame
-    dropped = {"difference": [("a[pi] - a[pj], ", ""), ("b[pi] - b[pj], ", "")],
-               "sum": [(", a[pi] + a[pj]", ""), (", b[pi] + b[pj]", "")]}[drop]
+    dropped = {"difference": [("a[:, iu] - a[:, ju], ", ""), ("b[:, iu] - b[:, ju], ", "")],
+               "sum": [(", a[:, iu] + a[:, ju]", ""), (", b[:, iu] + b[:, ju]", "")]}[drop]
     source = inspect.getsource(width._plane_angles)
     for old, new in dropped:
         assert old in source
@@ -634,6 +654,124 @@ def test_plane_width_report_and_contract():
     # a complex vector, or a complex basis, still runs the ascent
     assert width_altmax(basis, v + 0j, restarts=2).method == "altmax"
     assert width_altmax(basis.complexify(), v, restarts=2).method == "altmax"
+
+
+def _test_vectors(d, rng):
+    # a generic vector, zero, tied moduli, a tied block, and zeros
+    tied = rng.standard_normal(d)
+    tied[: d // 2] = tied[0] * rng.choice([-1.0, 1.0], size=d // 2)
+    holes = rng.standard_normal(d)
+    holes[::2] = 0.0
+    return [rng.standard_normal(d), np.zeros(d),
+            rng.choice([-1.0, 1.0], size=d) * rng.choice([0.5, 2.0], size=d), tied, holes]
+
+
+def _degenerate_frames():
+    rng = np.random.default_rng(95)
+    for _ in range(3):
+        g = rng.standard_normal((8, 3))
+        yield "zero rows", _frame(np.concatenate((g[:4], np.zeros((2, 3))))[
+            rng.permutation(6)])
+        yield "equal rows", _frame(g[[0, 1, 2, 0, 3, 1]])
+        yield "opposite rows", _frame(np.concatenate((g[:4], -g[:2])))
+        yield "parallel rows", _frame(np.concatenate((g[:4], 2.0 * g[:1], -0.5 * g[1:2])))
+        yield "difference parallel to a row", _frame(np.concatenate(
+            (g[:4], g[:1] - g[1:2], 0.5 * (g[2:3] - g[3:4]))))
+        yield "sum parallel to a row", _frame(np.concatenate((g[:4], g[:1] + g[1:2])))
+        yield "mixed", _frame(np.concatenate((g[:3], -g[:1], 2.0 * (g[1:2] - g[2:3]),
+                                              np.zeros((1, 3)))))
+        d = int(rng.integers(3, 7))
+        yield "coordinate frame", SubspaceBasis(np.eye(d)[:, rng.permutation(d)[:3]])
+        yield "d = 3", _frame(rng.standard_normal((3, 3)))
+
+
+def test_frame_width_matches_brute_force():
+    # real 3-frames up to the brute force's d = 8: generic frames from d = 4
+    # on, where the optimal image is unique up to sign and its value is the
+    # brute-force optimum's bit for bit, and degenerate frames and vectors
+    # (d = 3 among them, where every image is optimal), where ties let the
+    # two pick images that round a few ulps apart
+    rng = np.random.default_rng(96)
+    dims = [*range(4, 7)] * 25 + [7] * 4 + [8]
+    for i, d in enumerate(dims):
+        basis = sample_uniform(3, d, "real", seed=[97, i])
+        v = rng.standard_normal(d)
+        rep = width_altmax(basis, v)
+        assert rep.method == "sweep"
+        assert rep.value == width_brute_signed_perm(basis, v).value, (i, d)
+        assert rep.value == projection_norm(basis, rep.witness.apply(v))
+    count = len(dims)
+    for i, (kind, basis) in enumerate(_degenerate_frames()):
+        for j, v in enumerate(_test_vectors(basis.d, rng)):
+            rep = width_altmax(basis, v)
+            brute = width_brute_signed_perm(basis, v).value
+            assert abs(rep.value - brute) <= 4 * np.spacing(brute), (kind, i, j)
+            assert rep.value == projection_norm(basis, rep.witness.apply(v))
+            assert sorted(rep.witness.perm.tolist()) == list(range(basis.d))
+            count += 1
+    assert count >= 200
+
+
+def test_frame_width_is_never_below_the_annealed_ascent(monkeypatch):
+    # past brute force, up to the cut-over, the sweep is at least the
+    # ascent and anneal that run above it
+    rng = np.random.default_rng(98)
+    short = 0
+    cases = [(d, i) for d in range(9, width.SWEEP_MAX_D + 1) for i in range(2)]
+    for d, i in cases:
+        basis = sample_uniform(3, d, "real", seed=[99, d, i])
+        v = rng.standard_normal(d)
+        rep = width_altmax(basis, v)
+        assert rep.method == "sweep"
+        with monkeypatch.context() as mp:
+            mp.setattr(width, "SWEEP_MAX_D", d - 1)
+            ascent = width_altmax(basis, v, seed=[100, d, i])
+        assert ascent.method == "altmax"
+        assert ascent.value <= rep.value + 1e-9, (d, i)
+        short += ascent.value < rep.value - 1e-9
+    print(f"ascent and anneal below the sweep on {short}/{len(cases)} frames")
+
+
+def test_frame_width_report_and_contract():
+    d = 5
+    basis = sample_uniform(3, d, "real", seed=101)
+    v = np.random.default_rng(102).standard_normal(d)
+    rng = np.random.default_rng(103)
+    state = rng.bit_generator.state
+    rep = width_altmax(basis, v, restarts=4, seed=rng)
+    # nothing is drawn from the stream
+    assert rng.bit_generator.state == state
+    # d^2 circles, each cut into (d - 1)^2 arcs: on y_a = 0 the conditions
+    # y_b = 0 and y_b = +-y_c cross once in half a turn, and y_a = +-y_b
+    # cross where y_b = 0; on y_a = +-y_b likewise
+    assert (rep.method, rep.iterations, rep.restarts) == ("sweep", d**2 * (d - 1) ** 2, 0)
+    for kwargs in ({"restarts": 1}, {"seed": 5, "refine": "none"}, {"refine": "auto"}):
+        assert _report_bytes(width_altmax(basis, v, **kwargs)) == _report_bytes(rep)
+    # past the cut-over, and for complex input, the ascent runs
+    big = sample_uniform(3, width.SWEEP_MAX_D + 1, "real", seed=104)
+    assert width_altmax(big, np.ones(big.d), restarts=2).method == "altmax"
+    assert width_altmax(basis, v + 0j, restarts=2).method == "altmax"
+    assert width_altmax(basis.complexify(), v, restarts=2).method == "altmax"
+
+
+def test_frame_width_memory_at_the_cut_over_is_one_block(monkeypatch):
+    # the sweep's arrays are SWEEP_BLOCK image entries (8 bytes each) at a
+    # time, about a dozen of them live at once, some complex; what does not
+    # scale with the block is O(d^4)
+    d = width.SWEEP_MAX_D
+    basis = sample_uniform(3, d, "real", seed=105)
+    v = np.random.default_rng(106).standard_normal(d)
+    peaks = {}
+    for block in (width.SWEEP_BLOCK, width.SWEEP_BLOCK // 8):
+        monkeypatch.setattr(width, "SWEEP_BLOCK", block)
+        tracemalloc.start()
+        value = width_altmax(basis, v).value
+        peaks[block] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert value == width_altmax(basis, v).value
+    big, small = sorted(peaks, reverse=True)
+    assert peaks[big] <= 24 * 8 * big
+    assert peaks[small] <= peaks[big] / 2
 
 
 def test_complex_vector_on_a_real_basis_runs_over_the_complexified_span():
