@@ -14,19 +14,12 @@
   in a few scalar operations; only an accepted move updates the k-vector
   image.  The loop runs over plain Python floats or complexes, where
   per-element numpy indexing would dominate.
-* ``greedy_pack``: greedy sphere packing.  Candidates go in blocks of 64:
-  one broadcast drops those already covered by a kept point near the block,
-  and only the rest are checked one by one against the points kept within
-  the block.  The nearby points are sought only in a window of the kept
-  ones: a bisection on the running maximum of their first coordinates skips
-  those that lie too far behind the block on that axis.  Squared distances
-  are summed over the axes from left to right.  The mask equals that of the
-  plain one-by-one check with that sum.
+* ``greedy_pack``: greedy sphere packing, each candidate checked against
+  every point kept before it.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 
@@ -308,44 +301,11 @@ def anneal_best(rows, vvals, p0, s0, t0, t1, pairs, acc_u):
 # ---------------------------------------------------------------------------
 # greedy sphere packing (maximal min_dist-separated subsequence)
 #
-# Candidates are taken in blocks of _PACK_BLOCK consecutive points.  A kept
-# point b can cover a candidate a of the block only if, on every axis j,
-# fl(b_j - max_j) <= min_dist and fl(min_j - b_j) <= min_dist, max and min
-# taken over the block: otherwise fl(b_j - a_j) exceeds min_dist on that
-# axis by monotone rounding, so its square alone rounds to at least md2, and
-# a sum of non-negative squares never rounds below one of its terms.  The
-# block's candidates are checked against those nearby points in one
-# broadcast, with the same squares and sums as the sequential check, and
-# only the uncovered ones go through the sequential check against the
-# points kept within the block.  Every "< md2" comparison is thus made on
-# the same float as in a plain candidate-by-candidate loop, and the mask is
-# the same; on spatially coherent input, such as the shell grid, few kept
-# points are nearby and most candidates fall to the broadcast.
-#
-# The box test itself scans only a window of the kept points.  top[i] is the
-# largest first coordinate of kept[:i+1]; it never decreases, and rounded
-# subtraction is monotone, so fl(min_0 - top[i]) > min_dist holds on a
-# prefix of i, found by bisection.  Each point of that prefix has b_0 <=
-# top[i], so fl(min_0 - b_0) > min_dist as well and the box test would drop
-# it on axis 0 by the same float operation: skipping the prefix leaves the
-# nearby points, and their order, as they were.  On the shell grid, whose
-# first coordinate rises slab by slab, the window holds the last few slabs'
-# kept points; on unsorted input it stays wide.
-#
-# Squared distances are summed over the axes from left to right (_sq_dist).
-# numpy's own row sum adds in this order only for rows of at most 7 entries;
-# spelling it out keeps the mask independent of how numpy orders a reduction.
+# Each candidate is checked against every point kept before it.  Squared
+# distances are summed over the axes from left to right: numpy's own row sum
+# adds in this order only for rows of at most 7 entries, and spelling it out
+# keeps the mask independent of how numpy orders a reduction.
 # ---------------------------------------------------------------------------
-
-_PACK_BLOCK = 64
-
-
-def _sq_dist(a, b):
-    """Squared distances over the last axis, summed left to right."""
-    acc = (a[..., 0] - b[..., 0]) ** 2
-    for j in range(1, a.shape[-1]):
-        acc += (a[..., j] - b[..., j]) ** 2
-    return acc
 
 
 def greedy_pack(points, min_dist):
@@ -365,23 +325,15 @@ def greedy_pack(points, min_dist):
     md2 = md ** 2
     keep = np.zeros(points.shape[0], dtype=np.bool_)
     kept = np.empty_like(points)
-    top = []
     m = 0
-    for lo in range(0, points.shape[0], _PACK_BLOCK):
-        block = points[lo:lo + _PACK_BLOCK]
-        bmin = block.min(axis=0)
-        b0 = float(bmin[0])
-        near = kept[bisect.bisect_left(top, True, key=lambda t: b0 - t <= md):m]
-        near = near[((near - block.max(axis=0) <= md)
-                     & (bmin - near <= md)).all(axis=1)]
-        d2 = _sq_dist(block[:, None, :], near)
-        m0 = m
-        for i in np.flatnonzero(~(d2 < md2).any(axis=1)):
-            p = block[i]
-            if m > m0 and float(_sq_dist(kept[m0:m], p).min()) < md2:
+    for i, p in enumerate(points):
+        if m:
+            d2 = (kept[:m, 0] - p[0]) ** 2
+            for j in range(1, points.shape[1]):
+                d2 += (kept[:m, j] - p[j]) ** 2
+            if float(d2.min()) < md2:
                 continue
-            keep[lo + i] = True
-            kept[m] = p
-            top.append(max(top[-1], float(p[0])) if m else float(p[0]))
-            m += 1
+        keep[i] = True
+        kept[m] = p
+        m += 1
     return keep

@@ -64,7 +64,7 @@ class WitnessVector:
 
 def witness_vector(d: int, k: int) -> WitnessVector:
     """Unit-normalized harmonic witness for dimension ``d`` and rank ``k``."""
-    if not 1 <= k <= d:
+    if not 1 <= _integer("k", k) <= _integer("d", d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
     half = k // 2
     a = np.zeros(d)
@@ -277,7 +277,7 @@ def adversarial_min_width(
     The returned basis is that line and ``min_value`` its width, from the
     witness that :func:`~cylwidth.width.width_altmax` builds.
     """
-    if not 1 <= k <= d:
+    if not 1 <= _integer("k", k) <= _integer("d", d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
     if _integer("restarts", restarts) < 1:
         raise ValueError("need at least one restart")

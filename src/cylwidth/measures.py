@@ -47,7 +47,7 @@ DELOC_ATTEMPTS = 8
 
 def sample_uniform(k: int, d: int, field: str = "real", seed=None) -> SubspaceBasis:
     """Rotation-invariant random subspace from orthonormalized Gaussians."""
-    if not 1 <= k <= d:
+    if not 1 <= _integer("k", k) <= _integer("d", d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
     if field not in ("real", "complex"):
         raise ValueError("field must be 'real' or 'complex'")
@@ -75,7 +75,7 @@ def build_delocalized_subspace(k: int, d: int, seed=None):
     itself only requires ``k <= d - 1`` so that small dyadic blocks remain
     feasible.
     """
-    if not 1 <= k <= d - 1:
+    if not 1 <= _integer("k", k) <= _integer("d", d) - 1:
         raise ValueError(f"need 1 <= k <= d-1 for sum-free spans, got k={k}, d={d}")
     rng = np.random.default_rng(seed)
     last = None

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,7 +76,9 @@ class WidthReport:
 
     ``witness`` is a :class:`GammaWitness`, except for orbit enumeration,
     where it is the attaining orbit point.  In every
-    case re-evaluating the witness reproduces ``value``.
+    case re-evaluating the witness reproduces ``value``; for a ``v`` that
+    :func:`width_altmax` runs scaled by ``2^-s`` (see ``SCALE_LIMIT``),
+    re-evaluating it on that scaled ``v`` reproduces ``value * 2^-s``.
     """
 
     value: float
@@ -528,6 +530,16 @@ def _sweep_width(basis: SubspaceBasis, v) -> WidthReport:
     )
 
 
+# width_altmax runs a v whose largest modulus lies outside
+# [2^-SCALE_LIMIT, 2^SCALE_LIMIT] as 2^-+SCALE_SHIFT v, which lies inside for
+# every finite float64 v, and scales the value back.  Inside, ||v||^2 and
+# the sweep's slack neither overflow nor underflow.  The shift is fixed, so
+# for v inside, 2^+-SCALE_SHIFT v gets exactly v's witness, and its value
+# times 2^+-SCALE_SHIFT
+SCALE_LIMIT = 500
+SCALE_SHIFT = 600
+
+
 def width_altmax(
     basis: SubspaceBasis,
     v,
@@ -601,6 +613,11 @@ def width_altmax(
     misses the exact width on most real 3-frames there.  A complex ``v``, or a
     complex basis, runs the ascent over the complexified span, below.
 
+    A ``v`` whose largest modulus lies outside ``[2^-SCALE_LIMIT,
+    2^SCALE_LIMIT]`` is scaled by ``2^-+SCALE_SHIFT`` into that range first,
+    and the value back; a width that overflows float64 raises
+    ``ValueError``.
+
     The start draw and the kernel call live in ``_ascend``, which
     :func:`~cylwidth.lowerbound.adversarial_min_width` calls directly with a
     ceiling; the search skips the witness of a candidate whose ascent
@@ -611,6 +628,16 @@ def width_altmax(
     if refine not in ("auto", "none"):
         raise ValueError("refine must be 'auto' or 'none'")
     v = _conform(v, basis.d, basis.field)
+    peak = float(np.abs(v).max())
+    if peak > 2.0**SCALE_LIMIT or 0.0 < peak < 2.0**-SCALE_LIMIT:
+        # the width is positively homogeneous, and a power of two rounds
+        # only entries far below the largest
+        shift = SCALE_SHIFT if peak > 1.0 else -SCALE_SHIFT
+        report = width_altmax(basis, v * 2.0**-shift, restarts, seed, refine)
+        value = report.value * 2.0**shift
+        if math.isinf(value):
+            raise ValueError("the width overflows float64")
+        return replace(report, value=value)
     if basis.k == 1:
         return _line_width(basis, v)
     if (basis.field == "real" and not np.iscomplexobj(v)

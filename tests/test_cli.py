@@ -1,5 +1,6 @@
 """Command-line interface: report schemas, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -93,6 +94,57 @@ def test_reruns_are_byte_identical(tmp_path, monkeypatch):
         monkeypatch.setattr(_fork, "_usable_cpus", lambda: 3)
         assert cli.main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes(), argv[0]
+
+
+# sha256 of the JSON report at seeds 1 and 3; a change that moves any output
+# value, even by one ulp, must update this table and say why.  `scaling --k 3`
+# builds and packs a k = 3 sphere net; no command reaches the k = 2 or k = 3
+# sweeps of `width_altmax`, which the perfbench grid digests cover
+OUTPUT_PINS = {
+    ("tnorm", "--d", "64", "--trials", "8"): (
+        "e00a724de84a6821938dec3590625a77dde920550279214a9a65b9227ff5f0cb",
+        "b7608ccce11904958167dae78d35c13853e63c177e31d7dc00157c05ec910401",
+    ),
+    ("scaling", "--d", "16", "--k", "1", "--k", "2", "--k", "3", "--k", "4",
+     "--trials", "2", "--restarts", "2"): (
+        "0d692c640ba78a39d24d8945a1b7897a5d43314eedb2407e2d46984f8b006cec",
+        "ad170401c24f83c8d0c64069697051d11cb0405dee61f4991f797816e78d70bd",
+    ),
+    ("lowerbound", "--d", "8", "--k", "1", "--k", "2", "--restarts", "1",
+     "--steps", "10"): (
+        "abe2e6430a8baa23ed1d4990459a9a099cf5ab69847b2a0f4a87c6ae0e763d5d",
+        "0c6c8667123271a0696ea6301361e5623e6d4d6976acaa55c7f7a13e1cd3841f",
+    ),
+    ("realize", "--group", "sp4.json", "--base-point", "4,3,2,1", "--k", "1"): (
+        "dcf56e499e6ff9fc0d675b6def999779816ec7953ae8833b319f823e16aa5806",
+        "d503e5a5d80497e50ef28e7b3b0d0b61800351a6246802aa4bac41d32ddb31e8",
+    ),
+    ("realize", "--group", "sp4.json", "--base-point", "4,3,2,1", "--k", "2"): (
+        "2c6d9f76158e9cbbfdd9f608ef60b3da7f6f6b8a81d1af22d7d94c021dd65c74",
+        "ddfdd54360fee0453250737aabfa958b63159817c6cddbf50ae3c1db0e949464",
+    ),
+    ("selberg-fuzz", "--trials", "3"): (
+        "fdc2a97b3da37b9beb6f244abefd3179cebd01c7fcbc0437d110dd8889e7b87f",
+        "e7542f2260348cced4606353a76afc90f2e1eb66305fb626423eff0cd91d9f10",
+    ),
+    ("rip-fuzz", "--k", "1", "--k", "4", "--trials", "1"): (
+        "4718ce60916307b7286cd65b6f018a5b81a2a1bb1ae12841cec85b4ea45b5ddb",
+        "0e3a6d73ef37dc5dffbfa757488da8d8057c1402259e3f2fc998aa7403ef44c0",
+    ),
+}
+
+
+def test_output_bytes_are_pinned(tmp_path, monkeypatch):
+    # the group file goes by a relative name, so the report's config is the
+    # same in every directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sp4.json").write_text('{"d": 4, "kind": "SIGNED_PERMUTATIONS"}')
+    assert {argv[0] for argv in OUTPUT_PINS} == set(cli.COLUMNS)
+    out = tmp_path / "out.json"
+    for argv, digests in OUTPUT_PINS.items():
+        for seed, digest in zip((1, 3), digests):
+            assert cli.main([*argv, "--seed", str(seed), "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (argv, seed)
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

@@ -50,6 +50,17 @@ def test_witness_without_shift_for_rank_one():
         witness_vector(3, 4)
 
 
+NON_INTEGER_SIZES = (2.5, 8.0, True, math.nan)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGER_SIZES, ids=repr)
+def test_witness_vector_rejects_non_integer_sizes(bad):
+    # a float d used to reach np.zeros and raise TypeError
+    for d, k in ((bad, 2), (8, bad)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            witness_vector(d, k)
+
+
 def test_sigma_profile_of_coordinate_subspace():
     prof = sigma_profile(SubspaceBasis(np.eye(6)[:, :2]))
     assert np.allclose(prof.sigmas[:2], 1.0 / np.sqrt(2.0))
@@ -157,6 +168,14 @@ def test_adversarial_search_rejects_non_integer_counts(bad):
         for name in ("restarts", "steps", "inner_restarts"):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 adversarial_min_width(8, k, wit, **{name: bad})
+
+
+@pytest.mark.parametrize("bad", NON_INTEGER_SIZES, ids=repr)
+def test_adversarial_search_rejects_non_integer_sizes(bad):
+    wit = witness_vector(8, 2).unit
+    for d, k in ((bad, 2), (8, bad)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            adversarial_min_width(d, k, wit)
 
 
 def test_long_search_stops_once_its_step_is_below_the_ascent_tolerance():

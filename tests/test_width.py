@@ -147,6 +147,27 @@ def test_ascent_rejects_non_finite_vectors():
             width_brute_signed_perm(basis, v)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_width_is_scale_safe(k):
+    # far from 1, v runs scaled by a power of two and the value is scaled
+    # back; at 1e160, ||v||^2 used to overflow: inf at k = 1, -inf with no
+    # witness at k = 2 and 3, a RuntimeError at k = 4
+    basis = sample_uniform(k, 6, "real", seed=1)
+    v = np.random.default_rng(109).standard_normal(6)
+    plain = width_altmax(basis, v, seed=110)
+    for e in (600, -600):
+        rep = width_altmax(basis, 2.0**e * v, seed=110)
+        assert rep.value == plain.value * 2.0**e
+        assert np.array_equal(rep.witness.perm, plain.witness.perm)
+        assert np.array_equal(rep.witness.signs, plain.witness.signs)
+        assert (rep.method, rep.iterations) == (plain.method, plain.iterations)
+    for f in (1e160, 1e-170):
+        value = width_altmax(basis, f * v, seed=110).value
+        assert value == pytest.approx(f * plain.value, rel=1e-12, abs=0)
+    with pytest.raises(ValueError, match="overflows"):
+        width_altmax(basis, np.full(6, np.finfo(np.float64).max), seed=110)
+
+
 def test_altmax_kernel_contract():
     # the endpoint is a unit vector of the subspace that scores at least the
     # reported objective, and no start scores above that objective
@@ -1116,7 +1137,11 @@ def _instances(draw):
 def test_property_ascent_stays_below_brute_and_its_witness_reproduces_it(inst, seed):
     basis, v = inst
     rep = width_altmax(basis, v, restarts=4, seed=seed)
-    assert rep.value == projection_norm(basis, rep.witness.apply(v))
+    # a v below 2^-SCALE_LIMIT runs scaled up, where its squares do not
+    # underflow, and its witness reproduces the value there
+    peak = float(np.abs(v).max())
+    scale = 2.0**width.SCALE_SHIFT if 0.0 < peak < 2.0**-width.SCALE_LIMIT else 1.0
+    assert rep.value == projection_norm(basis, rep.witness.apply(scale * v)) / scale
     assert rep.value <= width_brute_signed_perm(basis, v).value + 1e-9
 
 
