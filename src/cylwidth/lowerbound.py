@@ -26,7 +26,7 @@ many.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,14 @@ from ._fork import map_forked
 from .errors import RankDeficientError, _integer
 from .measures import sample_uniform
 from .vectors import SubspaceBasis, decreasing_rearrangement, orthonormalize
-from .width import _ascend, _conform, _line_width, _witness_and_value
+from .width import (
+    _ascend,
+    _conform,
+    _line_width,
+    _scaled,
+    _unscaled,
+    _witness_and_value,
+)
 
 __all__ = [
     "WitnessVector",
@@ -276,6 +283,11 @@ def adversarial_min_width(
     and ``1_[m*] / sqrt(m*)`` attains it for ``m*`` the first minimizer.
     The returned basis is that line and ``min_value`` its width, from the
     witness that :func:`~cylwidth.width.width_altmax` builds.
+
+    A target whose largest modulus lies outside ``[2^-SCALE_LIMIT,
+    2^SCALE_LIMIT]`` (see :mod:`cylwidth.width`) is searched as
+    ``2^-+SCALE_SHIFT`` times itself, and ``min_value`` is scaled back; a
+    value that overflows float64 raises ``ValueError``.
     """
     if not 1 <= _integer("k", k) <= _integer("d", d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
@@ -285,11 +297,19 @@ def adversarial_min_width(
         raise ValueError(f"need steps >= 0, got {steps}")
     if _integer("inner_restarts", inner_restarts) < 1:
         raise ValueError("need at least one inner restart")
-    v = _conform(target, d, "real")
+    v, shift = _scaled(_conform(target, d, "real"))
     v_desc = decreasing_rearrangement(v)
     if k == 1:
-        return _least_line_width(v, v_desc)
+        result = _least_line_width(v, v_desc)
+    else:
+        result = _search(v, v_desc, d, k, restarts, steps, seed, inner_restarts)
+    if shift:
+        result = replace(result, min_value=_unscaled(result.min_value, shift))
+    return result
 
+
+def _search(v, v_desc, d, k, restarts, steps, seed, inner_restarts):
+    """The random search of :func:`adversarial_min_width` at k >= 2."""
     # the search re-evaluates thousands of candidates, so it runs the plain
     # ascent; underestimates only lower the one-sided probe.  A stopped
     # ascent's objective exceeds the ceiling, so the caller rejects the

@@ -24,7 +24,10 @@ valuing the image of each arc between those angles gives the exact width.
 For a real 3-frame (k = 3, up to ``SWEEP_MAX_D``) those conditions cut
 the unit sphere of ``W`` along great circles; every cell of that
 arrangement borders an arc of some circle, so valuing the images on both
-sides of every arc gives the exact width too, with the same routine.
+sides of every arc gives the exact width too, with the same routine.  For
+a real frame with k >= 4 up to ``d = ENUM_MAX_D`` the images are few
+enough to value them all: up to sign there are ``d! 2^(d-1)``, at most
+322,560.
 
 The same routine evaluates suprema over dominance cones: the projection
 norm is convex, the cone is the convex hull of the signed-permutation
@@ -33,6 +36,7 @@ orbit, and a convex function attains its supremum at an extreme point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -77,8 +81,9 @@ class WidthReport:
     ``witness`` is a :class:`GammaWitness`, except for orbit enumeration,
     where it is the attaining orbit point.  In every
     case re-evaluating the witness reproduces ``value``; for a ``v`` that
-    :func:`width_altmax` runs scaled by ``2^-s`` (see ``SCALE_LIMIT``),
-    re-evaluating it on that scaled ``v`` reproduces ``value * 2^-s``.
+    :func:`width_altmax` or :func:`width_brute_signed_perm` runs scaled by
+    ``2^-s`` (see ``SCALE_LIMIT``), re-evaluating it on that scaled ``v``
+    reproduces ``value * 2^-s``.
     """
 
     value: float
@@ -107,11 +112,50 @@ def _conform(v, d: int, field: str) -> np.ndarray:
     return v.astype(np.float64)
 
 
+# the widths run a v whose largest modulus lies outside
+# [2^-SCALE_LIMIT, 2^SCALE_LIMIT] as 2^-+SCALE_SHIFT v, which lies inside for
+# every finite float64 v, and scale the value back.  Inside, ||v||^2 and
+# the sweep's slack neither overflow nor underflow.  The shift is fixed, so
+# for v inside, 2^+-SCALE_SHIFT v gets exactly v's witness, and its value
+# times 2^+-SCALE_SHIFT
+SCALE_LIMIT = 500
+SCALE_SHIFT = 600
+
+
+def _scaled(v):
+    """``(2^-s v, s)``, with ``s`` the shift that brings ``v`` into range.
+
+    The width is positively homogeneous, and a power of two rounds only
+    entries far below the largest.  ``s`` is 0 for ``v`` in range, which
+    is then returned as it is.
+    """
+    peak = float(np.abs(v).max())
+    if peak > 2.0**SCALE_LIMIT:
+        shift = SCALE_SHIFT
+    elif 0.0 < peak < 2.0**-SCALE_LIMIT:
+        shift = -SCALE_SHIFT
+    else:
+        return v, 0
+    return v * 2.0**-shift, shift
+
+
+def _unscaled(value: float, shift: int) -> float:
+    """A width of ``2^-shift v`` scaled back to ``v``; overflow raises."""
+    value = value * 2.0**shift
+    if math.isinf(value):
+        raise ValueError("the width overflows float64")
+    return value
+
+
 def width_brute_signed_perm(basis: SubspaceBasis, v) -> WidthReport:
-    """Exact supremum by enumerating all signed permutations (real, d<=8)."""
+    """Exact supremum by enumerating all signed permutations (real, d<=8).
+
+    One permutation at a time, each against all ``2^d`` sign rows.  A ``v``
+    out of range runs scaled, as in :func:`width_altmax`.
+    """
     if basis.field != "real" or np.iscomplexobj(np.asarray(v)):
         raise ValueError("brute enumeration covers the real field only")
-    v = _conform(v, basis.d, basis.field)
+    v, shift = _scaled(_conform(v, basis.d, basis.field))
     d = basis.d
     if d > BRUTE_MAX_D:
         raise ValueError(f"brute enumeration is capped at d={BRUTE_MAX_D}")
@@ -136,7 +180,7 @@ def width_brute_signed_perm(basis: SubspaceBasis, v) -> WidthReport:
     # re-evaluating the witness reproduces the value
     witness = GammaWitness(perm=best_perm, signs=best_sign)
     return WidthReport(
-        value=_value_of(cols, witness.apply(v)),
+        value=_unscaled(_value_of(cols, witness.apply(v)), shift),
         method="brute",
         restarts=0,
         iterations=count,
@@ -530,14 +574,90 @@ def _sweep_width(basis: SubspaceBasis, v) -> WidthReport:
     )
 
 
-# width_altmax runs a v whose largest modulus lies outside
-# [2^-SCALE_LIMIT, 2^SCALE_LIMIT] as 2^-+SCALE_SHIFT v, which lies inside for
-# every finite float64 v, and scales the value back.  Inside, ||v||^2 and
-# the sweep's slack neither overflow nor underflow.  The shift is fixed, so
-# for v inside, 2^+-SCALE_SHIFT v gets exactly v's witness, and its value
-# times 2^+-SCALE_SHIFT
-SCALE_LIMIT = 500
-SCALE_SHIFT = 600
+# the largest d at which a real frame with k >= 4 takes the enumeration: its
+# d! 2^(d-1) images take ~2 ms at d = 7, and the 16 times as many at d = 8
+# ~27 ms, longer than the ascent and anneal (17-26 ms)
+ENUM_MAX_D = 7
+# permutations valued at once: from 32 to 256 the enumeration's time varies
+# by under 20%, and 64 keeps a block's images to ~200 kB at d = 7
+ENUM_BLOCK = 64
+
+
+@functools.cache
+def _enum_tables(d):
+    """The ``d!`` permutations of ``range(d)`` and the sign rows of ``R^d``.
+
+    The permutations come in lexicographic order, and the ``2^(d-1)`` sign
+    rows are those whose first sign is +1, in ``itertools.product`` order;
+    both are read-only, since every caller shares them.
+    """
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(d))),
+        dtype=np.int64,
+        count=math.factorial(d) * d,
+    ).reshape(-1, d)
+    signs = np.ones((2 ** (d - 1), d))
+    signs[:, 1:] = list(itertools.product((1.0, -1.0), repeat=d - 1))
+    perms.setflags(write=False)
+    signs.setflags(write=False)
+    return perms, signs
+
+
+def _enum_width(basis: SubspaceBasis, v) -> WidthReport:
+    """Exact width of a real frame against real ``v``, image by image.
+
+    Every signed permutation ``g`` of ``v`` is valued, except that
+    ``||C^T (-g v)|| = ||C^T g v||`` leaves only the sign rows whose first
+    sign is +1 to try: ``d! 2^(d-1)`` images, which ``iterations`` counts.
+    ``ENUM_BLOCK`` permutations at a time, one stacked matrix product of
+    the sign rows against ``v[perm][:, :, None] * C`` gives each image's
+    coefficients, and the sum of their squares ranks it.  The first
+    largest, in the order of :func:`_enum_tables`, is the witness; the
+    report's value is its own projection norm, so re-evaluating the
+    witness reproduces it.
+    """
+    cols = basis.columns
+    perms, signs = _enum_tables(basis.d)
+    ones = np.ones(basis.k)
+    best, first = -math.inf, 0
+    for p0 in range(0, perms.shape[0], ENUM_BLOCK):
+        coeffs = np.matmul(signs, v[perms[p0 : p0 + ENUM_BLOCK]][:, :, None] * cols)
+        # squaring in place and summing by a matrix-vector product takes
+        # ~20% less time at d = 7 than an einsum of the squares
+        vals = np.square(coeffs, out=coeffs) @ ones
+        i = int(np.argmax(vals))
+        if vals.flat[i] > best:
+            best, first = float(vals.flat[i]), p0 * signs.shape[0] + i
+    perm, sign = divmod(first, signs.shape[0])
+    witness = GammaWitness(perm=perms[perm].copy(), signs=signs[sign].copy())
+    return WidthReport(
+        value=_value_of(cols, witness.apply(v)),
+        method="enumerate",
+        restarts=0,
+        iterations=perms.shape[0] * signs.shape[0],
+        witness=witness,
+    )
+
+
+def _altmax_width(basis: SubspaceBasis, v, restarts, seed, refine) -> WidthReport:
+    """The ascent, then with ``refine="auto"`` the anneal.
+
+    ``v`` is conformed and in range already; :func:`width_altmax` runs
+    this wherever no exact path applies.
+    """
+    rng = np.random.default_rng(seed)
+    v_desc = decreasing_rearrangement(v)
+    cols, w_best, _, iters, _ = _ascend(basis, v, v_desc, restarts, rng, math.inf)
+    witness, value = _witness_and_value(cols, v, w_best)
+    if refine == "auto":
+        witness, value = _anneal_refine(cols, v, v_desc, witness, value, rng)
+    return WidthReport(
+        value=value,
+        method="altmax",
+        restarts=restarts,
+        iterations=iters,
+        witness=witness,
+    )
 
 
 def width_altmax(
@@ -547,7 +667,7 @@ def width_altmax(
     seed=None,
     refine: str = "auto",
 ) -> WidthReport:
-    """Signed-permutation supremum, exact for lines, real planes and 3-frames.
+    """Signed-permutation supremum, exact for lines and small real frames.
 
     Past those cases an alternating ascent runs.  One start is deterministic
     (the normalized projection of ``v`` itself, which guarantees the result
@@ -610,8 +730,34 @@ def width_altmax(
     ====  =======  =======
 
     The 6-start ``refine="none"`` ascent takes ~0.3 ms at d <= 7, but
-    misses the exact width on most real 3-frames there.  A complex ``v``, or a
-    complex basis, runs the ascent over the complexified span, below.
+    misses the exact width on most real 3-frames there.
+
+    A real frame with k >= 4 (real basis) against a real ``v`` is exact up
+    to ``d = ENUM_MAX_D``: :func:`_enum_width` values every signed
+    permutation of ``v`` whose first sign is +1 (the others repeat their
+    negations' values), ``ENUM_BLOCK`` permutations at a time, and reports
+    the first largest image's witness and its projection norm, with
+    ``method="enumerate"``, ``restarts=0`` and ``iterations = d! 2^(d-1)``.
+    Nothing is drawn from ``seed`` for either ``refine``.  The images grow
+    16-fold from d = 7 to d = 8, so past the cut-over the ascent runs
+    instead (2 vCPUs, BLAS on 1 thread, one call, k = 4..d-1):
+
+    ====  ==========  ========  ========
+    d     enumerate   "auto"    "none"
+    ====  ==========  ========  ========
+    5     0.05 ms     17-21 ms  0.3 ms
+    6     0.27 ms     17-25 ms  0.3 ms
+    7     2.1-2.4 ms  17-23 ms  0.3 ms
+    8     26-29 ms    17-26 ms  0.3 ms
+    ====  ==========  ========  ========
+
+    On gate 4's 25 frames with k >= 4 (d <= 6), the ascent with
+    ``refine="none"`` misses the exact width on all 25, with 6 starts or
+    with 20, and ``"auto"`` (20 starts) on one.
+
+    Any other input, a complex ``v`` or a complex basis among them, runs
+    the ascent over the complexified span, as described above, in
+    ``_altmax_width``.
 
     A ``v`` whose largest modulus lies outside ``[2^-SCALE_LIMIT,
     2^SCALE_LIMIT]`` is scaled by ``2^-+SCALE_SHIFT`` into that range first,
@@ -627,35 +773,19 @@ def width_altmax(
         raise ValueError("need at least one restart")
     if refine not in ("auto", "none"):
         raise ValueError("refine must be 'auto' or 'none'")
-    v = _conform(v, basis.d, basis.field)
-    peak = float(np.abs(v).max())
-    if peak > 2.0**SCALE_LIMIT or 0.0 < peak < 2.0**-SCALE_LIMIT:
-        # the width is positively homogeneous, and a power of two rounds
-        # only entries far below the largest
-        shift = SCALE_SHIFT if peak > 1.0 else -SCALE_SHIFT
-        report = width_altmax(basis, v * 2.0**-shift, restarts, seed, refine)
-        value = report.value * 2.0**shift
-        if math.isinf(value):
-            raise ValueError("the width overflows float64")
-        return replace(report, value=value)
+    v, shift = _scaled(_conform(v, basis.d, basis.field))
+    real = basis.field == "real" and not np.iscomplexobj(v)
     if basis.k == 1:
-        return _line_width(basis, v)
-    if (basis.field == "real" and not np.iscomplexobj(v)
-            and (basis.k == 2 or (basis.k == 3 and basis.d <= SWEEP_MAX_D))):
-        return _sweep_width(basis, v)
-    rng = np.random.default_rng(seed)
-    v_desc = decreasing_rearrangement(v)
-    cols, w_best, _, iters, _ = _ascend(basis, v, v_desc, restarts, rng, math.inf)
-    witness, value = _witness_and_value(cols, v, w_best)
-    if refine == "auto":
-        witness, value = _anneal_refine(cols, v, v_desc, witness, value, rng)
-    return WidthReport(
-        value=value,
-        method="altmax",
-        restarts=restarts,
-        iterations=iters,
-        witness=witness,
-    )
+        report = _line_width(basis, v)
+    elif real and (basis.k == 2 or (basis.k == 3 and basis.d <= SWEEP_MAX_D)):
+        report = _sweep_width(basis, v)
+    elif real and basis.k >= 4 and basis.d <= ENUM_MAX_D:
+        report = _enum_width(basis, v)
+    else:
+        report = _altmax_width(basis, v, restarts, seed, refine)
+    if shift:
+        report = replace(report, value=_unscaled(report.value, shift))
+    return report
 
 
 ORBIT_BLOCK = 2048

@@ -234,6 +234,29 @@ def _least_line_search_failures(search):
     return failures
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_adversarial_search_is_scale_safe(k):
+    # far from 1, the target is searched scaled by a fixed power of two and
+    # the minimum is scaled back; at 1e160 it used to read inf at k = 1 and
+    # to raise a RuntimeError at k = 2
+    v = np.random.default_rng(126).standard_normal(6)
+    plain = adversarial_min_width(6, k, v, restarts=2, steps=30, seed=127)
+    for e in (600, -600):
+        res = adversarial_min_width(6, k, 2.0**e * v, restarts=2, steps=30, seed=127)
+        assert res.min_value == plain.min_value * 2.0**e
+        assert res.basis.columns.tobytes() == plain.basis.columns.tobytes()
+        assert res.evaluations == plain.evaluations
+    for f, e in ((1e160, 600), (1e-160, -600)):
+        res = adversarial_min_width(6, k, f * v, restarts=2, steps=30, seed=127)
+        # the search runs on 2^-e f v, which is not v
+        shifted = adversarial_min_width(6, k, 2.0**-e * (f * v), restarts=2, steps=30,
+                                        seed=127)
+        assert res.min_value == shifted.min_value * 2.0**e
+        assert math.isfinite(res.min_value)
+        if k == 1:
+            assert res.min_value == pytest.approx(f * plain.min_value, rel=1e-12, abs=0)
+
+
 def _brute_line_widths(lines, v):
     # the width of every real line (a column of ``lines``), by enumerating
     # all signed permutations of v

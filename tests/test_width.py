@@ -151,21 +151,41 @@ def test_ascent_rejects_non_finite_vectors():
 def test_width_is_scale_safe(k):
     # far from 1, v runs scaled by a power of two and the value is scaled
     # back; at 1e160, ||v||^2 used to overflow: inf at k = 1, -inf with no
-    # witness at k = 2 and 3, a RuntimeError at k = 4
+    # witness at k = 2 and 3, a RuntimeError at k = 4.  Each k takes its own
+    # exact path, k = 4 the enumeration
     basis = sample_uniform(k, 6, "real", seed=1)
     v = np.random.default_rng(109).standard_normal(6)
     plain = width_altmax(basis, v, seed=110)
+    assert plain.method == ("rearrangement", "sweep", "sweep", "enumerate")[k - 1]
     for e in (600, -600):
         rep = width_altmax(basis, 2.0**e * v, seed=110)
         assert rep.value == plain.value * 2.0**e
         assert np.array_equal(rep.witness.perm, plain.witness.perm)
         assert np.array_equal(rep.witness.signs, plain.witness.signs)
         assert (rep.method, rep.iterations) == (plain.method, plain.iterations)
-    for f in (1e160, 1e-170):
+    for f in (1e160, 1e-160, 1e-170):
         value = width_altmax(basis, f * v, seed=110).value
         assert value == pytest.approx(f * plain.value, rel=1e-12, abs=0)
     with pytest.raises(ValueError, match="overflows"):
         width_altmax(basis, np.full(6, np.finfo(np.float64).max), seed=110)
+
+
+def test_brute_force_is_scale_safe():
+    # at 1e160 the squared norms that rank the images used to overflow, and
+    # the value read inf; far below 1 they underflowed to 0
+    basis = sample_uniform(2, 6, "real", seed=2)
+    v = np.random.default_rng(125).standard_normal(6)
+    plain = width_brute_signed_perm(basis, v)
+    for e in (600, -600):
+        rep = width_brute_signed_perm(basis, 2.0**e * v)
+        assert rep.value == plain.value * 2.0**e
+        assert np.array_equal(rep.witness.perm, plain.witness.perm)
+        assert np.array_equal(rep.witness.signs, plain.witness.signs)
+    for f in (1e160, 1e-160):
+        value = width_brute_signed_perm(basis, f * v).value
+        assert value == pytest.approx(f * plain.value, rel=1e-12, abs=0)
+    with pytest.raises(ValueError, match="overflows"):
+        width_brute_signed_perm(basis, np.full(6, np.finfo(np.float64).max))
 
 
 def test_altmax_kernel_contract():
@@ -408,7 +428,9 @@ def _line_reference(basis, v):
 def test_width_altmax_matches_the_eager_start_reference():
     # coefficient starts formed on demand and one batched draw give the same
     # bits as drawing each start and forming every unit vector up front; a
-    # line is solved exactly, by the rearrangement pairing
+    # line is solved exactly, by the rearrangement pairing, and a real k = d
+    # frame by the enumeration, so there the ascent-and-anneal helper that
+    # width_altmax runs past its exact paths is checked directly
     d = 6
     cases = itertools.product(("real", "complex"), ("none", "auto"), (1, d),
                               (1, 20), range(2))
@@ -423,7 +445,11 @@ def test_width_altmax_matches_the_eager_start_reference():
             ref = _line_reference(basis, v.astype(basis.columns.dtype))
         else:
             ref = _eager_width_altmax(basis, v, restarts, seed, refine)
-        rep = width_altmax(basis, v, restarts=restarts, seed=seed, refine=refine)
+        if k == d and field == "real":
+            rep = width._altmax_width(basis, width._conform(v, d, field), restarts, seed,
+                                      refine)
+        else:
+            rep = width_altmax(basis, v, restarts=restarts, seed=seed, refine=refine)
         assert _report_bytes(rep) == _report_bytes(ref), (field, refine, k, restarts, i)
         assert rep.method == ("rearrangement" if k == 1 else "altmax")
 
@@ -795,6 +821,162 @@ def test_frame_width_memory_at_the_cut_over_is_one_block(monkeypatch):
     assert peaks[small] <= peaks[big] / 2
 
 
+def _enum_frames():
+    # random real frames with k >= 4 at d = 4..7, then degenerate ones:
+    # coordinate frames, k = d, and zero, equal or opposite rows
+    rng = np.random.default_rng(111)
+    dims = [4] * 4 + [5] * 8 + [6] * 8 + [7] * 3
+    for i, d in enumerate(dims):
+        k = int(rng.integers(4, d + 1))
+        yield "random", sample_uniform(k, d, "real", seed=[112, i])
+    for i in range(2):
+        d = 5 + i
+        yield "coordinate frame", SubspaceBasis(np.eye(d)[:, rng.permutation(d)[:4]])
+        yield "k = d", sample_uniform(d, d, "real", seed=[113, i])
+        yield "identity", SubspaceBasis(np.eye(d))
+        g = rng.standard_normal((8, 4))
+        yield "zero rows", _frame(np.concatenate((g[:4], np.zeros((2, 4))))[
+            rng.permutation(6)])
+        yield "equal rows", _frame(g[[0, 1, 2, 3, 0, 1]])
+        yield "opposite rows", _frame(np.concatenate((g[:4], -g[:2])))
+
+
+def test_enum_width_matches_brute_force():
+    # the ranking sums inside a stacked matrix product, the brute force
+    # inside another, so ties and near-ties can pick images a few ulps apart
+    rng = np.random.default_rng(114)
+    count = 0
+    for i, (kind, basis) in enumerate(_enum_frames()):
+        vs = _test_vectors(basis.d, rng) if kind != "random" else [
+            rng.standard_normal(basis.d)]
+        for j, v in enumerate(vs):
+            rep = width_altmax(basis, v)
+            assert rep.method == "enumerate"
+            brute = width_brute_signed_perm(basis, v).value
+            assert abs(rep.value - brute) <= 4 * np.spacing(brute), (kind, i, j)
+            assert rep.value == projection_norm(basis, rep.witness.apply(v))
+            assert sorted(rep.witness.perm.tolist()) == list(range(basis.d))
+            assert rep.witness.signs[0] == 1.0
+            count += 1
+    assert count >= 80
+
+
+def test_enum_width_equals_the_orbit_width():
+    # the orbit enumeration is a third, independent evaluation of the same
+    # maximum over the signed permutations of v
+    rng = np.random.default_rng(115)
+    for d, k in ((4, 4), (5, 4), (6, 4), (6, 5)):
+        basis = sample_uniform(k, d, "real", seed=[116, d, k])
+        v = rng.standard_normal(d)
+        orbit = enumerate_orbit(GroupPresentation.signed_permutations(d), v,
+                                max_size=2**d * math.factorial(d))
+        assert orbit.n == 2**d * math.factorial(d)
+        want = width_orbit(basis, orbit).value
+        got = width_altmax(basis, v).value
+        assert abs(got - want) <= 4 * np.spacing(want), (d, k)
+
+
+def test_enum_width_report_and_contract():
+    d = 6
+    basis = sample_uniform(4, d, "real", seed=117)
+    v = np.random.default_rng(118).standard_normal(d)
+    rng = np.random.default_rng(119)
+    state = rng.bit_generator.state
+    rep = width_altmax(basis, v, restarts=4, seed=rng)
+    # nothing is drawn from the stream
+    assert rng.bit_generator.state == state
+    # d! permutations, each with the 2^(d-1) sign rows whose first sign is +1
+    assert (rep.method, rep.iterations, rep.restarts) == (
+        "enumerate", math.factorial(d) * 2 ** (d - 1), 0)
+    for kwargs in ({"restarts": 1}, {"seed": 5, "refine": "none"}, {"refine": "auto"}):
+        assert _report_bytes(width_altmax(basis, v, **kwargs)) == _report_bytes(rep)
+    # the arguments are still validated
+    with pytest.raises(ValueError, match="restart"):
+        width_altmax(basis, v, restarts=0)
+    with pytest.raises(ValueError, match="refine"):
+        width_altmax(basis, v, refine="anneal")
+    # past the cut-over, and for complex input, the ascent runs
+    big = sample_uniform(4, width.ENUM_MAX_D + 1, "real", seed=120)
+    assert width_altmax(big, np.ones(big.d), restarts=2).method == "altmax"
+    assert width_altmax(basis, v + 0j, restarts=2).method == "altmax"
+    assert width_altmax(basis.complexify(), v, restarts=2).method == "altmax"
+    # the shared tables are read-only
+    perms, signs = width._enum_tables(d)
+    assert not perms.flags.writeable and not signs.flags.writeable
+
+
+def test_enum_width_memory_at_the_cut_over_is_one_block(monkeypatch):
+    # a block's images are ENUM_BLOCK 2^(d-1) k coefficients (8 bytes each),
+    # squared in place, and two blocks are live while the next replaces the
+    # last (measured: 2.3 blocks at ENUM_BLOCK = 64); the tables, built on
+    # first use, cost 8 d! d bytes for the permutations and 8 2^(d-1) d for
+    # the signs
+    d, k = width.ENUM_MAX_D, width.ENUM_MAX_D - 1
+    basis = sample_uniform(k, d, "real", seed=121)
+    v = np.random.default_rng(122).standard_normal(d)
+    tables = 8 * math.factorial(d) * d + 8 * 2 ** (d - 1) * d
+    peaks = {}
+    for block in (width.ENUM_BLOCK, width.ENUM_BLOCK // 8):
+        monkeypatch.setattr(width, "ENUM_BLOCK", block)
+        width._enum_tables.cache_clear()
+        tracemalloc.start()
+        value = width_altmax(basis, v).value
+        peaks[block] = tracemalloc.get_traced_memory()[1] - tables
+        tracemalloc.stop()
+        assert value == width_altmax(basis, v).value
+    big, small = sorted(peaks, reverse=True)
+    assert peaks[big] <= 3 * 8 * big * 2 ** (d - 1) * k
+    assert peaks[small] <= peaks[big] / 2
+
+
+def test_enum_width_check_catches_two_fixed_signs():
+    # a source mutant of the tables that fixes the first two signs, not
+    # just the first, misses the brute-force width on some frame
+    source = inspect.getsource(width._enum_tables)
+    for old, new in (("2 ** (d - 1)", "2 ** (d - 2)"), ("signs[:, 1:]", "signs[:, 2:]"),
+                     ("repeat=d - 1", "repeat=d - 2")):
+        assert old in source
+        source = source.replace(old, new)
+    namespace = dict(vars(width))
+    exec(source, namespace)
+    rng = np.random.default_rng(123)
+    misses = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(width, "_enum_tables", namespace["_enum_tables"])
+        for i in range(10):
+            d = int(rng.integers(4, 7))
+            basis = sample_uniform(4, d, "real", seed=[124, i])
+            v = rng.standard_normal(d)
+            rep = width_altmax(basis, v)
+            assert rep.method == "enumerate"
+            misses += rep.value < width_brute_signed_perm(basis, v).value - 1e-12
+    assert misses
+
+
+def test_the_anneal_on_gate_4s_larger_frames_stays_checked_against_brute_force():
+    # gate 4's frames with k >= 4 now take the enumeration, so the ascent and
+    # anneal that width_altmax runs past its exact paths are run on them
+    # directly, with the gate's seeds; measured: 24/25 exact, no overshoot
+    exact = overshoot = frames = 0
+    for i in range(200):
+        rng = np.random.default_rng([104, i])
+        d = int(rng.integers(3, 7))
+        k = int(rng.integers(1, d))
+        if k < 4:
+            continue
+        basis = sample_uniform(k, d, "real", seed=[104, i, 1])
+        v = rng.standard_normal(d)
+        brute = width_brute_signed_perm(basis, v).value
+        rep = width._altmax_width(basis, v, 20, [104, i, 2], "auto")
+        assert rep.method == "altmax"
+        frames += 1
+        overshoot += rep.value > brute + 1e-9
+        exact += abs(rep.value - brute) <= 1e-9
+    assert frames == 25
+    assert overshoot == 0
+    assert exact >= 24
+
+
 def test_complex_vector_on_a_real_basis_runs_over_the_complexified_span():
     rng = np.random.default_rng(41)
     for i in range(6):
@@ -1132,16 +1314,20 @@ def _instances(draw):
     return basis, v
 
 
+def _witness_value(basis, rep, v):
+    # a v below 2^-SCALE_LIMIT runs scaled up, where its squares do not
+    # underflow, and its witness reproduces the value there
+    peak = float(np.abs(v).max())
+    scale = 2.0**width.SCALE_SHIFT if 0.0 < peak < 2.0**-width.SCALE_LIMIT else 1.0
+    return projection_norm(basis, rep.witness.apply(scale * v)) / scale
+
+
 @settings(max_examples=40, deadline=None)
 @given(inst=_instances(), seed=st.integers(0, 2**32 - 1))
 def test_property_ascent_stays_below_brute_and_its_witness_reproduces_it(inst, seed):
     basis, v = inst
     rep = width_altmax(basis, v, restarts=4, seed=seed)
-    # a v below 2^-SCALE_LIMIT runs scaled up, where its squares do not
-    # underflow, and its witness reproduces the value there
-    peak = float(np.abs(v).max())
-    scale = 2.0**width.SCALE_SHIFT if 0.0 < peak < 2.0**-width.SCALE_LIMIT else 1.0
-    assert rep.value == projection_norm(basis, rep.witness.apply(scale * v)) / scale
+    assert rep.value == _witness_value(basis, rep, v)
     assert rep.value <= width_brute_signed_perm(basis, v).value + 1e-9
 
 
@@ -1154,5 +1340,5 @@ def test_property_brute_width_is_signed_permutation_invariant(inst, data):
     signs = data.draw(hnp.arrays(np.float64, d, elements=st.sampled_from([-1.0, 1.0])))
     moved = signed_permutation_apply(perm, signs, v)
     rep = width_brute_signed_perm(basis, v)
-    assert rep.value == projection_norm(basis, rep.witness.apply(v))
+    assert rep.value == _witness_value(basis, rep, v)
     assert abs(width_brute_signed_perm(basis, moved).value - rep.value) <= 1e-12
