@@ -1,6 +1,6 @@
 """One map over independent items, spread over the usable CPUs by ``os.fork``.
 
-The adversarial search's restarts, the width trials of
+The adversarial search's shares of restarts, the width trials of
 :func:`~cylwidth.width.estimate_f_integral` and the Gaussian blocks of
 :func:`~cylwidth.tnorm.gaussian_tnorm_statistics` each draw only from their
 own derived stream, so :func:`map_forked` can run them on several processes

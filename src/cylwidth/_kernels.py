@@ -5,10 +5,10 @@
   basis coefficients.  It owns its stopping rules: each start stops on a
   small gain or after ``ASCENT_MAX_ITER`` iterations, and an optional
   ceiling ends the whole ascent early, with status 2, once an objective
-  proves the width exceeds it.  Under a finite ceiling all starts are first
-  formed together and raced in lockstep for a few steps, and only the start
-  that crosses the ceiling first is replayed by the sequential ascent.
-  Without a ceiling each start is formed only when its ascent begins.
+  proves the width exceeds it.  ``altmax_race`` races a stack of frames
+  in lockstep for a few steps, each under its own ceiling, and names the
+  frames whose ascents would cross it, so their sequential ascents need not
+  run.
 * ``anneal_best``: the annealed witness search.  Each move touches one or
   two rows of a k-column matrix and is scored from cached inner products
   in a few scalar operations; only an accepted move updates the k-vector
@@ -35,7 +35,7 @@ import numpy as np
 #            each with cols @ starts[r] != 0; R >= 1
 #   ceiling  float; once an iterate's objective exceeds
 #            bound = ceiling * (1 + ALTMAX_CEILING_SLACK), the ascent stops
-#            and returns a crossing iterate of one start's sequential ascent
+#            and returns that crossing iterate
 # Returns (w_best, best_obj, total_iters, status) where status is
 #   0 normal, 1 monotonicity violation (never expected), 2 stopped at a
 #   crossing iterate, whose objective exceeds the bound; the objective is
@@ -45,24 +45,8 @@ import numpy as np
 # Start r is the unit vector w = cols @ starts[r] / ||cols @ starts[r]||, and
 # its sequential ascent (_ascent) depends on that start alone.  Callers that
 # know a start as a vector of the subspace pass its coefficients cols^H w
-# instead.  With an infinite ceiling, or a single start, the starts run one
-# after the other, each formed only when its ascent begins.
-#
-# Under a finite ceiling with R >= 2 the starts first race to it (_race):
-# all are formed in one (d, R) product and advanced in lockstep for at most
-# RACE_STEPS steps, and the earliest step at which an objective exceeds the
-# bound names its start, the lowest index on a tie.  That start's sequential
-# ascent is replayed; if it crosses the bound, its crossing iterate comes
-# back, and total_iters counts that replay alone.  Otherwise (lockstep
-# rounding misled the race, or no start crossed in time) the sequential loop
-# runs over every start as it would without the race, and its result comes
-# back as is: neither the race's steps nor a failed replay's iterations
-# count.  Lockstep values never reach an output; they only choose a start.
-# Each start's crossing is its own, so a candidate is rejected exactly when
-# the loop would reject it; which crossing iterate comes back, and the
-# count, can differ from the loop's first crossing.  A replay that crosses
-# also returns before an earlier start's monotonicity error, which the loop
-# would report first; no such error is expected.
+# instead.  The starts run one after the other, each formed only when its
+# ascent begins.
 #
 # The objective of an iterate w is <gv, w> for the image gv aligned with w,
 # so the witness norm ||proj gv|| is at least obj(w); the early return thus
@@ -71,6 +55,28 @@ import numpy as np
 # objective may dip by rounding within a start; the relative slack dominates
 # both by orders of magnitude, so a width reported below the ceiling by the
 # full ascent never triggers the early return.
+#
+# altmax_race runs many frames' ascents at once, each under its own ceiling,
+# to reject frames before their sequential ascents run:
+#
+#   cols      (S, d, k) orthonormal columns, one frame each
+#   starts    (S, R, k) coefficient starts, as above, R per frame
+#   ceilings  (S,) float64
+# Returns an (S,) bool mask of the frames whose race crossed their bound.
+#
+# Every start of every frame is formed at once and the (S, d, R) stack is
+# advanced in lockstep for at most RACE_STEPS steps, the iterates left
+# unnormalized.  A start takes part while its lockstep gains are at least
+# ASCENT_TOL, as its sequential ascent goes on while they are; a frame
+# crosses once a taking-part start's objective exceeds its frame's bound.
+# Lockstep values are the sequential ones up to rounding of order 1e-15
+# relative and never reach an output; they only decide rejection.  A frame
+# that crosses has a start whose sequential ascent reaches an objective
+# within that rounding of a value above the bound, and the sequential
+# ascent loses at most 1e-12 on its way to its endpoint, whose witness
+# value is at least its objective.  So the full ascent's width, from the
+# start with the best objective, exceeds the ceiling too: the slack, 1e-9
+# relative, dominates both losses, as it does for the early return.
 # ---------------------------------------------------------------------------
 
 ALTMAX_CEILING_SLACK = 1e-9
@@ -114,34 +120,10 @@ def _ascent(cols, cols_h, v_desc, start, bound):
     return w, obj_prev, it, 0
 
 
-def _race(cols, cols_h, v_desc, starts, bound):
-    """Index of the start whose lockstep ascent first exceeds ``bound``, or -1."""
-    # the columns of w are the starts' iterates, left unnormalized: an
-    # objective is scored against the bound times its column's norm
-    w = cols @ starts.T
-    idx = np.arange(w.shape[1])
-    vr = np.empty(w.shape)
-    for _ in range(RACE_STEPS):
-        m = np.abs(w)
-        # vr[:, r] holds v_desc in the order of the moduli of w[:, r]
-        vr[np.argsort(-m, axis=0, kind="stable"), idx] = v_desc[:, None]
-        hit = (m * vr).sum(axis=0) > bound * np.sqrt((m * m).sum(axis=0))
-        if hit.any():
-            return int(hit.argmax())
-        w = cols @ (cols_h @ (np.divide(w, m, out=np.ones_like(w), where=m > 0.0) * vr))
-    return -1
-
-
 def altmax_best(cols, v_desc, starts, ceiling=math.inf):
     """Run the alternating ascent from every start, return the best endpoint."""
     cols_h = cols.conj().T
     bound = ceiling * (1.0 + ALTMAX_CEILING_SLACK)
-    if math.isfinite(bound) and starts.shape[0] > 1:
-        r = _race(cols, cols_h, v_desc, starts, bound)
-        if r >= 0:
-            result = _ascent(cols, cols_h, v_desc, starts[r], bound)
-            if result[3] == 2:
-                return result
     best_obj = -1.0
     best_w = None
     total = 0
@@ -156,6 +138,43 @@ def altmax_best(cols, v_desc, starts, ceiling=math.inf):
             best_obj = obj
             best_w = w
     return best_w, best_obj, total, 0
+
+
+def altmax_race(cols, v_desc, starts, ceilings):
+    """Mask of the frames whose lockstep ascents cross their bounds."""
+    slack = 1.0 + ALTMAX_CEILING_SLACK
+    bounds = np.asarray(ceilings, dtype=np.float64)[:, None] * slack
+    cols_h = cols.conj().swapaxes(1, 2)
+    # w[s, :, r] is start r of frame s, left unnormalized; going[s, r] says
+    # it takes part.  cols @ c has the norm of c, so from the second step on
+    # a start whose sequential ascent ends on a short projection c has an
+    # iterate of that norm
+    w = cols @ starts.swapaxes(1, 2)
+    n_frames, _, n_starts = w.shape
+    crossed = np.zeros(n_frames, dtype=np.bool_)
+    going = np.ones((n_frames, n_starts), dtype=np.bool_)
+    prev = -1.0
+    vr = np.empty(w.shape)
+    frame = np.arange(n_frames)[:, None, None]
+    start = np.arange(n_starts)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for step in range(RACE_STEPS):
+            if step:
+                u = np.divide(w, m, out=np.ones_like(w), where=m > 0.0) * vr
+                w = cols @ (cols_h @ u)
+            m = np.abs(w)
+            # vr[s, :, r] holds v_desc in the order of the moduli of w[s, :, r]
+            vr[frame, np.argsort(-m, axis=1, kind="stable"), start] = v_desc[:, None]
+            norm = np.sqrt((m * m).sum(axis=1))
+            obj = (m * vr).sum(axis=1) / norm
+            if step:
+                going &= norm >= 1e-15
+            crossed |= (going & (obj > bounds)).any(axis=1)
+            going &= (obj - prev >= ASCENT_TOL) & ~crossed[:, None]
+            if not going.any():
+                break
+            prev = obj
+    return crossed
 
 
 # ---------------------------------------------------------------------------

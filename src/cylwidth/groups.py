@@ -11,8 +11,11 @@ has the bits the per-point search gave; one matrix-matrix product
 Products are deduplicated by rounding coordinates to 1e-8 and hashing the
 bytes, checked in the per-point order (point by point, generator by
 generator), so the points, their order and the first-seen representative of
-each are those of the per-point search.  Generators whose orbits contain
-pairs closer than that resolution are outside the supported domain.
+each are those of the per-point search.  The coordinates are rounded after
+scaling by the power of two nearest the base point's norm, so the
+resolution is relative to the orbit's norm; for a unit-norm base point the
+scale is 1.  Generators whose orbits contain pairs closer than that
+resolution are outside the supported domain.
 
 JSON wire format, read by :func:`read_group_json` and built by
 :func:`group_from_dict`::
@@ -30,12 +33,14 @@ real arrays.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OrbitTooLargeError
+from .vectors import _scaled
 
 __all__ = [
     "GroupPresentation",
@@ -52,14 +57,28 @@ UNITARY_TOL = 1e-9
 DEDUP_DECIMALS = 8
 
 
-def _round_keys(points: np.ndarray) -> list[bytes]:
-    """One dedup key per point of an (n, d, 1) stack: its coordinates
-    rounded to ``DEDUP_DECIMALS``, with -0.0 made +0.0, as raw bytes."""
+def _round_keys(points: np.ndarray, scales) -> list[bytes]:
+    """One dedup key per point of an (n, d, 1) stack: its coordinates times
+    each power of two in ``scales``, rounded to ``DEDUP_DECIMALS``, with
+    -0.0 made +0.0, as raw bytes."""
+    for scale in scales:
+        points = points * scale
     r = np.round(points.reshape(points.shape[0], -1), DEDUP_DECIMALS)
     if np.iscomplexobj(r):
         r = r.view(np.float64)
     r = r + 0.0  # normalize -0.0
     return r.view(np.dtype((np.void, r.shape[1] * r.itemsize))).ravel().tolist()
+
+
+def _key_scales(start: np.ndarray) -> tuple:
+    """Powers of two whose product is nearest ``1 / ||start||``, each finite.
+
+    Empty for a zero or unit-norm ``start``, whose keys are then unscaled.
+    """
+    scaled, shift = _scaled(start)
+    norm = float(np.linalg.norm(scaled))
+    exponent = round(math.log2(norm)) if norm > 0.0 else 0
+    return tuple(2.0**-e for e in (shift, exponent) if e)
 
 
 def _closure(generators, start: np.ndarray, max_size: int) -> np.ndarray:
@@ -71,9 +90,10 @@ def _closure(generators, start: np.ndarray, max_size: int) -> np.ndarray:
     of distinct points above ``max_size``.
     """
     gens = np.stack(generators)
+    scales = _key_scales(start)
     frontier = start[None, :, None]
     levels = [frontier]
-    seen = set(_round_keys(frontier))
+    seen = set(_round_keys(frontier, scales))
     add = seen.add
     while frontier.shape[0]:
         # one matrix-vector product per (point, generator) pair, in the
@@ -83,7 +103,7 @@ def _closure(generators, start: np.ndarray, max_size: int) -> np.ndarray:
         )
         # add() returns None, so each new key is kept once, in order
         fresh = [
-            i for i, key in enumerate(_round_keys(products))
+            i for i, key in enumerate(_round_keys(products, scales))
             if key not in seen and not add(key)
         ]
         if len(seen) > max_size:
@@ -159,7 +179,13 @@ class GroupPresentation:
 
 @dataclass(frozen=True)
 class Orbit:
-    """Finite set of points of equal Euclidean norm; the first is the base."""
+    """Finite set of points of equal Euclidean norm; the first is the base.
+
+    The norms must agree to 1e-9 relative to the base point's norm, which
+    must be finite in float64.  They are taken on the points scaled by the
+    power of two that the widths would scale the base point by, so no
+    square of a valid orbit overflows or underflows.
+    """
 
     points: np.ndarray
 
@@ -173,11 +199,15 @@ class Orbit:
             pts = np.ascontiguousarray(pts, dtype=np.float64)
         if not np.isfinite(pts).all():
             raise ValueError("orbit points must be finite")
+        # the base point's shift fits every point of its norm, and a point of
+        # another norm fails the check whatever its shift
+        _, shift = _scaled(pts[0])
         # an overflowing norm makes the deviation NaN, which must not pass
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.linalg.norm(pts, axis=1)
+            norms = np.linalg.norm(pts * 2.0**-shift if shift else pts, axis=1)
             dev = float(np.max(np.abs(norms - norms[0])))
-        if not dev <= 1e-9:
+            base = float(norms[0]) * 2.0**shift
+        if not (dev <= 1e-9 * norms[0] and base < math.inf):
             raise ValueError("orbit points must share a common finite norm")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -205,6 +235,8 @@ def enumerate_orbit(group: GroupPresentation, v, max_size: int = 10_000) -> Orbi
     v = np.asarray(v)
     if v.shape != (group.d,):
         raise ValueError(f"base point must have shape ({group.d},)")
+    if not np.isfinite(v).all():
+        raise ValueError("base point must be finite")
     if group.field == "complex" or np.iscomplexobj(v):
         v = v.astype(np.complex128)
     else:

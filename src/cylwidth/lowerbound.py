@@ -30,14 +30,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
-from ._fork import map_forked
-from .errors import RankDeficientError, _integer
+from . import _fork, _kernels
+from .errors import _integer
 from .measures import sample_uniform
-from .vectors import SubspaceBasis, decreasing_rearrangement, orthonormalize
+from .vectors import SubspaceBasis, _orthonormal_stack, decreasing_rearrangement
 from .width import (
-    _ascend,
     _conform,
+    _draw_starts,
     _line_width,
     _scaled,
     _unscaled,
@@ -185,47 +184,91 @@ def _least_line_width(v, v_desc) -> AdversarialResult:
     )
 
 
-def _restart(evaluate, d, k, steps, stream):
-    """One restart of the search on the random stream ``stream``.
+def _evaluate(cols, starts, v, v_desc, currents):
+    """Widths of the candidate frames ``cols[s]``, or None where rejected.
 
-    Returns the least width it reached, the frame that reached it and the
-    number of evaluations made.  The restart ends early once its step
-    cannot move the width past the ascent's own tolerance: a perturbation
-    ``eta * noise`` has norm about ``eta * sqrt(d k)``, and moves the width
-    against a unit target by at most about that much, so once that is below
-    ``_kernels.ASCENT_TOL`` a candidate differs from the current frame only
-    by what the ascent does not resolve.
+    ``starts[s]`` are frame ``s``'s ascent starts and ``currents[s]`` the
+    width it must get below, inf for none.  A frame whose lockstep race
+    crosses its current width is rejected unrun; the others run the plain
+    ascent with the current width as ceiling, and one whose ascent stopped
+    at a crossing iterate is rejected without a witness.  Every other frame
+    gets the width of its ascent's witness, as a full evaluation would.
     """
-    rng = np.random.default_rng(stream)
-    basis = sample_uniform(k, d, "real", rng)
-    current = evaluate(basis, rng, math.inf)
-    evals = 1
-    eta = SEARCH_INITIAL_STEP
-    rejected = 0
-    for _ in range(steps):
-        if eta * math.sqrt(d * k) < _kernels.ASCENT_TOL:
-            break
-        noise = rng.standard_normal((d, k))
-        try:
-            cand = orthonormalize(basis.columns + eta * noise)
-        except RankDeficientError:  # pragma: no cover - tiny probability
-            rejected += 1
-            if rejected >= SEARCH_REJECTION_LIMIT:
-                eta /= 2.0
-                rejected = 0
+    crossed = _kernels.altmax_race(cols, v_desc, starts, currents)
+    values = []
+    for s, current in enumerate(currents):
+        if crossed[s]:
+            values.append(None)
             continue
-        val = evaluate(cand, rng, current)
-        evals += 1
-        if val < current:
-            basis = cand
-            current = val
-            rejected = 0
-        else:
-            rejected += 1
-            if rejected >= SEARCH_REJECTION_LIMIT:
-                eta /= 2.0
-                rejected = 0
-    return current, basis, evals
+        w, _, _, status = _kernels.altmax_best(cols[s], v_desc, starts[s], current)
+        if status == 1:
+            raise RuntimeError("alternating ascent objective decreased")
+        values.append(None if status == 2 else _witness_and_value(cols[s], v, w)[1])
+    return values
+
+
+def _share(v, v_desc, d, k, steps, inner_restarts, streams):
+    """The restarts of one share of the search, run in lockstep.
+
+    Restart ``r`` runs on the random stream ``streams[r]`` and returns the
+    least width it reached, the frame that reached it and the number of
+    evaluations made.  At each step every running restart draws its noise,
+    and then its candidate's ascent starts, from its own stream, so each
+    restart draws what it would draw alone.  The candidates are
+    re-orthonormalized by one stacked QR, which gives each frame the bits
+    of its own, and valued together by :func:`_evaluate`.
+
+    A restart ends early once its step cannot move the width past the
+    ascent's own tolerance: a perturbation ``eta * noise`` has norm about
+    ``eta * sqrt(d k)``, and moves the width against a unit target by at
+    most about that much, so once that is below ``_kernels.ASCENT_TOL`` a
+    candidate differs from the current frame only by what the ascent does
+    not resolve.
+    """
+    rngs = [np.random.default_rng(stream) for stream in streams]
+    frames = [sample_uniform(k, d, "real", rng).columns for rng in rngs]
+    starts = [_draw_starts(c, v, inner_restarts, rng) for c, rng in zip(frames, rngs)]
+    current = _evaluate(np.stack(frames), np.stack(starts), v, v_desc,
+                        [math.inf] * len(rngs))
+    evals = [1] * len(rngs)
+    eta = [SEARCH_INITIAL_STEP] * len(rngs)
+    rejected = [0] * len(rngs)
+
+    def reject(r):
+        rejected[r] += 1
+        if rejected[r] >= SEARCH_REJECTION_LIMIT:
+            eta[r] /= 2.0
+            rejected[r] = 0
+
+    running = list(range(len(rngs)))
+    for _ in range(steps):
+        running = [r for r in running if eta[r] * math.sqrt(d * k) >= _kernels.ASCENT_TOL]
+        if not running:
+            break
+        moved = np.stack([frames[r] + eta[r] * rngs[r].standard_normal((d, k))
+                          for r in running])
+        cands, full_rank, _ = _orthonormal_stack(moved)
+        live = []
+        for r, ok in zip(running, full_rank):
+            if ok:
+                live.append(r)
+            else:  # pragma: no cover - tiny probability
+                reject(r)
+        if not live:  # pragma: no cover - tiny probability
+            continue
+        cands = cands[full_rank]
+        starts = np.stack([_draw_starts(c, v, inner_restarts, rngs[r])
+                           for c, r in zip(cands, live)])
+        values = _evaluate(cands, starts, v, v_desc, [current[r] for r in live])
+        for r, cand, val in zip(live, cands, values):
+            evals[r] += 1
+            if val is not None and val < current[r]:
+                frames[r] = cand
+                current[r] = val
+                rejected[r] = 0
+            else:
+                reject(r)
+    return list(zip(current, frames, evals))
 
 
 def adversarial_min_width(
@@ -250,24 +293,31 @@ def adversarial_min_width(
     Underestimation by the inner ascent can only lower the reported
     minimum, so the result is a one-sided probe of the true minimal width.
 
-    The restarts are spread by :func:`~cylwidth._fork.map_forked` over
-    this process and forked workers, one process per usable CPU and never
-    more than ``restarts``.  Each restart draws only from its own stream,
-    and the results are folded in restart order, the first least width
-    winning, so the result is the same bit for bit for any number of
-    processes.
+    The restarts are split into one share per usable CPU, never more than
+    ``restarts``: share ``w`` holds restarts ``w, w + n, ...``, and
+    :func:`~cylwidth._fork.map_forked` runs each share in this process or
+    a forked worker.  A share runs its restarts in lockstep, one step of
+    each at a time.  Each restart draws only from its own stream, and the
+    results are folded in restart order, the first least width winning, so
+    the result is the same bit for bit for any number of processes.
 
-    The target is validated and rearranged once, and each frame is evaluated
-    by the ascent helper that :func:`~cylwidth.width.width_altmax` runs (with
-    ``refine="none"``).  A candidate's ascent runs with the current width as
-    its ceiling, and the kernel stops it at an iterate whose objective
-    exceeds that ceiling if some start's own sequential ascent reaches one.
-    Every objective is a lower bound on the width the full ascent would
-    report, so a stopped candidate is rejected either way: the search takes
-    the objective as its value and builds no witness.  A candidate is
-    rejected exactly when a full evaluation would reject it, and its random
-    starts are drawn before the ascent, so the stream, and with it the
-    result, is the same bit for bit as with full evaluations.
+    The target is validated and rearranged once, and each frame is valued
+    by the plain ascent that :func:`~cylwidth.width.width_altmax` runs (with
+    ``refine="none"``), from random starts drawn before it runs.  A step's
+    candidates are raced first, all their starts in one stacked lockstep
+    ascent (``_kernels.altmax_race``), each candidate against its own
+    restart's current width.  A candidate whose race crosses that width,
+    with the ascent's relative slack, is rejected: its sequential ascent
+    would reach an objective within rounding of the crossing value, lose at
+    most 1e-12 on the way to its endpoint, and the witness of that endpoint
+    is worth at least its objective, so the full evaluation's width would
+    exceed the current one too.  The other candidates run the sequential
+    ascent with the current width as ceiling; one stopped at an iterate
+    above it is rejected as well, and only one that ran in full builds its
+    witness.  A candidate is rejected exactly when a full evaluation would
+    reject it, and the lockstep values never reach the output, so the
+    stream, and with it the result, is the same bit for bit as with full
+    evaluations.
 
     A target at k = 1 is solved exactly, with no search: ``restarts``,
     ``steps`` and ``inner_restarts`` are validated and otherwise unused, and
@@ -311,28 +361,24 @@ def adversarial_min_width(
 def _search(v, v_desc, d, k, restarts, steps, seed, inner_restarts):
     """The random search of :func:`adversarial_min_width` at k >= 2."""
     # the search re-evaluates thousands of candidates, so it runs the plain
-    # ascent; underestimates only lower the one-sided probe.  A stopped
-    # ascent's objective exceeds the ceiling, so the caller rejects the
-    # candidate unwitnessed
-    def evaluate(basis, rng, ceiling):
-        cols, w, obj, _, stopped = _ascend(
-            basis, v, v_desc, inner_restarts, rng, ceiling
-        )
-        return obj if stopped else _witness_and_value(cols, v, w)[1]
-
+    # ascent; underestimates only lower the one-sided probe
     seed_base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    runs = map_forked(
-        lambda r: _restart(evaluate, d, k, steps, [*seed_base, r]), restarts
+    n = min(_fork._usable_cpus(), restarts)
+    shares = _fork.map_forked(
+        lambda w: _share(v, v_desc, d, k, steps, inner_restarts,
+                         [[*seed_base, r] for r in range(w, restarts, n)]),
+        n,
     )
+    runs = [shares[r % n][r // n] for r in range(restarts)]
     best_val = np.inf
-    best_basis = None
-    for current, basis, _ in runs:
+    best_cols = None
+    for current, cols, _ in runs:
         if current < best_val:
             best_val = current
-            best_basis = basis
+            best_cols = cols
     return AdversarialResult(
         min_value=float(best_val),
-        basis=best_basis,
+        basis=SubspaceBasis._from_q_factor(best_cols, False),
         restarts=restarts,
         steps=steps,
         evaluations=sum(evals for _, _, evals in runs),

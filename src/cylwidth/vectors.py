@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,41 @@ class SubspaceBasis:
         )
 
 
+# the widths and the orbits run a v whose largest modulus lies outside
+# [2^-SCALE_LIMIT, 2^SCALE_LIMIT] as 2^-+SCALE_SHIFT v, which lies inside for
+# every finite float64 v, and scale the value back.  Inside, ||v||^2 and
+# the sweep's slack neither overflow nor underflow.  The shift is fixed, so
+# for v inside, 2^+-SCALE_SHIFT v gets exactly v's witness, and its value
+# times 2^+-SCALE_SHIFT
+SCALE_LIMIT = 500
+SCALE_SHIFT = 600
+
+
+def _scaled(v):
+    """``(2^-s v, s)``, with ``s`` the shift that brings ``v`` into range.
+
+    The width is positively homogeneous, and a power of two rounds only
+    entries far below the largest.  ``s`` is 0 for ``v`` in range, which
+    is then returned as it is.
+    """
+    peak = float(np.abs(v).max())
+    if peak > 2.0**SCALE_LIMIT:
+        shift = SCALE_SHIFT
+    elif 0.0 < peak < 2.0**-SCALE_LIMIT:
+        shift = -SCALE_SHIFT
+    else:
+        return v, 0
+    return v * 2.0**-shift, shift
+
+
+def _unscaled(value: float, shift: int) -> float:
+    """A width of ``2^-shift v`` scaled back to ``v``; overflow raises."""
+    value = value * 2.0**shift
+    if math.isinf(value):
+        raise ValueError("the width overflows float64")
+    return value
+
+
 def decreasing_rearrangement(v) -> np.ndarray:
     """Moduli of ``v`` sorted in non-increasing order."""
     v = np.asarray(v)
@@ -154,19 +190,33 @@ def orthonormalize(columns, sum_zero: bool = False) -> SubspaceBasis:
         raise RankDeficientError(
             f"{a.shape[1]} columns in dimension {a.shape[0]} are dependent"
         )
+    q, full_rank, s = _orthonormal_stack(a[None])
+    if not full_rank[0]:
+        raise RankDeficientError(
+            f"columns are numerically rank deficient (spectrum {s[0, -1]:.3e}"
+            f" vs {s[0, 0]:.3e})"
+        )
+    return SubspaceBasis._from_q_factor(q[0], sum_zero)
+
+
+def _orthonormal_stack(a: np.ndarray):
+    """Normalized QR factors of a stack of finite (d, k) matrices, k <= d.
+
+    Returns ``(q, full_rank, s)``: the (S, d, k) Q factors with the diagonal
+    of each R made real positive, a mask of the matrices whose smallest
+    singular value exceeds ``RANK_TOL`` times the largest, and the (S, k)
+    singular values.  The stacked LAPACK calls factor each matrix alone, so
+    every ``q[i]`` has the bits that a lone (d, k) call gives.
+    """
     q, r = np.linalg.qr(a)
     s = np.linalg.svd(r, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
-        raise RankDeficientError(
-            f"columns are numerically rank deficient (spectrum {s[-1]:.3e}"
-            f" vs {s[0]:.3e})"
-        )
-    diag = np.diagonal(r)
+    # a zero spectrum fails too, since its smallest value is 0
+    full_rank = s[:, -1] > RANK_TOL * s[:, 0]
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     if np.iscomplexobj(diag):
         mod = np.abs(diag)
         phase = np.where(mod > 0, diag / np.where(mod > 0, mod, 1.0), 1.0).conj()
     else:
         # diag / |diag| is exactly -1.0 or 1.0 for a real diagonal
         phase = np.where(diag < 0.0, -1.0, 1.0)
-    q = q * phase[None, :]
-    return SubspaceBasis._from_q_factor(q, sum_zero)
+    return q * phase[:, None, :], full_rank, s

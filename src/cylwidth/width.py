@@ -47,7 +47,16 @@ from . import _kernels
 from ._fork import map_forked
 from .errors import _integer
 from .groups import Orbit, signed_permutation_apply
-from .vectors import SubspaceBasis, decreasing_argsort, decreasing_rearrangement
+# SCALE_LIMIT and SCALE_SHIFT name the scale range of the widths below
+from .vectors import (
+    SCALE_LIMIT,
+    SCALE_SHIFT,
+    SubspaceBasis,
+    _scaled,
+    _unscaled,
+    decreasing_argsort,
+    decreasing_rearrangement,
+)
 
 __all__ = [
     "GammaWitness",
@@ -80,10 +89,10 @@ class WidthReport:
 
     ``witness`` is a :class:`GammaWitness`, except for orbit enumeration,
     where it is the attaining orbit point.  In every
-    case re-evaluating the witness reproduces ``value``; for a ``v`` that
-    :func:`width_altmax` or :func:`width_brute_signed_perm` runs scaled by
-    ``2^-s`` (see ``SCALE_LIMIT``), re-evaluating it on that scaled ``v``
-    reproduces ``value * 2^-s``.
+    case re-evaluating the witness reproduces ``value``; for a ``v`` (or
+    an orbit) that :func:`width_altmax`, :func:`width_brute_signed_perm`
+    or :func:`width_orbit` runs scaled by ``2^-s`` (see ``SCALE_LIMIT``),
+    re-evaluating it scaled by ``2^-s`` reproduces ``value * 2^-s``.
     """
 
     value: float
@@ -110,41 +119,6 @@ def _conform(v, d: int, field: str) -> np.ndarray:
     if field == "complex" or np.iscomplexobj(v):
         return v.astype(np.complex128)
     return v.astype(np.float64)
-
-
-# the widths run a v whose largest modulus lies outside
-# [2^-SCALE_LIMIT, 2^SCALE_LIMIT] as 2^-+SCALE_SHIFT v, which lies inside for
-# every finite float64 v, and scale the value back.  Inside, ||v||^2 and
-# the sweep's slack neither overflow nor underflow.  The shift is fixed, so
-# for v inside, 2^+-SCALE_SHIFT v gets exactly v's witness, and its value
-# times 2^+-SCALE_SHIFT
-SCALE_LIMIT = 500
-SCALE_SHIFT = 600
-
-
-def _scaled(v):
-    """``(2^-s v, s)``, with ``s`` the shift that brings ``v`` into range.
-
-    The width is positively homogeneous, and a power of two rounds only
-    entries far below the largest.  ``s`` is 0 for ``v`` in range, which
-    is then returned as it is.
-    """
-    peak = float(np.abs(v).max())
-    if peak > 2.0**SCALE_LIMIT:
-        shift = SCALE_SHIFT
-    elif 0.0 < peak < 2.0**-SCALE_LIMIT:
-        shift = -SCALE_SHIFT
-    else:
-        return v, 0
-    return v * 2.0**-shift, shift
-
-
-def _unscaled(value: float, shift: int) -> float:
-    """A width of ``2^-shift v`` scaled back to ``v``; overflow raises."""
-    value = value * 2.0**shift
-    if math.isinf(value):
-        raise ValueError("the width overflows float64")
-    return value
 
 
 def width_brute_signed_perm(basis: SubspaceBasis, v) -> WidthReport:
@@ -294,7 +268,20 @@ def _ascend(basis: SubspaceBasis, v, v_desc, restarts, rng, ceiling):
     if np.iscomplexobj(v):
         basis = basis.complexify()
     cols = basis.columns
-    k = basis.k
+    starts = _draw_starts(cols, v, restarts, rng)
+    w_best, obj, iters, status = _kernels.altmax_best(cols, v_desc, starts, ceiling)
+    if status == 1:
+        raise RuntimeError("alternating ascent objective decreased")
+    return cols, w_best, obj, int(iters), status == 2
+
+
+def _draw_starts(cols, v, restarts, rng):
+    """The ascent's ``restarts`` starts on ``cols``, as basis coefficients.
+
+    The first is the projection of ``v`` when that is not zero; the others
+    are Gaussian coefficient vectors drawn from ``rng``.
+    """
+    k = cols.shape[1]
     cplx = np.iscomplexobj(cols)
     c0 = cols.conj().T @ v
     have_det = float(np.linalg.norm(cols @ c0)) > 1e-15
@@ -316,11 +303,7 @@ def _ascend(basis: SubspaceBasis, v, v_desc, restarts, rng, ceiling):
     while bad.any():  # pragma: no cover - measure-zero restart
         g[bad] = draw(int(bad.sum()))
         bad = np.linalg.norm(g, axis=1) < 1e-12
-    starts = np.concatenate((c0[None, :], g)) if have_det else g
-    w_best, obj, iters, status = _kernels.altmax_best(cols, v_desc, starts, ceiling)
-    if status == 1:
-        raise RuntimeError("alternating ascent objective decreased")
-    return cols, w_best, obj, int(iters), status == 2
+    return np.concatenate((c0[None, :], g)) if have_det else g
 
 
 def _witness_and_value(cols, v, w):
@@ -764,10 +747,10 @@ def width_altmax(
     and the value back; a width that overflows float64 raises
     ``ValueError``.
 
-    The start draw and the kernel call live in ``_ascend``, which
-    :func:`~cylwidth.lowerbound.adversarial_min_width` calls directly with a
-    ceiling; the search skips the witness of a candidate whose ascent
-    stopped at it.
+    The start draw lives in ``_draw_starts``, which
+    :func:`~cylwidth.lowerbound.adversarial_min_width` calls directly before
+    it races its candidates and runs their kernels under a ceiling; the
+    search skips the witness of a candidate whose ascent stopped.
     """
     if _integer("restarts", restarts) < 1:
         raise ValueError("need at least one restart")
@@ -803,23 +786,35 @@ def width_orbit(
     ``value > ceiling`` and the witness still reproduces ``value``.  A
     ceiling at or above the width changes nothing.  ``iterations`` counts
     the points evaluated.
+
+    An orbit whose base point's largest modulus lies outside
+    ``[2^-SCALE_LIMIT, 2^SCALE_LIMIT]`` is evaluated scaled by
+    ``2^-+SCALE_SHIFT``, as :func:`width_altmax` scales a vector, and the
+    value back; the witness is the unscaled orbit point.
     """
     if math.isnan(ceiling):
         raise ValueError("ceiling must not be NaN")
     if orbit.d != basis.d:
         raise ValueError("orbit and basis dimensions differ")
     cols = basis.columns.conj()
+    # every point shares the base point's norm, so its shift fits them all
+    _, shift = _scaled(orbit.points[0])
+    scale = 2.0**-shift
+    ceiling = ceiling * scale
     best = -math.inf
     best_i = 0
     end = 0
     while end < orbit.n and best <= ceiling:
         start, end = end, min(end + ORBIT_BLOCK, orbit.n)
-        vals = np.linalg.norm(orbit.points[start:end] @ cols, axis=1)
+        points = orbit.points[start:end]
+        if shift:
+            points = points * scale
+        vals = np.linalg.norm(points @ cols, axis=1)
         i = int(np.argmax(vals))
         if vals[i] > best:
             best, best_i = float(vals[i]), start + i
     return WidthReport(
-        value=best,
+        value=_unscaled(best, shift),
         method="orbit",
         restarts=0,
         iterations=end,

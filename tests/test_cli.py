@@ -115,6 +115,12 @@ OUTPUT_PINS = {
         "abe2e6430a8baa23ed1d4990459a9a099cf5ab69847b2a0f4a87c6ae0e763d5d",
         "0c6c8667123271a0696ea6301361e5623e6d4d6976acaa55c7f7a13e1cd3841f",
     ),
+    # several restarts per worker share, split unevenly, and a k = 4 search
+    ("lowerbound", "--d", "12", "--k", "2", "--k", "4", "--restarts", "5",
+     "--steps", "40"): (
+        "330f4fa2b7182939b140dd74cac66a363098b60aa9165d8b7f8cafeea1a87901",
+        "6c73f56d44830c131a7bc8179e2bd26dbd892062a42ca002f0cc276eaaa0307c",
+    ),
     ("realize", "--group", "sp4.json", "--base-point", "4,3,2,1", "--k", "1"): (
         "dcf56e499e6ff9fc0d675b6def999779816ec7953ae8833b319f823e16aa5806",
         "d503e5a5d80497e50ef28e7b3b0d0b61800351a6246802aa4bac41d32ddb31e8",

@@ -16,6 +16,8 @@ from cylwidth.groups import (
     signed_permutation_apply,
     signed_permutation_generators,
 )
+from cylwidth.measures import sample_uniform
+from cylwidth.width import width_orbit
 
 
 def test_apply_matches_matrix_action():
@@ -197,14 +199,53 @@ def test_rejects_generator_whose_product_overflows():
 
 
 def test_orbit_rejects_points_whose_norm_overflows():
-    # finite entries, but the first norm is inf, so every deviation from it
-    # is NaN or inf
-    for pts in (np.array([[1e308, 1e308], [1.0, 0.0]]), np.array([[1e308, 1e308]]),
-                np.array([[1.0, 0.0], [1e308, 1e308]])):
+    # finite entries, but the norm of (1.5e308, 1.5e308) exceeds the largest
+    # float64, so the points cannot share a finite norm
+    for pts in (np.array([[1.5e308, 1.5e308], [1.0, 0.0]]),
+                np.array([[1.5e308, 1.5e308]]),
+                np.array([[1.0, 0.0], [1.5e308, 1.5e308]])):
         with pytest.raises(ValueError, match="finite norm"):
             Orbit(pts)
         with pytest.raises(ValueError, match="finite norm"):
             Orbit(pts.astype(np.complex128))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_enumerate_orbit_rejects_a_non_finite_base_point_up_front(bad):
+    # before any product is formed, so the closure warns about nothing
+    base = np.array([0.5, bad, 0.1])
+    with pytest.raises(ValueError, match="finite"):
+        enumerate_orbit(_SP(3), base)
+    with pytest.raises(ValueError, match="finite"):
+        enumerate_orbit(_SP(3), base.astype(np.complex128))
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-170, 1e160])
+def test_scaled_orbits_are_the_scaled_unit_orbit(scale):
+    # the dedup keys and the norm check are relative to the base point's
+    # norm; with absolute ones the 1e-9 copy collapsed to one point, the
+    # 1e160 copy was rejected and its width, like the 1e-170 one's, was lost
+    base = np.array([0.8, 0.5, 0.3, 0.1])
+    base = base / np.linalg.norm(base)
+    unit = enumerate_orbit(_SP(4), base)
+    assert unit.n == 384
+    orbit = enumerate_orbit(_SP(4), scale * base)
+    assert orbit.points.tobytes() == (scale * unit.points).tobytes()
+    for i in range(3):
+        basis = sample_uniform(2, 4, "real", seed=[61, i])
+        want = scale * width_orbit(basis, unit).value
+        got = width_orbit(basis, orbit)
+        assert abs(got.value - want) <= 4e-16 * want
+        assert (orbit.points == got.witness).all(axis=1).any()
+
+
+def test_orbit_norm_check_is_relative_to_the_norm():
+    # norms 1e-12 and 0.5e-12 differ by far less than 1e-9, but not relatively
+    for pts in (1e-12 * np.array([[1.0, 0.0], [0.5, 0.0]]),
+                1e160 * np.array([[1.0, 0.0], [0.0, 1.0 + 1e-6]])):
+        with pytest.raises(ValueError, match="common finite norm"):
+            Orbit(pts)
+    assert Orbit(1e160 * np.array([[1.0, 0.0], [0.0, -1.0]])).n == 2
 
 
 def test_explicit_dict_real_rotation():

@@ -421,18 +421,20 @@ def test_search_builds_a_witness_only_for_candidates_whose_ascent_ran_in_full(
     # frame, so building its witness would only cost time
     monkeypatch.setattr(_fork, "_usable_cpus", lambda: 1)
     counts = {"stopped": 0, "full": 0, "witness": 0}
-    real_ascend, real_witness = lowerbound._ascend, lowerbound._witness_and_value
+    real_evaluate, real_witness = lowerbound._evaluate, lowerbound._witness_and_value
 
-    def ascend(*args):
-        result = real_ascend(*args)
-        counts["stopped" if result[4] else "full"] += 1
-        return result
+    def evaluate(*args):
+        # a candidate rejected by the race or by its stopped ascent has no value
+        values = real_evaluate(*args)
+        for value in values:
+            counts["stopped" if value is None else "full"] += 1
+        return values
 
     def witness(*args):
         counts["witness"] += 1
         return real_witness(*args)
 
-    monkeypatch.setattr(lowerbound, "_ascend", ascend)
+    monkeypatch.setattr(lowerbound, "_evaluate", evaluate)
     monkeypatch.setattr(lowerbound, "_witness_and_value", witness)
     res = adversarial_min_width(8, 2, witness_vector(8, 2).unit, restarts=2, steps=150,
                                 seed=4)
@@ -442,15 +444,15 @@ def test_search_builds_a_witness_only_for_candidates_whose_ascent_ran_in_full(
 
 
 def test_search_worker_failure_is_raised_and_every_worker_reaped(monkeypatch):
-    real_ascend = lowerbound._ascend
+    real_draw = lowerbound._draw_starts
 
-    def ascend(basis, v, v_desc, starts, rng, ceiling):
+    def draw(cols, v, restarts, rng):
         # restart r draws from the stream (seed, r)
         if rng.bit_generator.seed_seq.entropy[-1] == 2:
             raise RuntimeError("ascent failed in restart 2")
-        return real_ascend(basis, v, v_desc, starts, rng, ceiling)
+        return real_draw(cols, v, restarts, rng)
 
-    monkeypatch.setattr(lowerbound, "_ascend", ascend)
+    monkeypatch.setattr(lowerbound, "_draw_starts", draw)
     wit = witness_vector(8, 2).unit
     for workers in (1, 2, 3):
         monkeypatch.setattr(_fork, "_usable_cpus", lambda w=workers: w)

@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import math
+import textwrap
 import tracemalloc
 import warnings
 from functools import partial
@@ -299,12 +300,14 @@ def _race_cases():
 
 
 def _ceilings(value):
-    # at, just above, just below and at half the sequential value; with
-    # v = 0 the value is 0 and only a zero ceiling is tried
+    # at, just above, within the slack below, just below the slack and at
+    # half the sequential value; with v = 0 the value is 0 and only a zero
+    # ceiling is tried
     if value == 0.0:
         return (0.0,)
-    below = value * (1.0 - 2.0 * kernels.ALTMAX_CEILING_SLACK)
-    return (value, math.nextafter(value, math.inf), below, 0.5 * value)
+    slack = kernels.ALTMAX_CEILING_SLACK
+    return (value, math.nextafter(value, math.inf), value * (1.0 - 0.5 * slack),
+            value * (1.0 - 2.0 * slack), 0.5 * value)
 
 
 def _as_bytes(result):
@@ -312,51 +315,82 @@ def _as_bytes(result):
     return (np.asarray(w).tobytes(), np.float64(obj).tobytes(), iters, status)
 
 
-def test_altmax_race_replays_one_start_of_the_sequential_ascent(monkeypatch):
-    # under a finite ceiling the kernel rejects exactly when the sequential
-    # ascent does; below the bound it returns the sequential ascent's bits,
-    # above it the crossing iterate of one start's own sequential ascent
-    picks = []
-    race = kernels._race
-
-    def spy(*args):
-        picks.append(race(*args))
-        return picks[-1]
-
-    monkeypatch.setattr(kernels, "_race", spy)
-    crossed = misses = 0
+def test_altmax_best_under_a_ceiling_is_the_sequential_ascent():
+    # below the bound the kernel returns the sequential ascent's bits, above
+    # it the sequential ascent's first crossing iterate
+    crossed = 0
     for cols, v_desc, g, starts in _race_cases():
         value = _eager_altmax_best(cols, v_desc, starts)[1]
         for ceiling in _ceilings(value):
-            bound = ceiling * (1.0 + kernels.ALTMAX_CEILING_SLACK)
             eager = _eager_altmax_best(cols, v_desc, starts, ceiling)
-            # each start's own sequential ascent under the ceiling
-            own = [_eager_altmax_best(cols, v_desc, starts[r:r + 1], ceiling)
-                   for r in range(len(g))]
             got = kernels.altmax_best(cols, v_desc, g, ceiling)
-            assert (got[1] > bound) == (eager[1] > bound)
-            # status 2, and only it, marks a stop at a crossing iterate
-            assert got[3] == eager[3] == (2 if eager[1] > bound else 0)
-            if eager[1] > bound:
-                crossed += 1
-                # a replay counts its own start's iterations, the fallback
-                # those of every start it ran
-                assert any(_as_bytes(got)[:2] == _as_bytes(o)[:2]
-                           and got[2] in (o[2], eager[2])
-                           for o in own if o[1] > bound)
-            else:
-                assert _as_bytes(got) == _as_bytes(eager)
-            # a race that names a start which never crosses falls back to
-            # the sequential ascent over every start
-            for r in (r for r, o in enumerate(own) if not o[1] > bound):
-                monkeypatch.setattr(kernels, "_race", lambda *args, r=r: r)
-                assert _as_bytes(kernels.altmax_best(
-                    cols, v_desc, g, ceiling)) == _as_bytes(eager)
-                monkeypatch.setattr(kernels, "_race", spy)
-                misses += eager[1] > bound
-    # the race named a crossing start, and a named start that does not cross
-    # was tried while another start crossed
-    assert crossed and misses and max(picks) >= 0
+            assert _as_bytes(got) == _as_bytes(eager)
+            crossed += got[3] == 2
+    assert crossed
+
+
+def _race_failures(race):
+    """What a stacked race ``race`` gets wrong on the ``_race_cases()`` frames.
+
+    Each frame's decision must be the same raced alone as raced in a stack
+    of the frames of its shape, each against the same target under other
+    ceilings.  A frame that crosses must be one whose own sequential ascent
+    crosses the same bound, and whose full ascent's witness value exceeds
+    the ceiling, so a search that rejects it rejects what a full evaluation
+    rejects.
+    """
+    failures = []
+    crossings = 0
+    cases = list(_race_cases())
+    for i, (cols, v_desc, g, starts) in enumerate(cases):
+        v = v_desc.astype(cols.dtype)
+        value = _eager_altmax_best(cols, v_desc, starts)[1]
+        witness_value = width._witness_and_value(
+            cols, v, _eager_altmax_best(cols, v_desc, starts)[0])[1]
+        for ceiling in _ceilings(value):
+            alone = bool(race(cols[None], v_desc, g[None], np.array([ceiling]))[0])
+            crossings += alone
+            stops = _eager_altmax_best(cols, v_desc, starts, ceiling)[3] == 2
+            if alone and not (stops and witness_value > ceiling):
+                failures.append((i, ceiling, "crossed", value, witness_value))
+        # every frame of this shape against this target, each under its own
+        # ceilings, shifted so that neighbours differ
+        stack = [c for c in cases if c[0].shape == cols.shape and c[0].dtype == cols.dtype]
+        frames = np.stack([c[0] for c in stack])
+        coeffs = np.stack([c[2] for c in stack])
+        ladders = [_ceilings(_eager_altmax_best(c[0], v_desc, c[3])[1]) for c in stack]
+        for shift in range(5):
+            ceilings = np.array([ladder[(j + shift) % len(ladder)]
+                                 for j, ladder in enumerate(ladders)])
+            together = race(frames, v_desc, coeffs, ceilings)
+            for j, c in enumerate(stack):
+                alone = race(c[0][None], v_desc, c[2][None], ceilings[j:j + 1])[0]
+                if together[j] != alone:
+                    failures.append((i, j, shift, "stacked"))
+    return failures, crossings
+
+
+def test_altmax_race_rejects_only_frames_a_full_evaluation_rejects():
+    failures, crossings = _race_failures(kernels.altmax_race)
+    assert failures == []
+    assert crossings
+
+
+@pytest.mark.parametrize("old, new", [
+    # no slack: a frame whose width is within rounding of its bound crosses
+    ("[:, None] * slack", "[:, None]"),
+    # each frame raced against its neighbour's bound
+    ("np.asarray(ceilings, dtype=np.float64)",
+     "np.roll(np.asarray(ceilings, dtype=np.float64), 1)"),
+])
+def test_race_check_catches_a_wrong_race(old, new):
+    # mutate the source of the race and run the mutant through the check
+    # above, which must report it
+    source = textwrap.dedent(inspect.getsource(kernels.altmax_race))
+    assert old in source
+    namespace = dict(vars(kernels))
+    exec(source.replace(old, new), namespace)
+    assert _race_failures(namespace["altmax_race"])[0]
 
 
 def _eager_snap(cols, v_desc, v, image):
