@@ -45,6 +45,7 @@ from .measures import (
 )
 from .rip import C_RIP, realize_real_subspace, select_columns
 from .tnorm import gaussian_tnorm_statistics, lipschitz_bound
+from .vectors import _scaled
 from .width import altmax_evaluator, estimate_f_integral, width_altmax, width_orbit
 
 SCHEMA_VERSION = 1
@@ -464,12 +465,12 @@ def _cmd_realize(args):
             f"base point has {base.shape[0]} coordinates, group acts on "
             f"dimension {d}"
         )
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(base))
+    # scaled into range first, so that its norm neither overflows nor
+    # underflows to zero; a point in range keeps its bits
+    base, _ = _scaled(base)
+    norm = float(np.linalg.norm(base))
     if norm == 0.0:
         raise ValueError("base point must be nonzero")
-    if not math.isfinite(norm):
-        raise ValueError("base point norm must be finite")
     base = base / norm
     k = args.k
     if k < 1 or 2 * k > d:

@@ -36,9 +36,9 @@ from .measures import sample_uniform
 from .vectors import SubspaceBasis, _orthonormal_stack, decreasing_rearrangement
 from .width import (
     _conform,
-    _draw_starts,
     _line_width,
     _scaled,
+    _stacked_starts,
     _unscaled,
     _witness_and_value,
 )
@@ -215,8 +215,10 @@ def _share(v, v_desc, d, k, steps, inner_restarts, streams):
     evaluations made.  At each step every running restart draws its noise,
     and then its candidate's ascent starts, from its own stream, so each
     restart draws what it would draw alone.  The candidates are
-    re-orthonormalized by one stacked QR, which gives each frame the bits
-    of its own, and valued together by :func:`_evaluate`.
+    re-orthonormalized by one stacked QR and their starts drawn by one call
+    of :func:`~cylwidth.width._stacked_starts`, each giving every frame the
+    bits it would get alone, and they are valued together by
+    :func:`_evaluate`.
 
     A restart ends early once its step cannot move the width past the
     ascent's own tolerance: a perturbation ``eta * noise`` has norm about
@@ -227,8 +229,8 @@ def _share(v, v_desc, d, k, steps, inner_restarts, streams):
     """
     rngs = [np.random.default_rng(stream) for stream in streams]
     frames = [sample_uniform(k, d, "real", rng).columns for rng in rngs]
-    starts = [_draw_starts(c, v, inner_restarts, rng) for c, rng in zip(frames, rngs)]
-    current = _evaluate(np.stack(frames), np.stack(starts), v, v_desc,
+    stack = np.stack(frames)
+    current = _evaluate(stack, _stacked_starts(stack, v, inner_restarts, rngs), v, v_desc,
                         [math.inf] * len(rngs))
     evals = [1] * len(rngs)
     eta = [SEARCH_INITIAL_STEP] * len(rngs)
@@ -257,8 +259,7 @@ def _share(v, v_desc, d, k, steps, inner_restarts, streams):
         if not live:  # pragma: no cover - tiny probability
             continue
         cands = cands[full_rank]
-        starts = np.stack([_draw_starts(c, v, inner_restarts, rngs[r])
-                           for c, r in zip(cands, live)])
+        starts = _stacked_starts(cands, v, inner_restarts, [rngs[r] for r in live])
         values = _evaluate(cands, starts, v, v_desc, [current[r] for r in live])
         for r, cand, val in zip(live, cands, values):
             evals[r] += 1

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuaranteeMissedError, RankDeficientError
+from .errors import GuaranteeMissedError, RankDeficientError, _integer
 from .vectors import SubspaceBasis, orthonormalize
 
 __all__ = [
@@ -112,7 +112,7 @@ def select_columns(m, k: int, c_rip: float = C_RIP) -> ColumnSelection:
     m = np.ascontiguousarray(m, dtype=np.float64)
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    if k < 1:
+    if _integer("k", k) < 1:
         raise ValueError("k must be positive")
     if m.shape != (2 * k, 4 * k):
         raise ValueError(f"expected a {2*k}x{4*k} matrix, got {m.shape}")

@@ -25,9 +25,9 @@ For a real 3-frame (k = 3, up to ``SWEEP_MAX_D``) those conditions cut
 the unit sphere of ``W`` along great circles; every cell of that
 arrangement borders an arc of some circle, so valuing the images on both
 sides of every arc gives the exact width too, with the same routine.  For
-a real frame with k >= 4 up to ``d = ENUM_MAX_D`` the images are few
-enough to value them all: up to sign there are ``d! 2^(d-1)``, at most
-322,560.
+a real frame up to ``d = min(ENUM_MAX_D, k + 3)`` the images are few
+enough to value them all, faster than the sweep: up to sign there are
+``d! 2^(d-1)``, at most 322,560.
 
 The same routine evaluates suprema over dominance cones: the projection
 norm is convex, the cone is the convex hull of the signed-permutation
@@ -278,32 +278,52 @@ def _ascend(basis: SubspaceBasis, v, v_desc, restarts, rng, ceiling):
 def _draw_starts(cols, v, restarts, rng):
     """The ascent's ``restarts`` starts on ``cols``, as basis coefficients.
 
-    The first is the projection of ``v`` when that is not zero; the others
-    are Gaussian coefficient vectors drawn from ``rng``.
+    The one-frame case of :func:`_stacked_starts`.
     """
-    k = cols.shape[1]
+    return _stacked_starts(cols[None], v, restarts, [rng])[0]
+
+
+def _draw_gaussian(rng, m, k, cplx):
+    """``m`` Gaussian coefficient rows of length ``k`` from ``rng``."""
+    # the same stream as m consecutive draws of k (real, then imaginary)
+    if cplx:
+        g = rng.standard_normal((m, 2, k))
+        return g[:, 0] + 1j * g[:, 1]
+    return rng.standard_normal((m, k))
+
+
+def _stacked_starts(cols, v, restarts, rngs):
+    """The ascent's ``restarts`` starts on each frame ``cols[s]``, stacked.
+
+    Frame ``s``'s first start is its projection of ``v``, ``c0 = C^T v``,
+    when ``C c0`` is not zero; its others are Gaussian coefficient vectors
+    drawn from ``rngs[s]``.  One stacked product gives every frame's ``c0``
+    and one its ``C c0``, each frame's bits those of its own product; then
+    each frame draws its rows from its own stream, so a stream advances as
+    it would for that frame alone.
+    """
+    k = cols.shape[2]
     cplx = np.iscomplexobj(cols)
-    c0 = cols.conj().T @ v
-    have_det = float(np.linalg.norm(cols @ c0)) > 1e-15
-    n = restarts - 1 if have_det else restarts
-
-    def draw(m):
-        # the same stream as m consecutive draws of k (real, then imaginary)
-        if cplx:
-            g = rng.standard_normal((m, 2, k))
-            return g[:, 0] + 1j * g[:, 1]
-        return rng.standard_normal((m, k))
-
-    g = draw(n)
-    # a row too short to give a start is drawn again after all n rows, not
-    # at once, so from such a row on the stream differs from drawing the
-    # starts one by one; a Gaussian k-vector is that short with probability
-    # of order 1e-12**k
-    bad = np.linalg.norm(g, axis=1) < 1e-12
-    while bad.any():  # pragma: no cover - measure-zero restart
-        g[bad] = draw(int(bad.sum()))
-        bad = np.linalg.norm(g, axis=1) < 1e-12
-    return np.concatenate((c0[None, :], g)) if have_det else g
+    c0 = cols.conj().transpose(0, 2, 1) @ v
+    have_det = np.linalg.norm(cols @ c0[:, :, None], axis=(1, 2)) > 1e-15
+    starts = np.empty((cols.shape[0], restarts, k), dtype=c0.dtype)
+    starts[have_det, 0] = c0[have_det]
+    for s, rng in enumerate(rngs):
+        h = int(have_det[s])
+        starts[s, h:] = _draw_gaussian(rng, restarts - h, k, cplx)
+    # a row too short to give a start is drawn again after all of its
+    # frame's rows, not at once, so from such a row on the stream differs
+    # from drawing the starts one by one; a Gaussian k-vector is that short
+    # with probability of order 1e-12**k
+    bad = np.linalg.norm(starts, axis=2) < 1e-12
+    bad[:, 0] &= ~have_det
+    for s in np.flatnonzero(bad.any(axis=1)):  # pragma: no cover - measure zero
+        h = int(have_det[s])
+        g, short = starts[s, h:], bad[s, h:]
+        while short.any():
+            g[short] = _draw_gaussian(rngs[s], int(short.sum()), k, cplx)
+            short = np.linalg.norm(g, axis=1) < 1e-12
+    return starts
 
 
 def _witness_and_value(cols, v, w):
@@ -336,7 +356,8 @@ SWEEP_ANGLE_TOL = 1e-12
 # and the smaller block keeps its arrays to about 1 MB at the cut-over
 SWEEP_BLOCK = 1 << 14
 # the largest d at which a real 3-frame takes the sweep: at d = 13 it runs
-# about as long as the ascent and anneal it replaces
+# about as long as the ascent and anneal it replaces.  Below d = 7 the
+# enumeration runs instead, which is faster there
 SWEEP_MAX_D = 13
 
 
@@ -557,12 +578,14 @@ def _sweep_width(basis: SubspaceBasis, v) -> WidthReport:
     )
 
 
-# the largest d at which a real frame with k >= 4 takes the enumeration: its
-# d! 2^(d-1) images take ~2 ms at d = 7, and the 16 times as many at d = 8
-# ~27 ms, longer than the ascent and anneal (17-26 ms)
+# the largest d at which a real frame takes the enumeration: its d! 2^(d-1)
+# images take ~2 ms at d = 7, and the 16 times as many at d = 8 ~27 ms,
+# longer than the ascent and anneal (17-26 ms).  A plane or a 3-frame takes
+# it only up to d = k + 3, past which the sweep is faster
 ENUM_MAX_D = 7
-# permutations valued at once: from 32 to 256 the enumeration's time varies
-# by under 20%, and 64 keeps a block's images to ~200 kB at d = 7
+# permutations valued at once: 64 keeps a block's images to ~200 kB at
+# d = 7.  256 takes a quarter off planes and 3-frames at d = 6 but up to
+# 45% longer for k = 4-5 there, and moves d = 7 by -3% to +9%
 ENUM_BLOCK = 64
 
 
@@ -677,34 +700,55 @@ def width_altmax(
     ``restarts=0``.  ``restarts`` and ``refine`` are validated and otherwise
     unused, and nothing is drawn from ``seed``.
 
-    A real plane (k = 2, real basis) against a real ``v`` is exact too:
-    :func:`_sweep_width` splits the angle of ``w = cos(t) c_1 + sin(t) c_2``
-    into the at most ``d^2`` arcs on which the optimal image of ``v`` stays
-    the same, values each arc's image from its midpoint, and reports the
-    best arc's witness and its projection norm, with ``method="sweep"``,
-    ``restarts=0`` and ``iterations`` the number of arcs.  As for a line, no
-    start is drawn, no ascent or anneal runs, and ``restarts`` and
-    ``refine`` are only validated.  The sweep takes O(d^3 log d) time and
-    O(d^2) memory: under 0.1 ms up to d = 8, 5 ms at d = 64, and at
-    d = 1024 ~27 s and ~50 MB on one CPU, far slower than the ascent
-    estimate it replaces there.  Nothing calls it above d = 64.
+    A real frame (real basis, k >= 2) against a real ``v`` takes the
+    fastest path that applies:
 
-    A real 3-frame (k = 3, real basis) against a real ``v`` is exact up to
-    ``d = SWEEP_MAX_D``, by the same sweep over the up to ``d^2`` great
-    circles where some ``y_i`` or ``y_i -+ y_j`` vanishes, ``y`` the unit
-    vectors of ``W``: each arc is valued on both sides, with its circle's
-    own ties broken combinatorially (see :func:`_great_circles`).  The
-    report is as for a plane, ``iterations`` counting the arcs, ``d^2 (d -
-    1)^2`` for a generic frame, and again nothing is drawn from ``seed``
-    for either ``refine``.  The sweep takes O(d^5 log d) time, and the
-    ascent with ``refine="auto"`` (20 restarts) 15-20 ms at every d here,
-    so past the cut-over the ascent runs instead (2 vCPUs, BLAS on 1
-    thread, one call):
+    - :func:`_enum_width` for ``d <= min(ENUM_MAX_D, k + 3)``: a plane up
+      to d = 5, a 3-frame up to d = 6, and k >= 4 up to d = 7;
+    - :func:`_sweep_width` for a plane above d = 5, and for a 3-frame from
+      d = 7 up to ``d = SWEEP_MAX_D``;
+    - the ascent everywhere else.
+
+    The two exact paths draw nothing from ``seed`` for either ``refine``,
+    so ``restarts`` and ``refine`` are only validated there, and no ascent
+    or anneal runs.  Both report the projection norm of an optimal image,
+    which on a generic frame is unique up to sign, so they give the same
+    bits there; on tied frames or vectors each may pick another optimal
+    image, a few ulps apart.  Per call, the median over 40 frames,
+    enumeration against sweep (2 vCPUs, BLAS on 1 thread):
+
+    ===  ==============  ===============
+    d    k = 2           k = 3
+    ===  ==============  ===============
+    4    0.02 / 0.07 ms  0.02 / 0.22 ms
+    5    0.04 / 0.07 ms  0.04 / 0.32 ms
+    6    0.19 / 0.07 ms  0.20 / 0.65 ms
+    7    1.7 / 0.08 ms   1.8 / 1.2 ms
+    ===  ==============  ===============
+
+    The sweep of a plane splits the angle of ``w = cos(t) c_1 + sin(t)
+    c_2`` into the at most ``d^2`` arcs on which the optimal image of ``v``
+    stays the same, values each arc's image from its midpoint, and reports
+    the best arc's witness and its projection norm, with
+    ``method="sweep"``, ``restarts=0`` and ``iterations`` the number of
+    arcs.  It takes O(d^3 log d) time and O(d^2) memory: under 0.1 ms up
+    to d = 8, 5 ms at d = 64, and at d = 1024 ~27 s and ~50 MB on one CPU,
+    far slower than the ascent estimate it replaces there.  Nothing calls
+    it above d = 64.
+
+    The sweep of a 3-frame walks the up to ``d^2`` great circles where some
+    ``y_i`` or ``y_i -+ y_j`` vanishes, ``y`` the unit vectors of ``W``:
+    each arc is valued on both sides, with its circle's own ties broken
+    combinatorially (see :func:`_great_circles`).  The report is as for a
+    plane, ``iterations`` counting the arcs, ``d^2 (d - 1)^2`` for a
+    generic frame.  It takes O(d^5 log d) time, and the ascent with
+    ``refine="auto"`` (20 restarts) 15-20 ms at every d here, so past the
+    cut-over the ascent runs instead (2 vCPUs, BLAS on 1 thread, one
+    call):
 
     ====  =======  =======
     d     sweep    "auto"
     ====  =======  =======
-    4     0.25 ms  15 ms
     7     1.1 ms   16 ms
     10    4.9 ms   17 ms
     13    15 ms    18 ms
@@ -715,13 +759,11 @@ def width_altmax(
     The 6-start ``refine="none"`` ascent takes ~0.3 ms at d <= 7, but
     misses the exact width on most real 3-frames there.
 
-    A real frame with k >= 4 (real basis) against a real ``v`` is exact up
-    to ``d = ENUM_MAX_D``: :func:`_enum_width` values every signed
-    permutation of ``v`` whose first sign is +1 (the others repeat their
-    negations' values), ``ENUM_BLOCK`` permutations at a time, and reports
-    the first largest image's witness and its projection norm, with
-    ``method="enumerate"``, ``restarts=0`` and ``iterations = d! 2^(d-1)``.
-    Nothing is drawn from ``seed`` for either ``refine``.  The images grow
+    The enumeration values every signed permutation of ``v`` whose first
+    sign is +1 (the others repeat their negations' values),
+    ``ENUM_BLOCK`` permutations at a time, and reports the first largest
+    image's witness and its projection norm, with ``method="enumerate"``,
+    ``restarts=0`` and ``iterations = d! 2^(d-1)``.  The images grow
     16-fold from d = 7 to d = 8, so past the cut-over the ascent runs
     instead (2 vCPUs, BLAS on 1 thread, one call, k = 4..d-1):
 
@@ -747,10 +789,12 @@ def width_altmax(
     and the value back; a width that overflows float64 raises
     ``ValueError``.
 
-    The start draw lives in ``_draw_starts``, which
-    :func:`~cylwidth.lowerbound.adversarial_min_width` calls directly before
-    it races its candidates and runs their kernels under a ceiling; the
-    search skips the witness of a candidate whose ascent stopped.
+    The start draw lives in ``_stacked_starts``, whose one-frame case
+    ``_draw_starts`` the ascent calls here, and which
+    :func:`~cylwidth.lowerbound.adversarial_min_width` calls once per step
+    for all its candidates before it races them and runs their kernels
+    under a ceiling; the search skips the witness of a candidate whose
+    ascent stopped.
     """
     if _integer("restarts", restarts) < 1:
         raise ValueError("need at least one restart")
@@ -760,10 +804,10 @@ def width_altmax(
     real = basis.field == "real" and not np.iscomplexobj(v)
     if basis.k == 1:
         report = _line_width(basis, v)
+    elif real and basis.d <= min(ENUM_MAX_D, basis.k + 3):
+        report = _enum_width(basis, v)
     elif real and (basis.k == 2 or (basis.k == 3 and basis.d <= SWEEP_MAX_D)):
         report = _sweep_width(basis, v)
-    elif real and basis.k >= 4 and basis.d <= ENUM_MAX_D:
-        report = _enum_width(basis, v)
     else:
         report = _altmax_width(basis, v, restarts, seed, refine)
     if shift:

@@ -440,14 +440,6 @@ def test_realize_rejects_bad_base_point(tmp_path, capsys):
             capsys,
         )
         assert code == 2
-    # finite coordinates whose norm overflows: normalizing would zero them
-    code, out, err = run(
-        ["realize", "--group", str(gfile), "--base-point", "1e308,2e307,1.0",
-         "--k", "1", "--seed", "1"],
-        capsys,
-    )
-    assert (code, out) == (2, "")
-    assert "norm must be finite" in err
     # a group dimension that does not match is reported before the group's
     # d x d generators are built
     gfile.write_text(json.dumps({"d": 1_000_000_000, "kind": "SIGNED_PERMUTATIONS"}))
@@ -457,6 +449,25 @@ def test_realize_rejects_bad_base_point(tmp_path, capsys):
     )
     assert (code, out) == (2, "")
     assert "dimension 1000000000" in err
+
+
+def test_realize_scales_a_base_point_out_of_range(tmp_path, capsys):
+    # a finite point whose squared norm overflows or underflows float64 is
+    # shifted by a power of two before it is normalized, so it gives the
+    # rows of the same direction in range
+    gfile = tmp_path / "sp4.json"
+    gfile.write_text('{"d": 4, "kind": "SIGNED_PERMUTATIONS"}')
+
+    def rows(point, k):
+        code, out, err = run(["realize", "--group", str(gfile), "--base-point", point,
+                              "--k", str(k), "--seed", "3"], capsys)
+        assert (code, err) == (0, ""), point
+        return json.loads(out)["rows"]
+
+    assert rows("1e200,1e200,0,0", 2) == rows("1,1,0,0", 2)
+    assert rows("1e-320,0,0,0", 1) == rows("1,0,0,0", 1)
+    # coordinates far apart in size
+    assert rows("1e308,2e307,1.0,0", 1)[0]["ok"] is True
 
 
 def test_scaling_row_content(capsys):

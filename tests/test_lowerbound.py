@@ -444,15 +444,15 @@ def test_search_builds_a_witness_only_for_candidates_whose_ascent_ran_in_full(
 
 
 def test_search_worker_failure_is_raised_and_every_worker_reaped(monkeypatch):
-    real_draw = lowerbound._draw_starts
+    real_draw = lowerbound._stacked_starts
 
-    def draw(cols, v, restarts, rng):
+    def draw(cols, v, restarts, rngs):
         # restart r draws from the stream (seed, r)
-        if rng.bit_generator.seed_seq.entropy[-1] == 2:
+        if any(rng.bit_generator.seed_seq.entropy[-1] == 2 for rng in rngs):
             raise RuntimeError("ascent failed in restart 2")
-        return real_draw(cols, v, restarts, rng)
+        return real_draw(cols, v, restarts, rngs)
 
-    monkeypatch.setattr(lowerbound, "_draw_starts", draw)
+    monkeypatch.setattr(lowerbound, "_stacked_starts", draw)
     wit = witness_vector(8, 2).unit
     for workers in (1, 2, 3):
         monkeypatch.setattr(_fork, "_usable_cpus", lambda w=workers: w)

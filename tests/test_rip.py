@@ -122,6 +122,11 @@ def test_select_columns_validation():
         select_columns(np.hstack([np.eye(2), np.eye(2)]).astype(np.complex128), 1)
     with pytest.raises(ValueError):
         select_columns(np.hstack([np.eye(2), np.eye(2)]), 0)
+    # True used to pass as k = 1, and 1.0 to raise TypeError
+    for bad in (True, 1.0, np.nan):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            select_columns(np.hstack([np.eye(2), np.eye(2)]), bad)
+    assert select_columns(np.hstack([np.eye(2), np.eye(2)]), np.int64(1)).indices
     # the matrix misses c_rip=0.9, so a NaN or inf constant would pass vacuously
     for bad in (np.nan, np.inf, -0.1):
         with pytest.raises(ValueError, match="c_rip"):

@@ -1,5 +1,6 @@
 """Width estimation: brute oracle, alternating ascent, orbit evaluation."""
 
+import hashlib
 import inspect
 import itertools
 import math
@@ -153,9 +154,11 @@ def test_width_is_scale_safe(k):
     # far from 1, v runs scaled by a power of two and the value is scaled
     # back; at 1e160, ||v||^2 used to overflow: inf at k = 1, -inf with no
     # witness at k = 2 and 3, a RuntimeError at k = 4.  Each k takes its own
-    # exact path, k = 4 the enumeration
-    basis = sample_uniform(k, 6, "real", seed=1)
-    v = np.random.default_rng(109).standard_normal(6)
+    # exact path: k = 2 and 3 the sweep (k = 3 from d = 7), k = 4 the
+    # enumeration
+    d = 7 if k == 3 else 6
+    basis = sample_uniform(k, d, "real", seed=1)
+    v = np.random.default_rng(109).standard_normal(d)
     plain = width_altmax(basis, v, seed=110)
     assert plain.method == ("rearrangement", "sweep", "sweep", "enumerate")[k - 1]
     for e in (600, -600):
@@ -168,7 +171,7 @@ def test_width_is_scale_safe(k):
         value = width_altmax(basis, f * v, seed=110).value
         assert value == pytest.approx(f * plain.value, rel=1e-12, abs=0)
     with pytest.raises(ValueError, match="overflows"):
-        width_altmax(basis, np.full(6, np.finfo(np.float64).max), seed=110)
+        width_altmax(basis, np.full(d, np.finfo(np.float64).max), seed=110)
 
 
 def test_brute_force_is_scale_safe():
@@ -589,16 +592,18 @@ def test_line_width_report_and_contract():
 def test_plane_width_matches_brute_force():
     # from d = 3 on, the optimal image is unique up to sign, so its value is
     # the brute-force optimum's bit for bit; at d = 2 every image is optimal
-    # and the test on degenerate inputs covers it
+    # and the test on degenerate inputs covers it.  width_altmax enumerates
+    # the images up to d = 5, so the sweep runs directly, and the two agree
     rng = np.random.default_rng(81)
     dims = [*range(3, 7)] * 75 + [7] * 10 + [8]
     for i, d in enumerate(dims):
         basis = sample_uniform(2, d, "real", seed=[82, i])
         v = rng.standard_normal(d)
-        rep = width_altmax(basis, v)
+        rep = width._sweep_width(basis, v)
         assert rep.method == "sweep"
         assert rep.value == width_brute_signed_perm(basis, v).value, (i, d)
         assert rep.value == projection_norm(basis, rep.witness.apply(v))
+        assert width_altmax(basis, v).value == rep.value, (i, d)
 
 
 def _frame(rows):
@@ -628,6 +633,8 @@ def _degenerate_planes():
 
 
 def test_plane_width_on_degenerate_inputs():
+    # width_altmax enumerates the images of these planes up to d = 5, so the
+    # sweep also runs directly
     rng = np.random.default_rng(85)
     for i, (kind, basis) in enumerate(_degenerate_planes()):
         d = basis.d
@@ -637,11 +644,11 @@ def test_plane_width_on_degenerate_inputs():
         tied[: d // 2] = tied[0] * rng.choice([-1.0, 1.0], size=d // 2)
         vs.append(tied)
         for j, v in enumerate(vs):
-            rep = width_altmax(basis, v)
             brute = width_brute_signed_perm(basis, v).value
-            assert abs(rep.value - brute) <= 4 * np.spacing(brute), (kind, i, j)
-            assert rep.value == projection_norm(basis, rep.witness.apply(v))
-            assert sorted(rep.witness.perm.tolist()) == list(range(d))
+            for rep in (width_altmax(basis, v), width._sweep_width(basis, v)):
+                assert abs(rep.value - brute) <= 4 * np.spacing(brute), (kind, i, j)
+                assert rep.value == projection_norm(basis, rep.witness.apply(v))
+                assert sorted(rep.witness.perm.tolist()) == list(range(d))
 
 
 def _midpoint_reference(basis, v):
@@ -708,7 +715,7 @@ def test_plane_width_check_catches_dropped_events(drop):
             basis = sample_uniform(2, d, "real", seed=[90, i])
             v = rng.standard_normal(d)
             brute = width_brute_signed_perm(basis, v).value
-            misses += width_altmax(basis, v).value < brute - 1e-12
+            misses += width._sweep_width(basis, v).value < brute - 1e-12
     assert misses
 
 
@@ -771,24 +778,27 @@ def test_frame_width_matches_brute_force():
     # on, where the optimal image is unique up to sign and its value is the
     # brute-force optimum's bit for bit, and degenerate frames and vectors
     # (d = 3 among them, where every image is optimal), where ties let the
-    # two pick images that round a few ulps apart
+    # two pick images that round a few ulps apart.  width_altmax enumerates
+    # the images up to d = 6, so the sweep runs directly, and on the generic
+    # frames the two agree
     rng = np.random.default_rng(96)
     dims = [*range(4, 7)] * 25 + [7] * 4 + [8]
     for i, d in enumerate(dims):
         basis = sample_uniform(3, d, "real", seed=[97, i])
         v = rng.standard_normal(d)
-        rep = width_altmax(basis, v)
+        rep = width._sweep_width(basis, v)
         assert rep.method == "sweep"
         assert rep.value == width_brute_signed_perm(basis, v).value, (i, d)
         assert rep.value == projection_norm(basis, rep.witness.apply(v))
+        assert width_altmax(basis, v).value == rep.value, (i, d)
     count = len(dims)
     for i, (kind, basis) in enumerate(_degenerate_frames()):
         for j, v in enumerate(_test_vectors(basis.d, rng)):
-            rep = width_altmax(basis, v)
             brute = width_brute_signed_perm(basis, v).value
-            assert abs(rep.value - brute) <= 4 * np.spacing(brute), (kind, i, j)
-            assert rep.value == projection_norm(basis, rep.witness.apply(v))
-            assert sorted(rep.witness.perm.tolist()) == list(range(basis.d))
+            for rep in (width_altmax(basis, v), width._sweep_width(basis, v)):
+                assert abs(rep.value - brute) <= 4 * np.spacing(brute), (kind, i, j)
+                assert rep.value == projection_norm(basis, rep.witness.apply(v))
+                assert sorted(rep.witness.perm.tolist()) == list(range(basis.d))
             count += 1
     assert count >= 200
 
@@ -817,17 +827,20 @@ def test_frame_width_report_and_contract():
     d = 5
     basis = sample_uniform(3, d, "real", seed=101)
     v = np.random.default_rng(102).standard_normal(d)
-    rng = np.random.default_rng(103)
-    state = rng.bit_generator.state
-    rep = width_altmax(basis, v, restarts=4, seed=rng)
-    # nothing is drawn from the stream
-    assert rng.bit_generator.state == state
     # d^2 circles, each cut into (d - 1)^2 arcs: on y_a = 0 the conditions
     # y_b = 0 and y_b = +-y_c cross once in half a turn, and y_a = +-y_b
-    # cross where y_b = 0; on y_a = +-y_b likewise
+    # cross where y_b = 0; on y_a = +-y_b likewise.  width_altmax enumerates
+    # the images at this d, so the sweep runs directly
+    rep = width._sweep_width(basis, v)
     assert (rep.method, rep.iterations, rep.restarts) == ("sweep", d**2 * (d - 1) ** 2, 0)
+    rng = np.random.default_rng(103)
+    state = rng.bit_generator.state
+    exact = width_altmax(basis, v, restarts=4, seed=rng)
+    # nothing is drawn from the stream
+    assert rng.bit_generator.state == state
+    assert exact.value == rep.value
     for kwargs in ({"restarts": 1}, {"seed": 5, "refine": "none"}, {"refine": "auto"}):
-        assert _report_bytes(width_altmax(basis, v, **kwargs)) == _report_bytes(rep)
+        assert _report_bytes(width_altmax(basis, v, **kwargs)) == _report_bytes(exact)
     # past the cut-over, and for complex input, the ascent runs
     big = sample_uniform(3, width.SWEEP_MAX_D + 1, "real", seed=104)
     assert width_altmax(big, np.ones(big.d), restarts=2).method == "altmax"
@@ -987,6 +1000,63 @@ def test_enum_width_check_catches_two_fixed_signs():
     assert misses
 
 
+def test_exact_paths_cut_over_where_each_is_fastest():
+    # the enumeration up to d = min(ENUM_MAX_D, k + 3), then the sweep (a
+    # plane at any d, a 3-frame up to SWEEP_MAX_D), then the ascent; where
+    # the enumeration takes over from the sweep the two agree bit for bit,
+    # and no exact path draws from the stream
+    cases = {(2, 5): "enumerate", (2, 6): "sweep", (3, 6): "enumerate", (3, 7): "sweep",
+             (4, 7): "enumerate", (4, 8): "altmax", (3, width.SWEEP_MAX_D + 1): "altmax"}
+    for (k, d), method in cases.items():
+        basis = sample_uniform(k, d, "real", seed=[129, k, d])
+        v = np.random.default_rng([130, k, d]).standard_normal(d)
+        rng = np.random.default_rng(131)
+        state = rng.bit_generator.state
+        rep = width_altmax(basis, v, restarts=2, seed=rng, refine="none")
+        assert rep.method == method, (k, d)
+        assert (rng.bit_generator.state == state) == (method != "altmax"), (k, d)
+        if method == "enumerate" and k <= 3:
+            assert rep.value == width._sweep_width(basis, v).value, (k, d)
+
+
+def _exact_path_values():
+    # generic real frames at k = 2-4 and d = 3-8, on both sides of every
+    # cut-over between the enumeration, the sweep and the ascent; then the
+    # degenerate frames above (those of _enum_frames past its 23 random
+    # ones) against the degenerate vectors
+    rng = np.random.default_rng(125)
+    generic = []
+    for k, d, i in itertools.product((2, 3, 4), range(3, 9), range(6)):
+        if k <= d:
+            basis = sample_uniform(k, d, "real", seed=[126, k, d, i])
+            generic.append(width_altmax(basis, rng.standard_normal(d), seed=[127, d, i]).value)
+    rng = np.random.default_rng(128)
+    degenerate = []
+    for _, basis in itertools.chain(_degenerate_planes(), _degenerate_frames(),
+                                    itertools.islice(_enum_frames(), 23, None)):
+        degenerate += [width_altmax(basis, v).value for v in _test_vectors(basis.d, rng)]
+    return generic, degenerate
+
+
+def _digest(values):
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def test_exact_path_values_are_pinned():
+    # a change that moves any value, even by one ulp, must update the digest
+    # and say why.  The generic frames' digest is the one recorded before
+    # the enumeration took the small planes and 3-frames from the sweep: an
+    # optimal image unique up to sign gives both the same bits.  On tied
+    # frames and vectors each may pick another optimal image, and 12 of the
+    # 435 degenerate values moved then, each by 1 ulp
+    generic, degenerate = _exact_path_values()
+    assert (len(generic), len(degenerate)) == (102, 435)
+    assert _digest(generic) == (
+        "85275c157a83f01b94165aef821dfd6f4a4c82c86b820df85f4e001c889ef1c3")
+    assert _digest(degenerate) == (
+        "3e6c53d41111054d538426b45512c35e465ef7f561c247e17f239e0d64bfb9c2")
+
+
 def test_the_anneal_on_gate_4s_larger_frames_stays_checked_against_brute_force():
     # gate 4's frames with k >= 4 now take the enumeration, so the ascent and
     # anneal that width_altmax runs past its exact paths are run on them
@@ -1060,6 +1130,50 @@ def test_ascend_ceiling_contract():
     full = _ascend_bytes(basis, np.zeros(6), 5, 2, math.inf)
     assert _ascend_bytes(basis, np.zeros(6), 5, 2, 0.0) == full
     assert full[3:] == (5, False)
+
+
+def _starts_alone(cols, v, restarts, rng):
+    # one frame's starts as the ascent drew them before the search stacked
+    # its frames: the projection of v unless that is zero, then Gaussian rows
+    k = cols.shape[1]
+    c0 = cols.conj().T @ v
+    have_det = float(np.linalg.norm(cols @ c0)) > 1e-15
+    n = restarts - 1 if have_det else restarts
+    if np.iscomplexobj(cols):
+        g = rng.standard_normal((n, 2, k))
+        g = g[:, 0] + 1j * g[:, 1]
+    else:
+        g = rng.standard_normal((n, k))
+    return np.concatenate((c0[None, :], g)) if have_det else g
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_stacked_starts_equal_each_frames_own_draw(field):
+    # the search draws a step's starts for all its frames in one call; each
+    # frame gets the bits of its own draw and leaves its stream in the same
+    # state.  v vanishes on the rows where the third frame lives, so that
+    # frame has no deterministic start and draws one more Gaussian row
+    d, k = 9, 3
+    v = np.random.default_rng(132).standard_normal(d)
+    v[4:] = 0.0
+    if field == "complex":
+        v = v + 1j * np.random.default_rng(133).standard_normal(d) * (v != 0.0)
+    frames = [sample_uniform(k, d, field, seed=[134, s]).columns for s in range(5)]
+    frames[2] = np.zeros_like(frames[2])
+    frames[2][4:] = sample_uniform(k, d - 4, field, seed=135).columns
+    assert not np.linalg.norm(frames[2] @ (frames[2].conj().T @ v))
+    stack = np.stack(frames)
+    for restarts in (1, 6):
+        rngs = [np.random.default_rng([136, s]) for s in range(5)]
+        got = width._stacked_starts(stack, v, restarts, rngs)
+        assert got.shape == (5, restarts, k)
+        for s in range(5):
+            alone, one = np.random.default_rng([136, s]), np.random.default_rng([136, s])
+            want = _starts_alone(frames[s], v, restarts, alone)
+            assert got[s].tobytes() == want.tobytes(), (restarts, s)
+            assert width._draw_starts(frames[s], v, restarts, one).tobytes() == want.tobytes()
+            assert rngs[s].bit_generator.state == alone.bit_generator.state
+            assert one.bit_generator.state == alone.bit_generator.state
 
 
 def test_anneal_kernel_returns_a_valid_witness():
