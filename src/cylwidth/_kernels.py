@@ -37,10 +37,13 @@ import numpy as np
 #            bound = ceiling * (1 + ALTMAX_CEILING_SLACK), the ascent stops
 #            and returns that crossing iterate
 # Returns (w_best, best_obj, total_iters, status) where status is
-#   0 normal, 1 monotonicity violation (never expected), 2 stopped at a
-#   crossing iterate, whose objective exceeds the bound; the objective is
-#   sum_r v_desc[r] * r-th largest modulus of w.  Each start's ascent stops
-#   once its objective gains less than ASCENT_TOL, or after ASCENT_MAX_ITER.
+#   0 normal, 2 stopped at a crossing iterate, whose objective exceeds the
+#   bound; the objective is sum_r v_desc[r] * r-th largest modulus of w.
+#   Each start's ascent stops once its objective gains less than ASCENT_TOL,
+#   or after ASCENT_MAX_ITER.  An objective that falls by more than 1e-12
+#   raises RuntimeError (never expected: both half-steps maximize).  These
+#   tolerances, like the 1e-15 projection guard, act on a v_desc of about
+#   unit norm: every caller scales v by vectors._scaled.
 #
 # Start r is the unit vector w = cols @ starts[r] / ||cols @ starts[r]||, and
 # its sequential ascent (_ascent) depends on that start alone.  Callers that
@@ -89,8 +92,7 @@ def _ascent(cols, cols_h, v_desc, start, bound):
     """One start's sequential ascent: ``(w, obj, iters, status)``.
 
     status 0: stopped below the bound, with its endpoint and last objective;
-    1: monotonicity violation; 2: ``w`` is the first iterate whose objective
-    ``obj`` exceeds ``bound``.
+    2: ``w`` is the first iterate whose objective ``obj`` exceeds ``bound``.
     """
     w = cols @ start
     w = w / np.linalg.norm(w)
@@ -100,7 +102,7 @@ def _ascent(cols, cols_h, v_desc, start, bound):
         order = np.argsort(-m, kind="stable")
         obj = float(v_desc @ m[order])
         if obj < obj_prev - 1e-12:
-            return w, obj_prev, it, 1
+            raise RuntimeError("alternating ascent objective decreased")
         if obj > bound:
             return w, obj, it, 2
         gain = obj - obj_prev
@@ -132,8 +134,6 @@ def altmax_best(cols, v_desc, starts, ceiling=math.inf):
         total += iters
         if status == 2:
             return w, obj, total, 2
-        if status == 1:
-            return best_w, best_obj, total, 1
         if obj > best_obj:
             best_obj = obj
             best_w = w

@@ -465,8 +465,8 @@ def _cmd_realize(args):
             f"base point has {base.shape[0]} coordinates, group acts on "
             f"dimension {d}"
         )
-    # scaled into range first, so that its norm neither overflows nor
-    # underflows to zero; a point in range keeps its bits
+    # scaled to about unit norm first, so that its norm neither overflows
+    # nor underflows to zero; a power of two changes no bit of base / norm
     base, _ = _scaled(base)
     norm = float(np.linalg.norm(base))
     if norm == 0.0:

@@ -12,9 +12,10 @@ Products are deduplicated by rounding coordinates to 1e-8 and hashing the
 bytes, checked in the per-point order (point by point, generator by
 generator), so the points, their order and the first-seen representative of
 each are those of the per-point search.  The coordinates are rounded after
-scaling by the power of two nearest the base point's norm, so the
-resolution is relative to the orbit's norm; for a unit-norm base point the
-scale is 1.  Generators whose orbits contain pairs closer than that
+scaling by ``2^-s``, ``2^s`` the power of two nearest the base point's norm
+(``vectors._scaled``, the scale every width runs at), so the resolution is
+relative to the orbit's norm; for a unit-norm base point ``s = 0``.
+Generators whose orbits contain pairs closer than that
 resolution are outside the supported domain.
 
 JSON wire format, read by :func:`read_group_json` and built by
@@ -33,14 +34,12 @@ real arrays.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrbitTooLargeError
-from .vectors import _scaled
+from .errors import OrbitTooLargeError, _integer
+from .vectors import _ldexp, _scaled, _unscaled
 
 __all__ = [
     "GroupPresentation",
@@ -57,28 +56,14 @@ UNITARY_TOL = 1e-9
 DEDUP_DECIMALS = 8
 
 
-def _round_keys(points: np.ndarray, scales) -> list[bytes]:
-    """One dedup key per point of an (n, d, 1) stack: its coordinates times
-    each power of two in ``scales``, rounded to ``DEDUP_DECIMALS``, with
-    -0.0 made +0.0, as raw bytes."""
-    for scale in scales:
-        points = points * scale
+def _round_keys(points: np.ndarray) -> list[bytes]:
+    """One dedup key per point of an (n, d, 1) stack: its coordinates
+    rounded to ``DEDUP_DECIMALS``, with -0.0 made +0.0, as raw bytes."""
     r = np.round(points.reshape(points.shape[0], -1), DEDUP_DECIMALS)
     if np.iscomplexobj(r):
         r = r.view(np.float64)
     r = r + 0.0  # normalize -0.0
     return r.view(np.dtype((np.void, r.shape[1] * r.itemsize))).ravel().tolist()
-
-
-def _key_scales(start: np.ndarray) -> tuple:
-    """Powers of two whose product is nearest ``1 / ||start||``, each finite.
-
-    Empty for a zero or unit-norm ``start``, whose keys are then unscaled.
-    """
-    scaled, shift = _scaled(start)
-    norm = float(np.linalg.norm(scaled))
-    exponent = round(math.log2(norm)) if norm > 0.0 else 0
-    return tuple(2.0**-e for e in (shift, exponent) if e)
 
 
 def _closure(generators, start: np.ndarray, max_size: int) -> np.ndarray:
@@ -90,10 +75,10 @@ def _closure(generators, start: np.ndarray, max_size: int) -> np.ndarray:
     of distinct points above ``max_size``.
     """
     gens = np.stack(generators)
-    scales = _key_scales(start)
+    _, shift = _scaled(start)
     frontier = start[None, :, None]
     levels = [frontier]
-    seen = set(_round_keys(frontier, scales))
+    seen = set(_round_keys(_ldexp(frontier, -shift)))
     add = seen.add
     while frontier.shape[0]:
         # one matrix-vector product per (point, generator) pair, in the
@@ -103,7 +88,7 @@ def _closure(generators, start: np.ndarray, max_size: int) -> np.ndarray:
         )
         # add() returns None, so each new key is kept once, in order
         fresh = [
-            i for i, key in enumerate(_round_keys(products, scales))
+            i for i, key in enumerate(_round_keys(_ldexp(products, -shift)))
             if key not in seen and not add(key)
         ]
         if len(seen) > max_size:
@@ -115,7 +100,7 @@ def _closure(generators, start: np.ndarray, max_size: int) -> np.ndarray:
 
 def signed_permutation_generators(d: int) -> list[np.ndarray]:
     """Standard generators of the signed permutation group on R^d."""
-    if d < 1:
+    if _integer("d", d) < 1:
         raise ValueError("dimension must be positive")
     flip = np.eye(d)
     flip[0, 0] = -1.0
@@ -140,7 +125,7 @@ class GroupPresentation:
     generators: tuple
 
     def __post_init__(self):
-        if self.d < 1:
+        if _integer("d", self.d) < 1:
             raise ValueError("dimension must be positive")
         if not self.generators:
             raise ValueError("at least one generator required")
@@ -182,9 +167,10 @@ class Orbit:
     """Finite set of points of equal Euclidean norm; the first is the base.
 
     The norms must agree to 1e-9 relative to the base point's norm, which
-    must be finite in float64.  They are taken on the points scaled by the
-    power of two that the widths would scale the base point by, so no
-    square of a valid orbit overflows or underflows.
+    must be finite in float64.  They are taken on the points scaled by
+    ``2^-s``, ``2^s`` the power of two nearest the base point's norm (the
+    scale the widths run it at), so no square of a valid orbit overflows
+    or underflows.
     """
 
     points: np.ndarray
@@ -204,10 +190,15 @@ class Orbit:
         _, shift = _scaled(pts[0])
         # an overflowing norm makes the deviation NaN, which must not pass
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.linalg.norm(pts * 2.0**-shift if shift else pts, axis=1)
+            norms = np.linalg.norm(_ldexp(pts, -shift), axis=1)
             dev = float(np.max(np.abs(norms - norms[0])))
-            base = float(norms[0]) * 2.0**shift
-        if not (dev <= 1e-9 * norms[0] and base < math.inf):
+        try:
+            # raises when the base norm, scaled back, overflows
+            _unscaled(float(norms[0]), shift)
+            common = dev <= 1e-9 * norms[0]
+        except ValueError:
+            common = False
+        if not common:
             raise ValueError("orbit points must share a common finite norm")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -229,8 +220,7 @@ def enumerate_orbit(group: GroupPresentation, v, max_size: int = 10_000) -> Orbi
     generator semigroup equals the group, so no explicit inverses are needed.
     """
     # `len(seen) > nan` is False, so a NaN cap would never stop the search
-    if (isinstance(max_size, bool) or not isinstance(max_size, numbers.Integral)
-            or max_size < 1):
+    if _integer("max_size", max_size) < 1:
         raise ValueError(f"max_size must be a positive integer, got {max_size!r}")
     v = np.asarray(v)
     if v.shape != (group.d,):
@@ -273,10 +263,7 @@ def group_dimension(obj: dict) -> int:
         d = obj["d"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed group object: {exc}") from exc
-    # bool is an int subclass; a float d would be truncated or overflow
-    if isinstance(d, bool) or not isinstance(d, numbers.Integral):
-        raise ValueError(f"group d must be an integer, got {d!r}")
-    return d
+    return _integer("group d", d)
 
 
 def group_from_dict(obj: dict) -> GroupPresentation:

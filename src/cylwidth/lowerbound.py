@@ -33,15 +33,14 @@ import numpy as np
 from . import _fork, _kernels
 from .errors import _integer
 from .measures import sample_uniform
-from .vectors import SubspaceBasis, _orthonormal_stack, decreasing_rearrangement
-from .width import (
-    _conform,
-    _line_width,
+from .vectors import (
+    SubspaceBasis,
+    _orthonormal_stack,
     _scaled,
-    _stacked_starts,
     _unscaled,
-    _witness_and_value,
+    decreasing_rearrangement,
 )
+from .width import _conform, _line_width, _stacked_starts, _witness_and_value
 
 __all__ = [
     "WitnessVector",
@@ -201,8 +200,6 @@ def _evaluate(cols, starts, v, v_desc, currents):
             values.append(None)
             continue
         w, _, _, status = _kernels.altmax_best(cols[s], v_desc, starts[s], current)
-        if status == 1:
-            raise RuntimeError("alternating ascent objective decreased")
         values.append(None if status == 2 else _witness_and_value(cols[s], v, w)[1])
     return values
 
@@ -222,10 +219,10 @@ def _share(v, v_desc, d, k, steps, inner_restarts, streams):
 
     A restart ends early once its step cannot move the width past the
     ascent's own tolerance: a perturbation ``eta * noise`` has norm about
-    ``eta * sqrt(d k)``, and moves the width against a unit target by at
-    most about that much, so once that is below ``_kernels.ASCENT_TOL`` a
-    candidate differs from the current frame only by what the ascent does
-    not resolve.
+    ``eta * sqrt(d k)``, and moves the width against the target, which
+    runs at about unit norm, by at most about that much, so once that is
+    below ``_kernels.ASCENT_TOL`` a candidate differs from the current
+    frame only by what the ascent does not resolve.
     """
     rngs = [np.random.default_rng(stream) for stream in streams]
     frames = [sample_uniform(k, d, "real", rng).columns for rng in rngs]
@@ -335,9 +332,11 @@ def adversarial_min_width(
     The returned basis is that line and ``min_value`` its width, from the
     witness that :func:`~cylwidth.width.width_altmax` builds.
 
-    A target whose largest modulus lies outside ``[2^-SCALE_LIMIT,
-    2^SCALE_LIMIT]`` (see :mod:`cylwidth.width`) is searched as
-    ``2^-+SCALE_SHIFT`` times itself, and ``min_value`` is scaled back; a
+    The target is searched as ``2^-s`` times itself, ``2^s`` the power of
+    two nearest its norm, as :func:`~cylwidth.width.width_altmax` scales a
+    vector, and ``min_value`` is scaled back; so ``2^j`` times a target
+    gives the same frames and ``2^j`` times the minimum, bit for bit, and
+    the stop on ``_kernels.ASCENT_TOL`` above is relative to its norm.  A
     value that overflows float64 raises ``ValueError``.
     """
     if not 1 <= _integer("k", k) <= _integer("d", d):

@@ -40,7 +40,6 @@ For ``d <= 27`` (``s* < 1``) the prefix is one entry and
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -135,7 +134,7 @@ def _require_finite(values, name: str) -> None:
 
 def lipschitz_bound(d: int) -> float:
     """Upper bound ln(2d)^2 on the Euclidean norm of dual-ball elements."""
-    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+    if _integer("d", d) < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
     return float(np.log(2.0 * d) ** 2)
 
@@ -214,7 +213,7 @@ def gaussian_tnorm_statistics(
     come back in order, so the statistics equal those of one batch over all
     trials bit for bit, for any number of processes.
     """
-    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+    if _integer("d", d) < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
     if sum_zero and d < 2:
         raise ValueError("sum-zero sampling needs d >= 2")

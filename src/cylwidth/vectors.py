@@ -123,39 +123,44 @@ class SubspaceBasis:
         )
 
 
-# the widths and the orbits run a v whose largest modulus lies outside
-# [2^-SCALE_LIMIT, 2^SCALE_LIMIT] as 2^-+SCALE_SHIFT v, which lies inside for
-# every finite float64 v, and scale the value back.  Inside, ||v||^2 and
-# the sweep's slack neither overflow nor underflow.  The shift is fixed, so
-# for v inside, 2^+-SCALE_SHIFT v gets exactly v's witness, and its value
-# times 2^+-SCALE_SHIFT
-SCALE_LIMIT = 500
-SCALE_SHIFT = 600
+def _ldexp(a: np.ndarray, n: int) -> np.ndarray:
+    """``2^n a`` for a float64 or complex128 array, exact unless an entry
+    leaves the normal range; ``a`` itself for ``n = 0``."""
+    if not n:
+        return a
+    if np.iscomplexobj(a):
+        return np.ldexp(np.ascontiguousarray(a).view(np.float64), n).view(a.dtype)
+    return np.ldexp(a, n)
 
 
 def _scaled(v):
-    """``(2^-s v, s)``, with ``s`` the shift that brings ``v`` into range.
+    """``(2^-s v, s)``, with ``2^s`` the power of two nearest ``||v||``.
 
-    The width is positively homogeneous, and a power of two rounds only
-    entries far below the largest.  ``s`` is 0 for ``v`` in range, which
-    is then returned as it is.
+    The widths, the search and the orbits all run at this scale, so their
+    fixed tolerances always act on a vector of norm in ``[2^-1/2, 2^1/2]``,
+    and scale the result back with :func:`_unscaled`.  The width is
+    positively homogeneous and a power of two is exact, so ``2^j v`` runs
+    on the same bits as ``v`` for every ``j``, and a unit-norm ``v`` gets
+    ``s = 0`` and is returned as it is.  ``s`` is read off the largest
+    entry, then corrected by the norm of ``v`` scaled by that entry, whose
+    square neither overflows nor underflows.  ``s = 0`` for ``v = 0``.
     """
-    peak = float(np.abs(v).max())
-    if peak > 2.0**SCALE_LIMIT:
-        shift = SCALE_SHIFT
-    elif 0.0 < peak < 2.0**-SCALE_LIMIT:
-        shift = -SCALE_SHIFT
-    else:
+    x = v.view(np.float64) if np.iscomplexobj(v) else v
+    peak = float(np.abs(x).max())
+    if not peak:
         return v, 0
-    return v * 2.0**-shift, shift
+    shift = math.frexp(peak)[1]
+    w = np.ldexp(x, -shift)
+    shift += round(0.5 * math.log2(float(w @ w)))
+    return _ldexp(v, -shift), shift
 
 
 def _unscaled(value: float, shift: int) -> float:
     """A width of ``2^-shift v`` scaled back to ``v``; overflow raises."""
-    value = value * 2.0**shift
-    if math.isinf(value):
-        raise ValueError("the width overflows float64")
-    return value
+    try:
+        return math.ldexp(value, shift)
+    except OverflowError:
+        raise ValueError("the width overflows float64") from None
 
 
 def decreasing_rearrangement(v) -> np.ndarray:

@@ -47,11 +47,9 @@ from . import _kernels
 from ._fork import map_forked
 from .errors import _integer
 from .groups import Orbit, signed_permutation_apply
-# SCALE_LIMIT and SCALE_SHIFT name the scale range of the widths below
 from .vectors import (
-    SCALE_LIMIT,
-    SCALE_SHIFT,
     SubspaceBasis,
+    _ldexp,
     _scaled,
     _unscaled,
     decreasing_argsort,
@@ -88,11 +86,12 @@ class WidthReport:
     """Estimated supremum together with the element attaining it.
 
     ``witness`` is a :class:`GammaWitness`, except for orbit enumeration,
-    where it is the attaining orbit point.  In every
-    case re-evaluating the witness reproduces ``value``; for a ``v`` (or
-    an orbit) that :func:`width_altmax`, :func:`width_brute_signed_perm`
-    or :func:`width_orbit` runs scaled by ``2^-s`` (see ``SCALE_LIMIT``),
-    re-evaluating it scaled by ``2^-s`` reproduces ``value * 2^-s``.
+    where it is the attaining orbit point.  Every width runs on ``v`` (or
+    the orbit) scaled by ``2^-s``, ``2^s`` the power of two nearest its
+    norm (``s = 0`` at unit norm), and re-evaluating the witness scaled by
+    ``2^-s`` reproduces ``value * 2^-s``; so ``2^j v`` gets the witness of
+    ``v`` and ``2^j`` times its value, bit for bit, unless that over- or
+    underflows.
     """
 
     value: float
@@ -124,8 +123,8 @@ def _conform(v, d: int, field: str) -> np.ndarray:
 def width_brute_signed_perm(basis: SubspaceBasis, v) -> WidthReport:
     """Exact supremum by enumerating all signed permutations (real, d<=8).
 
-    One permutation at a time, each against all ``2^d`` sign rows.  A ``v``
-    out of range runs scaled, as in :func:`width_altmax`.
+    One permutation at a time, each against all ``2^d`` sign rows, on
+    ``v`` scaled to unit norm by a power of two, as in :func:`width_altmax`.
     """
     if basis.field != "real" or np.iscomplexobj(np.asarray(v)):
         raise ValueError("brute enumeration covers the real field only")
@@ -196,9 +195,7 @@ def _snap(cols, v_desc, v, image):
     c = cols.conj().T @ image
     if float(np.linalg.norm(cols @ c)) <= 1e-14:
         return None
-    w_new, _, _, status = _kernels.altmax_best(cols, v_desc, c[None, :])
-    if status == 1:
-        return None
+    w_new = _kernels.altmax_best(cols, v_desc, c[None, :])[0]
     return _witness_from(np.asarray(w_new), v)
 
 
@@ -256,23 +253,19 @@ def _anneal_refine(cols, v, v_desc, witness, value, rng):
     return best_wit, best_val
 
 
-def _ascend(basis: SubspaceBasis, v, v_desc, restarts, rng, ceiling):
+def _ascend(basis: SubspaceBasis, v, v_desc, restarts, rng):
     """Draw the ascent's starts and run it; ``v`` is conformed already.
 
-    Returns ``(cols, w_best, best_obj, iterations, stopped)``.  ``cols`` are
-    the columns the ascent ran on: those of ``basis``, complexified when
-    ``v`` is complex, since the supremum then ranges over complex images.
-    ``stopped`` says the kernel stopped at an iterate that proves the width
-    exceeds ``ceiling``; otherwise the ascent ran in full.
+    Returns ``(cols, w_best, best_obj, iterations)``.  ``cols`` are the
+    columns the ascent ran on: those of ``basis``, complexified when ``v``
+    is complex, since the supremum then ranges over complex images.
     """
     if np.iscomplexobj(v):
         basis = basis.complexify()
     cols = basis.columns
     starts = _draw_starts(cols, v, restarts, rng)
-    w_best, obj, iters, status = _kernels.altmax_best(cols, v_desc, starts, ceiling)
-    if status == 1:
-        raise RuntimeError("alternating ascent objective decreased")
-    return cols, w_best, obj, int(iters), status == 2
+    w_best, obj, iters, _ = _kernels.altmax_best(cols, v_desc, starts)
+    return cols, w_best, obj, int(iters)
 
 
 def _draw_starts(cols, v, restarts, rng):
@@ -648,12 +641,12 @@ def _enum_width(basis: SubspaceBasis, v) -> WidthReport:
 def _altmax_width(basis: SubspaceBasis, v, restarts, seed, refine) -> WidthReport:
     """The ascent, then with ``refine="auto"`` the anneal.
 
-    ``v`` is conformed and in range already; :func:`width_altmax` runs
-    this wherever no exact path applies.
+    ``v`` is conformed and scaled already; :func:`width_altmax` runs this
+    wherever no exact path applies.
     """
     rng = np.random.default_rng(seed)
     v_desc = decreasing_rearrangement(v)
-    cols, w_best, _, iters, _ = _ascend(basis, v, v_desc, restarts, rng, math.inf)
+    cols, w_best, _, iters = _ascend(basis, v, v_desc, restarts, rng)
     witness, value = _witness_and_value(cols, v, w_best)
     if refine == "auto":
         witness, value = _anneal_refine(cols, v, v_desc, witness, value, rng)
@@ -784,10 +777,12 @@ def width_altmax(
     the ascent over the complexified span, as described above, in
     ``_altmax_width``.
 
-    A ``v`` whose largest modulus lies outside ``[2^-SCALE_LIMIT,
-    2^SCALE_LIMIT]`` is scaled by ``2^-+SCALE_SHIFT`` into that range first,
-    and the value back; a width that overflows float64 raises
-    ``ValueError``.
+    Every path runs on ``2^-s v``, ``2^s`` the power of two nearest
+    ``||v||`` (``vectors._scaled``), and scales the value back, so the
+    ascent's fixed tolerances act on a vector of about unit norm and
+    ``2^j v`` gets ``2^j`` times the value of ``v``, with its witness, bit
+    for bit.  A unit-norm ``v`` runs as it is.  A width that overflows
+    float64 raises ``ValueError``.
 
     The start draw lives in ``_stacked_starts``, whose one-frame case
     ``_draw_starts`` the ascent calls here, and which
@@ -831,10 +826,10 @@ def width_orbit(
     ceiling at or above the width changes nothing.  ``iterations`` counts
     the points evaluated.
 
-    An orbit whose base point's largest modulus lies outside
-    ``[2^-SCALE_LIMIT, 2^SCALE_LIMIT]`` is evaluated scaled by
-    ``2^-+SCALE_SHIFT``, as :func:`width_altmax` scales a vector, and the
-    value back; the witness is the unscaled orbit point.
+    The orbit is evaluated scaled by ``2^-s``, ``2^s`` the power of two
+    nearest its norm, as :func:`width_altmax` scales a vector, and the
+    value back; the ceiling is compared with the value scaled back, and the
+    witness is the unscaled orbit point.
     """
     if math.isnan(ceiling):
         raise ValueError("ceiling must not be NaN")
@@ -843,22 +838,18 @@ def width_orbit(
     cols = basis.columns.conj()
     # every point shares the base point's norm, so its shift fits them all
     _, shift = _scaled(orbit.points[0])
-    scale = 2.0**-shift
-    ceiling = ceiling * scale
-    best = -math.inf
+    best = value = -math.inf
     best_i = 0
     end = 0
-    while end < orbit.n and best <= ceiling:
+    while end < orbit.n and value <= ceiling:
         start, end = end, min(end + ORBIT_BLOCK, orbit.n)
-        points = orbit.points[start:end]
-        if shift:
-            points = points * scale
-        vals = np.linalg.norm(points @ cols, axis=1)
+        vals = np.linalg.norm(_ldexp(orbit.points[start:end], -shift) @ cols, axis=1)
         i = int(np.argmax(vals))
         if vals[i] > best:
             best, best_i = float(vals[i]), start + i
+            value = _unscaled(best, shift)
     return WidthReport(
-        value=_unscaled(best, shift),
+        value=value,
         method="orbit",
         restarts=0,
         iterations=end,

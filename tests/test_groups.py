@@ -11,6 +11,7 @@ from cylwidth.groups import (
     GroupPresentation,
     Orbit,
     enumerate_orbit,
+    group_dimension,
     group_from_dict,
     read_group_json,
     signed_permutation_apply,
@@ -83,6 +84,17 @@ def test_orbit_cap_must_be_a_positive_integer(max_size):
             GroupPresentation.signed_permutations(3), np.array([1.0, 2.0, 3.0]),
             max_size=max_size,
         )
+
+
+@pytest.mark.parametrize("d", [True, 2.0, float("nan")], ids=repr)
+def test_group_dimensions_must_be_integers(d):
+    # signed_permutation_generators(True) used to raise TypeError
+    with pytest.raises(ValueError, match="d must be an integer"):
+        signed_permutation_generators(d)
+    with pytest.raises(ValueError, match="d must be an integer"):
+        GroupPresentation(d=d, generators=(np.eye(2),))
+    with pytest.raises(ValueError, match="group d must be an integer"):
+        group_dimension({"d": d})
 
 
 def _oracle_key(a):

@@ -236,7 +236,7 @@ def _least_line_search_failures(search):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_adversarial_search_is_scale_safe(k):
-    # far from 1, the target is searched scaled by a fixed power of two and
+    # the target is searched scaled by the power of two nearest its norm and
     # the minimum is scaled back; at 1e160 it used to read inf at k = 1 and
     # to raise a RuntimeError at k = 2
     v = np.random.default_rng(126).standard_normal(6)
@@ -248,13 +248,26 @@ def test_adversarial_search_is_scale_safe(k):
         assert res.evaluations == plain.evaluations
     for f, e in ((1e160, 600), (1e-160, -600)):
         res = adversarial_min_width(6, k, f * v, restarts=2, steps=30, seed=127)
-        # the search runs on 2^-e f v, which is not v
+        # f v and 2^-e f v are searched at the same scale, which is not v's
         shifted = adversarial_min_width(6, k, 2.0**-e * (f * v), restarts=2, steps=30,
                                         seed=127)
         assert res.min_value == shifted.min_value * 2.0**e
         assert math.isfinite(res.min_value)
         if k == 1:
             assert res.min_value == pytest.approx(f * plain.min_value, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("e", [40, -40])
+def test_adversarial_search_is_scale_equivariant_bit_for_bit(e):
+    # the search runs its target at the power of two nearest its norm, so
+    # 2^e w gives w's frames and evaluations and 2^e times its minimum; with
+    # the ascent's tolerances acting on 2^-40 w itself the minimum moved
+    w = witness_vector(16, 2).unit
+    plain = adversarial_min_width(16, 2, w, restarts=2, steps=150, seed=128)
+    res = adversarial_min_width(16, 2, 2.0**e * w, restarts=2, steps=150, seed=128)
+    assert res.min_value == math.ldexp(plain.min_value, e)
+    assert res.basis.columns.tobytes() == plain.basis.columns.tobytes()
+    assert res.evaluations == plain.evaluations
 
 
 def _brute_line_widths(lines, v):
@@ -337,7 +350,7 @@ def _search_with_full_evaluations(d, k, target, restarts, steps, seed, inner_res
 
     def evaluate(basis, rng):
         # the search's inner evaluation, a plain ascent
-        cols, w, _, _, _ = _ascend(basis, v, v_desc, inner_restarts, rng, math.inf)
+        cols, w, _, _ = _ascend(basis, v, v_desc, inner_restarts, rng)
         return _witness_and_value(cols, v, w)[1]
     best_val, best_basis, evals, near = np.inf, None, 0, 0
     for r in range(restarts):

@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 import cylwidth._fork as _fork
 import cylwidth._kernels as kernels
+import cylwidth.vectors as vectors
 import cylwidth.width as width
 from cylwidth.groups import GroupPresentation, enumerate_orbit, signed_permutation_apply
 from cylwidth.lowerbound import witness_vector
@@ -151,11 +152,11 @@ def test_ascent_rejects_non_finite_vectors():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_width_is_scale_safe(k):
-    # far from 1, v runs scaled by a power of two and the value is scaled
-    # back; at 1e160, ||v||^2 used to overflow: inf at k = 1, -inf with no
-    # witness at k = 2 and 3, a RuntimeError at k = 4.  Each k takes its own
-    # exact path: k = 2 and 3 the sweep (k = 3 from d = 7), k = 4 the
-    # enumeration
+    # v runs scaled by the power of two nearest its norm and the value is
+    # scaled back; at 1e160, ||v||^2 used to overflow: inf at k = 1, -inf
+    # with no witness at k = 2 and 3, a RuntimeError at k = 4.  Each k takes
+    # its own exact path: k = 2 and 3 the sweep (k = 3 from d = 7), k = 4
+    # the enumeration
     d = 7 if k == 3 else 6
     basis = sample_uniform(k, d, "real", seed=1)
     v = np.random.default_rng(109).standard_normal(d)
@@ -190,6 +191,43 @@ def test_brute_force_is_scale_safe():
         assert value == pytest.approx(f * plain.value, rel=1e-12, abs=0)
     with pytest.raises(ValueError, match="overflows"):
         width_brute_signed_perm(basis, np.full(6, np.finfo(np.float64).max))
+
+
+# powers of two far enough from 1 that absolute tolerances would act on
+# another scale, up to the edges of the float range
+SCALE_EXPONENTS = (-900, -60, -20, 20, 60, 450, 900)
+
+
+def _ascent_cases():
+    # complex unit v on real and complex frames, and real v on real k >= 4
+    # frames past the enumeration: inputs that no exact path takes
+    rng = np.random.default_rng(141)
+    for i, (field, k) in enumerate(itertools.product(("real", "complex"), (2, 3, 4))):
+        d = int(rng.integers(8, 20))
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        yield sample_uniform(k, d, field, seed=[142, i]), v / np.linalg.norm(v)
+    for i, (k, d) in enumerate(((4, 8), (5, 12))):
+        v = rng.standard_normal(d)
+        yield sample_uniform(k, d, "real", seed=[143, i]), v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("refine", ["none", "auto"])
+def test_ascent_widths_are_scale_equivariant_bit_for_bit(refine):
+    # the ascent's tolerances are absolute, so it runs at the power of two
+    # nearest ||v||: 2^j v gets v's witness and iterations and 2^j times its
+    # value.  With the tolerances acting on 2^j v itself, the ascent raised
+    # on a decreased objective at 2^20 and stopped after two iterations per
+    # start far below 1
+    for i, (basis, v) in enumerate(_ascent_cases()):
+        unit = width_altmax(basis, v, restarts=6, seed=[144, i], refine=refine)
+        assert unit.method == "altmax"
+        for j in SCALE_EXPONENTS:
+            rep = width_altmax(basis, 2.0**j * v, restarts=6, seed=[144, i],
+                               refine=refine)
+            assert rep.value == math.ldexp(unit.value, j), (i, j)
+            assert rep.iterations == unit.iterations, (i, j)
+            assert rep.witness.perm.tobytes() == unit.witness.perm.tobytes(), (i, j)
+            assert rep.witness.signs.tobytes() == unit.witness.signs.tobytes(), (i, j)
 
 
 def test_altmax_kernel_contract():
@@ -244,7 +282,7 @@ def _eager_altmax_best(cols, v_desc, starts, ceiling=math.inf):
     # the ascent over (R, d) unit-vector starts, all formed before it runs
     cols_h = cols.conj().T
     bound = ceiling * (1.0 + kernels.ALTMAX_CEILING_SLACK)
-    best_obj, best_w, total, status = -1.0, starts[0], 0, 0
+    best_obj, best_w, total = -1.0, starts[0], 0
     for r in range(starts.shape[0]):
         w = starts[r]
         obj_prev = -1.0
@@ -254,8 +292,7 @@ def _eager_altmax_best(cols, v_desc, starts, ceiling=math.inf):
             order = np.argsort(-m, kind="stable")
             obj = float(v_desc @ m[order])
             if obj < obj_prev - 1e-12:
-                status = 1
-                break
+                raise RuntimeError("alternating ascent objective decreased")
             if obj > bound:
                 return w, obj, total, 2
             gain = obj - obj_prev
@@ -272,11 +309,9 @@ def _eager_altmax_best(cols, v_desc, starts, ceiling=math.inf):
             w = (cols @ c) / pn
             if gain < kernels.ASCENT_TOL:
                 break
-        if status:
-            break
         if obj_prev > best_obj:
             best_obj, best_w = obj_prev, w
-    return best_w, best_obj, total, status
+    return best_w, best_obj, total, 0
 
 
 def _race_cases():
@@ -402,9 +437,7 @@ def _eager_snap(cols, v_desc, v, image):
     if n <= 1e-14:
         return None
     start = (w / n)[None, :].astype(cols.dtype)
-    w_new, _, _, status = _eager_altmax_best(cols, v_desc, start)
-    if status == 1:
-        return None
+    w_new = _eager_altmax_best(cols, v_desc, start)[0]
     return width._witness_from(np.asarray(w_new), v)
 
 
@@ -492,8 +525,9 @@ def test_width_altmax_matches_the_eager_start_reference():
 
 
 def test_ascend_matches_the_eager_start_reference_under_a_ceiling():
-    # the same starts under a ceiling: none, the value (which no objective
-    # exceeds) and half of it (which one exceeds unless v = 0)
+    # the ascent's starts, run by the kernel under a ceiling: none (the
+    # ascent itself), the value (which no objective exceeds) and half of it
+    # (which one exceeds unless v = 0)
     d = 6
     for field, k, restarts, i in itertools.product(("real", "complex"), (2, d),
                                                    (1, 20), range(2)):
@@ -507,14 +541,17 @@ def test_ascend_matches_the_eager_start_reference_under_a_ceiling():
         seed = [33, k, i, restarts]
         starts = _eager_starts(basis, v, restarts, np.random.default_rng(seed))
         value = _eager_altmax_best(basis.columns, v_desc, starts)[1]
-        for ceiling in (math.inf, value, 0.5 * value):
-            w, obj, iters, status = _eager_altmax_best(basis.columns, v_desc, starts,
-                                                       ceiling)
-            _, got_w, got_obj, got_iters, stopped = width._ascend(
-                basis, v, v_desc, restarts, np.random.default_rng(seed), ceiling)
-            assert _as_bytes((got_w, got_obj, got_iters, 2 if stopped else 0)) == (
-                _as_bytes((w, obj, iters, status))), (field, k, restarts, i, ceiling)
-            assert stopped == (i == 0 and ceiling == 0.5 * value)
+        _, w, obj, iters = width._ascend(basis, v, v_desc, restarts,
+                                         np.random.default_rng(seed))
+        assert _as_bytes((w, obj, iters, 0)) == _as_bytes(
+            _eager_altmax_best(basis.columns, v_desc, starts)), (field, k, restarts, i)
+        coeffs = width._draw_starts(basis.columns, v, restarts,
+                                    np.random.default_rng(seed))
+        for ceiling in (value, 0.5 * value):
+            want = _eager_altmax_best(basis.columns, v_desc, starts, ceiling)
+            got = kernels.altmax_best(basis.columns, v_desc, coeffs, ceiling)
+            assert _as_bytes(got) == _as_bytes(want), (field, k, restarts, i, ceiling)
+            assert (got[3] == 2) == (i == 0 and ceiling == 0.5 * value)
 
 
 def _plain_ascent(basis, v, restarts, seed):
@@ -523,8 +560,7 @@ def _plain_ascent(basis, v, restarts, seed):
     # adversarial search's inner evaluation
     v = width._conform(v, basis.d, basis.field)
     rng = np.random.default_rng(seed)
-    cols, w, _, _, _ = width._ascend(basis, v, decreasing_rearrangement(v), restarts,
-                                     rng, math.inf)
+    cols, w, _, _ = width._ascend(basis, v, decreasing_rearrangement(v), restarts, rng)
     return width._witness_and_value(cols, v, w)[1]
 
 
@@ -1095,41 +1131,51 @@ def test_complex_vector_on_a_real_basis_runs_over_the_complexified_span():
             assert _report_bytes(rep) == _report_bytes(ref)
 
 
-def _ascend_bytes(basis, v, restarts, seed, ceiling):
-    cols, w, obj, iters, stopped = width._ascend(
-        basis, v, decreasing_rearrangement(v), restarts, np.random.default_rng(seed),
-        ceiling)
-    return (cols.tobytes(), w.tobytes(), np.float64(obj).tobytes(), iters, stopped)
+def _kernel_bytes(cols, v, restarts, seed, ceiling):
+    # the kernel on the starts that the ascent draws from seed
+    starts = width._draw_starts(cols, v, restarts, np.random.default_rng(seed))
+    return _as_bytes(kernels.altmax_best(cols, decreasing_rearrangement(v), starts,
+                                         ceiling))
 
 
-def test_ascend_ceiling_contract():
+def test_altmax_best_ceiling_contract():
     rng = np.random.default_rng(21)
     slack = 1.0 + kernels.ALTMAX_CEILING_SLACK
     for i in range(24):
         d = int(rng.integers(4, 25))
         k = int(rng.integers(1, min(d - 1, 5) + 1))
-        basis = sample_uniform(k, d, "real", seed=[22, i])
+        cols = sample_uniform(k, d, "real", seed=[22, i]).columns
         v = witness_vector(d, k).unit if i % 2 else rng.standard_normal(d)
-        full = _ascend_bytes(basis, v, 6, [23, i], math.inf)
-        assert not full[4]
-        value = width._witness_and_value(basis.columns, v, np.frombuffer(full[1]))[1]
+        full = _kernel_bytes(cols, v, 6, [23, i], math.inf)
+        assert full[3] == 0
+        value = width._witness_and_value(cols, v, np.frombuffer(full[0]))[1]
         # a ceiling at or above the width changes nothing
         for ceiling in (value, 1.5 * value):
-            assert _ascend_bytes(basis, v, 6, [23, i], ceiling) == full
+            assert _kernel_bytes(cols, v, 6, [23, i], ceiling) == full
         # below it the ascent stops at an iterate whose objective exceeds
         # the bound, and whose witness exceeds the ceiling
         for ceiling in (0.0, 0.5 * value, 0.999 * value):
-            cols, w, obj, iters, stopped = width._ascend(
-                basis, v, decreasing_rearrangement(v), 6, np.random.default_rng([23, i]),
-                ceiling)
-            assert stopped and obj > ceiling * slack
+            starts = width._draw_starts(cols, v, 6, np.random.default_rng([23, i]))
+            w, obj, iters, status = kernels.altmax_best(
+                cols, decreasing_rearrangement(v), starts, ceiling)
+            assert status == 2 and obj > ceiling * slack
             assert width._witness_and_value(cols, v, w)[1] >= ceiling
-            assert iters <= full[3]
+            assert iters <= full[2]
     # with v = 0 every objective is 0, which does not exceed a zero ceiling
-    basis = sample_uniform(3, 6, "real", seed=1)
-    full = _ascend_bytes(basis, np.zeros(6), 5, 2, math.inf)
-    assert _ascend_bytes(basis, np.zeros(6), 5, 2, 0.0) == full
-    assert full[3:] == (5, False)
+    cols = sample_uniform(3, 6, "real", seed=1).columns
+    full = _kernel_bytes(cols, np.zeros(6), 5, 2, math.inf)
+    assert _kernel_bytes(cols, np.zeros(6), 5, 2, 0.0) == full
+    assert full[2:] == (5, 0)
+
+
+def test_altmax_best_raises_on_a_decreasing_objective():
+    # the half-steps maximize only for a decreasing v_desc; an increasing
+    # one lets the objective fall, which the kernel reports by raising
+    cols = sample_uniform(2, 8, "real", seed=3).columns
+    v_desc = np.arange(1.0, 9.0)
+    starts = np.random.default_rng(4).standard_normal((4, 2))
+    with pytest.raises(RuntimeError, match="objective decreased"):
+        kernels.altmax_best(cols, v_desc, starts)
 
 
 def _starts_alone(cols, v, restarts, rng):
@@ -1463,11 +1509,10 @@ def _instances(draw):
 
 
 def _witness_value(basis, rep, v):
-    # a v below 2^-SCALE_LIMIT runs scaled up, where its squares do not
-    # underflow, and its witness reproduces the value there
-    peak = float(np.abs(v).max())
-    scale = 2.0**width.SCALE_SHIFT if 0.0 < peak < 2.0**-width.SCALE_LIMIT else 1.0
-    return projection_norm(basis, rep.witness.apply(scale * v)) / scale
+    # v runs scaled to about unit norm, where its squares do not underflow,
+    # and its witness reproduces the value there
+    scaled, shift = vectors._scaled(v)
+    return vectors._unscaled(projection_norm(basis, rep.witness.apply(scaled)), shift)
 
 
 @settings(max_examples=40, deadline=None)
