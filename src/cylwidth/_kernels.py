@@ -1,14 +1,13 @@
 """The three hot loops of the width engine, one implementation each.
 
-* ``altmax_best``: the alternating ascent, vectorized with numpy; at large
-  d each iteration is dominated by the two projections.  Starts come as
-  basis coefficients.  It owns its stopping rules: each start stops on a
-  small gain or after ``ASCENT_MAX_ITER`` iterations, and an optional
-  ceiling ends the whole ascent early, with status 2, once an objective
-  proves the width exceeds it.  ``altmax_race`` races a stack of frames
-  in lockstep for a few steps, each under its own ceiling, and names the
-  frames whose ascents would cross it, so their sequential ascents need not
-  run.
+* ``altmax_best``: the alternating ascent, vectorized with numpy.  Every
+  start of every frame it is given advances in lockstep, and each start
+  keeps the bits of its own sequential ascent; at large d an iteration is
+  dominated by the sort and the two projections.  Starts come as basis
+  coefficients.  It owns its stopping rules: each start stops on a small
+  gain, a vanishing projection or after ``ASCENT_MAX_ITER`` iterations, and
+  a frame stops as a whole once an objective proves its width exceeds the
+  frame's ceiling.
 * ``anneal_best``: the annealed witness search.  Each move touches one or
   two rows of a k-column matrix and is scored from cached inner products
   in a few scalar operations; only an accepted move updates the k-vector
@@ -29,152 +28,132 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # alternating ascent
 #
-#   cols     (d, k) orthonormal columns, float64 or complex128
-#   v_desc   (d,) float64, decreasing moduli of the target vector
-#   starts   (R, k) basis coefficients of the starts, dtype matching cols,
-#            each with cols @ starts[r] != 0; R >= 1
-#   ceiling  float; once an iterate's objective exceeds
-#            bound = ceiling * (1 + ALTMAX_CEILING_SLACK), the ascent stops
-#            and returns that crossing iterate
-# Returns (w_best, best_obj, total_iters, status) where status is
-#   0 normal, 2 stopped at a crossing iterate, whose objective exceeds the
-#   bound; the objective is sum_r v_desc[r] * r-th largest modulus of w.
-#   Each start's ascent stops once its objective gains less than ASCENT_TOL,
-#   or after ASCENT_MAX_ITER.  An objective that falls by more than 1e-12
-#   raises RuntimeError (never expected: both half-steps maximize).  These
-#   tolerances, like the 1e-15 projection guard, act on a v_desc of about
-#   unit norm: every caller scales v by vectors._scaled.
+#   cols      (S, d, k) orthonormal columns of S frames, float64 or complex128
+#   v_desc    (d,) float64, decreasing moduli of the target vector
+#   starts    (S, R, k) basis coefficients of each frame's R >= 1 starts,
+#             dtype matching cols, each with cols[s] @ starts[s, r] != 0
+#   ceilings  (S,) float64; frame s crosses once an iterate's objective
+#             exceeds ceilings[s] * (1 + ALTMAX_CEILING_SLACK)
+# Returns (w_best, obj, total_iters, crossed), crossed the (S,) mask of the
+# frames that crossed.  For every other frame, w_best[s] and obj[s] are the
+# endpoint and objective of its best start, the first in start order with
+# the largest objective; the rows of a crossed frame hold no endpoint.
+# total_iters counts the iterations of every start, crossed frames' too.
 #
-# Start r is the unit vector w = cols @ starts[r] / ||cols @ starts[r]||, and
-# its sequential ascent (_ascent) depends on that start alone.  Callers that
-# know a start as a vector of the subspace pass its coefficients cols^H w
-# instead.  The starts run one after the other, each formed only when its
-# ascent begins.
+# Start r of frame s begins at the unit vector w = C c / ||C c||, with
+# C = cols[s] and c = starts[s, r]; a caller that knows a start as a vector
+# w of the subspace passes its coefficients C^H w.  The objective of an iterate w is
+# sum_i v_desc[i] * (i-th largest modulus of w).  A start stops once its
+# objective gains less than ASCENT_TOL, once its projection C^H u is
+# shorter than 1e-15, or after ASCENT_MAX_ITER iterations, and reports its
+# last iterate and the last objective it computed.  An objective that falls
+# by more than 1e-12 raises RuntimeError (never expected: both half-steps
+# maximize).  These tolerances act on a v_desc of about unit norm: every
+# caller scales v by vectors._scaled.
+#
+# The live starts advance in lockstep, and a start leaves the stack when it
+# stops; all starts of a frame leave once one of them crosses.  One frame's
+# columns are broadcast over its starts, a stack's gathered per start.
+# Every product is shaped as a stacked gemv, (N, d, k) @ (N, k, 1), or a
+# stacked dot, (N, 1, d) @ (N, d, 1), and numpy's matmul calls BLAS once
+# per row for these shapes, so each start has the bits of its lone
+# sequential ascent: of cols @ c, of v_desc @ m[order] and of
+# np.linalg.norm, whose complex case dots strided .real and .imag views
+# (tests/test_numpy_contract.py checks this).  Gemm-shaped products, einsum
+# and np.sum round another way.  So a frame gets the same result alone as
+# in any stack, and it crosses exactly when its sequential ascent under the
+# ceiling reaches an iterate above the bound.
 #
 # The objective of an iterate w is <gv, w> for the image gv aligned with w,
-# so the witness norm ||proj gv|| is at least obj(w); the early return thus
-# certifies that the full ascent's width would exceed the ceiling as well.
-# In floats the two differ by rounding of order 1e-15 relative, and an
-# objective may dip by rounding within a start; the relative slack dominates
-# both by orders of magnitude, so a width reported below the ceiling by the
-# full ascent never triggers the early return.
-#
-# altmax_race runs many frames' ascents at once, each under its own ceiling,
-# to reject frames before their sequential ascents run:
-#
-#   cols      (S, d, k) orthonormal columns, one frame each
-#   starts    (S, R, k) coefficient starts, as above, R per frame
-#   ceilings  (S,) float64
-# Returns an (S,) bool mask of the frames whose race crossed their bound.
-#
-# Every start of every frame is formed at once and the (S, d, R) stack is
-# advanced in lockstep for at most RACE_STEPS steps, the iterates left
-# unnormalized.  A start takes part while its lockstep gains are at least
-# ASCENT_TOL, as its sequential ascent goes on while they are; a frame
-# crosses once a taking-part start's objective exceeds its frame's bound.
-# Lockstep values are the sequential ones up to rounding of order 1e-15
-# relative and never reach an output; they only decide rejection.  A frame
-# that crosses has a start whose sequential ascent reaches an objective
-# within that rounding of a value above the bound, and the sequential
-# ascent loses at most 1e-12 on its way to its endpoint, whose witness
-# value is at least its objective.  So the full ascent's width, from the
-# start with the best objective, exceeds the ceiling too: the slack, 1e-9
-# relative, dominates both losses, as it does for the early return.
+# so the witness norm ||proj gv|| is at least obj(w).  A crossing thus
+# certifies that the full ascent's width would exceed the ceiling too: the
+# crossing start's later objectives dip by at most 1e-12 each, and the
+# witness of the best endpoint is worth at least its objective up to
+# rounding of order 1e-15 relative.  The relative slack dominates both by
+# orders of magnitude, so a frame whose full ascent reports a width below
+# its ceiling never crosses.
 # ---------------------------------------------------------------------------
 
 ALTMAX_CEILING_SLACK = 1e-9
 ASCENT_MAX_ITER = 500
 ASCENT_TOL = 1e-10
-RACE_STEPS = 4
 
 
-def _ascent(cols, cols_h, v_desc, start, bound):
-    """One start's sequential ascent: ``(w, obj, iters, status)``.
-
-    status 0: stopped below the bound, with its endpoint and last objective;
-    2: ``w`` is the first iterate whose objective ``obj`` exceeds ``bound``.
-    """
-    w = cols @ start
-    w = w / np.linalg.norm(w)
-    obj_prev = -1.0
-    for it in range(1, ASCENT_MAX_ITER + 1):
-        m = np.abs(w)
-        order = np.argsort(-m, kind="stable")
-        obj = float(v_desc @ m[order])
-        if obj < obj_prev - 1e-12:
-            raise RuntimeError("alternating ascent objective decreased")
-        if obj > bound:
-            return w, obj, it, 2
-        gain = obj - obj_prev
-        obj_prev = obj
-        u = np.zeros_like(w)
-        ph = np.ones_like(w)
-        nz = m > 0.0
-        ph[nz] = w[nz] / m[nz]
-        u[order] = ph[order] * v_desc
-        c = cols_h @ u
-        pn = float(np.linalg.norm(c))
-        if pn < 1e-15:
-            break
-        w = (cols @ c) / pn
-        if gain < ASCENT_TOL:
-            break
-    return w, obj_prev, it, 0
+def _row_dots(x):
+    """``x[i] @ x[i]`` for each row of the real (N, d) ``x``, as one stacked dot."""
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
-def altmax_best(cols, v_desc, starts, ceiling=math.inf):
-    """Run the alternating ascent from every start, return the best endpoint."""
-    cols_h = cols.conj().T
-    bound = ceiling * (1.0 + ALTMAX_CEILING_SLACK)
-    best_obj = -1.0
-    best_w = None
-    total = 0
-    for start in starts:
-        w, obj, iters, status = _ascent(cols, cols_h, v_desc, start, bound)
-        total += iters
-        if status == 2:
-            return w, obj, total, 2
-        if obj > best_obj:
-            best_obj = obj
-            best_w = w
-    return best_w, best_obj, total, 0
+def _row_norms(x):
+    """``np.linalg.norm(x[i])`` for each row of ``x``, bit for bit."""
+    if np.iscomplexobj(x):
+        return np.sqrt(_row_dots(x.real) + _row_dots(x.imag))
+    return np.sqrt(_row_dots(x))
 
 
-def altmax_race(cols, v_desc, starts, ceilings):
-    """Mask of the frames whose lockstep ascents cross their bounds."""
-    slack = 1.0 + ALTMAX_CEILING_SLACK
-    bounds = np.asarray(ceilings, dtype=np.float64)[:, None] * slack
+def altmax_best(cols, v_desc, starts, ceilings):
+    """Run every frame's ascent from every start; see the contract above."""
+    n_frames, n_starts, k = starts.shape
+    bounds = np.asarray(ceilings, dtype=np.float64) * (1.0 + ALTMAX_CEILING_SLACK)
     cols_h = cols.conj().swapaxes(1, 2)
-    # w[s, :, r] is start r of frame s, left unnormalized; going[s, r] says
-    # it takes part.  cols @ c has the norm of c, so from the second step on
-    # a start whose sequential ascent ends on a short projection c has an
-    # iterate of that norm
-    w = cols @ starts.swapaxes(1, 2)
-    n_frames, _, n_starts = w.shape
+
+    def stacked(frame):
+        if n_frames == 1:
+            return cols, cols_h
+        return cols[frame], cols_h[frame]
+
+    # the live starts: their ids s * n_starts + r, frames, iterates and
+    # last objectives
+    ids = np.arange(n_frames * n_starts)
+    frame = ids // n_starts
+    a, a_h = stacked(frame)
+    w = (a @ starts.reshape(-1, k, 1))[:, :, 0]
+    w /= _row_norms(w)[:, None]
+    prev = np.full(ids.size, -1.0)
+    end_w = np.zeros((ids.size, w.shape[1]), dtype=w.dtype)
+    end_obj = np.full(ids.size, -1.0)
     crossed = np.zeros(n_frames, dtype=np.bool_)
-    going = np.ones((n_frames, n_starts), dtype=np.bool_)
-    prev = -1.0
-    vr = np.empty(w.shape)
-    frame = np.arange(n_frames)[:, None, None]
-    start = np.arange(n_starts)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for step in range(RACE_STEPS):
-            if step:
-                u = np.divide(w, m, out=np.ones_like(w), where=m > 0.0) * vr
-                w = cols @ (cols_h @ u)
-            m = np.abs(w)
-            # vr[s, :, r] holds v_desc in the order of the moduli of w[s, :, r]
-            vr[frame, np.argsort(-m, axis=1, kind="stable"), start] = v_desc[:, None]
-            norm = np.sqrt((m * m).sum(axis=1))
-            obj = (m * vr).sum(axis=1) / norm
-            if step:
-                going &= norm >= 1e-15
-            crossed |= (going & (obj > bounds)).any(axis=1)
-            going &= (obj - prev >= ASCENT_TOL) & ~crossed[:, None]
-            if not going.any():
+    total = 0
+    for it in range(1, ASCENT_MAX_ITER + 1):
+        total += ids.size
+        m = np.abs(w)
+        # each row's moduli in decreasing order, as indices into m.ravel()
+        order = np.argsort(-m, axis=1, kind="stable")
+        order += np.arange(0, m.size, m.shape[1])[:, None]
+        obj = (v_desc @ m.ravel()[order][:, :, None])[:, 0]
+        if (obj < prev - 1e-12).any():
+            raise RuntimeError("alternating ascent objective decreased")
+        crossed[frame[obj > bounds[frame]]] = True
+        gain = obj - prev
+        prev = obj
+        # u takes v_desc's i-th entry where w has its i-th largest modulus,
+        # with w's phase there
+        vr = np.empty_like(m)
+        vr.ravel()[order] = v_desc
+        u = np.divide(w, m, out=np.ones_like(w), where=m > 0.0)
+        u *= vr
+        c = a_h @ u[:, :, None]
+        pn = _row_norms(c[:, :, 0])
+        short = pn < 1e-15
+        w_next = (a @ c)[:, :, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w_next /= pn[:, None]
+        w_next[short] = w[short]
+        w = w_next
+        stop = short | (gain < ASCENT_TOL) | crossed[frame] | (it == ASCENT_MAX_ITER)
+        if stop.any():
+            end_w[ids[stop]] = w[stop]
+            end_obj[ids[stop]] = prev[stop]
+            go = ~stop
+            ids, frame, w, prev = ids[go], frame[go], w[go], prev[go]
+            if not ids.size:
                 break
-            prev = obj
-    return crossed
+            a, a_h = stacked(frame)
+    end_obj = end_obj.reshape(n_frames, n_starts)
+    best = np.argmax(end_obj, axis=1)
+    rows = np.arange(n_frames)
+    w_best = end_w.reshape(n_frames, n_starts, -1)[rows, best]
+    return w_best, end_obj[rows, best], total, crossed
 
 
 # ---------------------------------------------------------------------------

@@ -187,21 +187,14 @@ def _evaluate(cols, starts, v, v_desc, currents):
     """Widths of the candidate frames ``cols[s]``, or None where rejected.
 
     ``starts[s]`` are frame ``s``'s ascent starts and ``currents[s]`` the
-    width it must get below, inf for none.  A frame whose lockstep race
-    crosses its current width is rejected unrun; the others run the plain
-    ascent with the current width as ceiling, and one whose ascent stopped
-    at a crossing iterate is rejected without a witness.  Every other frame
+    width it must get below, inf for none.  One kernel call runs every
+    frame's plain ascent with its current width as ceiling; a frame whose
+    ascent crossed it is rejected without a witness, and every other frame
     gets the width of its ascent's witness, as a full evaluation would.
     """
-    crossed = _kernels.altmax_race(cols, v_desc, starts, currents)
-    values = []
-    for s, current in enumerate(currents):
-        if crossed[s]:
-            values.append(None)
-            continue
-        w, _, _, status = _kernels.altmax_best(cols[s], v_desc, starts[s], current)
-        values.append(None if status == 2 else _witness_and_value(cols[s], v, w)[1])
-    return values
+    w, _, _, crossed = _kernels.altmax_best(cols, v_desc, starts, currents)
+    return [None if crossed[s] else _witness_and_value(cols[s], v, w[s])[1]
+            for s in range(len(currents))]
 
 
 def _share(v, v_desc, d, k, steps, inner_restarts, streams):
@@ -301,21 +294,17 @@ def adversarial_min_width(
 
     The target is validated and rearranged once, and each frame is valued
     by the plain ascent that :func:`~cylwidth.width.width_altmax` runs (with
-    ``refine="none"``), from random starts drawn before it runs.  A step's
-    candidates are raced first, all their starts in one stacked lockstep
-    ascent (``_kernels.altmax_race``), each candidate against its own
-    restart's current width.  A candidate whose race crosses that width,
-    with the ascent's relative slack, is rejected: its sequential ascent
-    would reach an objective within rounding of the crossing value, lose at
-    most 1e-12 on the way to its endpoint, and the witness of that endpoint
-    is worth at least its objective, so the full evaluation's width would
-    exceed the current one too.  The other candidates run the sequential
-    ascent with the current width as ceiling; one stopped at an iterate
-    above it is rejected as well, and only one that ran in full builds its
-    witness.  A candidate is rejected exactly when a full evaluation would
-    reject it, and the lockstep values never reach the output, so the
-    stream, and with it the result, is the same bit for bit as with full
-    evaluations.
+    ``refine="none"``), from random starts drawn before it runs.  One call
+    of ``_kernels.altmax_best`` runs every start of a step's candidates in
+    lockstep, each candidate under its own restart's current width as
+    ceiling, and gives each start the bits of its sequential ascent.  A
+    candidate whose ascent reaches an objective above that width, with the
+    ascent's relative slack, is rejected without a witness: the witness of
+    its full ascent would be worth more than the current width too.  Every
+    other candidate builds its ascent's witness, as a full evaluation does.
+    So a candidate is rejected exactly when a full evaluation would reject
+    it, and the stream, and with it the result, is the same bit for bit as
+    with full evaluations.
 
     A target at k = 1 is solved exactly, with no search: ``restarts``,
     ``steps`` and ``inner_restarts`` are validated and otherwise unused, and

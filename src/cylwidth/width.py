@@ -195,8 +195,8 @@ def _snap(cols, v_desc, v, image):
     c = cols.conj().T @ image
     if float(np.linalg.norm(cols @ c)) <= 1e-14:
         return None
-    w_new = _kernels.altmax_best(cols, v_desc, c[None, :])[0]
-    return _witness_from(np.asarray(w_new), v)
+    w_new = _kernels.altmax_best(cols[None], v_desc, c[None, None], [math.inf])[0]
+    return _witness_from(w_new[0], v)
 
 
 def _anneal_refine(cols, v, v_desc, witness, value, rng):
@@ -263,17 +263,9 @@ def _ascend(basis: SubspaceBasis, v, v_desc, restarts, rng):
     if np.iscomplexobj(v):
         basis = basis.complexify()
     cols = basis.columns
-    starts = _draw_starts(cols, v, restarts, rng)
-    w_best, obj, iters, _ = _kernels.altmax_best(cols, v_desc, starts)
-    return cols, w_best, obj, int(iters)
-
-
-def _draw_starts(cols, v, restarts, rng):
-    """The ascent's ``restarts`` starts on ``cols``, as basis coefficients.
-
-    The one-frame case of :func:`_stacked_starts`.
-    """
-    return _stacked_starts(cols[None], v, restarts, [rng])[0]
+    starts = _stacked_starts(cols[None], v, restarts, [rng])
+    w_best, obj, iters, _ = _kernels.altmax_best(cols[None], v_desc, starts, [math.inf])
+    return cols, w_best[0], obj[0], iters
 
 
 def _draw_gaussian(rng, m, k, cplx):
@@ -672,12 +664,13 @@ def width_altmax(
     (the normalized projection of ``v`` itself, which guarantees the result
     is at least ``||proj_W v||``); the remaining ``restarts - 1`` starts are
     random unit vectors of the subspace, whose basis coefficients are drawn
-    from ``seed`` in one batch.  The kernel forms each start only when its
-    ascent begins.  Each ascent stops when the objective gains less than
-    ``_kernels.ASCENT_TOL`` or after ``_kernels.ASCENT_MAX_ITER`` iterations.
-    The reported value is the projection norm of the witness image, so the
-    witness reproduces it exactly.  A complex ``v`` against a real basis runs
-    over the complexified span, exactly as ``basis.complexify()`` would.
+    from ``seed`` in one batch.  The kernel runs every start in lockstep,
+    each with the bits of its own sequential ascent, which stops when the
+    objective gains less than ``_kernels.ASCENT_TOL`` or after
+    ``_kernels.ASCENT_MAX_ITER`` iterations.  The reported value is the
+    projection norm of the witness image, so the witness reproduces it
+    exactly.  A complex ``v`` against a real basis runs over the
+    complexified span, exactly as ``basis.complexify()`` would.
 
     ``refine`` controls the annealed witness search that follows the
     ascent: the default ``"auto"`` runs it, since ascent basins fragment
@@ -784,12 +777,11 @@ def width_altmax(
     for bit.  A unit-norm ``v`` runs as it is.  A width that overflows
     float64 raises ``ValueError``.
 
-    The start draw lives in ``_stacked_starts``, whose one-frame case
-    ``_draw_starts`` the ascent calls here, and which
-    :func:`~cylwidth.lowerbound.adversarial_min_width` calls once per step
-    for all its candidates before it races them and runs their kernels
-    under a ceiling; the search skips the witness of a candidate whose
-    ascent stopped.
+    The start draw lives in ``_stacked_starts`` and the ascent in
+    ``_kernels.altmax_best``.  Here both run on one frame, with no ceiling;
+    :func:`~cylwidth.lowerbound.adversarial_min_width` calls each once per
+    step for all its candidates, each under its own ceiling, and skips the
+    witness of a candidate whose ascent crossed it.
     """
     if _integer("restarts", restarts) < 1:
         raise ValueError("need at least one restart")

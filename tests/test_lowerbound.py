@@ -437,7 +437,7 @@ def test_search_builds_a_witness_only_for_candidates_whose_ascent_ran_in_full(
     real_evaluate, real_witness = lowerbound._evaluate, lowerbound._witness_and_value
 
     def evaluate(*args):
-        # a candidate rejected by the race or by its stopped ascent has no value
+        # a candidate whose ascent crossed its ceiling has no value
         values = real_evaluate(*args)
         for value in values:
             counts["stopped" if value is None else "full"] += 1

@@ -247,8 +247,9 @@ def test_altmax_kernel_contract():
         # the kernel takes the starts as coefficients; these are the vectors
         starts = g @ cols.T
         starts /= np.linalg.norm(starts, axis=1)[:, None]
-        w, obj, iters, status = kernels.altmax_best(cols, v_desc, g)
-        assert status == 0
+        w, obj, iters, crossed = kernels.altmax_best(cols[None], v_desc, g[None], [math.inf])
+        assert not crossed[0]
+        w, obj = w[0], obj[0]
         assert 10 <= iters <= 10 * kernels.ASCENT_MAX_ITER
         assert abs(float(np.linalg.norm(w)) - 1.0) < 1e-12
         assert np.allclose(cols @ (cols.conj().T @ w), w, atol=1e-12)
@@ -258,19 +259,23 @@ def test_altmax_kernel_contract():
 
 
 def test_altmax_kernel_returns_the_first_iterate_above_the_ceiling():
+    # a ceiling just below the first start's first objective: the frame
+    # crosses on that first iterate, and every start stops after the one
+    # lockstep iteration they all ran
     cols = sample_uniform(2, 12, "real", seed=4).columns
     v_desc = decreasing_rearrangement(witness_vector(12, 2).unit)
     g = np.random.default_rng(5).standard_normal((4, 2))
-    # the start vectors the kernel forms from the coefficients g
-    starts = np.array([cols @ c / np.linalg.norm(cols @ c) for c in g])
-    first = float(v_desc @ decreasing_rearrangement(np.abs(starts[0])))
-    w, obj, iters, status = kernels.altmax_best(cols, v_desc, g, ceiling=0.999 * first)
-    assert (iters, status) == (1, 2)
-    assert w.tobytes() == starts[0].tobytes()
-    assert obj == first
-    # the default ceiling is never reached
-    _, _, iters, status = kernels.altmax_best(cols, v_desc, g)
-    assert iters > 4 and status == 0
+    first = float(v_desc @ decreasing_rearrangement(np.abs(_unit_starts(cols, g)[0])))
+    _, _, iters, crossed = kernels.altmax_best(cols[None], v_desc, g[None], [0.999 * first])
+    assert (iters, bool(crossed[0])) == (4, True)
+    # a frame beside it under no ceiling runs on to its own endpoint, as alone
+    alone = kernels.altmax_best(cols[None], v_desc, g[None], [math.inf])
+    assert alone[2] > 4 and not alone[3][0]
+    w, obj, iters, crossed = kernels.altmax_best(
+        np.stack([cols, cols]), v_desc, np.stack([g, g]), [0.999 * first, math.inf])
+    assert crossed.tolist() == [True, False]
+    assert (w[1].tobytes(), obj[1].tobytes()) == (alone[0][0].tobytes(), alone[1][0].tobytes())
+    assert iters == alone[2] + 4
 
 
 def _report_bytes(rep):
@@ -314,121 +319,161 @@ def _eager_altmax_best(cols, v_desc, starts, ceiling=math.inf):
     return best_w, best_obj, total, 0
 
 
-def _race_cases():
-    # (cols, v_desc, coefficient starts, unit-vector starts): real and
-    # complex columns, Gaussian targets, the witness vector (a zero tail and
-    # tied moduli) and v = 0
+def _unit_starts(cols, g):
+    # the unit vectors the kernel forms from the coefficient starts g
+    return np.array([cols @ c / np.linalg.norm(cols @ c) for c in g])
+
+
+def _kernel_stacks():
+    """Stacks of frames for the kernel, each with one target.
+
+    Yields ``(v, frames)``, ``frames`` a list of ``(cols, g)`` with
+    ``g`` the coefficient starts: real and complex frames, 1 to 20 starts,
+    1 to 12 frames, d from 3 to 4096; Gaussian targets, the witness vector
+    (a zero tail) and v = 0; frames of full rank and frames with zero rows,
+    where moduli vanish and tie, as on a padded dyadic atom.
+    """
     rng = np.random.default_rng(51)
-    for field, (k, d), target in itertools.product(
-            ("real", "complex"), ((2, 12), (4, 16)),
-            ("gaussian", "witness", "zero")):
-        for i in range(2):
-            cols = sample_uniform(k, d, field, seed=[52, k, d, i]).columns
-            if target == "gaussian":
-                v = rng.standard_normal(d)
-            elif target == "witness":
-                v = witness_vector(d, k).unit
-            else:
-                v = np.zeros(d)
-            g = rng.standard_normal((6, k))
+    shapes = (
+        # field, d, k, starts, frames, target, rows the frames live on
+        ("real", 3, 2, 20, 12, "gaussian", 3),
+        ("complex", 3, 3, 6, 12, "witness", 3),
+        ("real", 5, 1, 6, 5, "zero", 5),
+        ("complex", 8, 2, 20, 12, "gaussian", 8),
+        ("real", 12, 2, 6, 12, "witness", 12),
+        ("complex", 16, 4, 6, 3, "gaussian", 8),
+        ("real", 16, 4, 20, 5, "witness", 16),
+        ("real", 40, 3, 6, 5, "gaussian", 40),
+        ("complex", 130, 2, 6, 3, "witness", 64),
+        ("real", 513, 4, 2, 2, "gaussian", 513),
+        ("real", 4096, 2, 2, 1, "witness", 4096),
+        ("complex", 4096, 2, 1, 1, "witness", 2048),
+    )
+    for i, (field, d, k, n_starts, n_frames, target, rows) in enumerate(shapes):
+        if target == "gaussian":
+            v = rng.standard_normal(d)
+        elif target == "witness":
+            v = witness_vector(d, k).unit
+        else:
+            v = np.zeros(d)
+        frames = []
+        for s in range(n_frames):
+            cols = np.zeros((d, k), dtype=np.complex128 if field == "complex" else np.float64)
+            cols[:rows] = sample_uniform(k, rows, field, seed=[52, i, s]).columns
+            g = rng.standard_normal((n_starts, k))
             if field == "complex":
-                g = g + 1j * rng.standard_normal((6, k))
-            starts = np.array([cols @ c / np.linalg.norm(cols @ c) for c in g])
-            yield cols, decreasing_rearrangement(v), g, starts
+                g = g + 1j * rng.standard_normal((n_starts, k))
+            frames.append((cols, g))
+        yield v, frames
 
 
 def _ceilings(value):
     # at, just above, within the slack below, just below the slack and at
-    # half the sequential value; with v = 0 the value is 0 and only a zero
-    # ceiling is tried
+    # half the sequential value, and none; with v = 0 the value is 0 and
+    # only a zero ceiling and none are tried
     if value == 0.0:
-        return (0.0,)
+        return (0.0, math.inf)
     slack = kernels.ALTMAX_CEILING_SLACK
     return (value, math.nextafter(value, math.inf), value * (1.0 - 0.5 * slack),
-            value * (1.0 - 2.0 * slack), 0.5 * value)
+            value * (1.0 - 2.0 * slack), 0.5 * value, math.inf)
 
 
-def _as_bytes(result):
-    w, obj, iters, status = result
-    return (np.asarray(w).tobytes(), np.float64(obj).tobytes(), iters, status)
+def _kernel_failures(kernel):
+    """Yield what a kernel ``kernel`` gets wrong on the ``_kernel_stacks()``.
+
+    Each stack runs under rotating ladders of ceilings, so that neighbours
+    differ.  A frame must cross exactly when the eager sequential ascent
+    under its ceiling stops at a crossing iterate; a frame that does not
+    cross must get that ascent's endpoint and objective bit for bit; and a
+    frame must get the same result alone as in its stack, with the eager
+    ascent's iteration count.
+    """
+    for n, (v, frames) in enumerate(_kernel_stacks()):
+        v_desc = decreasing_rearrangement(v)
+        cols = np.stack([c for c, _ in frames])
+        coeffs = np.stack([g for _, g in frames])
+        starts = [_unit_starts(c, g) for c, g in frames]
+        eager = {}
+
+        def reference(s, ceiling):
+            if (s, ceiling) not in eager:
+                eager[s, ceiling] = _eager_altmax_best(cols[s], v_desc, starts[s], ceiling)
+            return eager[s, ceiling]
+
+        ladders = [_ceilings(reference(s, math.inf)[1]) for s in range(len(frames))]
+        for shift in range(len(ladders[0])):
+            ceilings = np.array([ladder[(s + shift) % len(ladder)]
+                                 for s, ladder in enumerate(ladders)])
+            together = kernel(cols, v_desc, coeffs, ceilings)
+            for s in range(len(frames)):
+                want = reference(s, ceilings[s])
+                alone = together if len(frames) == 1 else kernel(
+                    cols[s:s + 1], v_desc, coeffs[s:s + 1], ceilings[s:s + 1])
+                for name, got in (("stacked", together), ("alone", alone)):
+                    row = s if name == "stacked" else 0
+                    if bool(got[3][row]) != (want[3] == 2):
+                        yield n, s, shift, name, "crossed"
+                    elif not got[3][row] and (got[0][row].tobytes(), got[1][row].tobytes()) != (
+                            want[0].tobytes(), np.float64(want[1]).tobytes()):
+                        yield n, s, shift, name, "endpoint"
+                if not alone[3][0] and alone[2] != want[2]:
+                    yield n, s, shift, "alone", "iterations"
 
 
 def test_altmax_best_under_a_ceiling_is_the_sequential_ascent():
-    # below the bound the kernel returns the sequential ascent's bits, above
-    # it the sequential ascent's first crossing iterate
-    crossed = 0
-    for cols, v_desc, g, starts in _race_cases():
-        value = _eager_altmax_best(cols, v_desc, starts)[1]
-        for ceiling in _ceilings(value):
-            eager = _eager_altmax_best(cols, v_desc, starts, ceiling)
-            got = kernels.altmax_best(cols, v_desc, g, ceiling)
-            assert _as_bytes(got) == _as_bytes(eager)
-            crossed += got[3] == 2
-    assert crossed
-
-
-def _race_failures(race):
-    """What a stacked race ``race`` gets wrong on the ``_race_cases()`` frames.
-
-    Each frame's decision must be the same raced alone as raced in a stack
-    of the frames of its shape, each against the same target under other
-    ceilings.  A frame that crosses must be one whose own sequential ascent
-    crosses the same bound, and whose full ascent's witness value exceeds
-    the ceiling, so a search that rejects it rejects what a full evaluation
-    rejects.
-    """
-    failures = []
-    crossings = 0
-    cases = list(_race_cases())
-    for i, (cols, v_desc, g, starts) in enumerate(cases):
-        v = v_desc.astype(cols.dtype)
-        value = _eager_altmax_best(cols, v_desc, starts)[1]
-        witness_value = width._witness_and_value(
-            cols, v, _eager_altmax_best(cols, v_desc, starts)[0])[1]
-        for ceiling in _ceilings(value):
-            alone = bool(race(cols[None], v_desc, g[None], np.array([ceiling]))[0])
-            crossings += alone
-            stops = _eager_altmax_best(cols, v_desc, starts, ceiling)[3] == 2
-            if alone and not (stops and witness_value > ceiling):
-                failures.append((i, ceiling, "crossed", value, witness_value))
-        # every frame of this shape against this target, each under its own
-        # ceilings, shifted so that neighbours differ
-        stack = [c for c in cases if c[0].shape == cols.shape and c[0].dtype == cols.dtype]
-        frames = np.stack([c[0] for c in stack])
-        coeffs = np.stack([c[2] for c in stack])
-        ladders = [_ceilings(_eager_altmax_best(c[0], v_desc, c[3])[1]) for c in stack]
-        for shift in range(5):
-            ceilings = np.array([ladder[(j + shift) % len(ladder)]
-                                 for j, ladder in enumerate(ladders)])
-            together = race(frames, v_desc, coeffs, ceilings)
-            for j, c in enumerate(stack):
-                alone = race(c[0][None], v_desc, c[2][None], ceilings[j:j + 1])[0]
-                if together[j] != alone:
-                    failures.append((i, j, shift, "stacked"))
-    return failures, crossings
+    # every start of every frame runs in lockstep; each frame's decision and
+    # endpoint are those of its own sequential ascent, in any stack.  Every
+    # ladder holds half the value, which the eager ascent crosses unless
+    # v = 0, and no ceiling, which it never crosses, so both are checked
+    assert list(_kernel_failures(kernels.altmax_best)) == []
 
 
 def test_altmax_race_rejects_only_frames_a_full_evaluation_rejects():
-    failures, crossings = _race_failures(kernels.altmax_race)
-    assert failures == []
+    # a search rejects a candidate frame when it crosses its ceiling; the
+    # witness of that frame's full ascent must then exceed the ceiling, so
+    # the search rejects only what a full evaluation rejects.  Each stack
+    # runs under rotating ladders of ceilings around each frame's width
+    crossings = 0
+    for v, frames in _kernel_stacks():
+        v_desc = decreasing_rearrangement(v)
+        cols = np.stack([c for c, _ in frames])
+        coeffs = np.stack([g for _, g in frames])
+        w_full = kernels.altmax_best(cols, v_desc, coeffs, np.full(len(frames), math.inf))[0]
+        widths = [width._witness_and_value(c, v.astype(c.dtype), w)[1]
+                  for c, w in zip(cols, w_full)]
+        ladders = [_ceilings(w) for w in widths]
+        for shift in range(len(ladders[0])):
+            ceilings = np.array([ladder[(s + shift) % len(ladder)]
+                                 for s, ladder in enumerate(ladders)])
+            crossed = kernels.altmax_best(cols, v_desc, coeffs, ceilings)[3]
+            crossings += int(crossed.sum())
+            for s in np.flatnonzero(crossed):
+                assert widths[s] > ceilings[s], (s, shift, widths[s], ceilings[s])
     assert crossings
 
 
 @pytest.mark.parametrize("old, new", [
-    # no slack: a frame whose width is within rounding of its bound crosses
-    ("[:, None] * slack", "[:, None]"),
-    # each frame raced against its neighbour's bound
-    ("np.asarray(ceilings, dtype=np.float64)",
-     "np.roll(np.asarray(ceilings, dtype=np.float64), 1)"),
+    # no slack: a frame whose width is within rounding of its ceiling crosses
+    pytest.param("* (1.0 + ALTMAX_CEILING_SLACK)", "", id="no-slack"),
+    # each frame read against its neighbour's ceiling
+    pytest.param("np.asarray(ceilings, dtype=np.float64)",
+                 "np.roll(np.asarray(ceilings, dtype=np.float64), 1)",
+                 id="neighbour-ceiling"),
+    # the objective summed by numpy's pairwise sum or by einsum, not by the
+    # stacked dot that rounds as the sequential ascent's dot does
+    pytest.param("(v_desc @ m.ravel()[order][:, :, None])[:, 0]",
+                 "np.sum(v_desc * m.ravel()[order], axis=1)", id="np-sum-objective"),
+    pytest.param("(v_desc @ m.ravel()[order][:, :, None])[:, 0]",
+                 "np.einsum('j,ij->i', v_desc, m.ravel()[order])", id="einsum-objective"),
 ])
-def test_race_check_catches_a_wrong_race(old, new):
-    # mutate the source of the race and run the mutant through the check
+def test_kernel_check_catches_a_wrong_kernel(old, new):
+    # mutate the source of the kernel and run the mutant through the check
     # above, which must report it
-    source = textwrap.dedent(inspect.getsource(kernels.altmax_race))
-    assert old in source
+    source = textwrap.dedent(inspect.getsource(kernels.altmax_best))
+    assert source.count(old) == 1
     namespace = dict(vars(kernels))
     exec(source.replace(old, new), namespace)
-    assert _race_failures(namespace["altmax_race"])[0]
+    assert next(_kernel_failures(namespace["altmax_best"]), None) is not None
 
 
 def _eager_snap(cols, v_desc, v, image):
@@ -543,15 +588,15 @@ def test_ascend_matches_the_eager_start_reference_under_a_ceiling():
         value = _eager_altmax_best(basis.columns, v_desc, starts)[1]
         _, w, obj, iters = width._ascend(basis, v, v_desc, restarts,
                                          np.random.default_rng(seed))
-        assert _as_bytes((w, obj, iters, 0)) == _as_bytes(
-            _eager_altmax_best(basis.columns, v_desc, starts)), (field, k, restarts, i)
-        coeffs = width._draw_starts(basis.columns, v, restarts,
-                                    np.random.default_rng(seed))
+        want = _eager_altmax_best(basis.columns, v_desc, starts)
+        assert (w.tobytes(), np.float64(obj).tobytes(), iters) == (
+            want[0].tobytes(), np.float64(want[1]).tobytes(), want[2]), (field, k, restarts, i)
+        coeffs = width._stacked_starts(basis.columns[None], v, restarts,
+                                       [np.random.default_rng(seed)])
         for ceiling in (value, 0.5 * value):
-            want = _eager_altmax_best(basis.columns, v_desc, starts, ceiling)
-            got = kernels.altmax_best(basis.columns, v_desc, coeffs, ceiling)
-            assert _as_bytes(got) == _as_bytes(want), (field, k, restarts, i, ceiling)
-            assert (got[3] == 2) == (i == 0 and ceiling == 0.5 * value)
+            crossed = kernels.altmax_best(basis.columns[None], v_desc, coeffs, [ceiling])[3]
+            stops = _eager_altmax_best(basis.columns, v_desc, starts, ceiling)[3] == 2
+            assert crossed[0] == stops == (i == 0 and ceiling == 0.5 * value)
 
 
 def _plain_ascent(basis, v, restarts, seed):
@@ -1131,41 +1176,36 @@ def test_complex_vector_on_a_real_basis_runs_over_the_complexified_span():
             assert _report_bytes(rep) == _report_bytes(ref)
 
 
-def _kernel_bytes(cols, v, restarts, seed, ceiling):
-    # the kernel on the starts that the ascent draws from seed
-    starts = width._draw_starts(cols, v, restarts, np.random.default_rng(seed))
-    return _as_bytes(kernels.altmax_best(cols, decreasing_rearrangement(v), starts,
-                                         ceiling))
+def _kernel_run(cols, v, restarts, seed, ceiling):
+    # the kernel on one frame, from the starts that the ascent draws from seed
+    starts = width._stacked_starts(cols[None], v, restarts, [np.random.default_rng(seed)])
+    w, obj, iters, crossed = kernels.altmax_best(cols[None], decreasing_rearrangement(v),
+                                                 starts, [ceiling])
+    return w[0].tobytes(), obj[0].tobytes(), iters, bool(crossed[0])
 
 
 def test_altmax_best_ceiling_contract():
     rng = np.random.default_rng(21)
-    slack = 1.0 + kernels.ALTMAX_CEILING_SLACK
     for i in range(24):
         d = int(rng.integers(4, 25))
         k = int(rng.integers(1, min(d - 1, 5) + 1))
         cols = sample_uniform(k, d, "real", seed=[22, i]).columns
         v = witness_vector(d, k).unit if i % 2 else rng.standard_normal(d)
-        full = _kernel_bytes(cols, v, 6, [23, i], math.inf)
-        assert full[3] == 0
+        full = _kernel_run(cols, v, 6, [23, i], math.inf)
+        assert not full[3]
         value = width._witness_and_value(cols, v, np.frombuffer(full[0]))[1]
         # a ceiling at or above the width changes nothing
         for ceiling in (value, 1.5 * value):
-            assert _kernel_bytes(cols, v, 6, [23, i], ceiling) == full
-        # below it the ascent stops at an iterate whose objective exceeds
-        # the bound, and whose witness exceeds the ceiling
+            assert _kernel_run(cols, v, 6, [23, i], ceiling) == full
+        # below it the frame crosses, in no more iterations
         for ceiling in (0.0, 0.5 * value, 0.999 * value):
-            starts = width._draw_starts(cols, v, 6, np.random.default_rng([23, i]))
-            w, obj, iters, status = kernels.altmax_best(
-                cols, decreasing_rearrangement(v), starts, ceiling)
-            assert status == 2 and obj > ceiling * slack
-            assert width._witness_and_value(cols, v, w)[1] >= ceiling
-            assert iters <= full[2]
+            _, _, iters, crossed = _kernel_run(cols, v, 6, [23, i], ceiling)
+            assert crossed and iters <= full[2]
     # with v = 0 every objective is 0, which does not exceed a zero ceiling
     cols = sample_uniform(3, 6, "real", seed=1).columns
-    full = _kernel_bytes(cols, np.zeros(6), 5, 2, math.inf)
-    assert _kernel_bytes(cols, np.zeros(6), 5, 2, 0.0) == full
-    assert full[2:] == (5, 0)
+    full = _kernel_run(cols, np.zeros(6), 5, 2, math.inf)
+    assert _kernel_run(cols, np.zeros(6), 5, 2, 0.0) == full
+    assert full[2:] == (5, False)
 
 
 def test_altmax_best_raises_on_a_decreasing_objective():
@@ -1173,9 +1213,9 @@ def test_altmax_best_raises_on_a_decreasing_objective():
     # one lets the objective fall, which the kernel reports by raising
     cols = sample_uniform(2, 8, "real", seed=3).columns
     v_desc = np.arange(1.0, 9.0)
-    starts = np.random.default_rng(4).standard_normal((4, 2))
+    starts = np.random.default_rng(4).standard_normal((1, 4, 2))
     with pytest.raises(RuntimeError, match="objective decreased"):
-        kernels.altmax_best(cols, v_desc, starts)
+        kernels.altmax_best(cols[None], v_desc, starts, [math.inf])
 
 
 def _starts_alone(cols, v, restarts, rng):
@@ -1217,7 +1257,8 @@ def test_stacked_starts_equal_each_frames_own_draw(field):
             alone, one = np.random.default_rng([136, s]), np.random.default_rng([136, s])
             want = _starts_alone(frames[s], v, restarts, alone)
             assert got[s].tobytes() == want.tobytes(), (restarts, s)
-            assert width._draw_starts(frames[s], v, restarts, one).tobytes() == want.tobytes()
+            assert width._stacked_starts(frames[s][None], v, restarts,
+                                         [one])[0].tobytes() == want.tobytes()
             assert rngs[s].bit_generator.state == alone.bit_generator.state
             assert one.bit_generator.state == alone.bit_generator.state
 
