@@ -7,7 +7,8 @@
   coefficients.  It owns its stopping rules: each start stops on a small
   gain, a vanishing projection or after ``ASCENT_MAX_ITER`` iterations, and
   a frame stops as a whole once an objective proves its width exceeds the
-  frame's ceiling.
+  frame's ceiling.  Its one caller is ``width._ascend``, which builds the
+  witnesses of its endpoints for every width, snap and search step.
 * ``anneal_best``: the annealed witness search.  Each move touches one or
   two rows of a k-column matrix and is scored from cached inner products
   in a few scalar operations; only an accepted move updates the k-vector
@@ -48,8 +49,8 @@ import numpy as np
 # shorter than 1e-15, or after ASCENT_MAX_ITER iterations, and reports its
 # last iterate and the last objective it computed.  An objective that falls
 # by more than 1e-12 raises RuntimeError (never expected: both half-steps
-# maximize).  These tolerances act on a v_desc of about unit norm: every
-# caller scales v by vectors._scaled.
+# maximize).  These tolerances act on a v_desc of about unit norm: the one
+# caller, width._ascend, runs on v scaled by vectors._scaled.
 #
 # The live starts advance in lockstep, and a start leaves the stack when it
 # stops; all starts of a frame leave once one of them crosses.  One frame's

@@ -237,16 +237,20 @@ def enumerate_orbit(group: GroupPresentation, v, max_size: int = 10_000) -> Orbi
 def signed_permutation_apply(perm, signs, v) -> np.ndarray:
     """Apply the signed permutation ``(gv)_i = signs[i] * v[perm[i]]``.
 
-    ``perm`` must be a permutation of ``range(d)``, every sign must have
-    unit modulus within 1e-9 (so the map is unitary), and ``v`` must be
-    finite.
+    ``v`` must be a finite 1-d vector, ``perm`` an integer permutation of
+    ``range(d)`` (a boolean or float array would index otherwise), and
+    every sign must have unit modulus within 1e-9 (so the map is unitary).
     """
     perm = np.asarray(perm)
     signs = np.asarray(signs)
     v = np.asarray(v)
+    if v.ndim != 1:
+        raise ValueError("v must be a 1-d vector")
     d = v.shape[0]
     if perm.shape != (d,) or signs.shape != (d,):
         raise ValueError("perm, signs, and v must share one length")
+    if perm.dtype.kind not in "iu":
+        raise ValueError("perm must hold integers")
     if not np.array_equal(np.sort(perm), np.arange(d)):
         raise ValueError("perm is not a permutation of range(d)")
     # written so that a NaN deviation fails the test

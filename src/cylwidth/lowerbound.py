@@ -40,7 +40,7 @@ from .vectors import (
     _unscaled,
     decreasing_rearrangement,
 )
-from .width import _conform, _line_width, _stacked_starts, _witness_and_value
+from .width import _ascend, _conform, _line_width, _stacked_starts
 
 __all__ = [
     "WitnessVector",
@@ -183,20 +183,6 @@ def _least_line_width(v, v_desc) -> AdversarialResult:
     )
 
 
-def _evaluate(cols, starts, v, v_desc, currents):
-    """Widths of the candidate frames ``cols[s]``, or None where rejected.
-
-    ``starts[s]`` are frame ``s``'s ascent starts and ``currents[s]`` the
-    width it must get below, inf for none.  One kernel call runs every
-    frame's plain ascent with its current width as ceiling; a frame whose
-    ascent crossed it is rejected without a witness, and every other frame
-    gets the width of its ascent's witness, as a full evaluation would.
-    """
-    w, _, _, crossed = _kernels.altmax_best(cols, v_desc, starts, currents)
-    return [None if crossed[s] else _witness_and_value(cols[s], v, w[s])[1]
-            for s in range(len(currents))]
-
-
 def _share(v, v_desc, d, k, steps, inner_restarts, streams):
     """The restarts of one share of the search, run in lockstep.
 
@@ -207,8 +193,8 @@ def _share(v, v_desc, d, k, steps, inner_restarts, streams):
     restart draws what it would draw alone.  The candidates are
     re-orthonormalized by one stacked QR and their starts drawn by one call
     of :func:`~cylwidth.width._stacked_starts`, each giving every frame the
-    bits it would get alone, and they are valued together by
-    :func:`_evaluate`.
+    bits it would get alone, and they are valued together by one call of
+    :func:`~cylwidth.width._ascend`, each under its current width.
 
     A restart ends early once its step cannot move the width past the
     ascent's own tolerance: a perturbation ``eta * noise`` has norm about
@@ -220,8 +206,9 @@ def _share(v, v_desc, d, k, steps, inner_restarts, streams):
     rngs = [np.random.default_rng(stream) for stream in streams]
     frames = [sample_uniform(k, d, "real", rng).columns for rng in rngs]
     stack = np.stack(frames)
-    current = _evaluate(stack, _stacked_starts(stack, v, inner_restarts, rngs), v, v_desc,
-                        [math.inf] * len(rngs))
+    results, _ = _ascend(stack, v, v_desc, _stacked_starts(stack, v, inner_restarts, rngs),
+                         [math.inf] * len(rngs))
+    current = [value for _, value in results]
     evals = [1] * len(rngs)
     eta = [SEARCH_INITIAL_STEP] * len(rngs)
     rejected = [0] * len(rngs)
@@ -250,12 +237,12 @@ def _share(v, v_desc, d, k, steps, inner_restarts, streams):
             continue
         cands = cands[full_rank]
         starts = _stacked_starts(cands, v, inner_restarts, [rngs[r] for r in live])
-        values = _evaluate(cands, starts, v, v_desc, [current[r] for r in live])
-        for r, cand, val in zip(live, cands, values):
+        results, _ = _ascend(cands, v, v_desc, starts, [current[r] for r in live])
+        for r, cand, result in zip(live, cands, results):
             evals[r] += 1
-            if val is not None and val < current[r]:
+            if result is not None and result[1] < current[r]:
                 frames[r] = cand
-                current[r] = val
+                current[r] = result[1]
                 rejected[r] = 0
             else:
                 reject(r)
@@ -295,16 +282,16 @@ def adversarial_min_width(
     The target is validated and rearranged once, and each frame is valued
     by the plain ascent that :func:`~cylwidth.width.width_altmax` runs (with
     ``refine="none"``), from random starts drawn before it runs.  One call
-    of ``_kernels.altmax_best`` runs every start of a step's candidates in
-    lockstep, each candidate under its own restart's current width as
-    ceiling, and gives each start the bits of its sequential ascent.  A
-    candidate whose ascent reaches an objective above that width, with the
-    ascent's relative slack, is rejected without a witness: the witness of
-    its full ascent would be worth more than the current width too.  Every
-    other candidate builds its ascent's witness, as a full evaluation does.
-    So a candidate is rejected exactly when a full evaluation would reject
-    it, and the stream, and with it the result, is the same bit for bit as
-    with full evaluations.
+    of :func:`~cylwidth.width._ascend` runs every start of a step's
+    candidates in lockstep, each candidate under its own restart's current
+    width as ceiling, and gives each start the bits of its sequential
+    ascent.  A candidate whose ascent reaches an objective above that
+    width, with the ascent's relative slack, is rejected without a witness:
+    the witness of its full ascent would be worth more than the current
+    width too.  Every other candidate builds its ascent's witness, as a
+    full evaluation does.  So a candidate is rejected exactly when a full
+    evaluation would reject it, and the stream, and with it the result, is
+    the same bit for bit as with full evaluations.
 
     A target at k = 1 is solved exactly, with no search: ``restarts``,
     ``steps`` and ``inner_restarts`` are validated and otherwise unused, and

@@ -190,15 +190,6 @@ def _value_of(cols: np.ndarray, image: np.ndarray) -> float:
     return float(np.linalg.norm(cols.conj().T @ image))
 
 
-def _snap(cols, v_desc, v, image):
-    """Ascend once from the projection direction of ``image``."""
-    c = cols.conj().T @ image
-    if float(np.linalg.norm(cols @ c)) <= 1e-14:
-        return None
-    w_new = _kernels.altmax_best(cols[None], v_desc, c[None, None], [math.inf])[0]
-    return _witness_from(w_new[0], v)
-
-
 def _anneal_refine(cols, v, v_desc, witness, value, rng):
     """Annealed witness search seeded from the ascent result.
 
@@ -207,10 +198,14 @@ def _anneal_refine(cols, v, v_desc, witness, value, rng):
     restarts alone miss the optimum on a small but persistent fraction of
     instances.  Each chain anneals over the discrete witness space (swap
     moves with closed-form scalar updates, Metropolis acceptance) and its
-    endpoint is snapped back onto a fixed point by one more ascent.
+    endpoint is snapped back onto a fixed point by one more ascent from
+    ``c = C^H g v``, ``g v`` its image, unless ``||C c|| <= 1e-14``.  All
+    snaps run after the chains in one :func:`_ascend` call, none if no
+    endpoint has a start; the candidates are folded as if each snap had
+    followed its chain, a later one winning only if strictly greater.
     """
     d = v.shape[0]
-    cplx = np.iscomplexobj(cols) or np.iscomplexobj(v)
+    cplx = np.iscomplexobj(cols)
     scale = value
     if scale <= 0.0:
         scale = float(np.linalg.norm(v))
@@ -218,7 +213,8 @@ def _anneal_refine(cols, v, v_desc, witness, value, rng):
         return witness, value
     rows = np.ascontiguousarray(cols.conj())
     leverage = np.linalg.norm(cols, axis=1)
-    best_wit, best_val = witness, value
+    # the ascent's witness, then each endpoint and the slot of its snap
+    cands, snaps = [(witness, value)], []
     for c in range(ANNEAL_CHAINS):
         if c == 0:
             p0 = witness.perm
@@ -241,31 +237,33 @@ def _anneal_refine(cols, v, v_desc, witness, value, rng):
         p, s, _ = _kernels.anneal_best(
             rows, v, p0, s0, 0.25 * scale, 1e-5 * scale, pairs, acc_u
         )
-        cand = GammaWitness(perm=np.asarray(p), signs=np.asarray(s))
-        cand_val = _value_of(cols, cand.apply(v))
-        if cand_val > best_val:
-            best_wit, best_val = cand, cand_val
-        snapped = _snap(cols, v_desc, v, cand.apply(v))
-        if snapped is not None:
-            snap_val = _value_of(cols, snapped.apply(v))
-            if snap_val > best_val:
-                best_wit, best_val = snapped, snap_val
-    return best_wit, best_val
+        end = GammaWitness(perm=np.asarray(p), signs=np.asarray(s))
+        image = end.apply(v)
+        cands.append((end, _value_of(cols, image)))
+        start = cols.conj().T @ image
+        if float(np.linalg.norm(cols @ start)) > 1e-14:
+            snaps.append((len(cands), start))
+            cands.append(None)
+    if snaps:
+        results, _ = _ascend(np.broadcast_to(cols, (len(snaps), *cols.shape)), v, v_desc,
+                             np.stack([x for _, x in snaps])[:, None], [math.inf] * len(snaps))
+        for (i, _), result in zip(snaps, results):
+            cands[i] = result
+    # max keeps the first largest: a later candidate wins only if greater
+    return max(cands, key=lambda cand: cand[1])
 
 
-def _ascend(basis: SubspaceBasis, v, v_desc, restarts, rng):
-    """Draw the ascent's starts and run it; ``v`` is conformed already.
+def _ascend(cols, v, v_desc, starts, ceilings):
+    """The ascent on frames ``cols`` (S, d, k) from ``starts`` (S, R, k).
 
-    Returns ``(cols, w_best, best_obj, iterations)``.  ``cols`` are the
-    columns the ascent ran on: those of ``basis``, complexified when ``v``
-    is complex, since the supremum then ranges over complex images.
+    Runs ``_kernels.altmax_best`` under ``ceilings`` (S,), ``v`` of ``cols``'
+    dtype, and returns ``(results, iterations)``: ``results[s]`` is the
+    witness of frame ``s``'s best endpoint and its value, or None where the
+    frame crossed its ceiling.
     """
-    if np.iscomplexobj(v):
-        basis = basis.complexify()
-    cols = basis.columns
-    starts = _stacked_starts(cols[None], v, restarts, [rng])
-    w_best, obj, iters, _ = _kernels.altmax_best(cols[None], v_desc, starts, [math.inf])
-    return cols, w_best[0], obj[0], iters
+    w, _, iters, crossed = _kernels.altmax_best(cols, v_desc, starts, ceilings)
+    return [None if crossed[s] else _witness_and_value(cols[s], v, w[s])
+            for s in range(cols.shape[0])], iters
 
 
 def _draw_gaussian(rng, m, k, cplx):
@@ -318,13 +316,11 @@ def _witness_and_value(cols, v, w):
 
 
 def _line_width(basis: SubspaceBasis, v) -> WidthReport:
-    """Exact width of a line; ``v`` is conformed already.
+    """Exact width of a line; ``v`` is conformed, ``basis`` of its field.
 
     The witness pairs the rearrangement of ``v`` with that of the spanning
     vector, which is the optimal image, so no start is drawn.
     """
-    if np.iscomplexobj(v):
-        basis = basis.complexify()
     cols = basis.columns
     witness, value = _witness_and_value(cols, v, cols[:, 0])
     return WidthReport(
@@ -633,13 +629,14 @@ def _enum_width(basis: SubspaceBasis, v) -> WidthReport:
 def _altmax_width(basis: SubspaceBasis, v, restarts, seed, refine) -> WidthReport:
     """The ascent, then with ``refine="auto"`` the anneal.
 
-    ``v`` is conformed and scaled already; :func:`width_altmax` runs this
-    wherever no exact path applies.
+    ``v`` is conformed and scaled already, and ``basis`` of its field;
+    :func:`width_altmax` runs this wherever no exact path applies.
     """
     rng = np.random.default_rng(seed)
     v_desc = decreasing_rearrangement(v)
-    cols, w_best, _, iters = _ascend(basis, v, v_desc, restarts, rng)
-    witness, value = _witness_and_value(cols, v, w_best)
+    cols = basis.columns
+    starts = _stacked_starts(cols[None], v, restarts, [rng])
+    ((witness, value),), iters = _ascend(cols[None], v, v_desc, starts, [math.inf])
     if refine == "auto":
         witness, value = _anneal_refine(cols, v, v_desc, witness, value, rng)
     return WidthReport(
@@ -777,18 +774,20 @@ def width_altmax(
     for bit.  A unit-norm ``v`` runs as it is.  A width that overflows
     float64 raises ``ValueError``.
 
-    The start draw lives in ``_stacked_starts`` and the ascent in
-    ``_kernels.altmax_best``.  Here both run on one frame, with no ceiling;
-    :func:`~cylwidth.lowerbound.adversarial_min_width` calls each once per
-    step for all its candidates, each under its own ceiling, and skips the
-    witness of a candidate whose ascent crossed it.
+    The start draw lives in ``_stacked_starts``, and the ascent and its
+    witnesses in ``_ascend``, the one caller of ``_kernels.altmax_best``.
+    Here it runs on one frame with no ceiling, then on one frame per snap
+    of the anneal; :func:`~cylwidth.lowerbound.adversarial_min_width` calls
+    it once per step for all its candidates, each under its own ceiling.
     """
     if _integer("restarts", restarts) < 1:
         raise ValueError("need at least one restart")
     if refine not in ("auto", "none"):
         raise ValueError("refine must be 'auto' or 'none'")
     v, shift = _scaled(_conform(v, basis.d, basis.field))
-    real = basis.field == "real" and not np.iscomplexobj(v)
+    if np.iscomplexobj(v):
+        basis = basis.complexify()
+    real = basis.field == "real"
     if basis.k == 1:
         report = _line_width(basis, v)
     elif real and basis.d <= min(ENUM_MAX_D, basis.k + 3):

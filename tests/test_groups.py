@@ -40,6 +40,14 @@ def test_apply_validates_inputs():
         signed_permutation_apply([0, 1], [2.0, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         signed_permutation_apply([0, 1], [1.0, 1.0], [1.0, 2.0, 3.0])
+    # a boolean perm sorts like [0, 1] but would index as a mask, and a
+    # float perm or a 0-d v would fail at the indexing
+    with pytest.raises(ValueError, match="integers"):
+        signed_permutation_apply([True, False], [1, 1], [1.0, 2.0])
+    with pytest.raises(ValueError, match="integers"):
+        signed_permutation_apply([0.0, 1.0], [1.0, 1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="1-d"):
+        signed_permutation_apply([0], [1.0], 2.0)
     # a NaN deviation from unit modulus compares False against any tolerance
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="unit modulus"):

@@ -26,11 +26,8 @@ from cylwidth.lowerbound import (
 )
 from cylwidth.measures import sample_uniform
 from cylwidth.vectors import SubspaceBasis, decreasing_rearrangement, orthonormalize
-from cylwidth.width import (
-    _ascend,
-    _witness_and_value,
-    width_brute_signed_perm,
-)
+import cylwidth.width as width
+from cylwidth.width import _altmax_width, width_brute_signed_perm
 
 
 def test_witness_harmonic_tail_norm():
@@ -346,12 +343,10 @@ def _search_with_full_evaluations(d, k, target, restarts, steps, seed, inner_res
     # width: every candidate gets a complete evaluation.  Also counts the
     # candidates whose width lies within rounding of the current one.
     v = np.asarray(target, dtype=np.float64)
-    v_desc = decreasing_rearrangement(v)
 
     def evaluate(basis, rng):
         # the search's inner evaluation, a plain ascent
-        cols, w, _, _ = _ascend(basis, v, v_desc, inner_restarts, rng)
-        return _witness_and_value(cols, v, w)[1]
+        return _altmax_width(basis, v, inner_restarts, rng, "none").value
     best_val, best_basis, evals, near = np.inf, None, 0, 0
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
@@ -434,21 +429,21 @@ def test_search_builds_a_witness_only_for_candidates_whose_ascent_ran_in_full(
     # frame, so building its witness would only cost time
     monkeypatch.setattr(_fork, "_usable_cpus", lambda: 1)
     counts = {"stopped": 0, "full": 0, "witness": 0}
-    real_evaluate, real_witness = lowerbound._evaluate, lowerbound._witness_and_value
+    real_ascend, real_witness = lowerbound._ascend, width._witness_and_value
 
-    def evaluate(*args):
-        # a candidate whose ascent crossed its ceiling has no value
-        values = real_evaluate(*args)
-        for value in values:
-            counts["stopped" if value is None else "full"] += 1
-        return values
+    def ascend(*args):
+        # a candidate whose ascent crossed its ceiling has no witness
+        results, iters = real_ascend(*args)
+        for result in results:
+            counts["stopped" if result is None else "full"] += 1
+        return results, iters
 
     def witness(*args):
         counts["witness"] += 1
         return real_witness(*args)
 
-    monkeypatch.setattr(lowerbound, "_evaluate", evaluate)
-    monkeypatch.setattr(lowerbound, "_witness_and_value", witness)
+    monkeypatch.setattr(lowerbound, "_ascend", ascend)
+    monkeypatch.setattr(width, "_witness_and_value", witness)
     res = adversarial_min_width(8, 2, witness_vector(8, 2).unit, restarts=2, steps=150,
                                 seed=4)
     assert counts["stopped"] > 0 and counts["full"] > 0

@@ -518,10 +518,29 @@ def _eager_width_altmax(basis, v, restarts, seed, refine):
     witness = width._witness_from(np.asarray(w_best), v)
     value = _value_of(cols, witness.apply(v))
     if refine == "auto" and basis.k >= 2:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(width, "_snap", _eager_snap)
-            witness, value = width._anneal_refine(cols, v, v_desc, witness, value, rng)
+        witness, value = _eager_anneal_refine(cols, v, v_desc, witness, value, rng)
     return width.WidthReport(value, "altmax", restarts, int(iters), witness)
+
+
+def _eager_anneal_refine(cols, v, v_desc, witness, value, rng):
+    # the anneal's chains as width runs them, each endpoint then snapped alone
+    # by the eager ascent, and every candidate folded right after its chain
+    ends = []
+    real_anneal = kernels.anneal_best
+
+    def record(*args):
+        p, s, best = real_anneal(*args)
+        ends.append(width.GammaWitness(perm=p, signs=s))
+        return p, s, best
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "anneal_best", record)
+        width._anneal_refine(cols, v, v_desc, witness, value, rng)
+    for end in ends:
+        for cand in (end, _eager_snap(cols, v_desc, v, end.apply(v))):
+            if cand is not None and _value_of(cols, cand.apply(v)) > value:
+                witness, value = cand, _value_of(cols, cand.apply(v))
+    return witness, value
 
 
 def _line_reference(basis, v):
@@ -569,6 +588,52 @@ def test_width_altmax_matches_the_eager_start_reference():
         assert rep.method == ("rearrangement" if k == 1 else "altmax")
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_anneal_snaps_only_the_endpoints_with_a_start(monkeypatch, field):
+    # a frame padded with zero rows, against a v that lives on the frame's
+    # rows: an endpoint that moves v onto the zero rows is orthogonal to the
+    # frame, has no start and gets no snap.  With one such chain the other
+    # five snap in one kernel call and the eager reference's bits hold; with
+    # all six the kernel is never called and the ascent's witness stands
+    d, m, k = 8, 4, 2
+    cols = np.zeros((d, k), dtype=np.complex128 if field == "complex" else np.float64)
+    cols[:m] = sample_uniform(k, m, field, seed=91).columns
+    rng = np.random.default_rng(92)
+    v = np.zeros(d, dtype=cols.dtype)
+    v[:m] = rng.standard_normal(m)
+    if field == "complex":
+        v[:m] += 1j * rng.standard_normal(m)
+    v_desc = decreasing_rearrangement(v)
+    rep = width._altmax_width(SubspaceBasis(cols), v, 6, 93, "none")
+    off = np.roll(np.arange(d), m)
+    real_anneal, real_altmax = kernels.anneal_best, kernels.altmax_best
+    for orthogonal in ({2}, set(range(width.ANNEAL_CHAINS))):
+        chains = itertools.count()
+
+        def anneal(*args):
+            if next(chains) % width.ANNEAL_CHAINS in orthogonal:
+                return off, np.ones(d, dtype=cols.dtype), 0.0
+            return real_anneal(*args)
+
+        frames = []
+
+        def altmax(*args):
+            frames.append(args[0].shape[0])
+            return real_altmax(*args)
+
+        monkeypatch.setattr(kernels, "anneal_best", anneal)
+        monkeypatch.setattr(kernels, "altmax_best", altmax)
+        got = width._anneal_refine(cols, v, v_desc, rep.witness, rep.value,
+                                   np.random.default_rng(94))
+        assert frames == ([] if len(orthogonal) == width.ANNEAL_CHAINS else [5])
+        want = _eager_anneal_refine(cols, v, v_desc, rep.witness, rep.value,
+                                    np.random.default_rng(94))
+        assert (got[0].perm.tobytes(), got[0].signs.tobytes(), got[1]) == (
+            want[0].perm.tobytes(), want[0].signs.tobytes(), want[1]), orthogonal
+        if not frames:
+            assert got[0] is rep.witness and got[1] == rep.value
+
+
 def test_ascend_matches_the_eager_start_reference_under_a_ceiling():
     # the ascent's starts, run by the kernel under a ceiling: none (the
     # ascent itself), the value (which no objective exceeds) and half of it
@@ -585,18 +650,24 @@ def test_ascend_matches_the_eager_start_reference_under_a_ceiling():
         v_desc = decreasing_rearrangement(v)
         seed = [33, k, i, restarts]
         starts = _eager_starts(basis, v, restarts, np.random.default_rng(seed))
-        value = _eager_altmax_best(basis.columns, v_desc, starts)[1]
-        _, w, obj, iters = width._ascend(basis, v, v_desc, restarts,
-                                         np.random.default_rng(seed))
         want = _eager_altmax_best(basis.columns, v_desc, starts)
-        assert (w.tobytes(), np.float64(obj).tobytes(), iters) == (
+        value = want[1]
+        cols = basis.columns[None]
+        coeffs = width._stacked_starts(cols, v, restarts, [np.random.default_rng(seed)])
+        w, obj, iters, _ = kernels.altmax_best(cols, v_desc, coeffs, [math.inf])
+        assert (w[0].tobytes(), obj[0].tobytes(), iters) == (
             want[0].tobytes(), np.float64(want[1]).tobytes(), want[2]), (field, k, restarts, i)
-        coeffs = width._stacked_starts(basis.columns[None], v, restarts,
-                                       [np.random.default_rng(seed)])
+        # _ascend builds the witness of that endpoint
+        (result,), iters = width._ascend(cols, v, v_desc, coeffs, [math.inf])
+        wit, val = width._witness_and_value(basis.columns, v, want[0])
+        assert (result[0].perm.tobytes(), result[0].signs.tobytes(), result[1], iters) == (
+            wit.perm.tobytes(), wit.signs.tobytes(), val, want[2])
         for ceiling in (value, 0.5 * value):
-            crossed = kernels.altmax_best(basis.columns[None], v_desc, coeffs, [ceiling])[3]
+            crossed = kernels.altmax_best(cols, v_desc, coeffs, [ceiling])[3]
             stops = _eager_altmax_best(basis.columns, v_desc, starts, ceiling)[3] == 2
             assert crossed[0] == stops == (i == 0 and ceiling == 0.5 * value)
+            (result,), _ = width._ascend(cols, v, v_desc, coeffs, [ceiling])
+            assert (result is None) == stops
 
 
 def _plain_ascent(basis, v, restarts, seed):
@@ -604,9 +675,9 @@ def _plain_ascent(basis, v, restarts, seed):
     # lines and real planes before their widths were taken exactly, and the
     # adversarial search's inner evaluation
     v = width._conform(v, basis.d, basis.field)
-    rng = np.random.default_rng(seed)
-    cols, w, _, _ = width._ascend(basis, v, decreasing_rearrangement(v), restarts, rng)
-    return width._witness_and_value(cols, v, w)[1]
+    if np.iscomplexobj(v):
+        basis = basis.complexify()
+    return width._altmax_width(basis, v, restarts, seed, "none").value
 
 
 def test_line_width_is_exact():
