@@ -19,8 +19,8 @@ size halves after ``SEARCH_REJECTION_LIMIT`` consecutive rejections.  Lines
 ``min_m (v~_1 + ... + v~_m) / sqrt(m)``, attained by the normalized
 indicator of the first ``m`` coordinates (see
 :func:`adversarial_min_width`).  The restarts of a search are independent,
-so they are spread over the usable CPUs; the output does not depend on how
-many.
+so they are spread over the CPUs the search may use; the output does not
+depend on how many.
 """
 
 from __future__ import annotations
@@ -271,8 +271,11 @@ def adversarial_min_width(
     Underestimation by the inner ascent can only lower the reported
     minimum, so the result is a one-sided probe of the true minimal width.
 
-    The restarts are split into one share per usable CPU, never more than
-    ``restarts``: share ``w`` holds restarts ``w, w + n, ...``, and
+    The restarts are split into one share per CPU that this process may
+    use, never more than ``restarts``: every usable CPU outside a fork map,
+    and the CPUs lent to its share inside one (see :mod:`cylwidth._fork`),
+    so searches that themselves run in a map split no further than their
+    CPUs allow.  Share ``w`` holds restarts ``w, w + n, ...``, and
     :func:`~cylwidth._fork.map_forked` runs each share in this process or
     a forked worker.  A share runs its restarts in lockstep, one step of
     each at a time.  Each restart draws only from its own stream, and the
@@ -339,7 +342,7 @@ def _search(v, v_desc, d, k, restarts, steps, seed, inner_restarts):
     # the search re-evaluates thousands of candidates, so it runs the plain
     # ascent; underestimates only lower the one-sided probe
     seed_base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    n = min(_fork._usable_cpus(), restarts)
+    n = min(_fork._cpu_budget(), restarts)
     shares = _fork.map_forked(
         lambda w: _share(v, v_desc, d, k, steps, inner_restarts,
                          [[*seed_base, r] for r in range(w, restarts, n)]),

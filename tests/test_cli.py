@@ -12,6 +12,7 @@ import pytest
 
 import cylwidth._fork as _fork
 import cylwidth.cli as cli
+import cylwidth.lowerbound as lowerbound
 from cylwidth.groups import GroupPresentation, enumerate_orbit
 from cylwidth.measures import sample_uniform
 from cylwidth.width import width_orbit
@@ -78,22 +79,60 @@ def test_help_documents_csv_columns(capsys):
 
 
 def test_reruns_are_byte_identical(tmp_path, monkeypatch):
-    # the second run spreads its trials, blocks or restarts over 3 processes
+    # the later runs spread their trials, blocks, searches or restarts over
+    # several processes; two searches on 2 CPUs run one whole search each,
+    # and on 4 CPUs each splits its restarts over 2
     first = tmp_path / "a.json"
-    second = tmp_path / "b.json"
-    for argv in (
-        ["selberg-fuzz", "--trials", "12", "--seed", "9"],
-        ["tnorm", "--d", "4096", "--d", "64", "--trials", "131", "--seed", "9"],
-        ["scaling", "--d", "16", "--k", "1", "--k", "2", "--trials", "5",
-         "--restarts", "4", "--seed", "9"],
-        ["lowerbound", "--d", "8", "--k", "1", "--k", "2", "--restarts", "4",
-         "--steps", "40", "--seed", "9"],
+    later = tmp_path / "b.json"
+    for argv, cpus in (
+        (["selberg-fuzz", "--trials", "12", "--seed", "9"], (3,)),
+        (["tnorm", "--d", "4096", "--d", "64", "--trials", "131", "--seed", "9"], (3,)),
+        (["scaling", "--d", "16", "--k", "1", "--k", "2", "--trials", "5",
+          "--restarts", "4", "--seed", "9"], (3,)),
+        (["lowerbound", "--d", "8", "--k", "1", "--k", "2", "--restarts", "4",
+          "--steps", "40", "--seed", "9"], (3,)),
+        (["lowerbound", "--d", "8", "--k", "1", "--k", "2", "--k", "4",
+          "--restarts", "4", "--steps", "40", "--seed", "9"], (2, 3, 4)),
     ):
         monkeypatch.setattr(_fork, "_usable_cpus", lambda: 1)
         assert cli.main(argv + ["--out", str(first)]) == 0
-        monkeypatch.setattr(_fork, "_usable_cpus", lambda: 3)
-        assert cli.main(argv + ["--out", str(second)]) == 0
-        assert first.read_bytes() == second.read_bytes(), argv[0]
+        for n in cpus:
+            monkeypatch.setattr(_fork, "_usable_cpus", lambda n=n: n)
+            assert cli.main(argv + ["--out", str(later)]) == 0
+            assert first.read_bytes() == later.read_bytes(), (argv[0], n)
+
+
+@pytest.mark.parametrize("ks, cpus, layout", [
+    # two searches on 2 CPUs: one whole search per process
+    ((2, 4), 2, [[5], [5]]),
+    # a lone search still splits its restarts over every CPU
+    ((2,), 2, [[3, 2]]),
+    # two searches on 4 CPUs: each splits its restarts over its 2
+    ((2, 4), 4, [[3, 2], [3, 2]]),
+])
+def test_lowerbound_searches_share_out_the_cpus(tmp_path, monkeypatch, ks, cpus,
+                                                layout):
+    log = tmp_path / "shares.txt"
+    real_share = lowerbound._share
+
+    def share(v, v_desc, d, k, steps, inner_restarts, streams):
+        with open(log, "a") as fh:  # one short appended line per call
+            fh.write(f"{k} {os.getpid()} {len(streams)}\n")
+        return real_share(v, v_desc, d, k, steps, inner_restarts, streams)
+
+    monkeypatch.setattr(lowerbound, "_share", share)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: cpus)
+    argv = ["lowerbound", "--d", "8", "--restarts", "5", "--steps", "5", "--seed", "1"]
+    for k in ks:
+        argv += ["--k", str(k)]
+    assert cli.main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    pids = {pid for _, pid, _ in calls}
+    assert len(pids) == min(cpus, sum(map(len, layout)))
+    for k, want in zip(ks, layout):
+        mine = [(pid, n) for kk, pid, n in calls if kk == k]
+        assert sorted((n for _, n in mine), reverse=True) == want, k
+        assert len({pid for pid, _ in mine}) == len(want), k
 
 
 # sha256 of the JSON report at seeds 1 and 3; a change that moves any output
@@ -206,6 +245,29 @@ def test_validation_exit_codes(tmp_path, capsys):
     )
     assert code == 2
     assert err == "error: need 1 <= k <= d, got k=9, d=4\n"
+
+    # every (d, k) is checked before the first search forks
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", fork)
+        for cpus in (1, 3):
+            mp.setattr(_fork, "_usable_cpus", lambda n=cpus: n)
+            code, _, err = run(
+                ["lowerbound", "--d", "4", "--k", "2", "--k", "9", "--k", "10",
+                 "--restarts", "3", "--steps", "5", "--seed", "1"],
+                capsys,
+            )
+            assert code == 2
+            assert err == "error: need 1 <= k <= d, got k=9, d=4\n"
+    assert forks == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
     # a count below one would run nothing and report a vacuous pass
     for argv, flag in (
