@@ -1,15 +1,11 @@
 """One map over independent items, spread over the usable CPUs by ``os.fork``.
 
-The searches of ``lowerbound``, the adversarial search's shares of
-restarts, the width trials of :func:`~cylwidth.width.estimate_f_integral`
-and the Gaussian blocks of :func:`~cylwidth.tnorm.gaussian_tnorm_statistics`
-each draw only from their own derived stream, so :func:`map_forked` can run
-them on several processes and still return the list a serial loop would.
-
-Maps nest, and share out the CPUs as they go: a process that runs share
-``w`` of an ``n``-share map over ``c`` CPUs may use ``c // n + (w < c % n)``
-of them for any map it starts inside that share, and with one it runs that
-map in place.  A process outside any map may use every usable CPU.
+The searches of ``lowerbound``, the width trials of
+:func:`~cylwidth.width.estimate_f_integral` and the Gaussian blocks of
+:func:`~cylwidth.tnorm.gaussian_tnorm_statistics` each draw only from their
+own derived stream, so :func:`map_forked` can run them on several processes
+and still return the list a serial loop would.  A map's items never start
+maps of their own, so no more processes than usable CPUs run at once.
 """
 
 from __future__ import annotations
@@ -26,37 +22,23 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_budget = None  # CPUs of the enclosing map's share; None outside any map
-
-
-def _cpu_budget() -> int:
-    """Number of CPUs a map started in this process may use."""
-    return _usable_cpus() if _budget is None else _budget
-
-
 def map_forked(func, n_items):
     """``[func(i) for i in range(n_items)]``, spread over forked processes.
 
-    There are n = min(c, ``n_items``) shares, for the c CPUs of
-    :func:`_cpu_budget`; share ``w`` holds items ``w, w + n, w + 2n, ...``,
-    and any map that its items start may use ``c // n + (w < c % n)`` CPUs,
-    so nested maps never run more processes than c at once.  This process
-    runs share 0 itself, and each other share runs in a forked worker that
-    pickles its results back through a pipe.  The list comes back in item
-    order, so it does not depend on n.  With one share, or without
-    ``os.fork``, every item runs in this process.  A worker's exception is
-    raised here with its own type; every worker is reaped before this
-    returns or raises, and an exception in this process's own share kills
-    the workers first.  A forked worker shares the loaded modules and
-    ``func``'s closure, so it starts at once and only the results are
-    pickled.
+    There are n = min(usable CPUs, ``n_items``) shares; share ``w`` holds
+    items ``w, w + n, w + 2n, ...``.  This process runs share 0 itself, and
+    each other share runs in a forked worker that pickles its results back
+    through a pipe.  The list comes back in item order, so it does not
+    depend on n.  With one share, or without ``os.fork``, every item runs
+    in this process.  A worker's exception is raised here with its own
+    type; every worker is reaped before this returns or raises, and an
+    exception in this process's own share kills the workers first.  A
+    forked worker shares the loaded modules and ``func``'s closure, so it
+    starts at once and only the results are pickled.
     """
-    global _budget
-    c = _cpu_budget() if hasattr(os, "fork") else 1
-    n = min(c, n_items)
+    n = min(_usable_cpus(), n_items) if hasattr(os, "fork") else 1
     if n <= 1:
         return [func(i) for i in range(n_items)]
-    outer = _budget
     results = [None] * n_items
     workers = []  # (pid, read end of its pipe), unreaped, in share order
     try:
@@ -72,7 +54,6 @@ def map_forked(func, n_items):
                 # _exit skips atexit handlers and the flush of inherited buffers
                 try:
                     os.close(read_fd)
-                    _budget = c // n + (w < c % n)
                     try:
                         msg = ("ok", [(i, func(i)) for i in range(w, n_items, n)])
                     except Exception as exc:
@@ -83,7 +64,6 @@ def map_forked(func, n_items):
                     os._exit(0)
             os.close(write_fd)
             workers.append((pid, open(read_fd, "rb")))
-        _budget = c // n + (0 < c % n)
         for i in range(0, n_items, n):
             results[i] = func(i)
         while workers:
@@ -104,7 +84,6 @@ def map_forked(func, n_items):
                 results[i] = value
         return results
     finally:
-        _budget = outer
         if workers:
             import signal  # only a failed map needs it; kept off the import path
 

@@ -18,9 +18,8 @@ size halves after ``SEARCH_REJECTION_LIMIT`` consecutive rejections.  Lines
 (k = 1) need no search: the least width over real lines is
 ``min_m (v~_1 + ... + v~_m) / sqrt(m)``, attained by the normalized
 indicator of the first ``m`` coordinates (see
-:func:`adversarial_min_width`).  The restarts of a search are independent,
-so they are spread over the CPUs the search may use; the output does not
-depend on how many.
+:func:`adversarial_min_width`).  The restarts of a search run in lockstep
+in one process.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _fork, _kernels
+from . import _kernels
 from .errors import _integer
 from .measures import sample_uniform
 from .vectors import (
@@ -183,72 +182,6 @@ def _least_line_width(v, v_desc) -> AdversarialResult:
     )
 
 
-def _share(v, v_desc, d, k, steps, inner_restarts, streams):
-    """The restarts of one share of the search, run in lockstep.
-
-    Restart ``r`` runs on the random stream ``streams[r]`` and returns the
-    least width it reached, the frame that reached it and the number of
-    evaluations made.  At each step every running restart draws its noise,
-    and then its candidate's ascent starts, from its own stream, so each
-    restart draws what it would draw alone.  The candidates are
-    re-orthonormalized by one stacked QR and their starts drawn by one call
-    of :func:`~cylwidth.width._stacked_starts`, each giving every frame the
-    bits it would get alone, and they are valued together by one call of
-    :func:`~cylwidth.width._ascend`, each under its current width.
-
-    A restart ends early once its step cannot move the width past the
-    ascent's own tolerance: a perturbation ``eta * noise`` has norm about
-    ``eta * sqrt(d k)``, and moves the width against the target, which
-    runs at about unit norm, by at most about that much, so once that is
-    below ``_kernels.ASCENT_TOL`` a candidate differs from the current
-    frame only by what the ascent does not resolve.
-    """
-    rngs = [np.random.default_rng(stream) for stream in streams]
-    frames = [sample_uniform(k, d, "real", rng).columns for rng in rngs]
-    stack = np.stack(frames)
-    results, _ = _ascend(stack, v, v_desc, _stacked_starts(stack, v, inner_restarts, rngs),
-                         [math.inf] * len(rngs))
-    current = [value for _, value in results]
-    evals = [1] * len(rngs)
-    eta = [SEARCH_INITIAL_STEP] * len(rngs)
-    rejected = [0] * len(rngs)
-
-    def reject(r):
-        rejected[r] += 1
-        if rejected[r] >= SEARCH_REJECTION_LIMIT:
-            eta[r] /= 2.0
-            rejected[r] = 0
-
-    running = list(range(len(rngs)))
-    for _ in range(steps):
-        running = [r for r in running if eta[r] * math.sqrt(d * k) >= _kernels.ASCENT_TOL]
-        if not running:
-            break
-        moved = np.stack([frames[r] + eta[r] * rngs[r].standard_normal((d, k))
-                          for r in running])
-        cands, full_rank, _ = _orthonormal_stack(moved)
-        live = []
-        for r, ok in zip(running, full_rank):
-            if ok:
-                live.append(r)
-            else:  # pragma: no cover - tiny probability
-                reject(r)
-        if not live:  # pragma: no cover - tiny probability
-            continue
-        cands = cands[full_rank]
-        starts = _stacked_starts(cands, v, inner_restarts, [rngs[r] for r in live])
-        results, _ = _ascend(cands, v, v_desc, starts, [current[r] for r in live])
-        for r, cand, result in zip(live, cands, results):
-            evals[r] += 1
-            if result is not None and result[1] < current[r]:
-                frames[r] = cand
-                current[r] = result[1]
-                rejected[r] = 0
-            else:
-                reject(r)
-    return list(zip(current, frames, evals))
-
-
 def adversarial_min_width(
     d: int,
     k: int,
@@ -271,16 +204,10 @@ def adversarial_min_width(
     Underestimation by the inner ascent can only lower the reported
     minimum, so the result is a one-sided probe of the true minimal width.
 
-    The restarts are split into one share per CPU that this process may
-    use, never more than ``restarts``: every usable CPU outside a fork map,
-    and the CPUs lent to its share inside one (see :mod:`cylwidth._fork`),
-    so searches that themselves run in a map split no further than their
-    CPUs allow.  Share ``w`` holds restarts ``w, w + n, ...``, and
-    :func:`~cylwidth._fork.map_forked` runs each share in this process or
-    a forked worker.  A share runs its restarts in lockstep, one step of
-    each at a time.  Each restart draws only from its own stream, and the
-    results are folded in restart order, the first least width winning, so
-    the result is the same bit for bit for any number of processes.
+    The restarts run in lockstep in this process, one step of each at a
+    time; the ``lowerbound`` command spreads whole searches, not restarts,
+    over its CPUs.  Each restart draws only from its own stream, and the
+    results are folded in restart order, the first least width winning.
 
     The target is validated and rearranged once, and each frame is valued
     by the plain ascent that :func:`~cylwidth.width.width_altmax` runs (with
@@ -338,27 +265,76 @@ def adversarial_min_width(
 
 
 def _search(v, v_desc, d, k, restarts, steps, seed, inner_restarts):
-    """The random search of :func:`adversarial_min_width` at k >= 2."""
+    """The random search of :func:`adversarial_min_width` at k >= 2.
+
+    Every restart runs in lockstep in this process.  At each step every
+    running restart draws its noise, and then its candidate's ascent
+    starts, from its own stream, so each restart draws what it would draw
+    alone.  The candidates are re-orthonormalized by one stacked QR and
+    their starts drawn by one call of
+    :func:`~cylwidth.width._stacked_starts`, each giving every frame the
+    bits it would get alone, and they are valued together by one call of
+    :func:`~cylwidth.width._ascend`, each under its current width.
+
+    A restart ends early once its step cannot move the width past the
+    ascent's own tolerance: a perturbation ``eta * noise`` has norm about
+    ``eta * sqrt(d k)``, and moves the width against the target, which
+    runs at about unit norm, by at most about that much, so once that is
+    below ``_kernels.ASCENT_TOL`` a candidate differs from the current
+    frame only by what the ascent does not resolve.
+    """
     # the search re-evaluates thousands of candidates, so it runs the plain
     # ascent; underestimates only lower the one-sided probe
     seed_base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    n = min(_fork._cpu_budget(), restarts)
-    shares = _fork.map_forked(
-        lambda w: _share(v, v_desc, d, k, steps, inner_restarts,
-                         [[*seed_base, r] for r in range(w, restarts, n)]),
-        n,
-    )
-    runs = [shares[r % n][r // n] for r in range(restarts)]
-    best_val = np.inf
-    best_cols = None
-    for current, cols, _ in runs:
-        if current < best_val:
-            best_val = current
-            best_cols = cols
+    rngs = [np.random.default_rng([*seed_base, r]) for r in range(restarts)]
+    frames = [sample_uniform(k, d, "real", rng).columns for rng in rngs]
+    stack = np.stack(frames)
+    results, _ = _ascend(stack, v, v_desc, _stacked_starts(stack, v, inner_restarts, rngs),
+                         [math.inf] * restarts)
+    current = [value for _, value in results]
+    evals = [1] * restarts
+    eta = [SEARCH_INITIAL_STEP] * restarts
+    rejected = [0] * restarts
+
+    def reject(r):
+        rejected[r] += 1
+        if rejected[r] >= SEARCH_REJECTION_LIMIT:
+            eta[r] /= 2.0
+            rejected[r] = 0
+
+    running = list(range(restarts))
+    for _ in range(steps):
+        running = [r for r in running if eta[r] * math.sqrt(d * k) >= _kernels.ASCENT_TOL]
+        if not running:
+            break
+        moved = np.stack([frames[r] + eta[r] * rngs[r].standard_normal((d, k))
+                          for r in running])
+        cands, full_rank, _ = _orthonormal_stack(moved)
+        live = []
+        for r, ok in zip(running, full_rank):
+            if ok:
+                live.append(r)
+            else:  # pragma: no cover - tiny probability
+                reject(r)
+        if not live:  # pragma: no cover - tiny probability
+            continue
+        cands = cands[full_rank]
+        starts = _stacked_starts(cands, v, inner_restarts, [rngs[r] for r in live])
+        results, _ = _ascend(cands, v, v_desc, starts, [current[r] for r in live])
+        for r, cand, result in zip(live, cands, results):
+            evals[r] += 1
+            if result is not None and result[1] < current[r]:
+                frames[r] = cand
+                current[r] = result[1]
+                rejected[r] = 0
+            else:
+                reject(r)
+    # folded in restart order, the first least width winning
+    best = int(np.argmin(current))
     return AdversarialResult(
-        min_value=float(best_val),
-        basis=SubspaceBasis._from_q_factor(best_cols, False),
+        min_value=float(current[best]),
+        basis=SubspaceBasis._from_q_factor(frames[best], False),
         restarts=restarts,
         steps=steps,
-        evaluations=sum(evals for _, _, evals in runs),
+        evaluations=sum(evals),
     )

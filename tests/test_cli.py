@@ -79,9 +79,8 @@ def test_help_documents_csv_columns(capsys):
 
 
 def test_reruns_are_byte_identical(tmp_path, monkeypatch):
-    # the later runs spread their trials, blocks, searches or restarts over
-    # several processes; two searches on 2 CPUs run one whole search each,
-    # and on 4 CPUs each splits its restarts over 2
+    # the later runs spread their trials, blocks or searches over several
+    # processes; each search runs whole in one of them, whatever the CPUs
     first = tmp_path / "a.json"
     later = tmp_path / "b.json"
     for argv, cpus in (
@@ -105,34 +104,60 @@ def test_reruns_are_byte_identical(tmp_path, monkeypatch):
 @pytest.mark.parametrize("ks, cpus, layout", [
     # two searches on 2 CPUs: one whole search per process
     ((2, 4), 2, [[5], [5]]),
-    # a lone search still splits its restarts over every CPU
-    ((2,), 2, [[3, 2]]),
-    # two searches on 4 CPUs: each splits its restarts over its 2
-    ((2, 4), 4, [[3, 2], [3, 2]]),
+    # a lone search runs all its restarts in the calling process
+    ((2,), 2, [[5]]),
+    # two searches on 4 CPUs still run one whole search per process
+    ((2, 4), 4, [[5], [5]]),
 ])
 def test_lowerbound_searches_share_out_the_cpus(tmp_path, monkeypatch, ks, cpus,
                                                 layout):
-    log = tmp_path / "shares.txt"
-    real_share = lowerbound._share
+    log = tmp_path / "searches.txt"
+    real_search = lowerbound._search
 
-    def share(v, v_desc, d, k, steps, inner_restarts, streams):
+    def search(v, v_desc, d, k, restarts, *args):
         with open(log, "a") as fh:  # one short appended line per call
-            fh.write(f"{k} {os.getpid()} {len(streams)}\n")
-        return real_share(v, v_desc, d, k, steps, inner_restarts, streams)
+            fh.write(f"{k} {os.getpid()} {restarts}\n")
+        return real_search(v, v_desc, d, k, restarts, *args)
 
-    monkeypatch.setattr(lowerbound, "_share", share)
+    monkeypatch.setattr(lowerbound, "_search", search)
     monkeypatch.setattr(_fork, "_usable_cpus", lambda: cpus)
     argv = ["lowerbound", "--d", "8", "--restarts", "5", "--steps", "5", "--seed", "1"]
     for k in ks:
         argv += ["--k", str(k)]
     assert cli.main(argv + ["--out", str(tmp_path / "out.json")]) == 0
     calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-    pids = {pid for _, pid, _ in calls}
-    assert len(pids) == min(cpus, sum(map(len, layout)))
+    # each search is one lockstep call over all its restarts
     for k, want in zip(ks, layout):
-        mine = [(pid, n) for kk, pid, n in calls if kk == k]
-        assert sorted((n for _, n in mine), reverse=True) == want, k
-        assert len({pid for pid, _ in mine}) == len(want), k
+        assert [n for kk, _, n in calls if kk == k] == want, k
+    pids = [pid for _, pid, _ in calls]
+    assert len(set(pids)) == len(ks)
+    if len(ks) == 1:
+        assert pids == [os.getpid()]
+
+
+class SearchFailed(Exception):
+    pass
+
+
+def test_search_worker_failure_is_raised_and_every_worker_reaped(tmp_path, monkeypatch):
+    # on 2 or more CPUs the k = 4 search runs in a forked worker and the k = 2
+    # search in this process; either failure comes back with its own type
+    real_draw = lowerbound._stacked_starts
+    argv = ["lowerbound", "--d", "8", "--k", "2", "--k", "4", "--restarts", "3",
+            "--steps", "20", "--seed", "1", "--out", str(tmp_path / "out.json")]
+    for failing in (2, 4):
+        def draw(cols, v, restarts, rngs, failing=failing):
+            if cols.shape[2] == failing:
+                raise SearchFailed(f"ascent failed in the k = {failing} search")
+            return real_draw(cols, v, restarts, rngs)
+
+        monkeypatch.setattr(lowerbound, "_stacked_starts", draw)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_fork, "_usable_cpus", lambda n=cpus: n)
+            with pytest.raises(SearchFailed, match=f"k = {failing} search"):
+                cli.main(argv)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
 
 # sha256 of the JSON report at seeds 1 and 3; a change that moves any output
@@ -402,6 +427,49 @@ def test_realize_missed_ratio_exit_code(monkeypatch, tmp_path, capsys):
     gfile.write_text(json.dumps({"d": 3, "kind": "signed_permutations"}))
     code, out, _ = run(["realize", "--group", str(gfile), "--base-point", "0.9,0.4,0.1",
                         "--draws", "2", "--seed", "2"], capsys)
+    assert code == 3
+    assert json.loads(out)["rows"][0]["ok"] is False
+
+
+def _all_ones_orbit_group(tmp_path, d=8):
+    # a swap and a d-cycle, no sign flips: the all-ones point is fixed, and it
+    # is orthogonal to every sum-free dyadic block, so both widths are 0
+    def perm_matrix(p):
+        m = [[[0.0, 0.0] for _ in range(d)] for _ in range(d)]
+        for i, j in enumerate(p):
+            m[j][i] = [1.0, 0.0]
+        return m
+
+    gfile = tmp_path / "perm.json"
+    gfile.write_text(json.dumps({"d": d, "kind": "explicit", "generators": [
+        perm_matrix([1, 0, *range(2, d)]), perm_matrix([(i + 1) % d for i in range(d)])]}))
+    return ["realize", "--group", str(gfile), "--base-point", ",".join(["1"] * d),
+            "--draws", "2", "--seed", "21"]
+
+
+def test_realize_rounding_noise_is_not_a_missed_ratio(tmp_path, capsys):
+    code, out, _ = run(_all_ones_orbit_group(tmp_path), capsys)
+    row = json.loads(out)["rows"][0]
+    assert code == 0 and row["ok"] is True
+    # widths of a few ulps; their ratio is noise
+    assert 0.0 < row["complex_width"] < 1e-15 and 0.0 < row["real_width"] < 1e-15
+    assert row["ratio"] > cli.REALIZE_RATIO_CAP
+
+
+def test_realize_misses_a_ratio_beyond_the_rounding_slack(tmp_path, monkeypatch, capsys):
+    # the real width is made to exceed the cap by twice the slack, d eps at d = 8
+    slack = 8 * np.finfo(np.float64).eps
+    complex_widths = []
+
+    def orbit_width(basis, orbit, *ceiling):
+        rep = width_orbit(basis, orbit, *ceiling)
+        if ceiling:  # a complex draw of the pick
+            complex_widths.append(rep.value)
+            return rep
+        return replace(rep, value=cli.REALIZE_RATIO_CAP * min(complex_widths) + 2 * slack)
+
+    monkeypatch.setattr(cli, "width_orbit", orbit_width)
+    code, out, _ = run(_all_ones_orbit_group(tmp_path), capsys)
     assert code == 3
     assert json.loads(out)["rows"][0]["ok"] is False
 

@@ -408,26 +408,10 @@ def test_adversarial_search_matches_full_evaluations():
             assert near > 0
 
 
-def test_search_output_does_not_depend_on_the_worker_count(monkeypatch):
-    cases = [(8, 2, witness_vector(8, 2).unit), (10, 4, witness_vector(10, 4).unit)]
-    for (d, k, target), restarts in itertools.product(cases, (1, 3, 12)):
-        results = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(_fork, "_usable_cpus", lambda w=workers: w)
-            res = adversarial_min_width(d, k, target, restarts=restarts, steps=30,
-                                        seed=[7, d, k])
-            # an unpickled basis is sealed like one built in this process
-            assert not res.basis.columns.flags.writeable
-            results.append((np.float64(res.min_value).tobytes(),
-                            res.basis.columns.tobytes(), res.evaluations))
-        assert results[1] == results[0] and results[2] == results[0]
-
-
 def test_search_builds_a_witness_only_for_candidates_whose_ascent_ran_in_full(
         monkeypatch):
     # a stopped ascent already proves the candidate wider than the current
     # frame, so building its witness would only cost time
-    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 1)
     counts = {"stopped": 0, "full": 0, "witness": 0}
     real_ascend, real_witness = lowerbound._ascend, width._witness_and_value
 
@@ -449,25 +433,6 @@ def test_search_builds_a_witness_only_for_candidates_whose_ascent_ran_in_full(
     assert counts["stopped"] > 0 and counts["full"] > 0
     assert counts["witness"] == counts["full"]
     assert counts["stopped"] + counts["full"] == res.evaluations
-
-
-def test_search_worker_failure_is_raised_and_every_worker_reaped(monkeypatch):
-    real_draw = lowerbound._stacked_starts
-
-    def draw(cols, v, restarts, rngs):
-        # restart r draws from the stream (seed, r)
-        if any(rng.bit_generator.seed_seq.entropy[-1] == 2 for rng in rngs):
-            raise RuntimeError("ascent failed in restart 2")
-        return real_draw(cols, v, restarts, rngs)
-
-    monkeypatch.setattr(lowerbound, "_stacked_starts", draw)
-    wit = witness_vector(8, 2).unit
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(_fork, "_usable_cpus", lambda w=workers: w)
-        with pytest.raises(RuntimeError, match="restart 2"):
-            adversarial_min_width(8, 2, wit, restarts=4, steps=20, seed=1)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
