@@ -46,7 +46,7 @@ from .measures import (
 )
 from .rip import C_RIP, realize_real_subspace, select_columns
 from .tnorm import gaussian_tnorm_statistics, lipschitz_bound
-from .vectors import _scaled
+from .vectors import _conformed, _scaled
 from .width import altmax_evaluator, estimate_f_integral, width_altmax, width_orbit
 
 SCHEMA_VERSION = 1
@@ -464,11 +464,10 @@ def _least_orbit_width(bases, orbit):
 def _cmd_realize(args):
     obj = read_group_json(args.group)
     try:
-        base = np.array([float(t) for t in args.base_point.split(",")])
+        coords = [float(t) for t in args.base_point.split(",")]
     except ValueError as exc:
         raise ValueError(f"cannot parse base point: {exc}") from exc
-    if not np.isfinite(base).all():
-        raise ValueError("base point coordinates must be finite")
+    base = _conformed(coords, "base point coordinates")
     # checked before the group's d x d generators are built
     d = group_dimension(obj)
     if base.shape[0] != d:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and its check of integer
-arguments."""
+"""Exception types shared across the package, and its checks of integer
+and seed arguments."""
 
 import numbers
 
@@ -11,6 +11,17 @@ def _integer(name: str, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _seed_path(seed) -> list:
+    """The entries that a derived stream ``[*path, i]`` extends: ``seed``,
+    or its items if a list or tuple, each an integer >= 0, else
+    ``ValueError``."""
+    path = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    for entry in path:
+        if _integer("seed", entry) < 0:
+            raise ValueError(f"seed entries must be at least 0, got {seed!r}")
+    return path
 
 
 class CylwidthError(Exception):

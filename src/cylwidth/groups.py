@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrbitTooLargeError, _integer
-from .vectors import _ldexp, _scaled, _unscaled
+from .vectors import _conformed, _ldexp, _scaled, _sealed, _unscaled
 
 __all__ = [
     "GroupPresentation",
@@ -131,24 +131,15 @@ class GroupPresentation:
             raise ValueError("at least one generator required")
         gens = []
         for g in self.generators:
-            a = np.asarray(g)
-            if np.iscomplexobj(a):
-                a = np.ascontiguousarray(a, dtype=np.complex128)
-            else:
-                a = np.ascontiguousarray(a, dtype=np.float64)
+            a = _conformed(g, "generator entries")
             if a.shape != (self.d, self.d):
-                raise ValueError(
-                    f"generator shape {a.shape} does not match d={self.d}"
-                )
-            if not np.isfinite(a).all():
-                raise ValueError("generator entries must be finite")
+                raise ValueError(f"generator shape {a.shape} does not match d={self.d}")
             # an overflowing product makes the deviation NaN, which must not pass
             with np.errstate(over="ignore", invalid="ignore"):
                 err = float(np.max(np.abs(a @ a.conj().T - np.eye(self.d))))
             if not err <= UNITARY_TOL:
                 raise ValueError(f"generator is not unitary (deviation {err:.3e})")
-            a.setflags(write=False)
-            gens.append(a)
+            gens.append(_sealed(a, g))
         object.__setattr__(self, "generators", tuple(gens))
 
     @classmethod
@@ -170,21 +161,15 @@ class Orbit:
     must be finite in float64.  They are taken on the points scaled by
     ``2^-s``, ``2^s`` the power of two nearest the base point's norm (the
     scale the widths run it at), so no square of a valid orbit overflows
-    or underflows.
+    or underflows.  The stored points are the orbit's own read-only array.
     """
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points)
+        pts = _conformed(self.points, "orbit points")
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("orbit needs a nonempty (n, d) point array")
-        if np.iscomplexobj(pts):
-            pts = np.ascontiguousarray(pts, dtype=np.complex128)
-        else:
-            pts = np.ascontiguousarray(pts, dtype=np.float64)
-        if not np.isfinite(pts).all():
-            raise ValueError("orbit points must be finite")
         # the base point's shift fits every point of its norm, and a point of
         # another norm fails the check whatever its shift
         _, shift = _scaled(pts[0])
@@ -200,8 +185,7 @@ class Orbit:
             common = False
         if not common:
             raise ValueError("orbit points must share a common finite norm")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _sealed(pts, self.points))
 
     @property
     def n(self) -> int:
@@ -222,15 +206,9 @@ def enumerate_orbit(group: GroupPresentation, v, max_size: int = 10_000) -> Orbi
     # `len(seen) > nan` is False, so a NaN cap would never stop the search
     if _integer("max_size", max_size) < 1:
         raise ValueError(f"max_size must be a positive integer, got {max_size!r}")
-    v = np.asarray(v)
+    v = _conformed(v, "base point", complex_=group.field == "complex")
     if v.shape != (group.d,):
         raise ValueError(f"base point must have shape ({group.d},)")
-    if not np.isfinite(v).all():
-        raise ValueError("base point must be finite")
-    if group.field == "complex" or np.iscomplexobj(v):
-        v = v.astype(np.complex128)
-    else:
-        v = v.astype(np.float64)
     return Orbit(_closure(group.generators, v, max_size))
 
 
@@ -243,7 +221,7 @@ def signed_permutation_apply(perm, signs, v) -> np.ndarray:
     """
     perm = np.asarray(perm)
     signs = np.asarray(signs)
-    v = np.asarray(v)
+    v = _conformed(v, "v")
     if v.ndim != 1:
         raise ValueError("v must be a 1-d vector")
     d = v.shape[0]
@@ -256,8 +234,6 @@ def signed_permutation_apply(perm, signs, v) -> np.ndarray:
     # written so that a NaN deviation fails the test
     if not float(np.max(np.abs(np.abs(signs) - 1.0))) <= 1e-9:
         raise ValueError("signs must have unit modulus")
-    if not np.isfinite(v).all():
-        raise ValueError("v must be finite")
     return signs * v[perm]
 
 

@@ -30,12 +30,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .errors import _integer
+from .errors import _integer, _seed_path
 from .measures import sample_uniform
 from .vectors import (
     SubspaceBasis,
+    _conformed,
     _orthonormal_stack,
     _scaled,
+    _sealed,
     _unscaled,
     decreasing_rearrangement,
 )
@@ -86,9 +88,9 @@ class SigmaProfile:
     """Sorted coordinate profile of a subspace.
 
     ``sigmas[i]`` is the (i+1)-th largest value of
-    ``||proj_W e_j||_2 / sqrt(k)``.  Construction rejects non-finite
-    entries and validates the exact identities: squares sum to one within
-    1e-8 and ``sigmas[i] <= min(1/sqrt(k), 1/sqrt(i+1)) + 1e-9``.
+    ``||proj_W e_j||_2 / sqrt(k)``.  Construction rejects non-finite or
+    complex entries and validates the exact identities: squares sum to one
+    within 1e-8 and ``sigmas[i] <= min(1/sqrt(k), 1/sqrt(i+1)) + 1e-9``.
     """
 
     sigmas: np.ndarray
@@ -96,11 +98,11 @@ class SigmaProfile:
     k: int
 
     def __post_init__(self):
-        s = np.asarray(self.sigmas, dtype=np.float64)
+        s = _conformed(self.sigmas, "profile entries")
+        if np.iscomplexobj(s):
+            raise ValueError("profile entries must be real")
         if s.shape != (self.d,):
             raise ValueError("profile length must match the dimension")
-        if not np.isfinite(s).all():
-            raise ValueError("profile entries must be finite")
         total = float(np.sum(s**2))
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"profile squares sum to {total}, expected 1")
@@ -108,8 +110,7 @@ class SigmaProfile:
         cap = np.minimum(1.0 / np.sqrt(self.k), 1.0 / np.sqrt(ranks))
         if np.any(s > cap + 1e-9):
             raise ValueError("profile exceeds the rank/coordinate caps")
-        s.setflags(write=False)
-        object.__setattr__(self, "sigmas", s)
+        object.__setattr__(self, "sigmas", _sealed(s, self.sigmas))
 
 
 def sigma_profile(basis: SubspaceBasis) -> SigmaProfile:
@@ -135,17 +136,14 @@ def selberg_check(points, tol: float = 1e-9) -> SelbergReport:
     never exceeds ``max_i sum_j |<x_i, x_j>|``.  ``tol`` must be finite and
     nonnegative, so the check cannot hold vacuously, and the points must be
     finite with finite Gram row sums, so it cannot fail on invalid input.
-    The points are converted to float64 (complex128 if complex) first, so
-    integer points cannot wrap around in the Gram product.
+    Integer points are conformed to float64 first, so they cannot wrap.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    x = np.asarray(points)
-    x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
+    x = _conformed(points, "points")
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("need a nonempty (m, d) array of row vectors")
-    # a non-finite point or an overflowing Gram matrix makes a row sum inf
-    # or NaN, which must not pass
+    # an overflowing Gram matrix makes a row sum inf or NaN, which must not pass
     with np.errstate(over="ignore", invalid="ignore"):
         gram = x @ x.conj().T
         gram = (gram + gram.conj().T) / 2.0
@@ -195,12 +193,14 @@ def adversarial_min_width(
 
     ``target`` is a vector, and a frame's width against it is evaluated by
     the alternating ascent over signed permutations with ``inner_restarts``
-    starts.  Restart ``r`` runs on the derived stream ``(seed, r)``: a
-    uniform random frame is perturbed by Gaussian noise of scale
-    ``SEARCH_INITIAL_STEP`` and re-orthonormalized; strict improvements are
-    accepted and the scale halves after ``SEARCH_REJECTION_LIMIT``
-    consecutive rejections, until ``steps`` candidates are drawn or the
-    scale times ``sqrt(d k)`` falls below ``_kernels.ASCENT_TOL``.
+    starts.  Restart ``r`` runs on the derived stream ``(seed, r)``, where
+    a ``seed`` other than an integer >= 0 or a list or tuple of them raises
+    ``ValueError``: a uniform random frame is perturbed by Gaussian noise
+    of scale ``SEARCH_INITIAL_STEP`` and re-orthonormalized; strict
+    improvements are accepted and the scale halves after
+    ``SEARCH_REJECTION_LIMIT`` consecutive rejections, until ``steps``
+    candidates are drawn or the scale times ``sqrt(d k)`` falls below
+    ``_kernels.ASCENT_TOL``.
     Underestimation by the inner ascent can only lower the reported
     minimum, so the result is a one-sided probe of the true minimal width.
 
@@ -224,11 +224,12 @@ def adversarial_min_width(
     the same bit for bit as with full evaluations.
 
     A target at k = 1 is solved exactly, with no search: ``restarts``,
-    ``steps`` and ``inner_restarts`` are validated and otherwise unused, and
-    the result reports one evaluation and zero restarts and steps.  Let
-    ``A_m = v~_1 + ... + v~_m`` and ``1_[m]`` be the vector with ones on the
-    first ``m`` coordinates.  A real unit ``u`` spans a line of width
-    ``sum_i u~_i v~_i`` (see :func:`~cylwidth.width.width_altmax`).  The
+    ``steps``, ``inner_restarts`` and ``seed`` are validated and otherwise
+    unused, and the result reports one evaluation and zero restarts and
+    steps.  Let ``A_m = v~_1 + ... + v~_m`` and ``1_[m]`` be the vector
+    with ones on the first ``m`` coordinates.  A real unit ``u`` spans a
+    line of width ``sum_i u~_i v~_i`` (see
+    :func:`~cylwidth.width.width_altmax`).  The
     decreasing non-negative ``u~`` is ``sum_m lam_m 1_[m]`` with
     ``lam_m = u~_m - u~_(m+1) >= 0``, so its width is ``sum_m lam_m A_m``,
     while the triangle inequality gives
@@ -253,18 +254,19 @@ def adversarial_min_width(
         raise ValueError(f"need steps >= 0, got {steps}")
     if _integer("inner_restarts", inner_restarts) < 1:
         raise ValueError("need at least one inner restart")
+    seed_path = _seed_path(seed)
     v, shift = _scaled(_conform(target, d, "real"))
     v_desc = decreasing_rearrangement(v)
     if k == 1:
         result = _least_line_width(v, v_desc)
     else:
-        result = _search(v, v_desc, d, k, restarts, steps, seed, inner_restarts)
+        result = _search(v, v_desc, d, k, restarts, steps, seed_path, inner_restarts)
     if shift:
         result = replace(result, min_value=_unscaled(result.min_value, shift))
     return result
 
 
-def _search(v, v_desc, d, k, restarts, steps, seed, inner_restarts):
+def _search(v, v_desc, d, k, restarts, steps, seed_path, inner_restarts):
     """The random search of :func:`adversarial_min_width` at k >= 2.
 
     Every restart runs in lockstep in this process.  At each step every
@@ -285,8 +287,7 @@ def _search(v, v_desc, d, k, restarts, steps, seed, inner_restarts):
     """
     # the search re-evaluates thousands of candidates, so it runs the plain
     # ascent; underestimates only lower the one-sided probe
-    seed_base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    rngs = [np.random.default_rng([*seed_base, r]) for r in range(restarts)]
+    rngs = [np.random.default_rng([*seed_path, r]) for r in range(restarts)]
     frames = [sample_uniform(k, d, "real", rng).columns for rng in rngs]
     stack = np.stack(frames)
     results, _ = _ascend(stack, v, v_desc, _stacked_starts(stack, v, inner_restarts, rngs),

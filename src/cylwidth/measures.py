@@ -28,6 +28,7 @@ from .errors import (
     EmptyDyadicIndexError,
     RankDeficientError,
     _integer,
+    _seed_path,
 )
 from .tnorm import t_norm_subspace_bound
 from .vectors import SubspaceBasis, orthonormalize
@@ -147,11 +148,13 @@ def dyadic_alt_measure(k: int, d: int, j_min_override=None, seed=0) -> DyadicAlt
 
     For every scale ``j`` in the window a sum-free delocalized subspace is
     built on the first ``2^j`` coordinates with the derived stream
-    ``(seed, j)``, zero-padded to dimension ``d`` and complexified.  The
-    tail-weighted norm in the certificate refers to the block dimension
-    ``2^j``.  Each block is certified by :func:`build_delocalized_subspace`
-    (at most ``DELOC_THRESHOLD`` within ``DELOC_ATTEMPTS`` draws), which
-    raises :class:`CertificationFailedError` otherwise.
+    ``(seed, j)``, zero-padded to dimension ``d`` and complexified;
+    ``seed`` is an integer >= 0 or a list or tuple of them, else
+    ``ValueError``.  The tail-weighted norm in the certificate refers to
+    the block dimension ``2^j``.  Each block is certified by
+    :func:`build_delocalized_subspace` (at most ``DELOC_THRESHOLD`` within
+    ``DELOC_ATTEMPTS`` draws), which raises
+    :class:`CertificationFailedError` otherwise.
     """
     j_values = dyadic_index_set(k, d, j_min_override)
     if 2 ** j_values[0] - 1 < k:
@@ -159,7 +162,7 @@ def dyadic_alt_measure(k: int, d: int, j_min_override=None, seed=0) -> DyadicAlt
             f"k={k} does not fit in the smallest block 2^{j_values[0]}; "
             "raise the scale override"
         )
-    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    base = _seed_path(seed)
     certs = []
     ambients = []
     for j in j_values:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuaranteeMissedError, RankDeficientError, _integer
-from .vectors import SubspaceBasis, orthonormalize
+from .vectors import SubspaceBasis, _conformed, orthonormalize
 
 __all__ = [
     "ColumnSelection",
@@ -106,12 +106,9 @@ def select_columns(m, k: int, c_rip: float = C_RIP) -> ColumnSelection:
     """
     if not (math.isfinite(c_rip) and c_rip >= 0.0):
         raise ValueError(f"c_rip must be finite and nonnegative, got {c_rip}")
-    m = np.asarray(m)
+    m = _conformed(m, "matrix entries")
     if np.iscomplexobj(m):
         raise ValueError("column selection operates on real matrices")
-    m = np.ascontiguousarray(m, dtype=np.float64)
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
     if _integer("k", k) < 1:
         raise ValueError("k must be positive")
     if m.shape != (2 * k, 4 * k):

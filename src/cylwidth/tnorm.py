@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._fork import map_forked
-from .errors import _integer
+from .errors import _integer, _seed_path
 from .nets import sphere_net
 from .vectors import SubspaceBasis, _gram_deviation, decreasing_rearrangement
 
@@ -202,7 +202,8 @@ def gaussian_tnorm_statistics(
 
     Each trial uses the derived stream ``(seed, trial)`` so results do not
     depend on evaluation order or on how trials are partitioned.  ``seed``
-    may be an integer or a list of integers to derive from.
+    may be an integer or a list or tuple of integers to derive from, each
+    at least 0; any other ``seed`` raises ``ValueError``.
 
     Trials are drawn in blocks of ``t_norm_batch``'s row count, and the
     blocks are spread by :func:`~cylwidth._fork.map_forked` over this
@@ -219,7 +220,7 @@ def gaussian_tnorm_statistics(
         raise ValueError("sum-zero sampling needs d >= 2")
     if _integer("trials", trials) < 1:
         raise ValueError("need at least one trial")
-    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    base = _seed_path(seed)
     rows = max(1, _BATCH_ELEMENTS // d)
     # a forked worker writes its own copy of this buffer
     block = np.empty((min(rows, trials), d))

@@ -4,6 +4,12 @@ Conventions used throughout the package:
 
 * the scalar field of an array is its dtype (float64 for real data,
   complex128 for complex data); every routine accepts both,
+* every array argument goes through ``_conformed``: converted first (to
+  contiguous complex128 if complex, else float64), then ``ValueError``
+  naming it if numpy cannot convert it or an entry is NaN or inf,
+* a basis, orbit, group or sigma profile keeps a read-only array of its
+  own (``_sealed``), a copy where the conformed array shares the caller's
+  memory, so the caller's array stays writable and apart,
 * the decreasing rearrangement of ``v`` is the vector of moduli ``|v_i|``
   sorted in non-increasing order.
 """
@@ -29,13 +35,44 @@ SUM_ZERO_TOL = 1e-9
 RANK_TOL = 1e-10
 
 
-def _as_matrix(columns) -> np.ndarray:
-    a = np.asarray(columns)
+def _conformed(a, what: str, complex_: bool = False) -> np.ndarray:
+    """``a`` as contiguous complex128 if it is complex or ``complex_`` is
+    set, else float64 (``a`` itself if it is one); ``ValueError`` naming
+    ``what`` if numpy cannot convert it or an entry is NaN or inf."""
+    try:
+        a = np.asarray(a)
+        # unlike np.ascontiguousarray, this keeps a 0-d array 0-d
+        a = np.asarray(a, np.complex128 if complex_ or np.iscomplexobj(a) else np.float64,
+                       order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} must be numeric: {exc}") from None
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    return a
+
+
+def _sealed(a: np.ndarray, arg) -> np.ndarray:
+    """``a``, conformed from ``arg``, read-only; a copy if it shares
+    ``arg``'s memory (a converting copy is fresh and owns its memory)."""
+    a = a.copy() if a is arg or not a.flags.owndata else a
+    a.setflags(write=False)
+    return a
+
+
+def _unit_phases(w: np.ndarray) -> np.ndarray:
+    """``w / |w|`` entry by entry, 1 where ``w`` is 0; exactly -1.0 or 1.0
+    for real ``w``."""
+    if np.iscomplexobj(w):
+        m = np.abs(w)
+        return np.where(m > 0.0, w / np.where(m > 0.0, m, 1.0), 1.0)
+    return np.where(w < 0.0, -1.0, 1.0)
+
+
+def _as_matrix(columns, what: str) -> np.ndarray:
+    a = _conformed(columns, what)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError("expected a nonempty 2-d array of basis columns")
-    if np.iscomplexobj(a):
-        return np.ascontiguousarray(a, dtype=np.complex128)
-    return np.ascontiguousarray(a, dtype=np.float64)
+    return a
 
 
 def _gram_deviation(cols: np.ndarray) -> float:
@@ -55,24 +92,22 @@ class SubspaceBasis:
     (max deviation of the Gram matrix from the identity at most 1e-9).  When
     ``sum_zero`` is set the columns must additionally have coordinate sums at
     most 1e-9 in modulus, i.e. the subspace sits inside the hyperplane
-    orthogonal to the all-ones vector.  The stored array is made read-only,
-    and stays so through pickling.
+    orthogonal to the all-ones vector.  The stored array is the basis's own
+    and read-only, and stays so through pickling.
     """
 
     columns: np.ndarray
     sum_zero: bool = False
 
     def __post_init__(self):
-        cols = _as_matrix(self.columns)
+        cols = _as_matrix(self.columns, "basis columns")
         d, k = cols.shape
         if k > d:
             raise ValueError(f"basis has {k} columns in dimension {d}")
-        if not np.isfinite(cols).all():
-            raise ValueError("basis columns must be finite")
         err = _gram_deviation(cols)
         if not err <= ORTHO_TOL:
             raise ValueError(f"columns not orthonormal (deviation {err:.3e})")
-        self._seal(cols)
+        self._seal(_sealed(cols, self.columns))
 
     def __reduce__(self):
         # unpickle through the constructor, so the columns are validated and
@@ -83,10 +118,7 @@ class SubspaceBasis:
         if self.sum_zero:
             worst = float(np.max(np.abs(cols.sum(axis=0))))
             if not worst <= SUM_ZERO_TOL:
-                raise ValueError(
-                    f"columns not sum-free (coordinate sum {worst:.3e})"
-                )
-        cols.setflags(write=False)
+                raise ValueError(f"columns not sum-free (coordinate sum {worst:.3e})")
         object.__setattr__(self, "columns", cols)
 
     @classmethod
@@ -95,10 +127,12 @@ class SubspaceBasis:
 
         Householder QR returns columns orthonormal to working precision
         whatever the input's conditioning, so the Gram re-check is skipped;
-        the sum check still runs.
+        the sum check still runs.  The fresh ``q`` is kept without a copy,
+        as are the complexified columns of :meth:`complexify`.
         """
         basis = object.__new__(cls)
         object.__setattr__(basis, "sum_zero", sum_zero)
+        q.setflags(write=False)
         basis._seal(q)
         return basis
 
@@ -118,9 +152,7 @@ class SubspaceBasis:
         """Same columns reinterpreted over the complex field."""
         if self.field == "complex":
             return self
-        return SubspaceBasis(
-            self.columns.astype(np.complex128), sum_zero=self.sum_zero
-        )
+        return SubspaceBasis._from_q_factor(self.columns.astype(np.complex128), self.sum_zero)
 
 
 def _ldexp(a: np.ndarray, n: int) -> np.ndarray:
@@ -165,13 +197,11 @@ def _unscaled(value: float, shift: int) -> float:
 
 def decreasing_rearrangement(v) -> np.ndarray:
     """Moduli of ``v`` sorted in non-increasing order."""
-    v = np.asarray(v)
     return np.sort(np.abs(v), kind="stable")[::-1].copy()
 
 
 def decreasing_argsort(v) -> np.ndarray:
     """Indices ordering ``v`` by decreasing modulus, ties by original index."""
-    v = np.asarray(v)
     return np.argsort(-np.abs(v), kind="stable")
 
 
@@ -187,9 +217,7 @@ def orthonormalize(columns, sum_zero: bool = False) -> SubspaceBasis:
     The QR factor is normalized to make the diagonal of R real positive, so
     the output is deterministic.
     """
-    a = _as_matrix(columns)
-    if not np.isfinite(a).all():
-        raise ValueError("columns must be finite")
+    a = _as_matrix(columns, "columns")
     if a.shape[1] > a.shape[0]:
         # the reduced QR would keep only d of the columns
         raise RankDeficientError(
@@ -217,11 +245,5 @@ def _orthonormal_stack(a: np.ndarray):
     s = np.linalg.svd(r, compute_uv=False)
     # a zero spectrum fails too, since its smallest value is 0
     full_rank = s[:, -1] > RANK_TOL * s[:, 0]
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    if np.iscomplexobj(diag):
-        mod = np.abs(diag)
-        phase = np.where(mod > 0, diag / np.where(mod > 0, mod, 1.0), 1.0).conj()
-    else:
-        # diag / |diag| is exactly -1.0 or 1.0 for a real diagonal
-        phase = np.where(diag < 0.0, -1.0, 1.0)
+    phase = _unit_phases(np.diagonal(r, axis1=-2, axis2=-1)).conj()
     return q * phase[:, None, :], full_rank, s

@@ -45,12 +45,14 @@ import numpy as np
 
 from . import _kernels
 from ._fork import map_forked
-from .errors import _integer
+from .errors import _integer, _seed_path
 from .groups import Orbit, signed_permutation_apply
 from .vectors import (
     SubspaceBasis,
+    _conformed,
     _ldexp,
     _scaled,
+    _unit_phases,
     _unscaled,
     decreasing_argsort,
     decreasing_rearrangement,
@@ -110,14 +112,10 @@ class FIntegralEstimate:
 
 
 def _conform(v, d: int, field: str) -> np.ndarray:
-    v = np.asarray(v)
+    v = _conformed(v, "vector entries", complex_=field == "complex")
     if v.shape != (d,):
         raise ValueError(f"vector must have shape ({d},)")
-    if not np.isfinite(v).all():
-        raise ValueError("vector entries must be finite")
-    if field == "complex" or np.iscomplexobj(v):
-        return v.astype(np.complex128)
-    return v.astype(np.float64)
+    return v
 
 
 def width_brute_signed_perm(basis: SubspaceBasis, v) -> WidthReport:
@@ -159,16 +157,6 @@ def width_brute_signed_perm(basis: SubspaceBasis, v) -> WidthReport:
         iterations=count,
         witness=witness,
     )
-
-
-def _unit_phases(w: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(w):
-        m = np.abs(w)
-        ph = np.ones_like(w)
-        nz = m > 0.0
-        ph[nz] = w[nz] / m[nz]
-        return ph
-    return np.where(w < 0.0, -1.0, 1.0)
 
 
 def _witness_from(w: np.ndarray, v: np.ndarray) -> GammaWitness:
@@ -414,7 +402,7 @@ def _great_circles(cols):
     circle = (np.cumsum(leads) - 1)[label]
     n = u[leads]
     # an orthonormal pair orthogonal to each normal (Duff et al., 2017)
-    s = np.where(n[:, 2] < 0.0, -1.0, 1.0)
+    s = _unit_phases(n[:, 2])
     h = -1.0 / (s + n[:, 2])
     g = n[:, 0] * n[:, 1] * h
     p = np.stack((1.0 + s * n[:, 0] ** 2 * h, s * g, -s * n[:, 0]), axis=1)
@@ -459,10 +447,10 @@ def _ranked(y, push):
     ties go by index.
     """
     if push is None:
-        return decreasing_argsort(y), np.where(y < 0.0, -1.0, 1.0)
+        return decreasing_argsort(y), _unit_phases(y)
     sign = np.sign(y)
     zero = sign == 0.0
-    sign[zero] = np.where(push[zero] < 0.0, -1.0, 1.0)
+    sign[zero] = _unit_phases(push[zero])
     key = np.empty(y.shape, dtype=np.complex128)
     key.real = np.abs(y)
     key.imag = push * sign
@@ -864,7 +852,8 @@ def estimate_f_integral(
 
     Trial ``i`` draws its subspace and evaluates with the derived stream
     ``(seed, i)``, so the result is independent of evaluation order.
-    ``seed`` may be an integer or a list of integers to derive from.  The
+    ``seed`` may be an integer or a list or tuple of integers to derive
+    from, each at least 0; any other ``seed`` raises ``ValueError``.  The
     trials are spread by :func:`~cylwidth._fork.map_forked` over this
     process and forked workers, one process per usable CPU, and come back
     in trial order, so the result is the same bit for bit for any number of
@@ -872,7 +861,7 @@ def estimate_f_integral(
     """
     if _integer("trials", trials) < 1:
         raise ValueError("need at least one trial")
-    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    base = _seed_path(seed)
 
     def trial(i):
         rng = np.random.default_rng([*base, i])
