@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and its checks of integer
-and seed arguments."""
+"""Exception types shared across the package, and its checks of integer,
+real and seed arguments."""
 
+import math
 import numbers
 
 
@@ -11,6 +12,22 @@ def _integer(name: str, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _real(name: str, value) -> float:
+    """``float(value)`` if it is a real number other than NaN, else
+    ``ValueError``; each caller compares it with its own range."""
+    # bool is an int subclass and a numeric string is no number, and NaN
+    # compares false with every bound
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond float range
+        x = math.inf if value > 0 else -math.inf
+    if math.isnan(x):
+        raise ValueError(f"{name} must not be NaN")
+    return x
 
 
 def _seed_path(seed) -> list:

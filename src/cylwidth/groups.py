@@ -220,7 +220,7 @@ def signed_permutation_apply(perm, signs, v) -> np.ndarray:
     every sign must have unit modulus within 1e-9 (so the map is unitary).
     """
     perm = np.asarray(perm)
-    signs = np.asarray(signs)
+    signs = _conformed(signs, "signs of unit modulus")
     v = _conformed(v, "v")
     if v.ndim != 1:
         raise ValueError("v must be a 1-d vector")
@@ -231,7 +231,6 @@ def signed_permutation_apply(perm, signs, v) -> np.ndarray:
         raise ValueError("perm must hold integers")
     if not np.array_equal(np.sort(perm), np.arange(d)):
         raise ValueError("perm is not a permutation of range(d)")
-    # written so that a NaN deviation fails the test
     if not float(np.max(np.abs(np.abs(signs) - 1.0))) <= 1e-9:
         raise ValueError("signs must have unit modulus")
     return signs * v[perm]

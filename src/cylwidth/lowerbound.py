@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .errors import _integer, _seed_path
+from .errors import _integer, _real, _seed_path
 from .measures import sample_uniform
 from .vectors import (
     SubspaceBasis,
@@ -133,12 +133,13 @@ def selberg_check(points, tol: float = 1e-9) -> SelbergReport:
 
     For any finite family ``x_1..x_m`` the supremum over unit ``w`` of
     ``sum_i |<w, x_i>|^2`` is the top eigenvalue of the Gram matrix, and it
-    never exceeds ``max_i sum_j |<x_i, x_j>|``.  ``tol`` must be finite and
-    nonnegative, so the check cannot hold vacuously, and the points must be
-    finite with finite Gram row sums, so it cannot fail on invalid input.
-    Integer points are conformed to float64 first, so they cannot wrap.
+    never exceeds ``max_i sum_j |<x_i, x_j>|``.  ``tol`` must be a finite
+    nonnegative real, so the check cannot hold vacuously, and the points
+    finite with finite Gram row sums, so it cannot fail on invalid input;
+    else ``ValueError``.  Integer points are conformed to float64 first.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
+    tol = _real("tol", tol)
+    if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     x = _conformed(points, "points")
     if x.ndim != 2 or x.shape[0] < 1:

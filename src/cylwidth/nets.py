@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import greedy_pack
-from .errors import _integer
+from .errors import _integer, _real
 
 __all__ = ["sphere_net"]
 
@@ -56,11 +56,12 @@ def sphere_net(k: int, delta: float) -> np.ndarray:
     k : int
         Sphere dimension plus one: 2 or 3.
     delta : float
-        Target covering radius, in (0, 1/2].
+        Target covering radius, a real in (0, 1/2], else ``ValueError``.
     """
     if _integer("k", k) not in (2, 3):
         raise ValueError(f"no deterministic net construction for k={k} (2 or 3)")
-    if not (0.0 < delta <= 0.5):
+    delta = _real("delta", delta)
+    if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
     if k == 2:
         return _circle_net(delta)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuaranteeMissedError, RankDeficientError, _integer
+from .errors import GuaranteeMissedError, RankDeficientError, _integer, _real
 from .vectors import SubspaceBasis, _conformed, orthonormalize
 
 __all__ = [
@@ -54,17 +54,25 @@ EXHAUSTIVE_MAX_K = 3
 
 def singular_values(m) -> np.ndarray:
     """Singular values in decreasing order."""
-    return np.linalg.svd(np.asarray(m), compute_uv=False)
+    return np.linalg.svd(_conformed(m, "m"), compute_uv=False)
 
 
 def rip_target(m, k: int) -> float:
-    """Tail quantity the selected columns are measured against."""
-    return _tail_target(singular_values(m), np.asarray(m).shape[1], k)
+    """Tail quantity the selected columns of ``m`` are measured against."""
+    return _tail_target(singular_values(_shaped(m, k)), k)
 
 
-def _tail_target(s: np.ndarray, n: int, k: int) -> float:
-    """:func:`rip_target` of a matrix with ``n`` columns and spectrum ``s``."""
-    full = np.zeros(n)
+def _shaped(m, k) -> np.ndarray:
+    """``m`` conformed; ``ValueError`` unless ``k >= 1`` and it is ``2k x 4k``."""
+    m = _conformed(m, "m")
+    if _integer("k", k) < 1 or m.shape != (2 * k, 4 * k):
+        raise ValueError(f"need k >= 1 and a 2k x 4k matrix, got k = {k} and {m.shape}")
+    return m
+
+
+def _tail_target(s: np.ndarray, k: int) -> float:
+    """:func:`rip_target` of a ``2k x 4k`` matrix with spectrum ``s``."""
+    full = np.zeros(4 * k)
     full[: s.shape[0]] = s
     lo = math.ceil(3 * k / 2)  # 1-indexed position
     return float(np.sqrt(np.sum(full[lo - 1 :] ** 2) / k))
@@ -102,17 +110,15 @@ def select_columns(m, k: int, c_rip: float = C_RIP) -> ColumnSelection:
     scored and the better selection is returned.  Ties in the greedy
     argmax resolve to the lowest column index.  Raises
     :class:`GuaranteeMissedError` when the best smallest singular value is
-    below ``c_rip * target``; ``c_rip`` must be finite and nonnegative.
+    below ``c_rip * target``; ``ValueError`` unless ``c_rip`` is a finite
+    nonnegative real.
     """
-    if not (math.isfinite(c_rip) and c_rip >= 0.0):
+    c_rip = _real("c_rip", c_rip)
+    if not 0.0 <= c_rip < math.inf:
         raise ValueError(f"c_rip must be finite and nonnegative, got {c_rip}")
-    m = _conformed(m, "matrix entries")
+    m = _shaped(m, k)
     if np.iscomplexobj(m):
         raise ValueError("column selection operates on real matrices")
-    if _integer("k", k) < 1:
-        raise ValueError("k must be positive")
-    if m.shape != (2 * k, 4 * k):
-        raise ValueError(f"expected a {2*k}x{4*k} matrix, got {m.shape}")
     s = singular_values(m)
     if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
         raise RankDeficientError(
@@ -140,7 +146,7 @@ def select_columns(m, k: int, c_rip: float = C_RIP) -> ColumnSelection:
         indices, achieved = exhaustive_idx, exhaustive_val
     else:
         indices, achieved = greedy_idx, greedy_val
-    target = _tail_target(s, 4 * k, k)
+    target = _tail_target(s, k)
     ratio = achieved / target if target > 0 else np.inf
     if achieved < c_rip * target:
         raise GuaranteeMissedError(

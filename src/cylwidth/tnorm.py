@@ -31,8 +31,7 @@ the prefix holds the same maximal float and the same smallest maximizing
 size as a full sort; its cumulative sum adds the same values in the same
 order, so every value is bit for bit the one a full sort gives.  The
 largest score is also at least ``g(c)/d > 1.8`` times ``S_d`` for
-``d >= 2``, so the prefix overflows exactly when the full sum would, and
-NaN and inf moduli, the largest in sort order, always fall in the prefix.
+``d >= 2``, so the prefix overflows exactly when the full sum would.
 For ``d <= 27`` (``s* < 1``) the prefix is one entry and
 ``||v||_T = ln(2d)^2 max |v_i|``.
 """
@@ -48,7 +47,7 @@ import numpy as np
 from ._fork import map_forked
 from .errors import _integer, _seed_path
 from .nets import sphere_net
-from .vectors import SubspaceBasis, _gram_deviation, decreasing_rearrangement
+from .vectors import SubspaceBasis, _conformed, _gram_deviation, decreasing_rearrangement
 
 __all__ = [
     "TNormValue",
@@ -88,7 +87,7 @@ def _prefix_scores(rows: np.ndarray) -> np.ndarray:
     m = min(d, 2 * math.ceil(2.0 * d / math.exp(4.0)) - 1)
     # in place: a fresh block-sized array per step costs more in page
     # faults than the partition itself
-    m2 = np.abs(rows).astype(np.float64, copy=False)
+    m2 = np.abs(rows)
     np.square(m2, out=m2)
     m2.partition(d - m, axis=1)
     top = m2[:, d - m:]
@@ -98,7 +97,7 @@ def _prefix_scores(rows: np.ndarray) -> np.ndarray:
 
 def t_norm(v) -> TNormValue:
     """Norm value together with the smallest maximizing tail size."""
-    v = np.asarray(v)
+    v = _conformed(v, "v")
     if v.ndim != 1 or v.size < 1:
         raise ValueError("t_norm expects a nonempty vector")
     with np.errstate(over="ignore"):
@@ -110,7 +109,7 @@ def t_norm(v) -> TNormValue:
 
 def t_norm_batch(vectors) -> np.ndarray:
     """Norm values for every row of a 2-d array."""
-    vs = np.asarray(vectors)
+    vs = _conformed(vectors, "vectors")
     if vs.ndim != 2 or vs.shape[1] < 1:
         raise ValueError("t_norm_batch expects a 2-d array with nonempty rows")
     n, d = vs.shape
@@ -124,8 +123,8 @@ def t_norm_batch(vectors) -> np.ndarray:
 
 
 def _require_finite(values, name: str) -> None:
-    # a NaN or inf entry, or a finite one whose square or weighted tail sum
-    # overflows, makes the row's maximal score NaN or inf
+    # a finite entry whose square or weighted tail sum overflows makes the
+    # row's maximal score inf
     if not np.isfinite(values).all():
         raise ValueError(
             f"{name} needs finite entries whose norm is representable"

@@ -7,6 +7,8 @@ Conventions used throughout the package:
 * every array argument goes through ``_conformed``: converted first (to
   contiguous complex128 if complex, else float64), then ``ValueError``
   naming it if numpy cannot convert it or an entry is NaN or inf,
+* every real scalar argument goes through ``errors._real``: ``ValueError``
+  naming it for a bool, a non-real value or NaN; each caller checks a range,
 * a basis, orbit, group or sigma profile keeps a read-only array of its
   own (``_sealed``), a copy where the conformed array shares the caller's
   memory, so the caller's array stays writable and apart,

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import _kernels
 from ._fork import map_forked
-from .errors import _integer, _seed_path
+from .errors import _integer, _real, _seed_path
 from .groups import Orbit, signed_permutation_apply
 from .vectors import (
     SubspaceBasis,
@@ -124,9 +124,9 @@ def width_brute_signed_perm(basis: SubspaceBasis, v) -> WidthReport:
     One permutation at a time, each against all ``2^d`` sign rows, on
     ``v`` scaled to unit norm by a power of two, as in :func:`width_altmax`.
     """
-    if basis.field != "real" or np.iscomplexobj(np.asarray(v)):
-        raise ValueError("brute enumeration covers the real field only")
     v, shift = _scaled(_conform(v, basis.d, basis.field))
+    if np.iscomplexobj(v):  # the basis or v is complex
+        raise ValueError("brute enumeration covers the real field only")
     d = basis.d
     if d > BRUTE_MAX_D:
         raise ValueError(f"brute enumeration is capped at d={BRUTE_MAX_D}")
@@ -808,10 +808,10 @@ def width_orbit(
     The orbit is evaluated scaled by ``2^-s``, ``2^s`` the power of two
     nearest its norm, as :func:`width_altmax` scales a vector, and the
     value back; the ceiling is compared with the value scaled back, and the
-    witness is the unscaled orbit point.
+    witness is the unscaled orbit point.  ``ValueError`` unless ``ceiling``
+    is a real number other than NaN.
     """
-    if math.isnan(ceiling):
-        raise ValueError("ceiling must not be NaN")
+    ceiling = _real("ceiling", ceiling)
     if orbit.d != basis.d:
         raise ValueError("orbit and basis dimensions differ")
     cols = basis.columns.conj()

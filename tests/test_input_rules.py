@@ -1,14 +1,16 @@
 """Each input rule has one owner.
 
 ``vectors._conformed`` converts every array argument (to complex128 if it
-is complex, else float64) and rejects NaN and inf; ``vectors._sealed``
-gives an object a read-only array of its own; ``errors._seed_path`` reads
-the seed that a derived stream extends.  The guard at the end fails if
-another module spells the seed rule or rejects an argument through
-``np.isfinite`` itself.
+is complex, else float64) and rejects NaN and inf; ``errors._real`` reads
+every real scalar argument and rejects NaN; ``vectors._sealed`` gives an
+object a read-only array of its own; ``errors._seed_path`` reads the seed
+that a derived stream extends.  The guards at the end fail if another
+module spells the seed rule, or converts or checks one of its own
+arguments itself.
 """
 
 import ast
+import math
 import pathlib
 import re
 
@@ -29,13 +31,15 @@ from cylwidth.lowerbound import (
     sigma_profile,
 )
 from cylwidth.measures import dyadic_alt_measure
-from cylwidth.rip import select_columns
-from cylwidth.tnorm import gaussian_tnorm_statistics
+from cylwidth.nets import sphere_net
+from cylwidth.rip import rip_target, select_columns, singular_values
+from cylwidth.tnorm import gaussian_tnorm_statistics, t_norm, t_norm_batch
 from cylwidth.vectors import SubspaceBasis, orthonormalize
 from cylwidth.width import (
     estimate_f_integral,
     width_altmax,
     width_brute_signed_perm,
+    width_orbit,
 )
 
 PACKAGE = pathlib.Path(cylwidth.__file__).parent
@@ -103,6 +107,23 @@ def test_numeric_strings_convert_at_every_vector_site():
     perm, signs = np.array([2, 0, 1, 4, 3]), np.array([1.0, -1.0, 1.0, 1.0, -1.0])
     assert np.array_equal(signed_permutation_apply(perm, signs, text),
                           signed_permutation_apply(perm, signs, v))
+    assert np.array_equal(signed_permutation_apply(perm, signs.astype(str), v),
+                          signed_permutation_apply(perm, signs, v))
+    assert t_norm(text) == t_norm(v)
+    assert np.array_equal(t_norm_batch(text[None]), t_norm_batch(v[None]))
+    m = np.vstack([v[:4], v[1:]])
+    assert np.array_equal(singular_values(m.astype(str)), singular_values(m))
+    assert rip_target(m.astype(str), 1) == rip_target(m, 1)
+
+
+def test_single_precision_arrays_run_in_double():
+    rng = np.random.default_rng(5)
+    z = (rng.standard_normal(64) + 1j * rng.standard_normal(64)).astype(np.complex64)
+    assert t_norm(z) == t_norm(z.astype(np.complex128))
+    assert t_norm_batch(z[None]) == t_norm_batch(z[None].astype(np.complex128))
+    m = rng.standard_normal((2, 4)).astype(np.float32)
+    assert singular_values(m).dtype == np.float64
+    assert np.array_equal(singular_values(m), singular_values(m.astype(np.float64)))
 
 
 def test_unconvertible_arrays_are_named():
@@ -141,6 +162,59 @@ def test_none_entries_are_not_finite(name):
     # numpy converts None to NaN
     with pytest.raises(ValueError, match="must be finite"):
         CONFORMED_SITES[name]()
+
+
+# array arguments that numpy would otherwise take as they come, each with
+# the name its error starts with
+NAMED_ARRAYS = {
+    "t_norm": ("v", lambda x: t_norm([1.0, x])),
+    "t_norm_batch": ("vectors", lambda x: t_norm_batch([[1.0, x]])),
+    "singular_values": ("m", lambda x: singular_values([[1.0, x]])),
+    "rip_target": ("m", lambda x: rip_target([[1.0, 0.0, 0.0, x], [0.0, 1.0, 1.0, 0.0]], 1)),
+    "signed_permutation_apply": (
+        "signs", lambda x: signed_permutation_apply([1, 0], [1.0, x], [1.0, 2.0])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_ARRAYS))
+@pytest.mark.parametrize("bad", [None, np.nan])
+def test_non_finite_array_entries_are_named(name, bad):
+    arg, call = NAMED_ARRAYS[name]
+    with pytest.raises(ValueError, match=f"^{arg} .*must be finite"):
+        call(bad)
+
+
+_LINE = SubspaceBasis(np.eye(2)[:, :1])
+_ORBIT = enumerate_orbit(GroupPresentation.signed_permutations(2), [1.0, 0.5])
+# the real scalar arguments, each read by errors._real
+REAL_SCALARS = {
+    "tol": lambda x: selberg_check(np.eye(2), tol=x),
+    "c_rip": lambda x: select_columns(np.hstack([np.eye(2), np.eye(2)]), 1, c_rip=x),
+    "delta": lambda x: sphere_net(2, x),
+    "ceiling": lambda x: width_orbit(_LINE, _ORBIT, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_SCALARS))
+@pytest.mark.parametrize("bad", ["0.1", None, math.nan, True])
+def test_real_scalars_reject_non_numbers(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        REAL_SCALARS[name](bad)
+
+
+def test_real_scalars_read_any_real_type():
+    for x in (0, np.int64(0), np.float32(0.25)):
+        assert REAL_SCALARS["tol"](x) == REAL_SCALARS["tol"](float(x))
+        assert REAL_SCALARS["c_rip"](x) == REAL_SCALARS["c_rip"](float(x))
+    assert np.array_equal(sphere_net(2, np.float32(0.25)), sphere_net(2, 0.25))
+    # no ceiling is +inf, and an int beyond float range reads as one
+    whole = width_orbit(_LINE, _ORBIT).value
+    assert width_orbit(_LINE, _ORBIT, math.inf).value == whole
+    assert width_orbit(_LINE, _ORBIT, 10**400).value == whole
+    for bad in (math.inf, 10**400, -1e-9):
+        with pytest.raises(ValueError, match="^tol must be finite"):
+            REAL_SCALARS["tol"](bad)
 
 
 def test_objects_keep_arrays_of_their_own():
@@ -199,6 +273,49 @@ def _isfinite_sites(path):
     return {(path.name, site) for site in visitor.sites}
 
 
+# the modules that own the rules, and the kernel module, a leaf with checks
+# of its own
+RULE_OWNERS = {"vectors.py", "errors.py", "_kernels.py"}
+HAND_ROLLED = {
+    *((module, fn) for module in ("np", "numpy")
+      for fn in ("asarray", "ascontiguousarray", "isfinite")),
+    ("math", "isfinite"),
+    ("math", "isnan"),
+}
+# an integer index array, which _conformed would turn into floats
+INDEX_ARGUMENTS = {("groups.py", "signed_permutation_apply", "perm")}
+
+
+class _ArgumentChecks(ast.NodeVisitor):
+    """Each parameter that a public function or method passes straight to
+    one of ``HAND_ROLLED``, as ``(function, parameter)``."""
+
+    def __init__(self):
+        self.scope, self.sites = [(None, set())], set()
+
+    def visit_FunctionDef(self, node):
+        a = node.args
+        params = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p}
+        self.scope.append((node.name, params))
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        name, params = self.scope[-1]
+        f = node.func
+        if (name and not name.startswith("_") and isinstance(f, ast.Attribute)
+                and (getattr(f.value, "id", None), f.attr) in HAND_ROLLED):
+            self.sites.update((name, arg.id) for arg in node.args
+                              if isinstance(arg, ast.Name) and arg.id in params)
+        self.generic_visit(node)
+
+
+def _argument_checks(path):
+    visitor = _ArgumentChecks()
+    visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+    return {(path.name, fn, param) for fn, param in visitor.sites}
+
+
 def test_only_errors_reads_a_seed_path():
     found = {
         path.name: SEED_PATH.findall(path.read_text(encoding="utf-8"))
@@ -213,3 +330,9 @@ def test_only_vectors_rejects_non_finite_arguments():
     sites = set().union(*(_isfinite_sites(path) for path in sorted(PACKAGE.glob("*.py"))))
     assert ("vectors.py", "_conformed") in sites
     assert {(name, fn) for name, fn in sites if name != "vectors.py"} == RESULT_CHECKS
+    # nor does a public function convert an argument, or test it for NaN or
+    # inf, by hand: arrays go through vectors._conformed, real scalars
+    # through errors._real; the one index array shows the rule still sees
+    found = set().union(*(_argument_checks(path) for path in sorted(PACKAGE.glob("*.py"))
+                          if path.name not in RULE_OWNERS))
+    assert found == INDEX_ARGUMENTS

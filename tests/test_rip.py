@@ -29,6 +29,23 @@ def test_rip_target_duplicated_identity():
     assert abs(rip_target(m, 1) - np.sqrt(2.0)) < 1e-12
 
 
+def test_rip_target_checks_k_and_the_shape():
+    # k = 0 gave NaN, k = -1 gave -0.0, k = 1.5 and k = 3 on a 2x4 matrix a
+    # vacuous 0.0, and True counted as 1
+    m = np.hstack([np.eye(2), np.eye(2)])
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="need k >= 1"):
+            rip_target(m, bad)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            rip_target(m, bad)
+    with pytest.raises(ValueError, match=r"got k = 3 and \(2, 4\)"):
+        rip_target(m, 3)
+    with pytest.raises(ValueError, match=r"got k = 1 and \(4, 2\)"):
+        rip_target(m.T, 1)
+    assert rip_target(m, np.int64(1)) == rip_target(m, 1)
+
+
 def test_select_columns_duplicated_identity():
     m = np.hstack([np.eye(2), np.eye(2)])
     sel = select_columns(m, 1)
