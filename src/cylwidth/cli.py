@@ -36,14 +36,11 @@ from .errors import (
     CylwidthError,
     EmptyDyadicIndexError,
     GuaranteeMissedError,
+    _integer,
 )
 from .groups import enumerate_orbit, group_dimension, group_from_dict, read_group_json
 from .lowerbound import adversarial_min_width, selberg_check, witness_vector
-from .measures import (
-    desk_scale_j_min,
-    dyadic_alt_measure,
-    sample_uniform,
-)
+from .measures import desk_scale_j_min, dyadic_alt_measure, sample_uniform
 from .rip import C_RIP, realize_real_subspace, select_columns
 from .tnorm import gaussian_tnorm_statistics, lipschitz_bound
 from .vectors import _conformed, _scaled
@@ -317,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_tnorm(args):
     rows = []
     for d in args.d:
-        if d < 2:
-            raise ValueError("tnorm needs d >= 2 (sum-zero conditioning)")
+        _integer("d", d, 2)  # the sum-zero draws need two coordinates
         plain = gaussian_tnorm_statistics(d, args.trials, False, seed=[args.seed, 31, d])
         zero = gaussian_tnorm_statistics(d, args.trials, True, seed=[args.seed, 32, d])
         rows.append(
@@ -508,7 +504,8 @@ def _cmd_realize(args):
     best, complex_width = _least_orbit_width(candidates, orbit)
     rep = realize_real_subspace(candidates[best])
     real_width = width_orbit(rep.basis, orbit).value
-    ratio = real_width / complex_width if complex_width > 0 else math.inf
+    # a zero complex width has no finite ratio, and JSON has no inf
+    ratio = real_width / complex_width if complex_width > 0 else None
     # each inner product of a unit orbit point with a unit column rounds by
     # about d eps, so widths that small are noise and their ratio means
     # nothing: the cap is checked up to that rounding bound
@@ -571,8 +568,7 @@ def _cmd_rip_fuzz(args):
     ks = args.k if args.k else [1, 2, 3]
     rows = []
     for k in ks:
-        if k < 1:
-            raise ValueError("k must be positive")
+        _integer("k", k, 1)
         for trial in range(args.trials):
             rng = np.random.default_rng([args.seed, 61, k, trial])
             m = rng.standard_normal((2 * k, 4 * k))

@@ -1,17 +1,32 @@
 """Exception types shared across the package, and its checks of integer,
-real and seed arguments."""
+flag, real and seed arguments."""
 
 import math
 import numbers
 
+import numpy as np
 
-def _integer(name: str, value):
-    """``value`` if it is an integer, else ``ValueError``."""
+
+def _integer(name: str, value, low=None, high=None):
+    """``value`` if it is an integer in ``[low, high]``, else ``ValueError``;
+    ``high`` is given only with ``low``, and ``None`` leaves a side open."""
     # bool is an int subclass; a float would be truncated, and NaN or inf
     # would pass or overflow the comparisons that follow
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"need {low} <= {name} <= {high}, got {name}={value}")
+    if low is not None and value < low:
+        raise ValueError(f"need {name} >= {low}, got {value}")
     return value
+
+
+def _flag(name: str, value) -> bool:
+    """``bool(value)`` for a bool or numpy bool, else ``ValueError``."""
+    # "no" would read as true, and 0 or None as false
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be True or False, got {value!r}")
+    return bool(value)
 
 
 def _real(name: str, value) -> float:
@@ -36,8 +51,7 @@ def _seed_path(seed) -> list:
     ``ValueError``."""
     path = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     for entry in path:
-        if _integer("seed", entry) < 0:
-            raise ValueError(f"seed entries must be at least 0, got {seed!r}")
+        _integer("seed", entry, 0)
     return path
 
 

@@ -100,8 +100,7 @@ def _closure(generators, start: np.ndarray, max_size: int) -> np.ndarray:
 
 def signed_permutation_generators(d: int) -> list[np.ndarray]:
     """Standard generators of the signed permutation group on R^d."""
-    if _integer("d", d) < 1:
-        raise ValueError("dimension must be positive")
+    _integer("d", d, 1)
     flip = np.eye(d)
     flip[0, 0] = -1.0
     gens = [flip]
@@ -125,8 +124,7 @@ class GroupPresentation:
     generators: tuple
 
     def __post_init__(self):
-        if _integer("d", self.d) < 1:
-            raise ValueError("dimension must be positive")
+        _integer("d", self.d, 1)
         if not self.generators:
             raise ValueError("at least one generator required")
         gens = []
@@ -204,8 +202,7 @@ def enumerate_orbit(group: GroupPresentation, v, max_size: int = 10_000) -> Orbi
     generator semigroup equals the group, so no explicit inverses are needed.
     """
     # `len(seen) > nan` is False, so a NaN cap would never stop the search
-    if _integer("max_size", max_size) < 1:
-        raise ValueError(f"max_size must be a positive integer, got {max_size!r}")
+    _integer("max_size", max_size, 1)
     v = _conformed(v, "base point", complex_=group.field == "complex")
     if v.shape != (group.d,):
         raise ValueError(f"base point must have shape ({group.d},)")

@@ -70,8 +70,7 @@ class WitnessVector:
 
 def witness_vector(d: int, k: int) -> WitnessVector:
     """Unit-normalized harmonic witness for dimension ``d`` and rank ``k``."""
-    if not 1 <= _integer("k", k) <= _integer("d", d):
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
+    _integer("k", k, 1, _integer("d", d, 1))
     half = k // 2
     a = np.zeros(d)
     n = d - half
@@ -98,6 +97,7 @@ class SigmaProfile:
     k: int
 
     def __post_init__(self):
+        _integer("k", self.k, 1, _integer("d", self.d, 1))
         s = _conformed(self.sigmas, "profile entries")
         if np.iscomplexobj(s):
             raise ValueError("profile entries must be real")
@@ -247,14 +247,10 @@ def adversarial_min_width(
     the stop on ``_kernels.ASCENT_TOL`` above is relative to its norm.  A
     value that overflows float64 raises ``ValueError``.
     """
-    if not 1 <= _integer("k", k) <= _integer("d", d):
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-    if _integer("restarts", restarts) < 1:
-        raise ValueError("need at least one restart")
-    if _integer("steps", steps) < 0:
-        raise ValueError(f"need steps >= 0, got {steps}")
-    if _integer("inner_restarts", inner_restarts) < 1:
-        raise ValueError("need at least one inner restart")
+    _integer("k", k, 1, _integer("d", d, 1))
+    _integer("restarts", restarts, 1)
+    _integer("steps", steps, 0)
+    _integer("inner_restarts", inner_restarts, 1)
     seed_path = _seed_path(seed)
     v, shift = _scaled(_conform(target, d, "real"))
     v_desc = decreasing_rearrangement(v)

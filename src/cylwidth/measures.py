@@ -48,8 +48,7 @@ DELOC_ATTEMPTS = 8
 
 def sample_uniform(k: int, d: int, field: str = "real", seed=None) -> SubspaceBasis:
     """Rotation-invariant random subspace from orthonormalized Gaussians."""
-    if not 1 <= _integer("k", k) <= _integer("d", d):
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
+    _integer("k", k, 1, _integer("d", d, 1))
     if field not in ("real", "complex"):
         raise ValueError("field must be 'real' or 'complex'")
     rng = np.random.default_rng(seed)
@@ -76,8 +75,7 @@ def build_delocalized_subspace(k: int, d: int, seed=None):
     itself only requires ``k <= d - 1`` so that small dyadic blocks remain
     feasible.
     """
-    if not 1 <= _integer("k", k) <= _integer("d", d) - 1:
-        raise ValueError(f"need 1 <= k <= d-1 for sum-free spans, got k={k}, d={d}")
+    _integer("k", k, 1, _integer("d", d, 2) - 1)
     rng = np.random.default_rng(seed)
     last = None
     for _ in range(DELOC_ATTEMPTS):
@@ -98,9 +96,7 @@ def build_delocalized_subspace(k: int, d: int, seed=None):
 
 def desk_scale_j_min(k: int, delta: int = 1) -> int:
     """Small-dimension replacement for the asymptotic lower scale index."""
-    if _integer("k", k) < 1:
-        raise ValueError("k must be positive")
-    return math.ceil(math.log2(2 * k)) + _integer("delta", delta)
+    return math.ceil(math.log2(2 * _integer("k", k, 1))) + _integer("delta", delta)
 
 
 def dyadic_index_set(k: int, d: int, j_min_override=None) -> tuple:
@@ -112,8 +108,8 @@ def dyadic_index_set(k: int, d: int, j_min_override=None) -> tuple:
     asymptotic regime.  Raises :class:`EmptyDyadicIndexError` when the
     window contains no index.
     """
-    if _integer("d", d) < 2 or _integer("k", k) < 1:
-        raise ValueError("need d >= 2 and k >= 1")
+    _integer("d", d, 2)
+    _integer("k", k, 1)
     j_max = math.floor(math.log2(d))
     if j_min_override is None:
         j_min = math.ceil(math.log2(2.0 * k * math.log(d) ** 4))

@@ -58,8 +58,7 @@ def sphere_net(k: int, delta: float) -> np.ndarray:
     delta : float
         Target covering radius, a real in (0, 1/2], else ``ValueError``.
     """
-    if _integer("k", k) not in (2, 3):
-        raise ValueError(f"no deterministic net construction for k={k} (2 or 3)")
+    _integer("k", k, 2, 3)
     delta = _real("delta", delta)
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")

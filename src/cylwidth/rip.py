@@ -65,8 +65,9 @@ def rip_target(m, k: int) -> float:
 def _shaped(m, k) -> np.ndarray:
     """``m`` conformed; ``ValueError`` unless ``k >= 1`` and it is ``2k x 4k``."""
     m = _conformed(m, "m")
-    if _integer("k", k) < 1 or m.shape != (2 * k, 4 * k):
-        raise ValueError(f"need k >= 1 and a 2k x 4k matrix, got k = {k} and {m.shape}")
+    _integer("k", k, 1)
+    if m.shape != (2 * k, 4 * k):
+        raise ValueError(f"need a 2k x 4k matrix, got k = {k} and {m.shape}")
     return m
 
 

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._fork import map_forked
-from .errors import _integer, _seed_path
+from .errors import _flag, _integer, _seed_path
 from .nets import sphere_net
 from .vectors import SubspaceBasis, _conformed, _gram_deviation, decreasing_rearrangement
 
@@ -133,8 +133,7 @@ def _require_finite(values, name: str) -> None:
 
 def lipschitz_bound(d: int) -> float:
     """Upper bound ln(2d)^2 on the Euclidean norm of dual-ball elements."""
-    if _integer("d", d) < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+    _integer("d", d, 1)
     return float(np.log(2.0 * d) ** 2)
 
 
@@ -213,12 +212,10 @@ def gaussian_tnorm_statistics(
     come back in order, so the statistics equal those of one batch over all
     trials bit for bit, for any number of processes.
     """
-    if _integer("d", d) < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
-    if sum_zero and d < 2:
-        raise ValueError("sum-zero sampling needs d >= 2")
-    if _integer("trials", trials) < 1:
-        raise ValueError("need at least one trial")
+    sum_zero = _flag("sum_zero", sum_zero)
+    # a sum-zero draw in one dimension is zero
+    _integer("d", d, 2 if sum_zero else 1)
+    _integer("trials", trials, 1)
     base = _seed_path(seed)
     rows = max(1, _BATCH_ELEMENTS // d)
     # a forked worker writes its own copy of this buffer

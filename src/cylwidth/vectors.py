@@ -9,6 +9,8 @@ Conventions used throughout the package:
   naming it if numpy cannot convert it or an entry is NaN or inf,
 * every real scalar argument goes through ``errors._real``: ``ValueError``
   naming it for a bool, a non-real value or NaN; each caller checks a range,
+* integer, flag and seed arguments go through ``errors._integer`` (which
+  checks the inclusive range too), ``errors._flag`` and ``errors._seed_path``,
 * a basis, orbit, group or sigma profile keeps a read-only array of its
   own (``_sealed``), a copy where the conformed array shares the caller's
   memory, so the caller's array stays writable and apart,
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficientError
+from .errors import RankDeficientError, _flag
 
 __all__ = [
     "SubspaceBasis",
@@ -102,6 +104,7 @@ class SubspaceBasis:
     sum_zero: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "sum_zero", _flag("sum_zero", self.sum_zero))
         cols = _as_matrix(self.columns, "basis columns")
         d, k = cols.shape
         if k > d:
@@ -219,6 +222,7 @@ def orthonormalize(columns, sum_zero: bool = False) -> SubspaceBasis:
     The QR factor is normalized to make the diagonal of R real positive, so
     the output is deterministic.
     """
+    sum_zero = _flag("sum_zero", sum_zero)
     a = _as_matrix(columns, "columns")
     if a.shape[1] > a.shape[0]:
         # the reduced QR would keep only d of the columns

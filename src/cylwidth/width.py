@@ -768,8 +768,7 @@ def width_altmax(
     of the anneal; :func:`~cylwidth.lowerbound.adversarial_min_width` calls
     it once per step for all its candidates, each under its own ceiling.
     """
-    if _integer("restarts", restarts) < 1:
-        raise ValueError("need at least one restart")
+    _integer("restarts", restarts, 1)
     if refine not in ("auto", "none"):
         raise ValueError("refine must be 'auto' or 'none'")
     v, shift = _scaled(_conform(v, basis.d, basis.field))
@@ -838,6 +837,7 @@ def width_orbit(
 
 def altmax_evaluator(v, restarts: int = 20):
     """Evaluator computing the ascent width against a fixed vector."""
+    _integer("restarts", restarts, 1)
 
     def evaluate(basis: SubspaceBasis, rng) -> float:
         return width_altmax(basis, v, restarts=restarts, seed=rng).value
@@ -859,8 +859,7 @@ def estimate_f_integral(
     in trial order, so the result is the same bit for bit for any number of
     processes.
     """
-    if _integer("trials", trials) < 1:
-        raise ValueError("need at least one trial")
+    _integer("trials", trials, 1)
     base = _seed_path(seed)
 
     def trial(i):

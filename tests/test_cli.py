@@ -1,6 +1,8 @@
 """Command-line interface: report schemas, determinism, exit codes."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -217,6 +219,47 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch):
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (argv, seed)
 
 
+def _strict_json(text):
+    """``json.loads`` that refuses the NaN, Infinity and -Infinity tokens,
+    which Python writes but JSON does not have."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_reports_are_strict_json(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sp4.json").write_text('{"d": 4, "kind": "SIGNED_PERMUTATIONS"}')
+    out = tmp_path / "out.json"
+    for argv in OUTPUT_PINS:
+        for seed in ("1", "3"):
+            assert cli.main([*argv, "--seed", seed, "--out", str(out)]) == 0
+            _strict_json(out.read_text())
+
+    # a least complex width of exactly 0 has no ratio: the group cycles
+    # coordinates 8..15 and fixes 0..7, and the j = 3 dyadic block it
+    # draws is orthogonal to the orbit of e_8
+    cycle = np.eye(16)
+    cycle[8:, 8:] = np.roll(np.eye(8), 1, axis=1)
+    pairs = np.stack([cycle, np.zeros_like(cycle)], axis=-1)
+    (tmp_path / "cycle.json").write_text(
+        json.dumps({"d": 16, "kind": "explicit", "generators": [pairs.tolist()]})
+    )
+    argv = ["realize", "--group", "cycle.json", "--base-point",
+            ",".join("1" if i == 8 else "0" for i in range(16)),
+            "--seed", "1", "--k", "1", "--draws", "4"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    (row,) = _strict_json(out.read_text())["rows"]
+    assert row["complex_width"] == row["real_width"] == 0.0
+    assert row["ratio"] is None and row["ok"] is True
+    # an empty CSV cell, as for rip-fuzz's exhaustive_achieved
+    code, text, _ = run([*argv, "--format", "csv"], capsys)
+    assert code == 0
+    assert next(csv.DictReader(io.StringIO(text)))["ratio"] == ""
+
+
 def test_out_file_matches_stdout(tmp_path, capsys):
     argv = ["rip-fuzz", "--k", "1", "--trials", "3", "--seed", "4", "--format", "csv"]
     code, out, _ = run(argv, capsys)
@@ -269,7 +312,7 @@ def test_validation_exit_codes(tmp_path, capsys):
         capsys,
     )
     assert code == 2
-    assert err == "error: need 1 <= k <= d, got k=9, d=4\n"
+    assert err == "error: need 1 <= k <= 4, got k=9\n"
 
     # every (d, k) is checked before the first search forks
     real_fork = os.fork
@@ -289,7 +332,7 @@ def test_validation_exit_codes(tmp_path, capsys):
                 capsys,
             )
             assert code == 2
-            assert err == "error: need 1 <= k <= d, got k=9, d=4\n"
+            assert err == "error: need 1 <= k <= 4, got k=9\n"
     assert forks == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

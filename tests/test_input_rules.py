@@ -2,17 +2,20 @@
 
 ``vectors._conformed`` converts every array argument (to complex128 if it
 is complex, else float64) and rejects NaN and inf; ``errors._real`` reads
-every real scalar argument and rejects NaN; ``vectors._sealed`` gives an
-object a read-only array of its own; ``errors._seed_path`` reads the seed
-that a derived stream extends.  The guards at the end fail if another
-module spells the seed rule, or converts or checks one of its own
-arguments itself.
+every real scalar argument and rejects NaN; ``errors._integer`` reads
+every integer argument and checks its inclusive range; ``errors._flag``
+reads every flag; ``vectors._sealed`` gives an object a read-only array
+of its own; ``errors._seed_path`` reads the seed that a derived stream
+extends.  The guards at the end fail if another module spells the seed
+rule, compares an integer argument with its bounds, or converts or
+checks one of its own arguments itself.
 """
 
 import ast
 import math
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -23,19 +26,33 @@ from cylwidth.groups import (
     Orbit,
     enumerate_orbit,
     signed_permutation_apply,
+    signed_permutation_generators,
 )
 from cylwidth.lowerbound import (
     SigmaProfile,
     adversarial_min_width,
     selberg_check,
     sigma_profile,
+    witness_vector,
 )
-from cylwidth.measures import dyadic_alt_measure
+from cylwidth.measures import (
+    build_delocalized_subspace,
+    desk_scale_j_min,
+    dyadic_alt_measure,
+    dyadic_index_set,
+    sample_uniform,
+)
 from cylwidth.nets import sphere_net
 from cylwidth.rip import rip_target, select_columns, singular_values
-from cylwidth.tnorm import gaussian_tnorm_statistics, t_norm, t_norm_batch
+from cylwidth.tnorm import (
+    gaussian_tnorm_statistics,
+    lipschitz_bound,
+    t_norm,
+    t_norm_batch,
+)
 from cylwidth.vectors import SubspaceBasis, orthonormalize
 from cylwidth.width import (
+    altmax_evaluator,
     estimate_f_integral,
     width_altmax,
     width_brute_signed_perm,
@@ -217,6 +234,143 @@ def test_real_scalars_read_any_real_type():
             REAL_SCALARS["tol"](bad)
 
 
+_TRIVIAL = GroupPresentation(1, (np.eye(1),))
+_V3 = np.arange(1.0, 4.0)
+_M24 = np.hstack([np.eye(2), np.eye(2)])
+# every public integer parameter, read by errors._integer, as
+# (parameter, call, lowest, highest or None)
+INTEGER_RANGES = {
+    "signed_permutation_generators.d": ("d", signed_permutation_generators, 1, None),
+    "GroupPresentation.d": ("d", lambda x: GroupPresentation(x, (np.eye(1),)), 1, None),
+    "enumerate_orbit.max_size": (
+        "max_size", lambda x: enumerate_orbit(_TRIVIAL, [1.0], max_size=x), 1, None
+    ),
+    "witness_vector.d": ("d", lambda x: witness_vector(x, 1), 1, None),
+    "witness_vector.k": ("k", lambda x: witness_vector(4, x), 1, 4),
+    "SigmaProfile.d": ("d", lambda x: SigmaProfile(np.array([1.0]), d=x, k=1), 1, None),
+    "SigmaProfile.k": ("k", lambda x: SigmaProfile(np.array([1.0]), d=1, k=x), 1, 1),
+    "adversarial_min_width.d": (
+        "d", lambda x: adversarial_min_width(x, 1, np.ones(1)), 1, None
+    ),
+    "adversarial_min_width.k": (
+        "k", lambda x: adversarial_min_width(3, x, _V3, restarts=1, steps=1), 1, 3
+    ),
+    "adversarial_min_width.restarts": (
+        "restarts", lambda x: adversarial_min_width(3, 2, _V3, restarts=x, steps=1), 1, None
+    ),
+    "adversarial_min_width.steps": (
+        "steps", lambda x: adversarial_min_width(3, 2, _V3, restarts=1, steps=x), 0, None
+    ),
+    "adversarial_min_width.inner_restarts": (
+        "inner_restarts",
+        lambda x: adversarial_min_width(3, 2, _V3, restarts=1, steps=1, inner_restarts=x),
+        1, None,
+    ),
+    "sample_uniform.d": ("d", lambda x: sample_uniform(1, x, seed=0), 1, None),
+    "sample_uniform.k": ("k", lambda x: sample_uniform(x, 4, seed=0), 1, 4),
+    # a sum-free span needs k < d
+    "build_delocalized_subspace.d": (
+        "d", lambda x: build_delocalized_subspace(1, x, seed=0), 2, None
+    ),
+    "build_delocalized_subspace.k": (
+        "k", lambda x: build_delocalized_subspace(x, 4, seed=0), 1, 3
+    ),
+    "desk_scale_j_min.k": ("k", desk_scale_j_min, 1, None),
+    "dyadic_index_set.d": ("d", lambda x: dyadic_index_set(1, x, 1), 2, None),
+    "dyadic_index_set.k": ("k", lambda x: dyadic_index_set(x, 8, 2), 1, None),
+    "sphere_net.k": ("k", lambda x: sphere_net(x, 0.5), 2, 3),
+    "rip_target.k": ("k", lambda x: rip_target(_M24, x), 1, None),
+    "select_columns.k": ("k", lambda x: select_columns(_M24, x), 1, None),
+    "lipschitz_bound.d": ("d", lipschitz_bound, 1, None),
+    "gaussian_tnorm_statistics.d": ("d", lambda x: gaussian_tnorm_statistics(x, 2), 1, None),
+    # a sum-zero draw in one dimension is zero
+    "gaussian_tnorm_statistics.d-sum_zero": (
+        "d", lambda x: gaussian_tnorm_statistics(x, 2, sum_zero=True), 2, None
+    ),
+    "gaussian_tnorm_statistics.trials": (
+        "trials", lambda x: gaussian_tnorm_statistics(8, x), 1, None
+    ),
+    "altmax_evaluator.restarts": (
+        "restarts", lambda x: altmax_evaluator(np.ones(2), restarts=x), 1, None
+    ),
+    "width_altmax.restarts": ("restarts", lambda x: width_altmax(_LINE, [1.0, 0.5], restarts=x),
+                              1, None),
+    "estimate_f_integral.trials": (
+        "trials", lambda x: estimate_f_integral(_FixedLine(), lambda basis, rng: 1.0, x, 0),
+        1, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_RANGES))
+def test_integer_ranges_hold_at_their_bounds(site):
+    name, call, low, high = INTEGER_RANGES[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (low,) if high is None else (low, high):
+            call(value)
+        call(np.int64(low))
+        past = [(low - 1, f"need {name} >= {low}, got {low - 1}")]
+        if high is not None:
+            past = [(x, f"need {low} <= {name} <= {high}, got {name}={x}")
+                    for x in (low - 1, high + 1)]
+        for x, message in past:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(x)
+            # a numpy integer reads as the number it is
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(np.int64(x))
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_RANGES))
+@pytest.mark.parametrize("bad", [math.nan, True, 2.0, None])
+def test_integer_parameters_reject_non_integers(site, bad):
+    name, call, _, _ = INTEGER_RANGES[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(bad)
+
+
+@pytest.mark.parametrize("d, k, message", [
+    (1, -1, "need 1 <= k <= 1, got k=-1"),
+    (1, 0, "need 1 <= k <= 1, got k=0"),
+    (1, math.nan, "k must be an integer, got nan"),
+    (1, True, "k must be an integer, got True"),
+    (True, 1, "d must be an integer, got True"),
+    (1.0, 1, "d must be an integer, got 1.0"),
+])
+def test_profiles_reject_invalid_ranks(d, k, message):
+    # a negative k gave a NaN cap (with a RuntimeWarning), k = 0 an
+    # infinite one, and every one of these passed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SigmaProfile(np.array([1.0]), d=d, k=k)
+
+
+# every flag, read by errors._flag; each call's result reports it
+FLAGS = {
+    "SubspaceBasis": lambda x: SubspaceBasis(np.array([[1.0], [-1.0]]) / np.sqrt(2.0),
+                                             sum_zero=x),
+    "orthonormalize": lambda x: orthonormalize([[1.0], [-1.0]], sum_zero=x),
+    "gaussian_tnorm_statistics": lambda x: gaussian_tnorm_statistics(8, 2, sum_zero=x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAGS))
+@pytest.mark.parametrize("bad", ["no", 0, 1.0, None])
+def test_flags_take_only_bools(name, bad):
+    with pytest.raises(ValueError, match="^sum_zero must be True or False"):
+        FLAGS[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(FLAGS))
+def test_flags_read_python_and_numpy_bools(name):
+    for flag in (True, False, np.True_):
+        assert FLAGS[name](flag).sum_zero is bool(flag)
+
+
 def test_objects_keep_arrays_of_their_own():
     q = np.eye(3)[:, :2].copy()
     b = SubspaceBasis(q)
@@ -314,6 +468,31 @@ def _argument_checks(path):
     visitor = _ArgumentChecks()
     visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
     return {(path.name, fn, param) for fn, param in visitor.sites}
+
+
+def _integer_comparisons(tree):
+    """Line of each comparison that holds an ``_integer(...)`` call: a range
+    spelled by hand around the integer rule."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_integer"
+                for sub in ast.walk(node))
+    )
+
+
+def test_only_errors_bounds_an_integer():
+    found = {
+        path.name: _integer_comparisons(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the guard still sees a hand-spelled range, chained or not
+    assert _integer_comparisons(ast.parse(
+        'if not 1 <= _integer("k", k) <= _integer("d", d):\n    pass\n'
+        'if _integer("d", d) < 2 or _integer("k", k) not in (2, 3):\n    pass\n'
+    )) == [1, 3, 3]
 
 
 def test_only_errors_reads_a_seed_path():

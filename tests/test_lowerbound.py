@@ -200,7 +200,7 @@ def test_adversarial_search_rejects_bad_vector_input_up_front(monkeypatch):
 
     monkeypatch.setattr(lowerbound, "sample_uniform", no_frames)
     wit = witness_vector(8, 1).unit
-    with pytest.raises(ValueError, match="inner restart"):
+    with pytest.raises(ValueError, match="^need inner_restarts >= 1, got 0$"):
         adversarial_min_width(8, 1, wit, inner_restarts=0)
     for bad in (np.nan, np.inf, -np.inf):
         target = wit.copy()

@@ -5,6 +5,7 @@ import pathlib
 import re
 
 import cylwidth
+from cylwidth import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = pathlib.Path(cylwidth.__file__).parent
@@ -33,3 +34,16 @@ def test_readme_layout_and_module_names_match_the_package():
             assert any(n.startswith(name) for n in names), f"{module}.{name}*"
         else:
             assert name in names, f"{module}.{name}"
+
+
+def test_readme_command_lines_parse():
+    # each example of the Command line block parses (a renamed or removed
+    # flag fails here), without running the command
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    lines = [line.split() for line in block.splitlines()]
+    assert sorted(words[1] for words in lines) == sorted(cli.HANDLERS)
+    parser = cli.build_parser()
+    for words in lines:
+        assert words[0] == "cylwidth"
+        assert parser.parse_args(words[1:]).command == words[1]
