@@ -1,11 +1,14 @@
 """One map over independent items, spread over the usable CPUs by ``os.fork``.
 
 The searches of ``lowerbound``, the width trials of
-:func:`~cylwidth.width.estimate_f_integral` and the Gaussian blocks of
+:func:`~cylwidth.width.estimate_f_integrals` and the Gaussian blocks of
 :func:`~cylwidth.tnorm.gaussian_tnorm_statistics` each draw only from their
 own derived stream, so :func:`map_forked` can run them on several processes
-and still return the list a serial loop would.  A map's items never start
-maps of their own, so no more processes than usable CPUs run at once.
+and still return the list a serial loop would.  ``scaling`` passes the
+trials of every row, for both of its vectors, to one map;
+:func:`~cylwidth.width.estimate_f_integral` maps one job's trials.  A map's
+items never start maps of their own, so no more processes than usable CPUs
+run at once.
 """
 
 from __future__ import annotations
@@ -22,12 +25,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def map_forked(func, n_items):
+def _shares(n, costs):
+    """Item lists of ``n`` shares: items in decreasing cost, each dealt to
+    the share with the least cost so far, the first such share on a tie."""
+    shares = [[] for _ in range(n)]
+    loads = [0] * n
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += costs[i]
+    return shares
+
+
+def map_forked(func, n_items, costs=None):
     """``[func(i) for i in range(n_items)]``, spread over forked processes.
 
-    There are n = min(usable CPUs, ``n_items``) shares; share ``w`` holds
-    items ``w, w + n, w + 2n, ...``.  This process runs share 0 itself, and
-    each other share runs in a forked worker that pickles its results back
+    There are n = min(usable CPUs, ``n_items``) shares.  Items are dealt to
+    them in decreasing ``costs[i]`` (all equal if ``costs`` is None), each
+    to the share with the least cost so far, the first such share on a
+    tie; with equal costs share ``w`` holds items ``w, w + n, w + 2n, ...``.
+    The deal depends only on the costs and n, so each item runs in the
+    same share on every run.  This process runs share 0 itself, and each
+    other share runs in a forked worker that pickles its results back
     through a pipe.  The list comes back in item order, so it does not
     depend on n.  With one share, or without ``os.fork``, every item runs
     in this process.  A worker's exception is raised here with its own
@@ -39,6 +58,7 @@ def map_forked(func, n_items):
     n = min(_usable_cpus(), n_items) if hasattr(os, "fork") else 1
     if n <= 1:
         return [func(i) for i in range(n_items)]
+    shares = _shares(n, [1] * n_items if costs is None else costs)
     results = [None] * n_items
     workers = []  # (pid, read end of its pipe), unreaped, in share order
     try:
@@ -55,7 +75,7 @@ def map_forked(func, n_items):
                 try:
                     os.close(read_fd)
                     try:
-                        msg = ("ok", [(i, func(i)) for i in range(w, n_items, n)])
+                        msg = ("ok", [(i, func(i)) for i in shares[w]])
                     except Exception as exc:
                         msg = ("err", exc)
                     with open(write_fd, "wb") as fh:
@@ -64,7 +84,7 @@ def map_forked(func, n_items):
                     os._exit(0)
             os.close(write_fd)
             workers.append((pid, open(read_fd, "rb")))
-        for i in range(0, n_items, n):
+        for i in shares[0]:
             results[i] = func(i)
         while workers:
             pid, fh = workers[0]

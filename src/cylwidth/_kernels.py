@@ -179,6 +179,15 @@ def altmax_best(cols, v_desc, starts, ceilings):
 # the z_i.  A move that changes nothing costs O(1) once its z_i and g are
 # cached, and late in the schedule most moves change nothing.
 #
+# A move whose touched rows are all exactly zero leaves y as it is, and so
+# costs O(1) always: a scalar move keeps its scalar, and a swap gains
+# exactly 0, so it is accepted (acc_u < exp(0) = 1) with its complex phases
+# kept and its real signs set to +1, the closed form's tie rule.  It only
+# swaps p, resets those signs and keeps the z_i.  The dyadic atoms of the
+# width measures put a block on the first 2^j of d coordinates, so most of
+# their rows are zero.  The test reads the entries, not n_i: a row below
+# ~1e-154 has n_i = 0.0 but is not zero, and its moves take the full path.
+#
 # In exact arithmetic this is the chain that builds every candidate image
 # and takes its norm; in floats the scalars and the gain come from other
 # sums, so results agree with that chain only up to rounding.  A complex
@@ -194,7 +203,7 @@ def altmax_best(cols, v_desc, starts, ceilings):
 #   p0      (d,) int initial assignment
 #   s0      (d,) initial unit scalars, matching field
 #   pairs   (M, 2) int, pairs[m] = (i, j); i == j requests a scalar move
-#   acc_u   (M,) float64 uniforms for the Metropolis draws
+#   acc_u   (M,) float64 uniforms in [0, 1) for the Metropolis draws
 # Returns (best_p, best_s, best_val), best_val = ||y|| of the best state.
 # ---------------------------------------------------------------------------
 
@@ -213,6 +222,7 @@ def anneal_best(rows, vvals, p0, s0, t0, t1, pairs, acc_u):
     field = np.complex128 if cplx else np.float64
     rows = np.asarray(rows, dtype=field)
     norms = (rows.real ** 2 + rows.imag ** 2).sum(axis=1).tolist()
+    zero = (rows == 0).all(axis=1).tolist()
     crows = rows.conj().tolist()
     rows = rows.tolist()
     vvals = np.asarray(vvals, dtype=field)
@@ -241,6 +251,13 @@ def anneal_best(rows, vvals, p0, s0, t0, t1, pairs, acc_u):
     # each new scalar is the unit s maximizing Re(conj(s) * w), that is
     # w / |w|, exactly +-1.0 for a float
     for m, (i, j) in enumerate(pairs):
+        if zero[i] and zero[j]:
+            # y, ||y||, the z_i and the best state stay as they are
+            if i != j:
+                p[i], p[j] = p[j], p[i]
+                if not cplx:
+                    s[i] = s[j] = 1.0
+            continue
         zi = zget(i)
         if zi is None:
             zi = z[i] = sum(map(mul, crows[i], y))

@@ -44,7 +44,7 @@ from .measures import desk_scale_j_min, dyadic_alt_measure, sample_uniform
 from .rip import C_RIP, realize_real_subspace, select_columns
 from .tnorm import gaussian_tnorm_statistics, lipschitz_bound
 from .vectors import _conformed, _scaled
-from .width import altmax_evaluator, estimate_f_integral, width_altmax, width_orbit
+from .width import altmax_evaluator, estimate_f_integrals, width_altmax, width_orbit
 
 SCHEMA_VERSION = 1
 REALIZE_RATIO_CAP = 2.0 + 1e-6
@@ -356,48 +356,45 @@ def _cmd_scaling(args):
                     f"{args.delta - excess} or less"
                 )
             j_mins[d, k] = j_min
+    # every measure is built before the one map over all width trials
+    measures = [
+        (d, k, dyadic_alt_measure(k, d, j_min_override=j_mins[d, k], seed=[args.seed, 11, d, k]))
+        for d in args.d
+        for k in ks
+    ]
+
+    def random_eval(basis, rng):
+        d = basis.d
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v /= np.linalg.norm(v)
+        return width_altmax(basis, v, restarts=args.restarts, seed=rng).value
+
+    jobs = []
+    for d, k, mu in measures:
+        wit = witness_vector(d, k).unit
+        jobs += [
+            (mu, altmax_evaluator(wit, restarts=args.restarts), [args.seed, 12, d, k]),
+            (mu, random_eval, [args.seed, 13, d, k]),
+        ]
+    estimates = iter(estimate_f_integrals(jobs, args.trials))
     rows = []
-    for d in args.d:
-        for k in ks:
-            mu = dyadic_alt_measure(
-                k,
-                d,
-                j_min_override=j_mins[d, k],
-                seed=[args.seed, 11, d, k],
-            )
-            wit = witness_vector(d, k).unit
-            est_w = estimate_f_integral(
-                mu,
-                altmax_evaluator(wit, restarts=args.restarts),
-                args.trials,
-                seed=[args.seed, 12, d, k],
-            )
-
-            def random_eval(basis, rng, _d=d):
-                v = rng.standard_normal(_d) + 1j * rng.standard_normal(_d)
-                v /= np.linalg.norm(v)
-                return width_altmax(
-                    basis, v, restarts=args.restarts, seed=rng
-                ).value
-
-            est_r = estimate_f_integral(
-                mu, random_eval, args.trials, seed=[args.seed, 13, d, k]
-            )
-            scale = math.log(d / k)
-            rows.append(
-                {
-                    "d": d,
-                    "k": k,
-                    "j_count": len(mu.j_values),
-                    "trials": args.trials,
-                    "mean_sup2_random": est_r.mean,
-                    "stderr_random": est_r.stderr,
-                    "normalized_random": est_r.mean * scale,
-                    "mean_sup2_witness": est_w.mean,
-                    "stderr_witness": est_w.stderr,
-                    "normalized_witness": est_w.mean * scale,
-                }
-            )
+    for d, k, mu in measures:
+        est_w, est_r = next(estimates), next(estimates)
+        scale = math.log(d / k)
+        rows.append(
+            {
+                "d": d,
+                "k": k,
+                "j_count": len(mu.j_values),
+                "trials": args.trials,
+                "mean_sup2_random": est_r.mean,
+                "stderr_random": est_r.stderr,
+                "normalized_random": est_r.mean * scale,
+                "mean_sup2_witness": est_w.mean,
+                "stderr_witness": est_w.stderr,
+                "normalized_witness": est_w.mean * scale,
+            }
+        )
     return rows
 
 

@@ -66,6 +66,7 @@ __all__ = [
     "width_altmax",
     "width_orbit",
     "estimate_f_integral",
+    "estimate_f_integrals",
     "altmax_evaluator",
 ]
 
@@ -853,20 +854,48 @@ def estimate_f_integral(
     Trial ``i`` draws its subspace and evaluates with the derived stream
     ``(seed, i)``, so the result is independent of evaluation order.
     ``seed`` may be an integer or a list or tuple of integers to derive
-    from, each at least 0; any other ``seed`` raises ``ValueError``.  The
-    trials are spread by :func:`~cylwidth._fork.map_forked` over this
-    process and forked workers, one process per usable CPU, and come back
-    in trial order, so the result is the same bit for bit for any number of
-    processes.
+    from, each at least 0; any other ``seed`` raises ``ValueError``.  This
+    is the one-job case of :func:`estimate_f_integrals`, whose one map
+    spreads the trials over this process and forked workers, one process
+    per usable CPU; they come back in trial order, so the result is the
+    same bit for bit for any number of processes.
+    """
+    return estimate_f_integrals([(measure, evaluator, seed)], trials)[0]
+
+
+def estimate_f_integrals(jobs, trials: int) -> list:
+    """:func:`estimate_f_integral` of each ``(measure, evaluator, seed)`` job.
+
+    Every seed is checked before any trial runs.  The ``trials`` trials of
+    every job run in one :func:`~cylwidth._fork.map_forked` (``scaling``
+    passes both vectors of every row), dealt out by cost, so that short
+    trials fill the CPUs that long ones would leave idle.  Each trial keeps
+    its own derived stream, so each estimate is the one
+    :func:`estimate_f_integral` returns for its job, bit for bit.
     """
     _integer("trials", trials, 1)
-    base = _seed_path(seed)
+    jobs = [(measure, evaluator, _seed_path(seed)) for measure, evaluator, seed in jobs]
+    draws = [(measure, evaluator, [*base, i])
+             for measure, evaluator, base in jobs for i in range(trials)]
 
-    def trial(i):
-        rng = np.random.default_rng([*base, i])
+    def trial(n):
+        measure, evaluator, path = draws[n]
+        rng = np.random.default_rng(path)
         return evaluator(measure.sample(rng), rng) ** 2
 
-    values = np.array(map_forked(trial, trials), dtype=np.float64)
+    # the anneal's moves on zero rows are O(1), so a trial costs about the
+    # nonzero rows of its subspace, drawn here once more from its stream
+    costs = [
+        np.count_nonzero(measure.sample(np.random.default_rng(path)).columns.any(axis=1))
+        for measure, _, path in draws
+    ]
+    values = map_forked(trial, len(draws), costs)
+    return [_estimate(values[n:n + trials]) for n in range(0, len(values), trials)]
+
+
+def _estimate(values) -> FIntegralEstimate:
+    values = np.array(values, dtype=np.float64)
+    trials = values.size
     stderr = 0.0
     if trials > 1:
         stderr = float(values.std(ddof=1) / np.sqrt(trials))

@@ -103,6 +103,34 @@ def test_reruns_are_byte_identical(tmp_path, monkeypatch):
             assert first.read_bytes() == later.read_bytes(), (argv[0], n)
 
 
+def test_scaling_runs_every_width_trial_in_one_map(tmp_path, monkeypatch):
+    # both vectors' trials of every row go through one fork map, whose rows
+    # do not depend on how many processes share it; each trial is dealt out
+    # by the nonzero rows of its dyadic block
+    argv = ["scaling", "--d", "16", "--d", "32", "--k", "2", "--trials", "3",
+            "--restarts", "2", "--seed", "4"]
+    real_map = _fork.map_forked
+    maps = []
+
+    def counted(func, n_items, costs=None):
+        maps.append((n_items, sorted(set(costs))))
+        return real_map(func, n_items, costs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cylwidth" and getattr(module, "map_forked", None) is real_map:
+            monkeypatch.setattr(module, "map_forked", counted)
+    reports = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(_fork, "_usable_cpus", lambda n=cpus: n)
+        maps.clear()
+        out = tmp_path / f"{cpus}.json"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert maps == [(2 * 2 * 3, [8, 16, 32])], cpus
+        reports.append(out.read_bytes())
+    assert len(json.loads(reports[0])["rows"]) == 2
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 @pytest.mark.parametrize("ks, cpus, layout", [
     # two searches on 2 CPUs: one whole search per process
     ((2, 4), 2, [[5], [5]]),

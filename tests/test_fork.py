@@ -19,6 +19,18 @@ def test_share_zero_runs_in_the_calling_process(monkeypatch):
     assert pids[1] == pids[3] != me
 
 
+def test_items_are_dealt_out_largest_cost_first(monkeypatch):
+    # each item goes to the share with the least cost so far, the calling
+    # process's on a tie; the results still come back in item order
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
+    me = os.getpid()
+    for costs, here in (([1, 5, 1, 5], [True, True, False, False]),
+                        ([9, 1, 1, 1, 1], [True, False, False, False, False]),
+                        ([2, 2, 2, 2, 2], [True, False, True, False, True])):
+        got = map_forked(lambda i: (i, os.getpid() == me), len(costs), costs)
+        assert got == list(enumerate(here)), costs
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_results_come_back_in_item_order(monkeypatch, workers):
     monkeypatch.setattr(_fork, "_usable_cpus", lambda: workers)

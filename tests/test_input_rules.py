@@ -54,6 +54,7 @@ from cylwidth.vectors import SubspaceBasis, orthonormalize
 from cylwidth.width import (
     altmax_evaluator,
     estimate_f_integral,
+    estimate_f_integrals,
     width_altmax,
     width_brute_signed_perm,
     width_orbit,
@@ -74,6 +75,10 @@ DERIVED_STREAMS = {
     "gaussian_tnorm_statistics": lambda seed: gaussian_tnorm_statistics(8, 2, seed=seed),
     "estimate_f_integral": lambda seed: estimate_f_integral(
         _FixedLine(), lambda basis, rng: 1.0, 2, seed
+    ),
+    "estimate_f_integrals": lambda seed: estimate_f_integrals(
+        [(_FixedLine(), lambda basis, rng: 1.0, 0), (_FixedLine(), lambda basis, rng: 1.0, seed)],
+        2,
     ),
     "adversarial_min_width": lambda seed: adversarial_min_width(
         6, 2, np.arange(1.0, 7.0), restarts=1, steps=1, seed=seed
@@ -297,6 +302,10 @@ INTEGER_RANGES = {
                               1, None),
     "estimate_f_integral.trials": (
         "trials", lambda x: estimate_f_integral(_FixedLine(), lambda basis, rng: 1.0, x, 0),
+        1, None,
+    ),
+    "estimate_f_integrals.trials": (
+        "trials", lambda x: estimate_f_integrals([(_FixedLine(), lambda basis, rng: 1.0, 0)], x),
         1, None,
     ),
 }

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import itertools
 import math
+import operator
 import textwrap
 import tracemalloc
 import warnings
@@ -1484,6 +1485,131 @@ def test_anneal_kernel_matches_the_k_space_loop():
             assert abs(val - val_ref) <= 1e-12 * val_ref
 
 
+def _anneal_full_moves(rows, vvals, p0, s0, t0, t1, pairs, acc_u):
+    """The anneal kernel's move loop without its zero-row rule: every move
+    computes its z_i, Gram entry and gain, and every accepted one rebuilds y."""
+    cplx = np.iscomplexobj(rows) or np.iscomplexobj(vvals)
+    field = np.complex128 if cplx else np.float64
+    rows = np.asarray(rows, dtype=field)
+    norms = (rows.real ** 2 + rows.imag ** 2).sum(axis=1).tolist()
+    crows = rows.conj().tolist()
+    rows = rows.tolist()
+    vvals = np.asarray(vvals, dtype=field)
+    cvals = vvals.conj().tolist()
+    vvals = vvals.tolist()
+    p = np.asarray(p0, dtype=np.int64).tolist()
+    s = np.asarray(s0, dtype=field).tolist()
+    acc_u = np.asarray(acc_u, dtype=np.float64).tolist()
+    d, k = len(rows), len(rows[0])
+
+    def sqnorm(y):
+        acc = 0.0
+        for t in y:
+            acc += t.real * t.real + t.imag * t.imag
+        return acc
+
+    y = [0.0] * k
+    for i, r in enumerate(rows):
+        a = s[i] * vvals[p[i]]
+        for l in range(k):
+            y[l] += a * r[l]
+    sq = sqnorm(y)
+    val = math.sqrt(sq)
+    best_p, best_s, best_val = p[:], s[:], val
+    ratio = t1 / t0
+    denom = max(len(pairs) - 1, 1)
+    z, gram = {}, {}
+    for m, (i, j) in enumerate(np.asarray(pairs).tolist()):
+        zi = z.get(i)
+        if zi is None:
+            zi = z[i] = sum(map(operator.mul, crows[i], y))
+        vi = vvals[p[i]]
+        if i == j:
+            w = cvals[p[i]] * (zi - s[i] * vi * norms[i])
+            s_new = w / abs(w) if w else s[i]
+            if s_new == s[i]:
+                continue
+            delta = (s_new - s[i]) * vi
+            for l in range(k):
+                y[l] += delta * rows[i][l]
+            s[i] = s_new
+        else:
+            zj = z.get(j)
+            if zj is None:
+                zj = z[j] = sum(map(operator.mul, crows[j], y))
+            g = gram.get(i * d + j)
+            if g is None:
+                g = gram[i * d + j] = sum(map(operator.mul, crows[i], rows[j]))
+            vj = vvals[p[j]]
+            ni, nj = norms[i], norms[j]
+            ai, aj = s[i] * vi, s[j] * vj
+            w = cvals[p[j]] * (zi - ai * ni - aj * g)
+            si2 = w / abs(w) if w else (s[i] if cplx else 1.0)
+            bi = si2 * vj
+            ci = bi - ai
+            w = cvals[p[i]] * (zj + ci * g.conjugate() - aj * nj)
+            sj2 = w / abs(w) if w else (s[j] if cplx else 1.0)
+            bj = sj2 * vi
+            cj = bj - aj
+            gain = (ci.conjugate() * (2 * zi + ci * ni + 2 * cj * g)
+                    + cj.conjugate() * (2 * zj + cj * nj)).real
+            if not (gain > 0.0 or acc_u[m] < math.exp(
+                    (math.sqrt(max(sq + gain, 0.0)) - val)
+                    / (t0 * ratio ** (m / denom)))):
+                continue
+            ri, rj = rows[i], rows[j]
+            y = [y[l] - ai * ri[l] - aj * rj[l] + bi * ri[l] + bj * rj[l]
+                 for l in range(k)]
+            p[i], p[j] = p[j], p[i]
+            s[i], s[j] = si2, sj2
+        sq = sqnorm(y)
+        val = math.sqrt(sq)
+        z.clear()
+        if val > best_val:
+            best_p, best_s, best_val = p[:], s[:], val
+    return np.array(best_p, dtype=np.int64), np.array(best_s, dtype=field), best_val
+
+
+def test_anneal_kernel_on_padded_frames_keeps_every_bit_of_the_full_moves():
+    # A dyadic atom puts its block on the first rows of d and leaves the
+    # rest zero; moves on zero rows alone take the kernel's O(1) branch.
+    # One zero row is replaced by subnormal entries: its squared norm
+    # underflows to 0.0, yet its moves change the scalars, so they must
+    # take the full path.  A short chain records its best state while zero
+    # rows still hold their starting signs, which a swap of two of them
+    # sets to +1.
+    d, m = 32, 8
+    rng = np.random.default_rng(38)
+    for field, k, layout in itertools.product(
+        ("real", "complex"), (1, 2, 3, 4), ("tail", "interleaved")
+    ):
+        cplx = field == "complex"
+        live = np.arange(m) if layout == "tail" else np.arange(0, 2 * m, 2)
+        cols = np.zeros((d, k), dtype=np.complex128 if cplx else np.float64)
+        cols[live] = sample_uniform(k, m, field, seed=[38, k]).columns
+        tiny = np.setdiff1d(np.arange(d), live)[2]
+        cols[tiny] = 3e-310 * rng.choice([-1.0, 1.0], size=k)
+        assert (cols[tiny].real ** 2).sum() == 0.0
+        for moves in (2500, 300):
+            v = rng.standard_normal(d)
+            s0 = rng.choice(np.array([-1.0, 1.0]), size=d)
+            if cplx:
+                v = v + 1j * rng.standard_normal(d)
+                s0 = np.exp(2j * np.pi * rng.random(d))
+            pairs = rng.integers(0, d, size=(moves, 2))
+            scalar_move = rng.random(moves) >= 0.7
+            pairs[scalar_move, 1] = pairs[scalar_move, 0]
+            scale = float(np.linalg.norm(v))
+            args = (cols.conj(), v, rng.permutation(d), s0, 0.25 * scale,
+                    1e-5 * scale, pairs, rng.random(moves))
+            p, s, val = kernels.anneal_best(*args)
+            p_ref, s_ref, val_ref = _anneal_full_moves(*args)
+            where = (field, k, layout, moves)
+            assert p.tobytes() == p_ref.tobytes(), where
+            assert s.tobytes() == s_ref.tobytes(), where
+            assert np.float64(val).tobytes() == np.float64(val_ref).tobytes(), where
+
+
 def test_width_orbit_matches_manual_maximum():
     group = GroupPresentation.signed_permutations(3)
     orbit = enumerate_orbit(group, np.array([0.8, 0.5, 0.2]))
@@ -1586,6 +1712,25 @@ def test_estimate_f_integral_does_not_depend_on_the_worker_count(monkeypatch):
             results.append((est.values.tobytes(), np.float64(est.mean).tobytes(),
                             np.float64(est.stderr).tobytes()))
         assert results[1] == results[0] and results[2] == results[0]
+
+
+def test_estimate_f_integrals_keeps_each_jobs_estimate(monkeypatch):
+    # one map over every job's trials returns, job by job, the estimate of
+    # that job alone
+    jobs = [
+        (uniform_real_measure(2, 6), width.altmax_evaluator(witness_vector(6, 2).unit,
+                                                             restarts=4), [9, 1]),
+        (uniform_real_measure(1, 5), lambda basis, rng: float(basis.columns[0, 0]), 4),
+        (uniform_real_measure(2, 6), width.altmax_evaluator(np.ones(6), restarts=2), (9, 2)),
+    ]
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 1)
+    alone = [estimate_f_integral(*job[:2], 3, job[2]) for job in jobs]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_fork, "_usable_cpus", lambda w=workers: w)
+        together = width.estimate_f_integrals(jobs, 3)
+        assert [(e.values.tobytes(), e.mean, e.stderr, e.trials) for e in together] == [
+            (e.values.tobytes(), e.mean, e.stderr, e.trials) for e in alone]
+    assert width.estimate_f_integrals([], 3) == []
 
 
 @pytest.mark.parametrize("failing", [3, 4])
